@@ -18,8 +18,9 @@ data of the atomistic slab:
   single interface strain.  Its y-dependence contributes an explicit extra
   chain-rule term, and no pure stress form exists.
 
-Energies and derivatives ride on the exact pair/closed-form backend
-throughout; FEM appears only in cross-checks at test level.
+Energies, forces and the exact Hessian (`ac_hessian`) ride on the exact
+pair/closed-form backend throughout; FEM appears only in cross-checks at
+test level.
 """
 
 import math
@@ -31,11 +32,15 @@ from scipy.linalg import eigh, null_space
 from .cauchy_born import (
     cb_cell_denergy,
     cb_cell_energy,
+    cb_hessian,
     cell_state,
     cb_stress_function,
 )
 from .density import check_separated, mu
 from .energy import (
+    _pair_sum_free_hessian,
+    _slab_core,
+    _wall_sums,
     d_energy_dirichlet_a,
     d_energy_dirichlet_g,
     d_energy_dirichlet_y,
@@ -55,6 +60,7 @@ __all__ = [
     "method2",
     "ac_energy",
     "ac_forces",
+    "ac_hessian",
     "g_method2",
     "d_g_method2",
     "sigma_qc",
@@ -176,6 +182,12 @@ def _interface_strain_dgamma(profile, m, s):
     return -mu(profile, m).mu * math.sqrt(x) * (1.0 + x) / (2.0 * (1.0 - x) ** 2)
 
 
+def _interface_strain_d2gamma(profile, m, s):
+    """Second derivative of the midpoint field: mu m sqrt(x)(1+6x+x^2) / (4 (1-x)^3)."""
+    x = math.exp(-m * s)
+    return mu(profile, m).mu * m * math.sqrt(x) * (1.0 + 6.0 * x + x * x) / (4.0 * (1.0 - x) ** 3)
+
+
 def g_method2(cfg, partition, profile, m):
     """Cell-problem boundary data: the interface cell's comparison field at
     the wall, a function of that cell's strain alone."""
@@ -241,6 +253,108 @@ def ac_forces(cfg, method, profile, m, tau_threshold=1e-8):
         grad[c_r] += dg_e[1] * dgr
         grad[c_r - 1] -= dg_e[1] * dgr
     return grad
+
+
+def _core_gradient(q, variant, m, eps):
+    """Gradient of the slab core in its reduced variables q.
+
+    method 2: q = (gamma_L, gamma_R, tau, g_L, g_R), the partials of
+    `_slab_core`.  method 1: q = (gamma_L, gamma_R, tau) with g = g*(q);
+    since D_g E vanishes at g*, the partials in (gamma, tau) taken at g*
+    are the total gradient of the mirror energy.  Plain arithmetic only,
+    so it accepts complex q.
+    """
+    gam_l, gam_r, tau = q[0], q[1], q[2]
+    if variant == "method1":
+        det = 1.0 - tau * tau
+        g_l, g_r = (gam_l + tau * gam_r) / det, (tau * gam_l + gam_r) / det
+    else:
+        g_l, g_r = q[3], q[4]
+    return np.array(_slab_core(0.0, gam_l, gam_r, tau, g_l, g_r, m, eps)[1:1 + len(q)])
+
+
+def _core_hessian(q, variant, m, eps):
+    """Hessian of the slab core in q by a complex step on `_core_gradient`.
+
+    Im f(q + i h e_k) / h has no subtractive cancellation, so a tiny h makes
+    it exact to roundoff; it is not a finite difference.
+    """
+    h = 1e-30
+    hess = np.empty((len(q), len(q)))
+    for k in range(len(q)):
+        qc = np.asarray(q, dtype=complex)
+        qc[k] += 1j * h
+        hess[:, k] = _core_gradient(qc, variant, m, eps).imag / h
+    return 0.5 * (hess + hess.T)
+
+
+def _slab_hessian(cfg, method, profile, m, bd0):
+    """Hessian of the slab energy in the positions.
+
+    The slab energy is the free pair sum of the window atoms plus the core,
+    a function of q = (gamma_L, gamma_R, tau[, g_L, g_R]).  It is assembled
+    in the reduced variables z = (window atoms, a_L, a_R, s_L, s_R), s the
+    interface strains that fix method 2's g, and mapped back through the
+    linear map z = P y.  Each gamma and tau is a sum of exponentials of
+    linear forms l of z, so its Hessian is sum c e^l (grad l)(grad l)^T.
+    """
+    part = method.partition
+    K, i, eps = part.K, cfg.N, cfg.eps
+    idx = part.atom_indices(cfg)
+    y_at = positions(cfg)[idx]
+    na = idx.size
+    ia, i_al, i_ar, i_sl, i_sr = np.arange(na), na, na + 1, na + 2, na + 3
+    nz = na + 4
+    k = m / eps
+    muv = mu(profile, m).mu
+
+    # z = P y
+    p_map = np.zeros((nz, cfg.n_atoms))
+    p_map[ia, idx] = 1.0
+    p_map[i_al, [i - K - 1, i - K]] = 0.5
+    p_map[i_ar, [i + K, i + K + 1]] = 0.5
+    p_map[i_sl, [i - K - 1, i - K]] = (-1.0 / eps, 1.0 / eps)
+    p_map[i_sr, [i + K, i + K + 1]] = (-1.0 / eps, 1.0 / eps)
+
+    # exponential families: coefficients and gradients of their exponents
+    s_l, s_r = _wall_sums(y_at, bd0)
+    lin_l = np.zeros((na, nz))
+    lin_l[ia, ia], lin_l[:, i_al] = -k, k  # -k (y_j - a_L)
+    lin_r = np.zeros((na, nz))
+    lin_r[ia, ia], lin_r[:, i_ar] = k, -k  # -k (a_R - y_j)
+    lin_t = np.zeros((1, nz))
+    lin_t[0, i_al], lin_t[0, i_ar] = k, -k  # -k (a_R - a_L)
+    families = [(muv / m * s_l, lin_l), (muv / m * s_r, lin_r), (np.array([bd0.tau]), lin_t)]
+
+    jac = np.array([c @ lin for c, lin in families])
+    q = [float(np.sum(c)) for c, _ in families]
+    if method.variant == "method2":
+        strains = first_diff(cfg)
+        s_int = (float(strains[i - K]), float(strains[i + K + 1]))
+        q += [_interface_strain_gamma(profile, m, s) for s in s_int]
+        rows = np.zeros((2, nz))
+        rows[0, i_sl] = _interface_strain_dgamma(profile, m, s_int[0])
+        rows[1, i_sr] = _interface_strain_dgamma(profile, m, s_int[1])
+        jac = np.vstack([jac, rows])
+
+    grad_q = _core_gradient(q, method.variant, m, eps)
+    hess_z = jac.T @ _core_hessian(q, method.variant, m, eps) @ jac
+    for dq, (c, lin) in zip(grad_q, families):
+        hess_z += dq * (lin.T @ (c[:, None] * lin))
+    if method.variant == "method2":
+        for dq, j_z, s in zip(grad_q[3:], (i_sl, i_sr), s_int):
+            hess_z[j_z, j_z] += dq * _interface_strain_d2gamma(profile, m, s)
+    hess_z[:na, :na] += eps * muv**2 / (4.0 * m) * _pair_sum_free_hessian(y_at, m, eps)
+    return p_map.T @ hess_z @ p_map
+
+
+def ac_hessian(cfg, method, profile, m, tau_threshold=1e-8):
+    """Exact Hessian of ac_energy in the atom positions: the weighted
+    Cauchy-Born cells (cyclic tridiagonal) plus the slab block."""
+    bd0 = _validate(cfg, method, profile, m, tau_threshold)
+    hess = cb_hessian(cfg, profile, m, _cb_weights(cfg, method.partition.K))
+    hess += _slab_hessian(cfg, method, profile, m, bd0)
+    return 0.5 * (hess + hess.T)
 
 
 def sigma_qc(cfg, method, x, profile, m, tau_threshold=1e-8):
@@ -374,38 +488,15 @@ def consistency_error(cfg, method, profile, m, n_smooth=8, seed=0,
     }
 
 
-def stability_spectrum(cfg, method, profile, m, fd_scale=1e-5, tau_threshold=1e-8):
+def stability_spectrum(cfg, method, profile, m, tau_threshold=1e-8):
     """Smallest eigenvalue of D^2 E^qc over mean-zero displacements,
     measured against the strain seminorm |u'|^2_{l2_eps}, next to the
     uniform convexity floor (m mu^2/2) e^{-m max y'}.
 
-    The Hessian is the central difference of the analytic forces (step
-    fd_scale * eps); force translation-invariance makes the mean-zero
-    re-centering of the perturbed configurations exact rather than
-    approximate.  Gross asymmetry of the FD Hessian raises.
+    D^2 E^qc is the exact Hessian `ac_hessian`.
     """
-    _validate(cfg, method, profile, m, tau_threshold)
+    hess = ac_hessian(cfg, method, profile, m, tau_threshold)
     n = cfg.n_atoms
-    h = fd_scale * cfg.eps
-    cols = []
-    for p in range(n):
-        up, um = cfg.u.copy(), cfg.u.copy()
-        up[p] += h
-        um[p] -= h
-        up -= up.mean()
-        um -= um.mean()
-        fp = ac_forces(cfg.replace_u(up), method, profile, m, tau_threshold)
-        fm = ac_forces(cfg.replace_u(um), method, profile, m, tau_threshold)
-        cols.append((fp - fm) / (2 * h))
-    hess = np.column_stack(cols)
-    scale = np.max(np.abs(hess))
-    asym = np.max(np.abs(hess - hess.T))
-    if asym > 1e-4 * scale:
-        raise RuntimeError(
-            "FD Hessian asymmetry %.2e exceeds tolerance (scale %.2e)" % (asym, scale)
-        )
-    hess = 0.5 * (hess + hess.T)
-
     d_mat = np.eye(n) - np.roll(np.eye(n), 1, axis=1)  # row j: u_j - u_{j-1}
     b_mat = d_mat.T @ d_mat / cfg.eps
     q = null_space(np.ones((1, n)))

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .density import mu
+from .density import check_separated, mu
 from .energy import StressFunction, self_energy
 from .field import _bump_kernel_quad
 from .lattice import first_diff, positions, second_diff
@@ -36,6 +36,7 @@ __all__ = [
     "cb_stress_function",
     "cb_total_energy",
     "cb_forces",
+    "cb_hessian",
     "cb_hessian_lower_bound_check",
     "comparison_field_bound",
 ]
@@ -181,6 +182,25 @@ def cb_forces(cfg, profile, m):
     return (ep - np.roll(ep, -1)) / cfg.eps
 
 
+def cb_hessian(cfg, profile, m, weights=None):
+    """Exact Hessian of sum_j w_j e(y'_j) (w = 1: of E^cb).
+
+    Cell j couples atoms j-1 and j through the curvature w_j e''(y'_j) /
+    eps^2, so the Hessian is cyclic tridiagonal: D^T diag(.) D with D the
+    periodic first difference.
+    """
+    c = cb_cell_d2energy(first_diff(cfg), profile, m, cfg.eps) / cfg.eps**2
+    if weights is not None:
+        c = weights * c
+    n = c.size
+    i = np.arange(n)
+    hess = np.zeros((n, n))
+    hess[i, i] = c + np.roll(c, -1)
+    hess[i, i - 1] = -c
+    hess[i - 1, i] = -c
+    return hess
+
+
 def cb_hessian_lower_bound_check(cfg, u, profile, m):
     """Second variation of E^cb against its uniform convexity floor.
 
@@ -231,8 +251,11 @@ def comparison_field_bound(cfg, profile, m, j, grad=False):
 
     the index window tiling the chain periodically; the gradient bound
     carries an extra factor m.  The tail is truncated once a crude upper
-    estimate of the remainder drops below 1e-19.
+    estimate of the remainder drops below 1e-19.  Overlapping bumps raise
+    ValueError: the bound assumes separated bumps, and at min y' <= 0 the
+    tail does not decay.
     """
+    check_separated(cfg, profile, "comparison_field_bound")
     ypp = np.abs(second_diff(cfg))
     n_at = cfg.n_atoms
     smin = float(np.min(first_diff(cfg)))

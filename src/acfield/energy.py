@@ -21,6 +21,8 @@ every quantity:
   pieces reduce to pair sums, the wall moments gamma, and the decay factor
   tau.  These formulas are exact for separated bumps (the only regime in
   which the slab model is posed) and serve as oracles for the FEM route.
+  They also give the exact Hessian of the periodic energy
+  (`hessian_periodic`), which has no FEM counterpart.
 
 Wall moments and optimal boundary data: gamma_L = (mu/m) sum_j
 exp(-(m/eps)(y_j - a_L)) (and mirrored for gamma_R) measure the charge seen
@@ -57,6 +59,7 @@ __all__ = [
     "self_energy",
     "energy_periodic",
     "forces_periodic",
+    "hessian_periodic",
     "weak_form_periodic",
     "energy_dirichlet",
     "d_energy_dirichlet_y",
@@ -81,6 +84,23 @@ def self_energy(profile, m, eps):
 # ---------------------------------------------------------------------------
 
 
+def _periodic_d_max(cfg, m):
+    """Last in-period offset kept by the pair-sum cutoff 60/(m min y')."""
+    smin = float(np.min(first_diff(cfg)))
+    if smin > 0:
+        return min(cfg.N, int(math.ceil(60.0 / (m * smin))) + 1)
+    return cfg.N
+
+
+def _free_d_max(y, m, eps):
+    """Last index offset kept by the free pair-sum cutoff 60/(m min y')."""
+    n = y.size
+    smin = float(np.min(np.diff(y))) / eps if n > 1 else 1.0
+    if smin <= 0:
+        return n - 1
+    return min(n - 1, int(math.ceil(60.0 / (m * max(smin, 1e-12)))) + 1)
+
+
 def _pair_sum_periodic(cfg, m, want_grad=True):
     """Ordered double sum over distinct (atom, image) pairs of e^{-(m/eps) dist}.
 
@@ -98,14 +118,8 @@ def _pair_sum_periodic(cfg, m, want_grad=True):
     geo = 1.0 / (1.0 - q)
     s = n * 2.0 * q * geo
     grad = np.zeros(n) if want_grad else None
-
-    smin = float(np.min(first_diff(cfg)))
-    if smin > 0:
-        d_max = min(cfg.N, int(math.ceil(60.0 / (m * smin))) + 1)
-    else:
-        d_max = cfg.N
     idx = np.arange(n)
-    for d in range(1, d_max + 1):
+    for d in range(1, _periodic_d_max(cfg, m) + 1):
         jb = (idx + d) % n
         d0 = y[jb] - y[idx] + L * (jb < idx)
         el = np.exp(-k * d0)
@@ -125,10 +139,7 @@ def _pair_sum_free(y, m, eps, want_grad=True):
     k = m / eps
     s = 0.0
     grad = np.zeros(n) if want_grad else None
-    gaps = np.diff(y)
-    smin = float(np.min(gaps)) / eps if n > 1 else 1.0
-    d_max = n - 1 if smin <= 0 else min(n - 1, int(math.ceil(60.0 / (m * max(smin, 1e-12)))) + 1)
-    for d in range(1, d_max + 1):
+    for d in range(1, _free_d_max(y, m, eps) + 1):
         d0 = y[d:] - y[:-d]
         el = np.exp(-k * d0)
         s += 2.0 * float(np.sum(el))
@@ -137,6 +148,48 @@ def _pair_sum_free(y, m, eps, want_grad=True):
             np.add.at(grad, np.arange(d, n), -gterm)
             np.add.at(grad, np.arange(0, n - d), gterm)
     return s, grad
+
+
+def _add_pair_curvature(hess, ia, ib, c):
+    """Add c (e_a - e_b)(e_a - e_b)^T for every pair (a, b) = (ia, ib) at
+    one offset: the index pairs of one offset are distinct, so plain fancy
+    indexing accumulates without collisions."""
+    hess[ia, ia] += c
+    hess[ib, ib] += c
+    hess[ia, ib] -= c
+    hess[ib, ia] -= c
+
+
+def _pair_sum_periodic_hessian(cfg, m):
+    """Second derivatives of `_pair_sum_periodic` in the positions.
+
+    A pair at in-period gap d0 contributes 2 geo k^2 (e^{-k d0} +
+    e^{-k(L-d0)}) to the curvature along y_b - y_a; same cutoff as the sum.
+    """
+    y = positions(cfg)
+    n = y.size
+    k = m / cfg.eps
+    geo = 1.0 / (1.0 - math.exp(-k * cfg.L))
+    hess = np.zeros((n, n))
+    idx = np.arange(n)
+    for d in range(1, _periodic_d_max(cfg, m) + 1):
+        jb = (idx + d) % n
+        d0 = y[jb] - y[idx] + cfg.L * (jb < idx)
+        _add_pair_curvature(hess, idx, jb,
+                            2.0 * geo * k * k * (np.exp(-k * d0) + np.exp(-k * (cfg.L - d0))))
+    return hess
+
+
+def _pair_sum_free_hessian(y, m, eps):
+    """Second derivatives of `_pair_sum_free`: 2 k^2 e^{-k d0} per pair."""
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    k = m / eps
+    hess = np.zeros((n, n))
+    for d in range(1, _free_d_max(y, m, eps) + 1):
+        ia = np.arange(n - d)
+        _add_pair_curvature(hess, ia, ia + d, 2.0 * k * k * np.exp(-k * (y[d:] - y[:-d])))
+    return hess
 
 
 def energy_periodic(cfg, profile, m, mesh_density=16, backend="fem"):
@@ -207,6 +260,16 @@ def forces_periodic(cfg, profile, m, mesh_density=16, backend="fem"):
         _, grad = _pair_sum_periodic(cfg, m)
         return cfg.eps * muv**2 / (4.0 * m) * grad
     raise ValueError("unknown backend %r" % backend)
+
+
+def hessian_periodic(cfg, profile, m):
+    """Exact Hessian D^2 E of the periodic energy (pair closed form).
+
+    The self energies are constant, so this is the resummed pair sum's
+    curvature: symmetric, with zero row sums (translation invariance).
+    """
+    muv = mu(profile, m).mu
+    return cfg.eps * muv**2 / (4.0 * m) * _pair_sum_periodic_hessian(cfg, m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,22 @@
 """Equilibration: minimize E(y) + (f, y)_eps over mean-zero displacements.
 
-A model is anything with .energy(cfg) / .gradient(cfg) / .profile / .m;
-three are provided: the periodic atomistic energy, its Cauchy-Born
-approximation, and the coupled energies.  The solver is a damped Newton
-iteration on the mean-zero subspace: FD Hessian assembled from the analytic
-gradient, Cholesky solve (steepest-descent fallback when the projected
-Hessian is not positive definite), and Armijo backtracking that refuses any
-iterate whose minimal strain drops to the bump-overlap guard.
+A model is anything with .energy(cfg) / .gradient(cfg) / .hessian(cfg) /
+.profile / .m; three are provided, each with an exact Hessian: the periodic
+atomistic energy, its Cauchy-Born approximation, and the coupled energies.
+The solver is a damped Newton iteration on the mean-zero subspace: Cholesky
+solve with the exact Hessian (steepest-descent fallback when it is not
+positive definite there), and Armijo backtracking that refuses any iterate
+whose minimal strain drops to the bump-overlap guard.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, null_space
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .ac import ac_energy, ac_forces
-from .cauchy_born import cb_forces, cb_total_energy
-from .energy import energy_periodic, forces_periodic
+from .ac import ac_energy, ac_forces, ac_hessian
+from .cauchy_born import cb_forces, cb_hessian, cb_total_energy
+from .energy import energy_periodic, forces_periodic, hessian_periodic
 from .lattice import (
     ChainConfig,
     DiscreteNormParams,
@@ -88,6 +87,12 @@ class AtomisticModel:
     def gradient(self, cfg):
         return forces_periodic(cfg, self.profile, self.m, backend=self.backend)
 
+    def hessian(self, cfg):
+        if self.backend != "pair":
+            raise ValueError("only the pair backend has an exact Hessian, not %r"
+                             % self.backend)
+        return hessian_periodic(cfg, self.profile, self.m)
+
 
 @dataclass(frozen=True)
 class CauchyBornModel:
@@ -101,6 +106,9 @@ class CauchyBornModel:
 
     def gradient(self, cfg):
         return cb_forces(cfg, self.profile, self.m)
+
+    def hessian(self, cfg):
+        return cb_hessian(cfg, self.profile, self.m)
 
 
 @dataclass(frozen=True)
@@ -120,6 +128,9 @@ class AcModel:
     def gradient(self, cfg):
         return ac_forces(cfg, self.method, self.profile, self.m, self.tau_threshold)
 
+    def hessian(self, cfg):
+        return ac_hessian(cfg, self.method, self.profile, self.m, self.tau_threshold)
+
 
 class MinimizeError(RuntimeError):
     pass
@@ -127,6 +138,10 @@ class MinimizeError(RuntimeError):
 
 @dataclass(frozen=True)
 class MinimizeResult:
+    """Endpoint of `minimize` and what it took: gradient and Hessian
+    evaluations, rejected line-search trials (backtracks), and steps that
+    fell back to steepest descent (Cholesky failure or lost descent)."""
+
     y_final: ChainConfig
     gradient_norm: float
     iterations: int
@@ -134,6 +149,10 @@ class MinimizeResult:
     min_strain: float
     max_strain: float
     energies: tuple = ()
+    n_grad_evals: int = 0
+    n_hess_evals: int = 0
+    n_backtracks: int = 0
+    n_fallbacks: int = 0
 
 
 def _strain_guard(cfg, guard):
@@ -143,14 +162,18 @@ def _strain_guard(cfg, guard):
 
 
 def minimize(model, f, y0, tol=None, max_iter=60, margin=0.05,
-             fd_scale=1e-5, raise_on_failure=True):
+             raise_on_failure=True):
     """Damped Newton for E(y) + (f, y)_eps over mean-zero displacements.
 
-    tol bounds the l2_eps norm of the projected gradient; it defaults to
-    1e-10 * m * eps.  Every accepted iterate keeps min y' >= sigma0 + margin
-    (bumps must stay separated with room to spare); the Armijo test carries a
-    machine-precision slack so the final Newton polish steps, whose predicted
-    decrease is below roundoff in the total energy, are not rejected.
+    Each step solves (H + c 11^T) d = -g with the model's exact Hessian H:
+    H 1 = 0 and g is mean-zero, so for any c > 0 the solution is mean-zero
+    and solves the Newton system on that subspace.  tol bounds the l2_eps
+    norm of the projected gradient; it defaults to 1e-10 * m * eps.  Every
+    accepted iterate keeps min y' >= sigma0 + margin (bumps must stay
+    separated with room to spare); the Armijo test carries a
+    machine-precision slack so the final Newton polish steps, whose
+    predicted decrease is below roundoff in the total energy, are not
+    rejected.
     """
     eps = y0.eps
     if tol is None:
@@ -167,50 +190,47 @@ def minimize(model, f, y0, tol=None, max_iter=60, margin=0.05,
     def total(cfg):
         return model.energy(cfg) + f.pairing(cfg)
 
+    count = {"grad": 0, "hess": 0, "backtracks": 0, "fallbacks": 0}
+
     def grad(cfg):
+        count["grad"] += 1
         g = model.gradient(cfg) + eps * f.f
         return g - g.mean()  # project onto the mean-zero subspace
 
-    n = y0.n_atoms
-    q = null_space(np.ones((1, n)))
     cfg = y0.replace_u(y0.u - y0.u.mean())
     e_cur = total(cfg)
     energies = [e_cur]
     g = grad(cfg)
     gnorm = norm_l2eps(g, eps)
 
+    def result(converged):
+        s = first_diff(cfg)
+        return MinimizeResult(cfg, gnorm, steps, converged, float(s.min()),
+                              float(s.max()), tuple(energies),
+                              count["grad"], count["hess"],
+                              count["backtracks"], count["fallbacks"])
+
     def fail(msg):
         if raise_on_failure:
             raise MinimizeError(msg)
-        s = first_diff(cfg)
-        return MinimizeResult(cfg, gnorm, steps, False, float(s.min()),
-                              float(s.max()), tuple(energies))
+        return result(False)
 
     steps = 0
     while gnorm > tol:
         if steps >= max_iter:
             return fail("no convergence in %d iterations (|g| = %.3e)" % (max_iter, gnorm))
 
-        h = fd_scale * eps
-        cols = []
-        for p in range(n):
-            up, um = cfg.u.copy(), cfg.u.copy()
-            up[p] += h
-            um[p] -= h
-            gp = model.gradient(cfg.replace_u(up - up.mean()))
-            gm = model.gradient(cfg.replace_u(um - um.mean()))
-            cols.append((gp - gm) / (2 * h))
-        hess = np.column_stack(cols)
-        hess = 0.5 * (hess + hess.T)
-
-        gq = q.T @ g
+        hess = model.hessian(cfg)
+        count["hess"] += 1
+        c = float(np.max(np.abs(np.diag(hess)))) / hess.shape[0]
         try:
-            d = q @ cho_solve(cho_factor(q.T @ hess @ q), -gq)
+            d = cho_solve(cho_factor(hess + c), -g)  # hess + c is H + c 11^T
+            slope = float(g @ d)
         except LinAlgError:
-            d = q @ (-gq)  # steepest descent on the subspace
-        slope = float(g @ d)
-        if slope >= 0:  # Newton direction lost descent; fall back
-            d = q @ (-gq)
+            slope = 0.0
+        if slope >= 0:  # not positive definite, or lost descent: steepest descent
+            count["fallbacks"] += 1
+            d = -g
             slope = float(g @ d)
 
         slack = 64 * np.finfo(float).eps * (1.0 + abs(e_cur))
@@ -225,6 +245,7 @@ def minimize(model, f, y0, tol=None, max_iter=60, margin=0.05,
                 if e_t <= e_cur + 1e-4 * t * slope + slack:
                     accepted = (cand, e_t)
                     break
+            count["backtracks"] += 1
             t *= 0.5
         if accepted is None:
             return fail("line search failed at step %d (|g| = %.3e)" % (steps + 1, gnorm))
@@ -235,9 +256,7 @@ def minimize(model, f, y0, tol=None, max_iter=60, margin=0.05,
         g = grad(cfg)
         gnorm = norm_l2eps(g, eps)
 
-    s = first_diff(cfg)
-    return MinimizeResult(cfg, gnorm, steps, True,
-                          float(s.min()), float(s.max()), tuple(energies))
+    return result(True)
 
 
 def compare_minimizers(model_a, model_b, f, y0, tol=None, max_iter=60, margin=0.05):

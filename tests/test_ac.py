@@ -14,6 +14,7 @@ from acfield.ac import (
     AcPartition,
     ac_energy,
     ac_forces,
+    ac_hessian,
     consistency_error,
     d_g_method2,
     g_method2,
@@ -24,7 +25,7 @@ from acfield.ac import (
     weak_form_qc,
 )
 from acfield.cauchy_born import cb_cell_denergy, cb_cell_energy, cb_cell_field, cb_stress, cell_state
-from acfield.density import mu, quartic_bump
+from acfield.density import mu, quartic_bump, sextic_bump
 from acfield.energy import (
     d_energy_dirichlet_a,
     d_energy_dirichlet_g,
@@ -321,3 +322,39 @@ def test_half_cell_bookkeeping_insensitive_to_k():
     cfg2 = ChainConfig(20, 1.1, u)
     d = abs(ac_energy(cfg2, method1(8), PROFILE, M) - ac_energy(cfg2, method1(9), PROFILE, M))
     assert d <= 10 * tau + 1e-12
+
+
+def _hessian_test_chain(N, K, shape):
+    jj = np.arange(-N, N + 1)
+    if shape == "smooth":
+        rng = np.random.default_rng(0)
+        theta = 2 * np.pi * jj / (2 * N + 1)
+        u = sum(rng.normal(0.0, 0.02) / k * np.sin(k * theta)
+                + rng.normal(0.0, 0.02) / k * np.cos(k * theta) for k in (1, 2, 3))
+    else:  # kink centred on atom K, the inner atom of the interface cell K+1
+        u = 0.2 * (2.0 / (2 * N + 1)) * np.exp(-np.abs(jj - K) / 1.5)
+    return ChainConfig(N, 1.1, u - u.mean())
+
+
+@pytest.mark.parametrize("shape", ["smooth", "kink"])
+@pytest.mark.parametrize("N,K", [(20, 9), (40, 10)])
+@pytest.mark.parametrize("bump", [quartic_bump, sextic_bump], ids=["quartic", "sextic"])
+@pytest.mark.parametrize("meth", [method1, method2])
+def test_ac_hessian_matches_fd(meth, bump, N, K, shape):
+    # every row, interface rows included, against central differences of
+    # the analytic forces (step 1e-5 eps)
+    cfg = _hessian_test_chain(N, K, shape)
+    method, profile = meth(K), bump()
+    hess = ac_hessian(cfg, method, profile, M)
+    h = 1e-5 * cfg.eps
+    fd = np.empty_like(hess)
+    for p in range(cfg.n_atoms):
+        up, um = cfg.u.copy(), cfg.u.copy()
+        up[p] += h
+        um[p] -= h
+        fd[:, p] = (ac_forces(cfg.replace_u(up - up.mean()), method, profile, M)
+                    - ac_forces(cfg.replace_u(um - um.mean()), method, profile, M)) / (2 * h)
+    rel = np.max(np.abs(hess - fd), axis=1) / np.max(np.abs(hess), axis=1)
+    assert np.max(rel) <= 1e-6
+    assert np.array_equal(hess, hess.T)
+    assert np.max(np.abs(hess.sum(axis=1))) <= 1e-12 * np.max(np.abs(hess))

@@ -312,3 +312,17 @@ def test_field_sup_norms_saturate_with_n():
     assert np.all(np.diff(dv) < 0) and np.all(np.diff(dg) < 0)
     assert (max(vals) - min(vals)) < 0.05 * vals[-1]
     assert (max(grads) - min(grads)) < 0.10 * grads[-1]
+
+
+def test_comparison_field_bound_rejects_overlapping_bumps():
+    # strain 0.4 below sigma0 = 0.5
+    with pytest.raises(ValueError, match="overlap"):
+        comparison_field_bound(homogeneous(20, 0.4), PROF, M, 0)
+    # a crossed chain: one cell at strain -0.33
+    eps = 2.0 / 41
+    u = np.zeros(41)
+    u[20] = 1.33 * eps
+    cfg = ChainConfig(20, 1.0, u - u.mean())
+    assert abs(float(np.min(first_diff(cfg))) + 0.33) < 1e-12
+    with pytest.raises(ValueError, match="overlap"):
+        comparison_field_bound(cfg, PROF, M, 0)

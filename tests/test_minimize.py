@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from acfield.ac import method1, method2
-from acfield.density import quartic_bump
-from acfield.lattice import first_diff, homogeneous, norm_l2eps
+from acfield.density import quartic_bump, sextic_bump
+from acfield.lattice import ChainConfig, first_diff, homogeneous, norm_l2eps
 from acfield.minimize import (
     AcModel,
     AtomisticModel,
@@ -157,3 +157,91 @@ def test_ac_minimize_from_atomistic_start():
     assert r_ac.converged and r_ac.iterations <= 6
     d = norm_l2eps(first_diff(r_at.y_final) - first_diff(r_ac.y_final), cfg.eps)
     assert abs(d - ERR_M1) < 1e-10
+
+
+def smooth_random_chain(N, seed=0, amp=0.02):
+    rng = np.random.default_rng(seed)
+    theta = 2 * np.pi * np.arange(-N, N + 1) / (2 * N + 1)
+    u = sum(rng.normal(0.0, amp) / k * np.sin(k * theta)
+            + rng.normal(0.0, amp) / k * np.cos(k * theta) for k in (1, 2, 3))
+    return ChainConfig(N, 1.1, u - u.mean())
+
+
+def interface_kink_chain(N, K):
+    """A kink centred on atom K, the inner atom of the interface cell K+1."""
+    jj = np.arange(-N, N + 1)
+    u = 0.2 * (2.0 / (2 * N + 1)) * np.exp(-np.abs(jj - K) / 1.5)
+    return ChainConfig(N, 1.1, u - u.mean())
+
+
+def fd_hessian(gradient, cfg):
+    """Central differences of an analytic gradient, step 1e-5 eps; the
+    gradients are translation invariant, so re-centering is exact."""
+    h = 1e-5 * cfg.eps
+    cols = []
+    for p in range(cfg.n_atoms):
+        up, um = cfg.u.copy(), cfg.u.copy()
+        up[p] += h
+        um[p] -= h
+        cols.append((gradient(cfg.replace_u(up - up.mean()))
+                     - gradient(cfg.replace_u(um - um.mean()))) / (2 * h))
+    return np.column_stack(cols)
+
+
+def assert_exact_hessian(model, cfg):
+    hess = model.hessian(cfg)
+    fd = fd_hessian(model.gradient, cfg)
+    rel = np.max(np.abs(hess - fd), axis=1) / np.max(np.abs(hess), axis=1)
+    assert np.max(rel) <= 1e-6
+    assert np.array_equal(hess, hess.T)
+    assert np.max(np.abs(hess.sum(axis=1))) <= 1e-12 * np.max(np.abs(hess))
+
+
+@pytest.mark.parametrize("shape", ["smooth", "kink"])
+@pytest.mark.parametrize("N,K", [(4, 1), (20, 9), (40, 10)])
+@pytest.mark.parametrize("bump", [quartic_bump, sextic_bump], ids=["quartic", "sextic"])
+@pytest.mark.parametrize("model_cls", [AtomisticModel, CauchyBornModel])
+def test_model_hessian_matches_fd(model_cls, bump, N, K, shape):
+    # N = 4 is short enough that the periodic image terms are O(1)
+    cfg = smooth_random_chain(N) if shape == "smooth" else interface_kink_chain(N, K)
+    assert_exact_hessian(model_cls(bump(), M), cfg)
+
+
+def test_fem_backend_has_no_hessian():
+    with pytest.raises(ValueError, match="pair backend"):
+        AtomisticModel(PROFILE, M, backend="fem").hessian(homogeneous(8, 1.1))
+
+
+def test_telemetry_counts_on_converging_case():
+    r = minimize(atomistic(), sine_force(20, 0.3), homogeneous(20, 1.1))
+    assert r.converged and r.iterations > 0
+    assert r.n_hess_evals == r.iterations
+    assert r.n_grad_evals == r.iterations + 1
+    assert r.n_fallbacks == 0
+    assert r.n_backtracks >= 0
+
+
+class NegatedHessian:
+    """A model whose Hessian is -H: never positive definite on the
+    mean-zero subspace, so every step falls back to steepest descent."""
+
+    def __init__(self, model):
+        self.model = model
+        self.profile, self.m = model.profile, model.m
+
+    def energy(self, cfg):
+        return self.model.energy(cfg)
+
+    def gradient(self, cfg):
+        return self.model.gradient(cfg)
+
+    def hessian(self, cfg):
+        return -self.model.hessian(cfg)
+
+
+def test_negated_hessian_makes_every_step_a_fallback():
+    r = minimize(NegatedHessian(atomistic()), sine_force(20, 0.3), homogeneous(20, 1.1),
+                 max_iter=5, raise_on_failure=False)
+    assert r.iterations == 5
+    assert r.n_fallbacks == r.iterations
+    assert all(a > b for a, b in zip(r.energies, r.energies[1:]))
