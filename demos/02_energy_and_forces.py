@@ -22,11 +22,11 @@ print()
 print("  stretch    E / atom")
 for stretch in (0.8, 1.0, 1.1, 1.3, 1.6, 2.0, 3.0):
     cfg = homogeneous(N, stretch)
-    e = energy_periodic(cfg, profile, M, backend="pair")
+    e = energy_periodic(cfg, profile, M)
     print("  %7.2f    %+.8f" % (stretch, e / cfg.n_atoms))
 
 cfg = homogeneous(N, 1.1)
-f = forces_periodic(cfg, profile, M, backend="pair")
+f = forces_periodic(cfg, profile, M)
 print()
 print("max |force| on the homogeneous chain: %.3e  (translation symmetry)" % np.max(np.abs(f)))
 
@@ -38,7 +38,7 @@ u -= u.mean()
 bumped = ChainConfig(cfg.N, cfg.F, cfg.u + u)
 print("min strain after perturbation: %.4f" % first_diff(bumped).min())
 
-grad = forces_periodic(bumped, profile, M, backend="pair")
+grad = forces_periodic(bumped, profile, M)
 h = 1e-5 * cfg.eps
 worst = 0.0
 for j in range(0, cfg.n_atoms, 5):
@@ -46,8 +46,8 @@ for j in range(0, cfg.n_atoms, 5):
     # translation invariance the directional derivative is still grad[j]
     du = np.full(cfg.n_atoms, -1.0 / cfg.n_atoms)
     du[j] += 1.0
-    ep = energy_periodic(ChainConfig(cfg.N, cfg.F, bumped.u + h * du), profile, M, backend="pair")
-    em = energy_periodic(ChainConfig(cfg.N, cfg.F, bumped.u - h * du), profile, M, backend="pair")
+    ep = energy_periodic(ChainConfig(cfg.N, cfg.F, bumped.u + h * du), profile, M)
+    em = energy_periodic(ChainConfig(cfg.N, cfg.F, bumped.u - h * du), profile, M)
     worst = max(worst, abs((ep - em) / (2 * h) - grad[j]))
 print("worst |FD - analytic| over sampled atoms: %.3e" % worst)
 print()

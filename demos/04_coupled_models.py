@@ -38,7 +38,7 @@ for stretch in (1.0, 1.2, 1.5):
     print("  %7.1f   %.3e           %.3e   %.3e" % (stretch, tau, g1, g2))
 
 cfg = homogeneous(N, 1.1)
-e_full = energy_periodic(cfg, profile, M, backend="pair")
+e_full = energy_periodic(cfg, profile, M)
 print()
 print("homogeneous energy identity, F = 1.1:")
 for meth, label in ((method1(K), "variant 1"), (method2(K), "variant 2")):

@@ -5,14 +5,16 @@ The package is organised bottom-up:
 
     lattice      chain geometry, discrete norms
     density      bump profiles and chain densities
-    field        periodic/Dirichlet field solves (P1 FEM) + closed-form oracles
-    energy       field energies, forces, boundary-data calculus
+    field        closed-form (kernel) fields + the P1 FEM cross-check oracle
+    energy       exact closed-form energies, forces, boundary-data calculus
     cauchy_born  per-cell continuum energy and fields
     ac           the two coupling methods, consistency & stability checks
     minimize     damped-Newton equilibration, minimizer comparison
     harness      experiment specs, CSV results, `acfield` CLI
+                 (import acfield.harness; `import acfield` does not load it,
+                 so `python -m acfield.harness` runs it cleanly)
 """
 
 __version__ = "0.1.0"
 
-from . import lattice, density, field, energy, cauchy_born, ac, minimize, harness  # noqa: F401
+from . import lattice, density, field, energy, cauchy_born, ac, minimize  # noqa: F401

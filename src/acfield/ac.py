@@ -19,7 +19,7 @@ data of the atomistic slab:
   chain-rule term, and no pure stress form exists.
 
 Energies, forces and the exact Hessian (`ac_hessian`) ride on the exact
-pair/closed-form backend throughout; FEM appears only in cross-checks at
+pair/closed forms of `energy` throughout; FEM appears only in cross-checks at
 test level.
 """
 
@@ -165,7 +165,7 @@ def ac_energy(cfg, method, profile, m, tau_threshold=1e-8):
         e_at = mirror_energy(y_at, bd0, profile)
     else:
         g = g_method2(cfg, method.partition, profile, m)
-        e_at = energy_dirichlet(y_at, bd0.with_g(*g), profile, backend="pair")
+        e_at = energy_dirichlet(y_at, bd0.with_g(*g), profile)
     return e_cb + e_at
 
 
@@ -173,19 +173,19 @@ def _interface_strain_gamma(profile, m, s):
     """Comparison-chain field at the midpoint between two atoms: the images
     sit at distances (k + 1/2) eps s, so the sum is (mu/m) sqrt(x)/(1-x)."""
     x = math.exp(-m * s)
-    return mu(profile, m).mu / m * math.sqrt(x) / (1.0 - x)
+    return mu(profile, m) / m * math.sqrt(x) / (1.0 - x)
 
 
 def _interface_strain_dgamma(profile, m, s):
     """d/ds of the midpoint field: -mu sqrt(x)(1+x) / (2 (1-x)^2)."""
     x = math.exp(-m * s)
-    return -mu(profile, m).mu * math.sqrt(x) * (1.0 + x) / (2.0 * (1.0 - x) ** 2)
+    return -mu(profile, m) * math.sqrt(x) * (1.0 + x) / (2.0 * (1.0 - x) ** 2)
 
 
 def _interface_strain_d2gamma(profile, m, s):
     """Second derivative of the midpoint field: mu m sqrt(x)(1+6x+x^2) / (4 (1-x)^3)."""
     x = math.exp(-m * s)
-    return mu(profile, m).mu * m * math.sqrt(x) * (1.0 + 6.0 * x + x * x) / (4.0 * (1.0 - x) ** 3)
+    return mu(profile, m) * m * math.sqrt(x) * (1.0 + 6.0 * x + x * x) / (4.0 * (1.0 - x) ** 3)
 
 
 def g_method2(cfg, partition, profile, m):
@@ -235,7 +235,7 @@ def ac_forces(cfg, method, profile, m, tau_threshold=1e-8):
 
     y_at, bd = _method_bd(cfg, method, profile, m, bd0)
     idx = part.atom_indices(cfg)
-    grad[idx] += d_energy_dirichlet_y(y_at, bd, profile, backend="pair")
+    grad[idx] += d_energy_dirichlet_y(y_at, bd, profile)
     d_al, d_ar = d_energy_dirichlet_a(y_at, bd, profile, backend="pair")
     grad[i - part.K - 1] += 0.5 * d_al
     grad[i - part.K] += 0.5 * d_al
@@ -306,7 +306,7 @@ def _slab_hessian(cfg, method, profile, m, bd0):
     ia, i_al, i_ar, i_sl, i_sr = np.arange(na), na, na + 1, na + 2, na + 3
     nz = na + 4
     k = m / eps
-    muv = mu(profile, m).mu
+    muv = mu(profile, m)
 
     # z = P y
     p_map = np.zeros((nz, cfg.n_atoms))
@@ -370,7 +370,7 @@ def sigma_qc(cfg, method, x, profile, m, tau_threshold=1e-8):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs <= nodes[0]) or np.any(xs > nodes[-1]):
         raise ValueError("evaluation point outside the periodic window")
-    sf_at = stress_dirichlet(y_at, bd, profile, backend="green")
+    sf_at = stress_dirichlet(y_at, bd, profile)
     out = np.empty_like(xs)
     inside = (xs > bd.a_L) & (xs < bd.a_R)
     if np.any(inside):
@@ -428,7 +428,7 @@ def weak_form_qc(cfg, method, u, profile, m, tau_threshold=1e-8, order=24):
     h_r = 0.5 * (uu[idx[-1]] + uu[idx[-1] + 1])
     nodes_at = np.concatenate([[bd.a_L], y[idx], [bd.a_R]])
     vals_at = np.concatenate([[h_l], uu[idx], [h_r]])
-    sf_at = stress_dirichlet(y_at, bd, profile, backend="green")
+    sf_at = stress_dirichlet(y_at, bd, profile)
     for p in range(1, nodes_at.size):
         du = vals_at[p] - vals_at[p - 1]
         if du == 0.0:
@@ -455,7 +455,7 @@ def consistency_error(cfg, method, profile, m, n_smooth=8, seed=0,
     strains = first_diff(cfg)
     if s0 is None:
         s0 = float(np.min(strains))
-    f_at = forces_periodic(cfg, profile, m, backend="pair")
+    f_at = forces_periodic(cfg, profile, m)
     f_qc = ac_forces(cfg, method, profile, m, tau_threshold)
     diff = f_at - f_qc
 
@@ -501,6 +501,6 @@ def stability_spectrum(cfg, method, profile, m, tau_threshold=1e-8):
     b_mat = d_mat.T @ d_mat / cfg.eps
     q = null_space(np.ones((1, n)))
     lam = eigh(q.T @ hess @ q, q.T @ b_mat @ q, eigvals_only=True)
-    muv = mu(profile, m).mu
+    muv = mu(profile, m)
     bound = m * muv**2 / 2.0 * math.exp(-m * float(np.max(first_diff(cfg))))
     return float(lam[0]), bound

@@ -45,7 +45,7 @@ __all__ = [
 def cb_cell_energy(strain, profile, m, eps):
     """Cell energy e(strain): per-atom energy of the equidistant comparison chain."""
     x = np.exp(-m * np.asarray(strain, dtype=float))
-    out = mu(profile, m).mu ** 2 * eps / (2.0 * m) * x / (1.0 - x) \
+    out = mu(profile, m) ** 2 * eps / (2.0 * m) * x / (1.0 - x) \
         + self_energy(profile, m, eps)
     return out if out.ndim else float(out)
 
@@ -53,14 +53,14 @@ def cb_cell_energy(strain, profile, m, eps):
 def cb_cell_denergy(strain, profile, m, eps):
     """e'(strain) = -(mu^2 eps / 2) x / (1-x)^2."""
     x = np.exp(-m * np.asarray(strain, dtype=float))
-    out = -mu(profile, m).mu ** 2 * eps / 2.0 * x / (1.0 - x) ** 2
+    out = -mu(profile, m) ** 2 * eps / 2.0 * x / (1.0 - x) ** 2
     return out if out.ndim else float(out)
 
 
 def cb_cell_d2energy(strain, profile, m, eps):
     """e''(strain) = (m mu^2 eps / 2) x (1+x) / (1-x)^3 > 0."""
     x = np.exp(-m * np.asarray(strain, dtype=float))
-    out = mu(profile, m).mu ** 2 * m * eps / 2.0 * x * (1.0 + x) / (1.0 - x) ** 3
+    out = mu(profile, m) ** 2 * m * eps / 2.0 * x * (1.0 + x) / (1.0 - x) ** 3
     return out if out.ndim else float(out)
 
 
@@ -101,7 +101,7 @@ class CellState:
         k = m / eps
         q = math.exp(-k * h)
         geo = 1.0 / (1.0 - q)
-        muv = mu(profile, m).mu
+        muv = mu(profile, m)
         w = profile.half_width * eps
 
         def evaluate(x):
@@ -217,7 +217,7 @@ def cb_hessian_lower_bound_check(cfg, u, profile, m):
     du = (u - np.roll(u, 1)) / cfg.eps  # u'_j across cell j
     e2 = cb_cell_d2energy(strains, profile, m, cfg.eps)
     terms = e2 * du**2
-    muv = mu(profile, m).mu
+    muv = mu(profile, m)
     s_max = float(np.max(strains))
     floor = m * muv**2 / 2.0 * math.exp(-m * s_max)
     floor_strict = m * floor  # the stronger variant with the extra factor m
@@ -259,7 +259,7 @@ def comparison_field_bound(cfg, profile, m, j, grad=False):
     ypp = np.abs(second_diff(cfg))
     n_at = cfg.n_atoms
     smin = float(np.min(first_diff(cfg)))
-    muv = mu(profile, m).mu
+    muv = mu(profile, m)
     total, n = 0.0, 1
     while True:
         decay = math.exp(-m * n * smin)

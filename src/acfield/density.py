@@ -35,7 +35,6 @@ from .lattice import positions
 
 __all__ = [
     "BumpProfile",
-    "MuMoment",
     "quartic_bump",
     "sextic_bump",
     "mu",
@@ -122,18 +121,6 @@ def sextic_bump(sigma0=0.5):
     return BumpProfile(sigma0, power=3)
 
 
-@dataclass(frozen=True)
-class MuMoment:
-    """Exponential moment mu = integral delta1(t) e^{m t} dt of a profile."""
-
-    m: float
-    mu: float
-
-    def __post_init__(self):
-        if self.mu < 1.0 - 1e-12:
-            raise ValueError("mu moment must be >= 1 (Jensen)")
-
-
 @lru_cache(maxsize=256)
 def _mu_value(profile, m):
     # Integrand is polynomial(2p) * exp; GL at order 24 on the support is
@@ -143,8 +130,11 @@ def _mu_value(profile, m):
 
 
 def mu(profile, m):
-    """Moment integral delta1(t) exp(m t) dt as a MuMoment (even in m)."""
-    return MuMoment(m=m, mu=_mu_value(profile, abs(m)))
+    """Moment integral delta1(t) exp(m t) dt (even in m; >= 1 by Jensen)."""
+    value = _mu_value(profile, abs(m))
+    if value < 1.0 - 1e-12:
+        raise ValueError("mu moment must be >= 1 (Jensen)")
+    return value
 
 
 @lru_cache(maxsize=256)
@@ -214,12 +204,16 @@ def grad_rho(cfg, profile, x, require_separated=False):
 
 
 def check_separated(cfg, profile, where="chain"):
-    """Raise if any two neighbouring bumps overlap (requires min strain >= sigma0)."""
+    """Raise unless neighbouring bumps are separated: min strain > sigma0.
+
+    At min strain == sigma0 two supports touch; that counts as contact, as
+    in `cauchy_born.CellState` and the slab solvers of `field`.
+    """
     from .lattice import first_diff
 
     smin = float(np.min(first_diff(cfg)))
-    if smin < profile.sigma0:
+    if smin <= profile.sigma0:
         raise ValueError(
-            "%s: bump supports overlap (min strain %.6g < sigma0 %.6g)"
+            "%s: bump supports touch or overlap (min strain %.6g <= sigma0 %.6g)"
             % (where, smin, profile.sigma0)
         )

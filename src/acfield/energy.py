@@ -4,25 +4,20 @@ The grand-potential energy of a chain is E(y) = -min_phi I(phi, y) with
 
     I(phi, y) = integral( eps^2/2 |phi'|^2 + m^2/2 phi^2 - rho_y phi );
 
-at the solved field E = (1/2) integral rho_y phi.  Two backends implement
-every quantity:
+at the solved field E = (1/2) integral rho_y phi.  Every quantity here is
+an exact closed form: non-overlapping bumps see each other only through
+mu(m)^2 exp(-(m/eps) distance), so the periodic energy is a
+geometrically-resummed pair sum plus a per-atom self energy, and the slab
+(Dirichlet) energy splits as E_{a,g} = -I(phi_0) - I(xi_g) where both pieces
+reduce to pair sums, the wall moments gamma, and the decay factor tau.  These
+formulas are exact for separated bumps (the only regime in which the slab
+model is posed).  They also give the exact Hessian of the periodic energy
+(`hessian_periodic`).  Stresses use the kernel-route field of `field`.
 
-* ``backend="fem"``: Galerkin values from the field module.  Because the
-  periodic mesh never moves with y, the analytic force formula
-  D_{y_j} E = -eps integral grad_delta_eps(x - y_j) phi_h(x) dx evaluated at
-  the FEM field is the *exact* gradient of the discrete energy -- finite
-  differences of the FEM energy reproduce it to FD precision, with no O(h^2)
-  term in between.
-
-* ``backend="pair"``: exact closed forms.  Since non-overlapping bumps see
-  each other only through mu(m)^2 exp(-(m/eps) distance), the periodic energy
-  is a geometrically-resummed pair sum plus a per-atom self energy, and the
-  slab (Dirichlet) energy splits as E_{a,g} = -I(phi_0) - I(xi_g) where both
-  pieces reduce to pair sums, the wall moments gamma, and the decay factor
-  tau.  These formulas are exact for separated bumps (the only regime in
-  which the slab model is posed) and serve as oracles for the FEM route.
-  They also give the exact Hessian of the periodic energy
-  (`hessian_periodic`), which has no FEM counterpart.
+The P1 finite-element solves in `field` are an independent oracle for these
+closed forms, called directly there: 0.5 * solve_periodic(...).interaction
+and -solve_dirichlet(...).i_value are the discrete energies, and
+`field.fem_forces` is their exact discrete gradient.
 
 Wall moments and optimal boundary data: gamma_L = (mu/m) sum_j
 exp(-(m/eps)(y_j - a_L)) (and mirrored for gamma_R) measure the charge seen
@@ -39,18 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (
-    gauss_on_interval,
-    grad_delta_eps,
-    mu,
-    self_moment,
-)
-from .field import (
-    eval_green_dirichlet,
-    eval_green_periodic,
-    solve_dirichlet,
-    solve_periodic,
-)
+from .density import gauss_on_interval, grad_delta_eps, mu, self_moment
+from .field import eval_green_dirichlet, eval_green_periodic
 from .lattice import first_diff, positions
 
 __all__ = [
@@ -192,74 +177,19 @@ def _pair_sum_free_hessian(y, m, eps):
     return hess
 
 
-def energy_periodic(cfg, profile, m, mesh_density=16, backend="fem"):
-    """Periodic chain energy E(y) = (1/2) integral rho_y phi.
-
-    backend "fem": Galerkin field, exact load quadrature, E = b.phi/2.
-    backend "pair": exact resummed pair sum plus (2N+1) self energies.
-    """
-    if backend == "fem":
-        f = solve_periodic(cfg, profile, m, mesh_density)
-        return 0.5 * f.interaction
-    if backend == "pair":
-        muv = mu(profile, m).mu
-        s, _ = _pair_sum_periodic(cfg, m, want_grad=False)
-        return cfg.eps * muv**2 / (4.0 * m) * s + cfg.n_atoms * self_energy(profile, m, cfg.eps)
-    raise ValueError("unknown backend %r" % backend)
+def energy_periodic(cfg, profile, m):
+    """Periodic chain energy E(y) = (1/2) integral rho_y phi: the exact
+    resummed pair sum plus (2N+1) self energies."""
+    muv = mu(profile, m)
+    s, _ = _pair_sum_periodic(cfg, m, want_grad=False)
+    return cfg.eps * muv**2 / (4.0 * m) * s + cfg.n_atoms * self_energy(profile, m, cfg.eps)
 
 
-def _grad_load_dot(profile, eps, center, field):
-    """integral grad_delta_eps(x - center) * phi_h(x) dx, exactly.
-
-    The integrand is a polynomial times the linear interpolant on each mesh
-    element, so a per-piece Gauss rule is exact.  Periodic fields wrap.
-    """
-    w = profile.half_width * eps
-    h = field.h
-    x_lo = field.x0
-    ngl = 2 * profile.power + 4
-    t, gw = gauss_on_interval(0.0, 1.0, ngl)
-    if field.kind == "periodic":
-        center = x_lo + (center - x_lo) % field.L
-    i_lo = math.floor((center - w - x_lo) / h)
-    i_hi = math.floor((center + w - x_lo) / h - 1e-15)
-    acc = 0.0
-    n = field.n_nodes
-    for i in range(i_lo, i_hi + 1):
-        e0 = x_lo + i * h
-        lo = max(e0, center - w)
-        hi = min(e0 + h, center + w)
-        if hi <= lo:
-            continue
-        z = lo + (hi - lo) * t
-        wq = (hi - lo) * gw
-        if field.kind == "periodic":
-            na, nb = i % n, (i + 1) % n
-        else:
-            na, nb = i, i + 1
-        phi = field.values[na] * (e0 + h - z) / h + field.values[nb] * (z - e0) / h
-        acc += float(np.sum(wq * grad_delta_eps(profile, eps, z - center) * phi))
-    return acc
-
-
-def forces_periodic(cfg, profile, m, mesh_density=16, backend="fem"):
-    """Gradient D_{y_j} E of the periodic energy, j = -N..N.
-
-    fem: -eps integral grad_delta_eps(x - y_j) phi_h over the atom's full
-    (wrapped) bump -- the exact gradient of the discrete energy, including
-    the image contribution of the period-closing atom.  pair: closed form.
-    """
-    if backend == "fem":
-        f = solve_periodic(cfg, profile, m, mesh_density)
-        y = positions(cfg)
-        return np.array(
-            [-cfg.eps * _grad_load_dot(profile, cfg.eps, float(c), f) for c in y]
-        )
-    if backend == "pair":
-        muv = mu(profile, m).mu
-        _, grad = _pair_sum_periodic(cfg, m)
-        return cfg.eps * muv**2 / (4.0 * m) * grad
-    raise ValueError("unknown backend %r" % backend)
+def forces_periodic(cfg, profile, m):
+    """Gradient D_{y_j} E of the periodic energy, j = -N..N (closed form)."""
+    muv = mu(profile, m)
+    _, grad = _pair_sum_periodic(cfg, m)
+    return cfg.eps * muv**2 / (4.0 * m) * grad
 
 
 def hessian_periodic(cfg, profile, m):
@@ -268,7 +198,7 @@ def hessian_periodic(cfg, profile, m):
     The self energies are constant, so this is the resummed pair sum's
     curvature: symmetric, with zero row sums (translation invariance).
     """
-    muv = mu(profile, m).mu
+    muv = mu(profile, m)
     return cfg.eps * muv**2 / (4.0 * m) * _pair_sum_periodic_hessian(cfg, m)
 
 
@@ -356,46 +286,32 @@ class StressFunction:
         return acc
 
 
-def stress_periodic(cfg, profile, m, backend="green", mesh_density=16):
-    """StressFunction of the periodic field (kernel route by default)."""
-    if backend == "green":
-        def fe(x):
-            return eval_green_periodic(cfg, profile, m, x)
-    elif backend == "fem":
-        f = solve_periodic(cfg, profile, m, mesh_density)
-        def fe(x):
-            return f.value(x), f.grad(x)
-    else:
-        raise ValueError("unknown backend %r" % backend)
+def stress_periodic(cfg, profile, m):
+    """StressFunction of the periodic field (kernel route)."""
+    def fe(x):
+        return eval_green_periodic(cfg, profile, m, x)
     return StressFunction(fe, positions(cfg), profile, m, cfg.eps, L=cfg.L)
 
 
-def stress_dirichlet(y_at, bd, profile, backend="green", mesh_density=16):
-    """StressFunction of the slab field (kernel route by default)."""
-    if backend == "green":
-        def fe(x):
-            return eval_green_dirichlet(y_at, bd, profile, x)
-    elif backend == "fem":
-        f = solve_dirichlet(y_at, bd, profile, mesh_density)
-        def fe(x):
-            return f.value(x), f.grad(x)
-    else:
-        raise ValueError("unknown backend %r" % backend)
+def stress_dirichlet(y_at, bd, profile):
+    """StressFunction of the slab field (kernel route)."""
+    def fe(x):
+        return eval_green_dirichlet(y_at, bd, profile, x)
     return StressFunction(fe, y_at, profile, bd.m, bd.eps, L=None)
 
 
-def weak_form_periodic(cfg, u, profile, m, backend="green", mesh_density=16):
+def weak_form_periodic(cfg, u, profile, m):
     """integral sigma_y grad(u-interpolant) over the period.
 
     u holds nodal values at atoms -N..N; the interpolant is piecewise affine
     between consecutive atoms (periodic closure).  Equals forces . u for the
-    exact field; the kernel backend realises that identity to quadrature
-    precision.
+    exact field; the kernel-route stress realises that identity to
+    quadrature precision.
     """
     u = np.asarray(u, dtype=float)
     y = positions(cfg, -cfg.N - 1, cfg.N)
     uu = np.concatenate([[u[-1]], u])  # periodic: u_{-N-1} = u_N
-    sf = stress_periodic(cfg, profile, m, backend, mesh_density)
+    sf = stress_periodic(cfg, profile, m)
     acc = 0.0
     for j in range(1, y.size):
         du = uu[j] - uu[j - 1]
@@ -431,7 +347,7 @@ def _wall_sums(y, bd):
 
 def gamma_pair(y_at, bd, profile):
     """Closed-form wall moments gamma = (mu/m) sum_j e^{-(m/eps) dist(y_j, wall)}."""
-    muv = mu(profile, bd.m).mu
+    muv = mu(profile, bd.m)
     s_l, s_r = _wall_sums(y_at, bd)
     return GammaPair(muv / bd.m * float(np.sum(s_l)), muv / bd.m * float(np.sum(s_r)))
 
@@ -496,7 +412,7 @@ def _slab_core(s_free, gam_l, gam_r, tau, g_l, g_r, m, eps):
 
 
 def _slab_pair_part(y_at, bd, profile):
-    muv = mu(profile, bd.m).mu
+    muv = mu(profile, bd.m)
     s_free, grad = _pair_sum_free(y_at, bd.m, bd.eps)
     pref = bd.eps * muv**2 / (4.0 * bd.m)
     n_at = np.asarray(y_at).size
@@ -506,21 +422,13 @@ def _slab_pair_part(y_at, bd, profile):
     )
 
 
-def energy_dirichlet(y_at, bd, profile, mesh_density=16, backend="fem"):
-    """Slab energy E_{a,g}(y) = -I_a(phi) at the solved Dirichlet field.
-
-    fem: -I of the Galerkin solution (includes the boundary rows).
-    pair: exact closed form -I(phi_0) - I(xi_g) for any boundary data g.
-    """
-    if backend == "fem":
-        f = solve_dirichlet(y_at, bd, profile, mesh_density)
-        return -f.i_value
-    if backend == "pair":
-        pair_val, _ = _slab_pair_part(y_at, bd, profile)
-        gp = gamma_pair(y_at, bd, profile)
-        core = _slab_core(0.0, gp.gamma_L, gp.gamma_R, bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
-        return pair_val + core[0]
-    raise ValueError("unknown backend %r" % backend)
+def energy_dirichlet(y_at, bd, profile):
+    """Slab energy E_{a,g}(y) = -I_a(phi) at the solved Dirichlet field, in
+    the exact closed form -I(phi_0) - I(xi_g) for any boundary data g."""
+    pair_val, _ = _slab_pair_part(y_at, bd, profile)
+    gp = gamma_pair(y_at, bd, profile)
+    core = _slab_core(0.0, gp.gamma_L, gp.gamma_R, bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
+    return pair_val + core[0]
 
 
 def mirror_energy(y_at, bd, profile):
@@ -540,24 +448,17 @@ def mirror_energy(y_at, bd, profile):
     )
 
 
-def d_energy_dirichlet_y(y_at, bd, profile, mesh_density=16, backend="fem"):
+def d_energy_dirichlet_y(y_at, bd, profile):
     """Gradient of the slab energy in the atom positions (fixed a, g)."""
-    if backend == "fem":
-        f = solve_dirichlet(y_at, bd, profile, mesh_density)
-        return np.array(
-            [-bd.eps * _grad_load_dot(profile, bd.eps, float(c), f) for c in np.asarray(y_at)]
-        )
-    if backend == "pair":
-        _, pair_grad = _slab_pair_part(y_at, bd, profile)
-        gp = gamma_pair(y_at, bd, profile)
-        core = _slab_core(0.0, gp.gamma_L, gp.gamma_R, bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
-        muv = mu(profile, bd.m).mu
-        k = bd.m / bd.eps
-        s_l, s_r = _wall_sums(y_at, bd)
-        dgl_dy = -(muv / bd.m) * k * s_l
-        dgr_dy = (muv / bd.m) * k * s_r
-        return pair_grad + core[1] * dgl_dy + core[2] * dgr_dy
-    raise ValueError("unknown backend %r" % backend)
+    _, pair_grad = _slab_pair_part(y_at, bd, profile)
+    gp = gamma_pair(y_at, bd, profile)
+    core = _slab_core(0.0, gp.gamma_L, gp.gamma_R, bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
+    muv = mu(profile, bd.m)
+    k = bd.m / bd.eps
+    s_l, s_r = _wall_sums(y_at, bd)
+    dgl_dy = -(muv / bd.m) * k * s_l
+    dgr_dy = (muv / bd.m) * k * s_r
+    return pair_grad + core[1] * dgl_dy + core[2] * dgr_dy
 
 
 def d_energy_dirichlet_g(y_at, bd, profile):
@@ -578,7 +479,7 @@ def d_energy_dirichlet_a(y_at, bd, profile, backend="green", order=32):
     """
     y = np.asarray(y_at, dtype=float)
     if backend == "green":
-        sf = stress_dirichlet(y, bd, profile, backend="green")
+        sf = stress_dirichlet(y, bd, profile)
         span_r = bd.a_R - float(y[-1])
         span_l = float(y[0]) - bd.a_L
         d_ar = sf.integral(float(y[-1]), bd.a_R, order) / span_r
@@ -606,7 +507,7 @@ def weak_form_dirichlet(y_at, bd, profile, u, order=24):
     u = np.asarray(u, dtype=float)
     nodes = np.concatenate([[bd.a_L], y, [bd.a_R]])
     vals = np.concatenate([[0.0], u, [0.0]])
-    sf = stress_dirichlet(y, bd, profile, backend="green")
+    sf = stress_dirichlet(y, bd, profile)
     acc = 0.0
     for j in range(1, nodes.size):
         du = vals[j] - vals[j - 1]

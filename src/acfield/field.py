@@ -9,20 +9,27 @@ Omega_a = (a_L, a_R) with Dirichlet data phi(a_L) = g_L, phi(a_R) = g_R.
 
 Two evaluation routes are provided and deliberately kept independent:
 
-* P1 finite elements (`solve_periodic`, `solve_dirichlet`): uniform mesh with
-  at least `mesh_density` nodes per bump support, exact Gauss-Legendre load
-  assembly (bump x hat is a polynomial on each sub-element), direct
-  (cyclic-)tridiagonal solves.  The periodic mesh lives on the fixed window
-  [-F, F) independent of y, so analytic force formulas evaluated at the FEM
-  field are *exact* discrete gradients of the discrete energy.
-
 * Closed forms built on the kernel representation
   phi(x) = (1/2m) sum_k integral delta_eps(z - y_k) e^{-(m/eps)|x - z|} dz
   summed over all periodic images (`eval_green_periodic`), and the slab
   Green's function (`green_dirichlet`, `eval_green_dirichlet`).  Outside a
   bump every integral collapses through the mu moment; inside a bump a split
   Gauss rule handles the kernel kink.  These are exact up to quadrature
-  (~1e-15) and serve as oracles for the FEM route.
+  (~1e-15); the production energies of `energy` and its stresses use them.
+
+* P1 finite elements (`solve_periodic`, `solve_dirichlet`), the independent
+  cross-check oracle: uniform mesh with at least `mesh_density` nodes per
+  bump support, exact Gauss-Legendre load assembly (bump x hat is a
+  polynomial on each sub-element), direct (cyclic-)tridiagonal solves.  The
+  discrete energies are 0.5 * Field.interaction (periodic) and
+  -Field.i_value (slab).  The periodic mesh lives on the fixed window
+  [-F, F) independent of y, so `fem_forces`, the analytic force formula
+  evaluated at the FEM field, is the *exact* discrete gradient of the
+  discrete energy.  Load and forces share one vectorized loop over
+  (bump, element) pieces (`_bump_pieces`).
+
+Atoms must be separated: a slab rejects any bump whose support reaches a
+wall, touching included.
 
 FEM accuracy: the relative error of the P1 solution scales like
 (m h / eps)^2 = (m sigma0 / mesh_density)^2 with a constant below ~1/8
@@ -38,15 +45,15 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 from scipy.linalg import solve_banded, solveh_banded
 
-from .density import gauss_on_interval, mu
+from .density import gauss_on_interval, grad_delta_eps, mu
 from .lattice import positions
 
 __all__ = [
     "BoundaryData",
-    "XiCoefficients",
     "Field",
     "solve_periodic",
     "solve_dirichlet",
+    "fem_forces",
     "xi_closed_form",
     "eval_green_free",
     "eval_green_periodic",
@@ -100,14 +107,6 @@ class BoundaryData:
         return np.array([self.g_L, self.g_R])
 
 
-@dataclass(frozen=True)
-class XiCoefficients:
-    """Coefficients of the boundary layer xi = c_L e_L + c_R e_R."""
-
-    c_L: float
-    c_R: float
-
-
 def xi_closed_form(bd):
     """Boundary-layer part of the Dirichlet field.
 
@@ -130,7 +129,7 @@ def xi_closed_form(bd):
         grad = me * (-c_L * e_L + c_R * e_R)
         return val, grad
 
-    return XiCoefficients(c_L, c_R), xi
+    return (c_L, c_R), xi
 
 
 def eval_green_free(m, eps, x):
@@ -182,7 +181,7 @@ def eval_green_periodic(cfg, profile, m, x):
     y = positions(cfg)
     eps, L = cfg.eps, cfg.L
     me = m / eps
-    muv = mu(profile, m).mu
+    muv = mu(profile, m)
     w = profile.half_width * eps
     q = math.exp(-me * L)
     geo = 1.0 / (1.0 - q)
@@ -254,11 +253,11 @@ def eval_green_dirichlet(y_at, bd, profile, x):
     xs = np.atleast_1d(x_in).astype(float)
     y = np.asarray(y_at, dtype=float)
     k = m / eps
-    muv = mu(profile, m).mu
+    muv = mu(profile, m)
     w = profile.half_width * eps
     tau = bd.tau
     det = 1.0 - tau * tau
-    if np.any(y - w < bd.a_L) or np.any(y + w > bd.a_R):
+    if np.any(y - w <= bd.a_L) or np.any(y + w >= bd.a_R):
         raise ValueError("atom bumps must lie strictly inside the slab")
 
     dx = xs[:, None] - y[None, :]
@@ -368,36 +367,71 @@ def _element_matrices(eps, m, h):
     return stiff + mass
 
 
-def _assemble_load(profile, eps, centers, x_lo, h, n_nodes, periodic, n_elems):
-    """Exact load vector b_i = integral rho hat_i for bumps at `centers`.
+def _bump_pieces(profile, eps, centers, x0, h, n_nodes, L=None):
+    """Every (bump, element) piece of bumps at `centers` on the uniform mesh
+    x0 + i h, with a Gauss rule exact for bump x hat on each piece.
 
-    Element pieces of bump x hat are polynomials, so a fixed Gauss rule is
-    exact.  `centers` must already be reduced into the window for the periodic
-    case; supports may overhang the window edges (they wrap).
+    Returns (atom, nodes, dz, wq, hats): per piece the bump index, the
+    element's two node indices (pieces x 2), the Gauss points as offsets from
+    the bump center and their weights (pieces x rule), and the element's two
+    hat functions at the points (pieces x rule x 2).  With a period L the
+    centers are reduced into [x0, x0 + L) and supports that overhang the
+    window wrap onto the n_nodes periodic nodes.
     """
-    b = np.zeros(n_nodes)
+    centers = np.asarray(centers, dtype=float)
+    if L is not None:
+        centers = x0 + (centers - x0) % L
     w = profile.half_width * eps
-    ngl = 2 * profile.power + 4
-    t, gw = gauss_on_interval(0.0, 1.0, ngl)
-    for c in centers:
-        i_lo = math.floor((c - w - x_lo) / h)
-        i_hi = math.floor((c + w - x_lo) / h - 1e-15)
-        for i in range(i_lo, i_hi + 1):
-            e0 = x_lo + i * h
-            lo = max(e0, c - w)
-            hi = min(e0 + h, c + w)
-            if hi <= lo:
-                continue
-            z = lo + (hi - lo) * t
-            wq = (hi - lo) * gw
-            f = profile.delta1((z - c) / eps)  # eps * delta_eps collapses
-            if periodic:
-                na, nb = i % n_elems, (i + 1) % n_elems
-            else:
-                na, nb = i, i + 1
-            b[na] += np.sum(wq * f * (e0 + h - z) / h)
-            b[nb] += np.sum(wq * f * (z - e0) / h)
-    return b
+    i_lo = np.floor((centers - w - x0) / h).astype(int)
+    i_hi = np.floor((centers + w - x0) / h - 1e-15).astype(int)
+    counts = i_hi - i_lo + 1
+    atom = np.repeat(np.arange(centers.size), counts)
+    start = np.cumsum(counts) - counts
+    i = i_lo[atom] + np.arange(atom.size) - start[atom]
+
+    e0 = x0 + i * h
+    c = centers[atom]
+    lo = np.maximum(e0, c - w)
+    hi = np.minimum(e0 + h, c + w)
+    keep = hi > lo
+    atom, i, c, e0, lo, hi = atom[keep], i[keep], c[keep], e0[keep], lo[keep], hi[keep]
+
+    t, gw = gauss_on_interval(0.0, 1.0, 2 * profile.power + 4)
+    z = lo[:, None] + (hi - lo)[:, None] * t
+    wq = (hi - lo)[:, None] * gw
+    e0 = e0[:, None]
+    hats = np.stack([(e0 + h - z) / h, (z - e0) / h], axis=-1)
+    nodes = np.stack([i, i + 1], axis=-1)
+    if L is not None:
+        nodes %= n_nodes
+    return atom, nodes, z - c[:, None], wq, hats
+
+
+def _assemble_load(profile, eps, centers, x0, h, n_nodes, L=None):
+    """Exact load vector b_i = integral rho hat_i for bumps at `centers`
+    (rho = sum_j delta1((x - y_j)/eps), so each bump carries charge eps)."""
+    _, nodes, dz, wq, hats = _bump_pieces(profile, eps, centers, x0, h, n_nodes, L)
+    piece = np.einsum("pq,pqk->pk", wq * profile.delta1(dz / eps), hats)
+    # astype: with no pieces (a sourceless slab) bincount returns integers
+    return np.bincount(nodes.ravel(), piece.ravel(), minlength=n_nodes).astype(float)
+
+
+def fem_forces(field, profile, eps, centers):
+    """Exact gradient of a solved FEM energy in the bump positions.
+
+    D_{y_j} E = -eps integral grad_delta_eps(x - y_j) phi_h(x) dx over the
+    atom's whole (wrapped) bump.  The mesh does not move with y, so this is
+    the gradient of the discrete energy itself: 0.5 * field.interaction for
+    a periodic field, -field.i_value for a slab.  The integrand is a
+    polynomial times the piecewise-linear phi_h, so the piece rule is exact.
+    """
+    L = field.L if field.kind == "periodic" else None
+    atom, nodes, dz, wq, hats = _bump_pieces(
+        profile, eps, centers, field.x0, field.h, field.n_nodes, L)
+    phi = np.sum(field.values[nodes][:, None, :] * hats, axis=-1)
+    piece = np.sum(wq * grad_delta_eps(profile, eps, dz) * phi, axis=1)
+    n = np.size(centers)
+    return -eps * np.bincount(atom, piece, minlength=n).astype(float)
 
 
 def _apply_cyclic_tridiag(diag, off, corner, x):
@@ -489,8 +523,7 @@ def solve_periodic(cfg, profile, m, mesh_density=16, constant_rho=None):
 
     if constant_rho is None:
         y = positions(cfg)
-        centers = x0 + (y - x0) % L
-        b = _assemble_load(profile, eps, centers, x0, h, n, True, n)
+        b = _assemble_load(profile, eps, y, x0, h, n, L)
     else:
         b = np.full(n, float(constant_rho) * h)
 
@@ -528,7 +561,7 @@ def solve_dirichlet(y_at, bd, profile, mesh_density=16):
     diag = np.full(n + 1, 2.0 * el[0, 0])
     diag[0] = diag[-1] = el[0, 0]
     off = np.full(n, el[0, 1])
-    b = _assemble_load(profile, eps, y, bd.a_L, h, n + 1, False, n)
+    b = _assemble_load(profile, eps, y, bd.a_L, h, n + 1)
 
     phi = np.empty(n + 1)
     phi[0], phi[-1] = bd.g_L, bd.g_R

@@ -379,10 +379,10 @@ def _exp_gradient_audit(spec, jobs):
                 um = u0 - h * dv
                 return (fun(up - up.mean()) - fun(um - um.mean())) / (2.0 * h)
 
-            grad = forces_periodic(cfg, profile, m, backend="pair")
+            grad = forces_periodic(cfg, profile, m)
             for dv in dirs:
                 fd = fd_energy(
-                    lambda u: energy_periodic(ChainConfig(n, cfg.F, u), profile, m, backend="pair"),
+                    lambda u: energy_periodic(ChainConfig(n, cfg.F, u), profile, m),
                     cfg.u, dv,
                 )
                 record("periodic", fd, float(grad @ dv))
@@ -397,12 +397,12 @@ def _exp_gradient_audit(spec, jobs):
             g_l, g_r = 0.3 * float(gs[0]) + 0.01, 0.7 * float(gs[1]) - 0.02
             bd = BoundaryData(a_l, a_r, g_l, g_r, m, eps)
 
-            grad_y = d_energy_dirichlet_y(y_at, bd, profile, backend="pair")
+            grad_y = d_energy_dirichlet_y(y_at, bd, profile)
             for dv in dirs:
                 dw = dv[: y_at.size]
                 fd = (
-                    energy_dirichlet(y_at + h * dw, bd, profile, backend="pair")
-                    - energy_dirichlet(y_at - h * dw, bd, profile, backend="pair")
+                    energy_dirichlet(y_at + h * dw, bd, profile)
+                    - energy_dirichlet(y_at - h * dw, bd, profile)
                 ) / (2.0 * h)
                 record("dirichlet-y", fd, float(grad_y @ dw))
 
@@ -415,7 +415,7 @@ def _exp_gradient_audit(spec, jobs):
                         a_r + (t if i == 1 else 0.0),
                         g_l, g_r, m, eps,
                     )
-                    return energy_dirichlet(y_at, b, profile, backend="pair")
+                    return energy_dirichlet(y_at, b, profile)
                 record("dirichlet-a", (e_wall(h_a) - e_wall(-h_a)) / (2.0 * h_a), float(grad_a[i]))
 
             grad_g = d_energy_dirichlet_g(y_at, bd, profile)
@@ -427,7 +427,7 @@ def _exp_gradient_audit(spec, jobs):
                         g_r + (t if i == 1 else 0.0),
                         m, eps,
                     )
-                    return energy_dirichlet(y_at, b, profile, backend="pair")
+                    return energy_dirichlet(y_at, b, profile)
                 record("dirichlet-g", (e_data(h) - e_data(-h)) / (2.0 * h), float(grad_g[i]))
 
             grad = cb_forces(cfg, profile, m)
@@ -555,8 +555,8 @@ def _exp_optimal_bc(spec, jobs):
                               float(gs[0]) - (h if i == 0 else 0.0),
                               float(gs[1]) - (h if i == 1 else 0.0), m, eps)
             fd = max(fd, abs(
-                energy_dirichlet(y_at, bp, profile, backend="pair")
-                - energy_dirichlet(y_at, bm, profile, backend="pair")
+                energy_dirichlet(y_at, bp, profile)
+                - energy_dirichlet(y_at, bm, profile)
             ) / (2.0 * h))
         cap_fd = 1e-6 * m * eps
         rows.append(ResultRow("optimal-bc", n, eps, k, tau, "dg-at-gstar-fd", fd, cap_fd))
@@ -565,7 +565,7 @@ def _exp_optimal_bc(spec, jobs):
                             % (n, fd, cap_fd))
 
         e_mirror = mirror_energy(y_at, bd0, profile)
-        e_star = energy_dirichlet(y_at, bd_star, profile, backend="pair")
+        e_star = energy_dirichlet(y_at, bd_star, profile)
         rel = abs(e_mirror - e_star) / abs(e_star)
         cap_rel = 1e-6 + 10.0 * tau
         rows.append(ResultRow("optimal-bc", n, eps, k, tau,
@@ -781,7 +781,7 @@ def _convergence_point(spec, n):
     k = spec.k_of(n)
     f = sine_force(n, spec.force_amplitude, spec.force_mode)
     y0 = homogeneous(n, spec.stretch)
-    model_a = AtomisticModel(profile, spec.m, backend="pair")
+    model_a = AtomisticModel(profile, spec.m)
     y_at = minimize(model_a, f, y0).y_final
     tau = AcPartition(k).tau(y0, spec.m)
     out = []

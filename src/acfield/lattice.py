@@ -94,15 +94,12 @@ class DiscreteNormParams:
     s0 is the reference minimal strain entering the weight's decay rate, m the
     screening mass and K the half-width of the atomistic index band: weights
     are 1 outside the band (|j| > K) and decay like exp(-m*s0*dist(j, {-K, K}))
-    towards the middle of the band.  `literal_max_formula=True` switches to the
-    degenerate form max(1, exp(-m*s0*dist)), which is identically one; it is
-    kept only so the two variants can be compared.
+    towards the middle of the band.
     """
 
     s0: float
     m: float
     K: int
-    literal_max_formula: bool = False
 
     def __post_init__(self):
         if not (self.s0 > 0 and self.m > 0):
@@ -166,9 +163,7 @@ def norm_weighted(ypp, eps, params):
 
     ypp is indexed j = -N..N like second_diff output.  Weights: w_j = 1 for
     |j| > K, and exp(-m*s0*min(|j-K|, |j+K|)) for |j| <= K, so curvature deep
-    inside the atomistic band is discounted exponentially.  With
-    params.literal_max_formula the degenerate variant max(1, exp(...)) == 1
-    is used instead.
+    inside the atomistic band is discounted exponentially.
     """
     ypp = np.asarray(ypp, dtype=float)
     n = ypp.size
@@ -180,6 +175,4 @@ def norm_weighted(ypp, eps, params):
     j = np.arange(-N, N + 1)
     dist = np.minimum(np.abs(j - params.K), np.abs(j + params.K))
     w = np.where(np.abs(j) <= params.K, np.exp(-params.m * params.s0 * dist), 1.0)
-    if params.literal_max_formula:
-        w = np.maximum(1.0, w)
     return float(np.sqrt(eps * np.sum(w * ypp**2)))

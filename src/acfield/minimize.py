@@ -75,22 +75,30 @@ def sine_force(N, amplitude, k=1, phase=0.0):
 
 @dataclass(frozen=True)
 class AtomisticModel:
+    """The periodic atomistic energy, in its exact pair closed form.
+
+    `backend` names that route and accepts only "pair"; the FEM energy is a
+    cross-check oracle in `acfield.field`, not a model.
+    """
+
     profile: object
     m: float
     backend: str = "pair"
 
     name = "atomistic"
 
+    def __post_init__(self):
+        if self.backend != "pair":
+            raise ValueError("the atomistic energy has only the exact pair route, not %r;"
+                             " FEM is a cross-check in acfield.field" % (self.backend,))
+
     def energy(self, cfg):
-        return energy_periodic(cfg, self.profile, self.m, backend=self.backend)
+        return energy_periodic(cfg, self.profile, self.m)
 
     def gradient(self, cfg):
-        return forces_periodic(cfg, self.profile, self.m, backend=self.backend)
+        return forces_periodic(cfg, self.profile, self.m)
 
     def hessian(self, cfg):
-        if self.backend != "pair":
-            raise ValueError("only the pair backend has an exact Hessian, not %r"
-                             % self.backend)
         return hessian_periodic(cfg, self.profile, self.m)
 
 
@@ -155,7 +163,8 @@ class MinimizeResult:
     n_fallbacks: int = 0
 
 
-def _strain_guard(cfg, guard):
+def _strain_guard(cfg):
+    """(min strain, index j of its bond)."""
     s = first_diff(cfg)
     p = int(np.argmin(s))
     return float(s[p]), p - cfg.N
@@ -180,7 +189,7 @@ def minimize(model, f, y0, tol=None, max_iter=60, margin=0.05,
         tol = 1e-10 * model.m * eps
     guard = model.profile.sigma0 + margin
 
-    s_min, bond = _strain_guard(y0, guard)
+    s_min, bond = _strain_guard(y0)
     if s_min <= guard:
         raise ValueError(
             "initial strain %.4f at bond %d is below the guard %.4f"

@@ -100,14 +100,14 @@ def gamma_quadrature(y, bd):
 def main():
     cfg = wiggled_chain()
     e_quad = periodic_energy_quadrature(cfg)
-    e_pair = en.energy_periodic(cfg, PROF, M, backend="pair")
+    e_pair = en.energy_periodic(cfg, PROF, M)
     print("periodic E (quadrature) = %.15e" % e_quad)
     print("periodic E (pair)       = %.15e   rel diff %.2e"
           % (e_pair, abs(e_pair - e_quad) / abs(e_quad)))
 
     y, bd = slab_setup(cfg)
     es_quad = slab_energy_quadrature(y, bd)
-    es_pair = en.energy_dirichlet(y, bd, PROF, backend="pair")
+    es_pair = en.energy_dirichlet(y, bd, PROF)
     print("slab E g=(0.4,0.7) (quadrature) = %.15e" % es_quad)
     print("slab E (pair)                   = %.15e   rel diff %.2e"
           % (es_pair, abs(es_pair - es_quad) / abs(es_quad)))
@@ -119,14 +119,14 @@ def main():
 
     # --- FD audits of the closed-form partials ---
     hstep = 1e-6
-    f0 = en.d_energy_dirichlet_y(y, bd, PROF, backend="pair")
+    f0 = en.d_energy_dirichlet_y(y, bd, PROF)
     fd = np.empty_like(f0)
     for i in range(y.size):
         yp, ym = y.copy(), y.copy()
         yp[i] += hstep
         ym[i] -= hstep
-        fd[i] = (en.energy_dirichlet(yp, bd, PROF, backend="pair")
-                 - en.energy_dirichlet(ym, bd, PROF, backend="pair")) / (2 * hstep)
+        fd[i] = (en.energy_dirichlet(yp, bd, PROF)
+                 - en.energy_dirichlet(ym, bd, PROF)) / (2 * hstep)
     print("d/dy pair vs FD: max rel %.2e" % np.max(np.abs(fd - f0) / np.max(np.abs(f0))))
 
     dal, dar = en.d_energy_dirichlet_a(y, bd, PROF, backend="pair")
@@ -134,10 +134,10 @@ def main():
     bd_lm = BoundaryData(bd.a_L - hstep, bd.a_R, bd.g_L, bd.g_R, M, bd.eps)
     bd_rp = BoundaryData(bd.a_L, bd.a_R + hstep, bd.g_L, bd.g_R, M, bd.eps)
     bd_rm = BoundaryData(bd.a_L, bd.a_R - hstep, bd.g_L, bd.g_R, M, bd.eps)
-    fd_al = (en.energy_dirichlet(y, bd_lp, PROF, backend="pair")
-             - en.energy_dirichlet(y, bd_lm, PROF, backend="pair")) / (2 * hstep)
-    fd_ar = (en.energy_dirichlet(y, bd_rp, PROF, backend="pair")
-             - en.energy_dirichlet(y, bd_rm, PROF, backend="pair")) / (2 * hstep)
+    fd_al = (en.energy_dirichlet(y, bd_lp, PROF)
+             - en.energy_dirichlet(y, bd_lm, PROF)) / (2 * hstep)
+    fd_ar = (en.energy_dirichlet(y, bd_rp, PROF)
+             - en.energy_dirichlet(y, bd_rm, PROF)) / (2 * hstep)
     print("d/daL pair %.10e  FD %.10e  rel %.2e" % (dal, fd_al, abs(dal - fd_al) / abs(fd_al)))
     print("d/daR pair %.10e  FD %.10e  rel %.2e" % (dar, fd_ar, abs(dar - fd_ar) / abs(fd_ar)))
 
@@ -150,8 +150,8 @@ def main():
     for i, (dl, dr) in enumerate(((hstep, 0.0), (0.0, hstep))):
         bp = BoundaryData(bd.a_L, bd.a_R, bd.g_L + dl, bd.g_R + dr, M, bd.eps)
         bm = BoundaryData(bd.a_L, bd.a_R, bd.g_L - dl, bd.g_R - dr, M, bd.eps)
-        fd_g[i] = (en.energy_dirichlet(y, bp, PROF, backend="pair")
-                   - en.energy_dirichlet(y, bm, PROF, backend="pair")) / (2 * hstep)
+        fd_g[i] = (en.energy_dirichlet(y, bp, PROF)
+                   - en.energy_dirichlet(y, bm, PROF)) / (2 * hstep)
     print("d/dg pair", dg, " FD", fd_g, " rel %.2e" % np.max(np.abs(dg - fd_g) / np.abs(fd_g)))
 
     gs = en.g_star(y, bd, PROF)
@@ -159,7 +159,7 @@ def main():
     dg_star = en.d_energy_dirichlet_g(y, bd_star, PROF)
     print("g* =", gs, " |D_g E(g*)| =", np.max(np.abs(dg_star)))
     e_mirror = en.mirror_energy(y, bd, PROF)
-    e_at_star = en.energy_dirichlet(y, bd_star, PROF, backend="pair")
+    e_at_star = en.energy_dirichlet(y, bd_star, PROF)
     print("mirror E %.15e  vs E(g*) %.15e  rel %.2e"
           % (e_mirror, e_at_star, abs(e_mirror - e_at_star) / abs(e_at_star)))
 

@@ -73,7 +73,7 @@ def test_homogeneous_identity():
     # the coupled energy reproduces the periodic energy up to O(tau);
     # dropping the outermost full cell would miss by one cell energy
     cfg = homogeneous(20, 1.1)
-    e_per = energy_periodic(cfg, PROFILE, M, backend="pair")
+    e_per = energy_periodic(cfg, PROFILE, M)
     e_ac = ac_energy(cfg, method1(8), PROFILE, M)
     assert abs(e_ac - E_AC_HOMOG) < 1e-13
     assert abs(e_ac - e_per) < 1e-13
@@ -88,7 +88,7 @@ def test_homogeneous_identity():
 def test_degenerate_window_k_eq_n_minus_1():
     cfg = homogeneous(20, 1.1)
     e = ac_energy(cfg, method1(19), PROFILE, M)
-    e_per = energy_periodic(cfg, PROFILE, M, backend="pair")
+    e_per = energy_periodic(cfg, PROFILE, M)
     assert abs(e - e_per) < 1e-13
 
 
@@ -134,7 +134,7 @@ def test_method2_chain_rule_completeness():
     w[i - part.K] = w[i + part.K + 1] = 0.5
     vals = w * cb_cell_denergy(first_diff(cfg), PROFILE, M, cfg.eps) / cfg.eps
     frozen = vals - np.roll(vals, -1)
-    frozen[part.atom_indices(cfg)] += d_energy_dirichlet_y(y_at, bd, PROFILE, backend="pair")
+    frozen[part.atom_indices(cfg)] += d_energy_dirichlet_y(y_at, bd, PROFILE)
     d_al, d_ar = d_energy_dirichlet_a(y_at, bd, PROFILE, backend="pair")
     frozen[i - part.K - 1] += 0.5 * d_al
     frozen[i - part.K] += 0.5 * d_al
@@ -192,7 +192,7 @@ def test_d_g_method2_fd_and_bound():
     # strain of the interface cell
     s_min = float(np.min(first_diff(cfg)))
     x = math.exp(-M * s_min)
-    c_bound = mu(PROFILE, M).mu * math.sqrt(x) * (1.0 + x) / (2.0 * (1.0 - x) ** 2)
+    c_bound = mu(PROFILE, M) * math.sqrt(x) * (1.0 + x) / (2.0 * (1.0 - x) ** 2)
     i = cfg.N
     for c, a in zip((i - part.K, i + part.K + 1), an):
         du = abs(u[c] - u[c - 1]) / cfg.eps
@@ -228,7 +228,7 @@ def test_sigma_qc_continuity_and_limits():
     # the boundary layer exp(-(m/eps) dist)
     cfgw = wiggled_chain()
     a_l, a_r = meth.partition.boundaries(cfgw)
-    sf_per = stress_periodic(cfgw, PROFILE, M, backend="green")
+    sf_per = stress_periodic(cfgw, PROFILE, M)
     for x in (0.0, 0.011, -0.02):
         gap = min(abs(x - a_l), abs(x - a_r))
         err = abs(sigma_qc(cfgw, meth, x, PROFILE, M) - float(sf_per(np.array([x]))[0]))
@@ -285,7 +285,7 @@ def test_consistency_kink_decays_in_k():
 def test_stability_homogeneous_method1():
     cfg = homogeneous(20, 1.1)
     lam, bound = stability_spectrum(cfg, method1(8), PROFILE, M)
-    muv = mu(PROFILE, M).mu
+    muv = mu(PROFILE, M)
     assert abs(bound - M * muv**2 / 2.0 * math.exp(-M * 1.1)) < 1e-12
     assert lam >= bound - 1e-6
     assert 0.18 < lam < 0.20  # 0.190140 at development time

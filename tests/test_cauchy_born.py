@@ -135,7 +135,7 @@ def test_cell_field_wide_cell_midpoint():
     cell = CellState(0, s, 0.0, PROF, M, 0.2)
     mid = cell.anchor - cell.spacing / 2
     v, _ = cb_cell_field(cell, np.array([mid]))
-    muv = mu(PROF, M).mu
+    muv = mu(PROF, M)
     two_bumps = muv / M * np.exp(-M * s / 2)
     q = np.exp(-M * s)
     assert abs(v[0] - two_bumps) / two_bumps == pytest.approx(q / (1 - q), rel=1e-12)

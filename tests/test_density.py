@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from acfield.cauchy_born import cell_state
 from acfield.density import (
+    check_separated,
     gauss_on_interval,
     grad_rho,
     mu,
@@ -10,7 +12,7 @@ from acfield.density import (
     self_moment,
     sextic_bump,
 )
-from acfield.lattice import ChainConfig, homogeneous, positions
+from acfield.lattice import ChainConfig, first_diff, homogeneous, positions
 
 # Frozen reference values from tests/oracle_density.py (brute-force trapezoid,
 # 1e6 points for mu, Richardson-extrapolated 2D trapezoid for self_moment).
@@ -50,17 +52,17 @@ def test_profile_gradient_fd():
 
 def test_mu_against_frozen_oracle():
     q = quartic_bump(0.5)
-    assert mu(q, 1.0).mu == pytest.approx(MU_QUARTIC_M1, rel=1e-12)
-    assert mu(q, 2.0).mu == pytest.approx(MU_QUARTIC_M2, rel=1e-12)
-    assert mu(q, 0.5).mu == pytest.approx(MU_QUARTIC_M05, rel=1e-12)
-    assert mu(sextic_bump(0.5), 1.0).mu == pytest.approx(MU_SEXTIC_M1, rel=1e-12)
+    assert mu(q, 1.0) == pytest.approx(MU_QUARTIC_M1, rel=1e-12)
+    assert mu(q, 2.0) == pytest.approx(MU_QUARTIC_M2, rel=1e-12)
+    assert mu(q, 0.5) == pytest.approx(MU_QUARTIC_M05, rel=1e-12)
+    assert mu(sextic_bump(0.5), 1.0) == pytest.approx(MU_SEXTIC_M1, rel=1e-12)
 
 
 def test_mu_even_and_at_least_one():
     q = quartic_bump(0.5)
-    assert mu(q, -1.0).mu == mu(q, 1.0).mu
+    assert mu(q, -1.0) == mu(q, 1.0)
     for m in (0.1, 0.7, 3.0):
-        assert mu(q, m).mu >= 1.0
+        assert mu(q, m) >= 1.0
 
 
 def test_self_moment_against_frozen_oracle():
@@ -120,7 +122,7 @@ def test_nonoverlap_pair_identity():
     dj = prof.delta1((zs - yj) / eps) / eps
     ker = np.exp(-(m / eps) * np.abs(zs[:, None] - xs[None, :]))
     quad = float(np.einsum("i,ij,j->", wz * dj, ker, ws * di))
-    muv = mu(prof, m).mu
+    muv = mu(prof, m)
     closed = muv**2 * np.exp(-(m / eps) * (yj - yi))
     assert quad == pytest.approx(closed, rel=1e-8)
 
@@ -132,6 +134,18 @@ def test_separation_check():
     # strain 0.4 < sigma0 = 0.5: overlapping bumps must raise
     with pytest.raises(ValueError, match="overlap"):
         rho(homogeneous(4, 0.4), prof, 0.0, require_separated=True)
+
+
+def test_separation_is_strict_at_contact():
+    # min strain == sigma0 exactly: neighbouring supports touch, which is
+    # contact for check_separated as for the Cauchy-Born CellState
+    cfg = homogeneous(10, 0.7)
+    prof = quartic_bump(float(np.min(first_diff(cfg))))
+    with pytest.raises(ValueError, match="touch"):
+        check_separated(cfg, prof)
+    with pytest.raises(ValueError, match="overlapping"):
+        cell_state(cfg, prof, 1.0, 0)
+    check_separated(homogeneous(10, 0.7), quartic_bump(0.69))
 
 
 def test_sextic_is_c2_at_support_edge():

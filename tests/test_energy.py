@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from acfield.density import quartic_bump, mu, self_moment
-from acfield.field import BoundaryData, fem_relative_budget, solve_dirichlet
+from acfield.field import (
+    BoundaryData,
+    fem_forces,
+    fem_relative_budget,
+    solve_dirichlet,
+    solve_periodic,
+)
 from acfield.lattice import ChainConfig, homogeneous, positions
 from acfield.energy import (
     GammaPair,
@@ -53,15 +59,15 @@ def slab_setup(cfg, lo=3, hi=14, g=(0.4, 0.7)):
 
 
 def test_periodic_energy_pair_matches_quadrature_reference():
-    e = energy_periodic(wiggled_chain(), PROF, M, backend="pair")
+    e = energy_periodic(wiggled_chain(), PROF, M)
     assert abs(e - E_PER_WIGGLED) < 1e-13 * abs(E_PER_WIGGLED)
 
 
 def test_periodic_energy_fem_within_budget():
     cfg = wiggled_chain()
-    e_pair = energy_periodic(cfg, PROF, M, backend="pair")
+    e_pair = energy_periodic(cfg, PROF, M)
     for md in (8, 16):
-        e_fem = energy_periodic(cfg, PROF, M, mesh_density=md)
+        e_fem = 0.5 * solve_periodic(cfg, PROF, M, md).interaction
         assert abs(e_fem - e_pair) < fem_relative_budget(PROF, M, md) * abs(e_pair)
 
 
@@ -69,16 +75,16 @@ def test_homogeneous_energy_per_atom():
     # equispaced chain: every atom sees two geometric series of images, so
     # E/atom = (mu^2 eps / 2m) x/(1-x) + E_self with x = e^{-m F}
     cfg = homogeneous(6, 1.3)
-    muv = mu(PROF, M).mu
+    muv = mu(PROF, M)
     x = np.exp(-M * cfg.F)
     per_atom = muv**2 * cfg.eps / (2 * M) * x / (1 - x) + self_energy(PROF, M, cfg.eps)
-    e = energy_periodic(cfg, PROF, M, backend="pair") / cfg.n_atoms
+    e = energy_periodic(cfg, PROF, M) / cfg.n_atoms
     assert abs(e - per_atom) < 1e-14 * abs(per_atom)
 
 
 def test_distant_atoms_reduce_to_self_energy():
     cfg = homogeneous(1, 30.0)  # spacing 20, interactions ~ e^{-20}
-    e_per_atom = energy_periodic(cfg, PROF, M, backend="pair") / 3.0
+    e_per_atom = energy_periodic(cfg, PROF, M) / 3.0
     assert abs(e_per_atom - self_energy(PROF, M, cfg.eps)) < 1e-8 * e_per_atom
 
 
@@ -91,7 +97,7 @@ def test_self_energy_value():
 
 def test_periodic_forces_match_fd():
     cfg = wiggled_chain()
-    f = forces_periodic(cfg, PROF, M, backend="pair")
+    f = forces_periodic(cfg, PROF, M)
     h = 1e-6
     y = positions(cfg)
     for i in (0, 4, 12, 16):
@@ -102,7 +108,7 @@ def test_periodic_forces_match_fd():
             # keep the stored offsets mean-zero by absorbing the shift into
             # a global translation, which leaves the energy unchanged
             u2 -= u2.mean()
-            return energy_periodic(cfg.replace_u(u2), PROF, M, backend="pair")
+            return energy_periodic(cfg.replace_u(u2), PROF, M)
 
         fd = (e_of(h) - e_of(-h)) / (2 * h)
         proj = f[i] - f.mean()  # translation removed => projected gradient
@@ -113,7 +119,7 @@ def test_periodic_forces_fem_is_exact_discrete_gradient():
     # the mesh never moves with y, so the analytic formula differentiates the
     # discrete energy exactly; FD of the FEM energy must agree to FD noise
     cfg = wiggled_chain()
-    f = forces_periodic(cfg, PROF, M, mesh_density=8, backend="fem")
+    f = fem_forces(solve_periodic(cfg, PROF, M, 8), PROF, cfg.eps, positions(cfg))
     h = 1e-5 * cfg.eps
     for i in (0, 5, 16):
         up = cfg.u.copy()
@@ -122,8 +128,8 @@ def test_periodic_forces_fem_is_exact_discrete_gradient():
         um[i] -= h
         up -= up.mean()
         um -= um.mean()
-        ep = energy_periodic(cfg.replace_u(up), PROF, M, mesh_density=8)
-        em = energy_periodic(cfg.replace_u(um), PROF, M, mesh_density=8)
+        ep = 0.5 * solve_periodic(cfg.replace_u(up), PROF, M, 8).interaction
+        em = 0.5 * solve_periodic(cfg.replace_u(um), PROF, M, 8).interaction
         fd = (ep - em) / (2 * h)
         proj = f[i] - f.mean()
         assert abs(fd - proj) < 1e-7 * abs(proj)
@@ -131,29 +137,29 @@ def test_periodic_forces_fem_is_exact_discrete_gradient():
 
 def test_periodic_forces_pair_vs_fem():
     cfg = wiggled_chain()
-    f_pair = forces_periodic(cfg, PROF, M, backend="pair")
-    f_fem = forces_periodic(cfg, PROF, M, mesh_density=16, backend="fem")
+    f_pair = forces_periodic(cfg, PROF, M)
+    f_fem = fem_forces(solve_periodic(cfg, PROF, M, 16), PROF, cfg.eps, positions(cfg))
     scale = np.max(np.abs(f_pair))
     assert np.max(np.abs(f_fem - f_pair)) < fem_relative_budget(PROF, M, 16) * scale
 
 
 def test_periodic_forces_translation_and_mirror_symmetry():
     cfg = wiggled_chain()
-    f = forces_periodic(cfg, PROF, M, backend="pair")
+    f = forces_periodic(cfg, PROF, M)
     assert abs(f.sum()) < 1e-13 * np.max(np.abs(f))
     # odd displacement field => chain is symmetric under x -> -x, so forces
     # must be antisymmetric in the atom index
     rng = np.random.default_rng(3)
     u = rng.normal(0, 0.02, 2 * cfg.N + 1)
     u = 0.5 * (u - u[::-1])
-    fs = forces_periodic(ChainConfig(cfg.N, cfg.F, u), PROF, M, backend="pair")
+    fs = forces_periodic(ChainConfig(cfg.N, cfg.F, u), PROF, M)
     assert np.max(np.abs(fs + fs[::-1])) < 1e-13 * np.max(np.abs(fs))
 
 
 def test_weak_form_periodic_identity():
     # integral sigma_y (interp u)' = DE . u for the exact field
     cfg = wiggled_chain()
-    f = forces_periodic(cfg, PROF, M, backend="pair")
+    f = forces_periodic(cfg, PROF, M)
     rng = np.random.default_rng(7)
     probes = [rng.normal(0, 1.0, cfg.n_atoms) for _ in range(3)]
     hat = np.zeros(cfg.n_atoms)
@@ -172,15 +178,15 @@ def test_weak_form_periodic_identity():
 
 def test_slab_energy_pair_matches_quadrature_reference():
     y, bd = slab_setup(wiggled_chain())
-    e = energy_dirichlet(y, bd, PROF, backend="pair")
+    e = energy_dirichlet(y, bd, PROF)
     assert abs(e - E_SLAB_G47) < 1e-13 * abs(E_SLAB_G47)
 
 
 def test_slab_energy_fem_within_budget():
     y, bd = slab_setup(wiggled_chain())
-    e_pair = energy_dirichlet(y, bd, PROF, backend="pair")
+    e_pair = energy_dirichlet(y, bd, PROF)
     for md in (16, 32):
-        e_fem = energy_dirichlet(y, bd, PROF, mesh_density=md)
+        e_fem = -solve_dirichlet(y, bd, PROF, md).i_value
         assert abs(e_fem - e_pair) < fem_relative_budget(PROF, M, md) * abs(e_pair)
 
 
@@ -192,7 +198,7 @@ def test_slab_energy_decomposition():
     y, bd = slab_setup(wiggled_chain())
     full = solve_dirichlet(y, bd, PROF, mesh_density=16)
     e_full = -full.i_value
-    e_zero = energy_dirichlet(y, bd.with_g(0.0, 0.0), PROF, mesh_density=16)
+    e_zero = -solve_dirichlet(y, bd.with_g(0.0, 0.0), PROF, mesh_density=16).i_value
     layer = solve_dirichlet(np.empty(0), bd, PROF, mesh_density=16)
     e_split = e_zero - layer.i_value + float(full.rhs @ layer.values)
     assert abs(e_full - e_split) < 1e-12 * abs(e_full)
@@ -207,7 +213,7 @@ def test_gamma_pair_closed_form():
     y1 = np.array([0.3])
     bd1 = BoundaryData(0.0, 1.0, 0.0, 0.0, M, 0.1)
     gp1 = gamma_pair(y1, bd1, PROF)
-    muv = mu(PROF, M).mu
+    muv = mu(PROF, M)
     assert gp1.gamma_L == pytest.approx(muv / M * np.exp(-0.3 / 0.1), rel=1e-15)
     assert gp1.gamma_R == pytest.approx(muv / M * np.exp(-0.7 / 0.1), rel=1e-15)
     with pytest.raises(ValueError):
@@ -216,34 +222,34 @@ def test_gamma_pair_closed_form():
 
 def test_slab_forces_pair_match_fd():
     y, bd = slab_setup(wiggled_chain())
-    f = d_energy_dirichlet_y(y, bd, PROF, backend="pair")
+    f = d_energy_dirichlet_y(y, bd, PROF)
     h = 1e-6
     for i in (0, 5, 10):
         yp, ym = y.copy(), y.copy()
         yp[i] += h
         ym[i] -= h
         fd = (
-            energy_dirichlet(yp, bd, PROF, backend="pair")
-            - energy_dirichlet(ym, bd, PROF, backend="pair")
+            energy_dirichlet(yp, bd, PROF)
+            - energy_dirichlet(ym, bd, PROF)
         ) / (2 * h)
         assert abs(fd - f[i]) < 1e-7 * max(abs(f[i]), 1e-3)
 
 
 def test_slab_forces_fem_routes():
     y, bd = slab_setup(wiggled_chain())
-    f_pair = d_energy_dirichlet_y(y, bd, PROF, backend="pair")
-    f_fem = d_energy_dirichlet_y(y, bd, PROF, mesh_density=16, backend="fem")
+    f_pair = d_energy_dirichlet_y(y, bd, PROF)
+    f_fem = fem_forces(solve_dirichlet(y, bd, PROF, 16), PROF, bd.eps, y)
     scale = np.max(np.abs(f_pair))
     assert np.max(np.abs(f_fem - f_pair)) < fem_relative_budget(PROF, M, 16) * scale
     # discrete exactness on a coarse mesh
-    f8 = d_energy_dirichlet_y(y, bd, PROF, mesh_density=8, backend="fem")
+    f8 = fem_forces(solve_dirichlet(y, bd, PROF, 8), PROF, bd.eps, y)
     h = 1e-6
     i = 4
     yp, ym = y.copy(), y.copy()
     yp[i] += h
     ym[i] -= h
     fd = (
-        energy_dirichlet(yp, bd, PROF, 8) - energy_dirichlet(ym, bd, PROF, 8)
+        solve_dirichlet(ym, bd, PROF, 8).i_value - solve_dirichlet(yp, bd, PROF, 8).i_value
     ) / (2 * h)
     assert abs(fd - f8[i]) < 1e-7 * abs(f8[i])
 
@@ -258,7 +264,7 @@ def test_wall_derivatives_routes_agree_and_match_fd():
 
     def e_at(a_l, a_r):
         bd2 = BoundaryData(a_l, a_r, bd.g_L, bd.g_R, M, bd.eps)
-        return energy_dirichlet(y, bd2, PROF, backend="pair")
+        return energy_dirichlet(y, bd2, PROF)
 
     fd_l = (e_at(bd.a_L + h, bd.a_R) - e_at(bd.a_L - h, bd.a_R)) / (2 * h)
     fd_r = (e_at(bd.a_L, bd.a_R + h) - e_at(bd.a_L, bd.a_R - h)) / (2 * h)
@@ -271,8 +277,8 @@ def test_boundary_data_gradient():
     dg = d_energy_dirichlet_g(y, bd, PROF)
     h = 1e-6
     for i, (dl, dr) in enumerate(((h, 0.0), (0.0, h))):
-        ep = energy_dirichlet(y, bd.with_g(bd.g_L + dl, bd.g_R + dr), PROF, backend="pair")
-        em = energy_dirichlet(y, bd.with_g(bd.g_L - dl, bd.g_R - dr), PROF, backend="pair")
+        ep = energy_dirichlet(y, bd.with_g(bd.g_L + dl, bd.g_R + dr), PROF)
+        em = energy_dirichlet(y, bd.with_g(bd.g_L - dl, bd.g_R - dr), PROF)
         assert abs((ep - em) / (2 * h) - dg[i]) < 1e-7 * abs(dg[i])
 
 
@@ -284,9 +290,9 @@ def test_g_star_is_stationary():
     assert np.max(np.abs(dg)) < 1e-14 * scale
     # the energy -I(phi) is concave in g (the layer contributes -I(xi), a
     # negative quadratic), so g* is the unique maximum over boundary data
-    e_star = energy_dirichlet(y, bd.with_g(*gs), PROF, backend="pair")
+    e_star = energy_dirichlet(y, bd.with_g(*gs), PROF)
     for dl, dr in ((0.05, 0.0), (0.0, -0.05), (0.03, 0.03)):
-        e = energy_dirichlet(y, bd.with_g(gs[0] + dl, gs[1] + dr), PROF, backend="pair")
+        e = energy_dirichlet(y, bd.with_g(gs[0] + dl, gs[1] + dr), PROF)
         assert e < e_star
 
 
@@ -305,10 +311,10 @@ def test_boundary_gradient_linear_model():
 def test_mirror_energy_equals_stationary_energy():
     y, bd = slab_setup(wiggled_chain())
     gs = g_star(y, bd, PROF)
-    e_star = energy_dirichlet(y, bd.with_g(*gs), PROF, backend="pair")
+    e_star = energy_dirichlet(y, bd.with_g(*gs), PROF)
     e_mir = mirror_energy(y, bd, PROF)
     assert abs(e_mir - e_star) < 1e-13 * abs(e_star)
-    e_fem = energy_dirichlet(y, bd.with_g(*gs), PROF, mesh_density=16)
+    e_fem = -solve_dirichlet(y, bd.with_g(*gs), PROF, 16).i_value
     assert abs(e_mir - e_fem) < fem_relative_budget(PROF, M, 16) * abs(e_fem)
 
 
@@ -324,7 +330,7 @@ def test_wall_image_cross_term_sign():
     assert bd.tau > 5e-3  # the regime where the sign is visible
 
     e_mir = mirror_energy(y, bd, PROF)
-    e_fem = energy_dirichlet(y, bd, PROF, mesh_density=64)
+    e_fem = -solve_dirichlet(y, bd, PROF, 64).i_value
     budget = fem_relative_budget(PROF, M, 64)
     assert abs(e_mir - e_fem) < budget * abs(e_fem)
 
@@ -344,7 +350,7 @@ def test_wall_image_cross_term_sign():
 
 def test_weak_form_dirichlet_identity():
     y, bd = slab_setup(wiggled_chain())
-    f = d_energy_dirichlet_y(y, bd, PROF, backend="pair")
+    f = d_energy_dirichlet_y(y, bd, PROF)
     rng = np.random.default_rng(11)
     for _ in range(2):
         u = rng.normal(0, 1.0, y.size)
@@ -358,7 +364,7 @@ def test_stretch_identity():
     # stress: (d/da_R + sum_j Theta_R(y_j) d/dy_j) E = mean(sigma), and the
     # left-wall version is exactly its negative
     y, bd = slab_setup(wiggled_chain())
-    f = d_energy_dirichlet_y(y, bd, PROF, backend="pair")
+    f = d_energy_dirichlet_y(y, bd, PROF)
     d_al, d_ar = d_energy_dirichlet_a(y, bd, PROF, backend="pair")
     sf = stress_dirichlet(y, bd, PROF)
     mean_sigma = sf.integral(bd.a_L, bd.a_R) / bd.width
@@ -375,7 +381,7 @@ def test_combined_interpolant_identity():
     # stress paired with the gradient of the full interpolant through
     # (a_L, h_L), (y_j, u_j), (a_R, h_R)
     y, bd = slab_setup(wiggled_chain())
-    f = d_energy_dirichlet_y(y, bd, PROF, backend="pair")
+    f = d_energy_dirichlet_y(y, bd, PROF)
     d_al, d_ar = d_energy_dirichlet_a(y, bd, PROF, backend="pair")
     sf = stress_dirichlet(y, bd, PROF)
     rng = np.random.default_rng(13)

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from acfield.density import quartic_bump, sextic_bump, mu
+from acfield.density import gauss_on_interval, grad_delta_eps, quartic_bump, sextic_bump
 from acfield.field import (
     BoundaryData,
     eval_green_dirichlet,
     eval_green_free,
     eval_green_periodic,
+    fem_forces,
     fem_relative_budget,
     field_lipschitz_check,
     green_dirichlet,
@@ -38,6 +41,68 @@ def test_constant_rho_hook():
     cfg = wiggled_chain()
     f = solve_periodic(cfg, PROF, 2.0, constant_rho=3.0)
     assert np.max(np.abs(f.values - 3.0 / 4.0)) < 1e-12
+
+
+def test_periodic_load_conserves_charge_across_the_window_edge():
+    # atom -N's bump overhangs the window edge -F, so part of its load wraps
+    # onto the last nodes; the load still sums to the charge eps (2N+1) = 2
+    N = 20
+    u = np.zeros(2 * N + 1)
+    u[0] = -0.5 * 2.0 / (2 * N + 1)
+    cfg = ChainConfig(N, 1.1, u - u.mean())
+    assert positions(cfg)[0] - PROF.half_width * cfg.eps < -cfg.F
+    for md in (8, 16):
+        b = solve_periodic(cfg, PROF, M, md).rhs
+        assert abs(b.sum() - 2.0) <= 1e-13 * 2.0
+
+
+def _loop_load_and_forces(profile, eps, centers, f):
+    """Per-atom, per-element loops over the bump pieces: the reference for
+    the vectorized load assembly and `fem_forces`."""
+    w = profile.half_width * eps
+    t, gw = gauss_on_interval(0.0, 1.0, 2 * profile.power + 4)
+    n = f.n_nodes
+    b, forces = np.zeros(n), np.zeros(len(centers))
+    for j, c in enumerate(centers):
+        if f.kind == "periodic":
+            c = f.x0 + (c - f.x0) % f.L
+        for i in range(math.floor((c - w - f.x0) / f.h),
+                       math.floor((c + w - f.x0) / f.h - 1e-15) + 1):
+            e0 = f.x0 + i * f.h
+            lo, hi = max(e0, c - w), min(e0 + f.h, c + w)
+            if hi <= lo:
+                continue
+            z, wq = lo + (hi - lo) * t, (hi - lo) * gw
+            na, nb = (i % n, (i + 1) % n) if f.kind == "periodic" else (i, i + 1)
+            left, right = (e0 + f.h - z) / f.h, (z - e0) / f.h
+            dens = profile.delta1((z - c) / eps)
+            b[na] += np.sum(wq * dens * left)
+            b[nb] += np.sum(wq * dens * right)
+            phi = f.values[na] * left + f.values[nb] * right
+            forces[j] -= eps * np.sum(wq * grad_delta_eps(profile, eps, z - c) * phi)
+    return b, forces
+
+
+@pytest.mark.parametrize("prof", [PROF, sextic_bump(0.5)], ids=["quartic", "sextic"])
+@pytest.mark.parametrize("N", [20, 80])
+def test_piece_routine_matches_per_atom_loops(prof, N):
+    # the vectorized pieces sum in another order: load to 1e-15 of max|b|,
+    # forces to 1e-11 of max|f| (an FEM force is a cancelling sum of pieces)
+    eps = 2.0 / (2 * N + 1)
+    rng = np.random.default_rng(N)
+    u = rng.normal(0.0, 0.05 * eps, 2 * N + 1)
+    u[0] = -0.5 * eps  # atom -N overhangs the window edge
+    cfg = ChainConfig(N, 1.1, u - u.mean())
+    y = positions(cfg)
+    slab = y[N // 2:-N // 2]
+    bd = BoundaryData(float(slab[0]) - 0.55 * eps, float(slab[-1]) + 0.55 * eps,
+                      0.3, 0.5, M, eps)
+    for f, centers in ((solve_periodic(cfg, prof, M, 8), y),
+                       (solve_dirichlet(slab, bd, prof, 8), slab)):
+        b_ref, f_ref = _loop_load_and_forces(prof, eps, centers, f)
+        assert np.max(np.abs(f.rhs - b_ref)) <= 1e-15 * np.max(np.abs(b_ref))
+        forces = fem_forces(f, prof, eps, centers)
+        assert np.max(np.abs(forces - f_ref)) <= 1e-11 * np.max(np.abs(f_ref))
 
 
 def test_periodic_fem_within_budget_of_kernel_oracle():
@@ -182,14 +247,14 @@ def test_dirichlet_superposition_and_xi():
 def test_xi_coefficients_near_g():
     cfg = wiggled_chain()
     _, bd = slab_setup(cfg, g=(0.8, -0.3))
-    co, _ = xi_closed_form(bd)
+    (c_l, c_r), _ = xi_closed_form(bd)
     gmax = max(abs(bd.g_L), abs(bd.g_R))
-    assert abs(co.c_L - bd.g_L) <= 2 * bd.tau * gmax
-    assert abs(co.c_R - bd.g_R) <= 2 * bd.tau * gmax
+    assert abs(c_l - bd.g_L) <= 2 * bd.tau * gmax
+    assert abs(c_r - bd.g_R) <= 2 * bd.tau * gmax
     # g = (1, 1) -> c = (1, 1)/(1 + tau)
-    co2, _ = xi_closed_form(bd.with_g(1.0, 1.0))
-    assert co2.c_L == pytest.approx(1.0 / (1.0 + bd.tau), rel=1e-14)
-    assert co2.c_R == pytest.approx(1.0 / (1.0 + bd.tau), rel=1e-14)
+    (c_l, c_r), _ = xi_closed_form(bd.with_g(1.0, 1.0))
+    assert c_l == pytest.approx(1.0 / (1.0 + bd.tau), rel=1e-14)
+    assert c_r == pytest.approx(1.0 / (1.0 + bd.tau), rel=1e-14)
 
 
 def test_dirichlet_energy_identity_and_positivity():
@@ -268,6 +333,25 @@ def test_solve_dirichlet_rejects_bumps_touching_boundary():
     bd = BoundaryData(float(y[0]), float(y[-1]) + 0.55 * cfg.eps, 0, 0, M, cfg.eps)
     with pytest.raises(ValueError, match="inside the slab"):
         solve_dirichlet(y, bd, PROF)
+
+
+def test_slab_routes_agree_that_a_bump_touching_a_wall_is_contact():
+    # a support ending exactly on a wall is contact for the FEM solve and
+    # the kernel route alike; pulling the walls out makes both accept
+    cfg = wiggled_chain()
+    y = positions(cfg)[3:14]
+    w = PROF.half_width * cfg.eps
+    x = float(y[5])
+    a_L, a_R = float(y[0]) - 0.55 * cfg.eps, float(y[-1]) + 0.55 * cfg.eps
+    for bd in (BoundaryData(float(y[0]) - w, a_R, 0, 0, M, cfg.eps),
+               BoundaryData(a_L, float(y[-1]) + w, 0, 0, M, cfg.eps)):
+        with pytest.raises(ValueError, match="inside the slab"):
+            solve_dirichlet(y, bd, PROF)
+        with pytest.raises(ValueError, match="inside the slab"):
+            eval_green_dirichlet(y, bd, PROF, x)
+    bd = BoundaryData(a_L, a_R, 0, 0, M, cfg.eps)
+    assert solve_dirichlet(y, bd, PROF).value(x) > 0
+    assert eval_green_dirichlet(y, bd, PROF, x)[0] > 0
 
 
 def test_boundary_data_validation():

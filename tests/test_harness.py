@@ -1,5 +1,10 @@
 """Config parsing, CSV determinism, and CLI behaviour of the experiment runner."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -205,6 +210,18 @@ def test_stability_deficit_rows_shrink(tmp_path):
 def test_cli_version(capsys):
     assert main(["version"]) == 0
     assert capsys.readouterr().out.strip() == "acfield " + harness.__version__
+
+
+def test_module_cli_runs_without_runtime_warning():
+    # `python -m acfield.harness` is the CLI without an install; runpy warns
+    # (RuntimeWarning) if importing the package has already loaded the module
+    src = str(Path(harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "acfield.harness", "version"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_spec_errors_exit_2(tmp_path, capsys):

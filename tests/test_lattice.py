@@ -99,15 +99,6 @@ def test_weighted_norm_single_spike():
     assert got2 == pytest.approx(np.sqrt(eps * 2.5**2), rel=1e-12)
 
 
-def test_weighted_norm_literal_formula_is_unweighted():
-    # the max(1, exp(...)) variant degenerates to the plain l2eps norm
-    rng = np.random.default_rng(5)
-    ypp = rng.normal(0, 1, 21)
-    eps = 2.0 / 21
-    p = DiscreteNormParams(s0=1.0, m=1.0, K=6, literal_max_formula=True)
-    assert norm_weighted(ypp, eps, p) == pytest.approx(norm_l2eps(ypp, eps), rel=1e-14)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         ChainConfig(3, 1.0, np.ones(7))  # not mean-zero

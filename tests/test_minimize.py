@@ -207,9 +207,10 @@ def test_model_hessian_matches_fd(model_cls, bump, N, K, shape):
     assert_exact_hessian(model_cls(bump(), M), cfg)
 
 
-def test_fem_backend_has_no_hessian():
-    with pytest.raises(ValueError, match="pair backend"):
-        AtomisticModel(PROFILE, M, backend="fem").hessian(homogeneous(8, 1.1))
+def test_atomistic_model_rejects_fem_backend():
+    # FEM is a cross-check oracle in acfield.field, not a model backend
+    with pytest.raises(ValueError, match="only the exact pair route"):
+        AtomisticModel(PROFILE, M, backend="fem")
 
 
 def test_telemetry_counts_on_converging_case():
