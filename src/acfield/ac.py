@@ -97,6 +97,12 @@ class AcPartition:
     def tau(self, cfg, m):
         return self.boundary_data(cfg, m).tau
 
+    def window(self, cfg, m):
+        """The atomistic slab: (y_at, bd0), the positions of atoms -K..K and
+        the boundary data with g = 0."""
+        bd0 = self.boundary_data(cfg, m)
+        return positions(cfg)[self.atom_indices(cfg)], bd0
+
     def atom_indices(self, cfg):
         """Array indices of the atomistic atoms -K..K."""
         return np.arange(cfg.N - self.K, cfg.N + self.K + 1)
@@ -121,16 +127,16 @@ def method2(K):
 
 
 def _validate(cfg, method, profile, m, tau_threshold):
+    """Reject contact and a leaky window; return the slab window (y_at, bd0)."""
     check_separated(cfg, profile)
-    part = method.partition
-    bd0 = part.boundary_data(cfg, m)
+    y_at, bd0 = method.partition.window(cfg, m)
     if bd0.tau > tau_threshold:
         raise ValueError(
             "boundary decay tau = %.3e exceeds threshold %.1e; the coupled "
             "energy's O(tau) terms are not negligible at this window size"
             % (bd0.tau, tau_threshold)
         )
-    return bd0
+    return y_at, bd0
 
 
 def _cb_weights(cfg, K):
@@ -145,22 +151,21 @@ def _cb_weights(cfg, K):
     return w
 
 
-def _method_bd(cfg, method, profile, m, bd0):
-    y_at = positions(cfg)[method.partition.atom_indices(cfg)]
+def _method_bd(cfg, method, profile, m, y_at, bd0):
+    """The slab's boundary data under the coupling: g* or the cell problem's."""
     if method.variant == "method1":
         g = g_star(y_at, bd0, profile)
     else:
         g = g_method2(cfg, method.partition, profile, m)
-    return y_at, bd0.with_g(*g)
+    return bd0.with_g(*g)
 
 
 def ac_energy(cfg, method, profile, m, tau_threshold=1e-8):
     """Coupled energy: weighted continuum cells plus the atomistic slab."""
-    bd0 = _validate(cfg, method, profile, m, tau_threshold)
+    y_at, bd0 = _validate(cfg, method, profile, m, tau_threshold)
     strains = first_diff(cfg)
     e_cb = float(np.sum(_cb_weights(cfg, method.partition.K)
                         * cb_cell_energy(strains, profile, m, cfg.eps)))
-    y_at = positions(cfg)[method.partition.atom_indices(cfg)]
     if method.variant == "method1":
         e_at = mirror_energy(y_at, bd0, profile)
     else:
@@ -225,7 +230,7 @@ def d_g_method2(cfg, partition, profile, m, u):
 
 def ac_forces(cfg, method, profile, m, tau_threshold=1e-8):
     """Gradient of ac_energy in the atom positions, fully analytic."""
-    bd0 = _validate(cfg, method, profile, m, tau_threshold)
+    y_at, bd0 = _validate(cfg, method, profile, m, tau_threshold)
     part = method.partition
     i = cfg.N
     strains = first_diff(cfg)
@@ -233,10 +238,9 @@ def ac_forces(cfg, method, profile, m, tau_threshold=1e-8):
     vals = _cb_weights(cfg, part.K) * cb_cell_denergy(strains, profile, m, cfg.eps) / cfg.eps
     grad = vals - np.roll(vals, -1)  # cell c pulls atoms c and c-1
 
-    y_at, bd = _method_bd(cfg, method, profile, m, bd0)
-    idx = part.atom_indices(cfg)
-    grad[idx] += d_energy_dirichlet_y(y_at, bd, profile)
-    d_al, d_ar = d_energy_dirichlet_a(y_at, bd, profile, backend="pair")
+    bd = _method_bd(cfg, method, profile, m, y_at, bd0)
+    grad[part.atom_indices(cfg)] += d_energy_dirichlet_y(y_at, bd, profile)
+    d_al, d_ar = d_energy_dirichlet_a(y_at, bd, profile)
     grad[i - part.K - 1] += 0.5 * d_al
     grad[i - part.K] += 0.5 * d_al
     grad[i + part.K] += 0.5 * d_ar
@@ -288,7 +292,7 @@ def _core_hessian(q, variant, m, eps):
     return 0.5 * (hess + hess.T)
 
 
-def _slab_hessian(cfg, method, profile, m, bd0):
+def _slab_hessian(cfg, method, profile, m, y_at, bd0):
     """Hessian of the slab energy in the positions.
 
     The slab energy is the free pair sum of the window atoms plus the core,
@@ -301,7 +305,6 @@ def _slab_hessian(cfg, method, profile, m, bd0):
     part = method.partition
     K, i, eps = part.K, cfg.N, cfg.eps
     idx = part.atom_indices(cfg)
-    y_at = positions(cfg)[idx]
     na = idx.size
     ia, i_al, i_ar, i_sl, i_sr = np.arange(na), na, na + 1, na + 2, na + 3
     nz = na + 4
@@ -351,9 +354,9 @@ def _slab_hessian(cfg, method, profile, m, bd0):
 def ac_hessian(cfg, method, profile, m, tau_threshold=1e-8):
     """Exact Hessian of ac_energy in the atom positions: the weighted
     Cauchy-Born cells (cyclic tridiagonal) plus the slab block."""
-    bd0 = _validate(cfg, method, profile, m, tau_threshold)
+    y_at, bd0 = _validate(cfg, method, profile, m, tau_threshold)
     hess = cb_hessian(cfg, profile, m, _cb_weights(cfg, method.partition.K))
-    hess += _slab_hessian(cfg, method, profile, m, bd0)
+    hess += _slab_hessian(cfg, method, profile, m, y_at, bd0)
     return 0.5 * (hess + hess.T)
 
 
@@ -364,8 +367,8 @@ def sigma_qc(cfg, method, x, profile, m, tau_threshold=1e-8):
     """
     if method.variant != "method1":
         raise ValueError("the coupled stress exists for method 1 only")
-    bd0 = _validate(cfg, method, profile, m, tau_threshold)
-    y_at, bd = _method_bd(cfg, method, profile, m, bd0)
+    y_at, bd0 = _validate(cfg, method, profile, m, tau_threshold)
+    bd = _method_bd(cfg, method, profile, m, y_at, bd0)
     nodes = positions(cfg, -cfg.N - 1, cfg.N)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs <= nodes[0]) or np.any(xs > nodes[-1]):
@@ -393,13 +396,13 @@ def weak_form_qc(cfg, method, u, profile, m, tau_threshold=1e-8, order=24):
     """
     if method.variant != "method1":
         raise ValueError("the coupled stress exists for method 1 only")
-    bd0 = _validate(cfg, method, profile, m, tau_threshold)
+    y_at, bd0 = _validate(cfg, method, profile, m, tau_threshold)
     part = method.partition
     u = np.asarray(u, dtype=float)
     y = positions(cfg, -cfg.N - 1, cfg.N)
     uu = np.concatenate([[u[-1]], u])
     i = cfg.N + 1  # index in the extended arrays of atom 0
-    y_at, bd = _method_bd(cfg, method, profile, m, bd0)
+    bd = _method_bd(cfg, method, profile, m, y_at, bd0)
     acc = 0.0
 
     # full CB cells (weight-1): cells -N..-K-1 and K+2..N
@@ -450,7 +453,7 @@ def consistency_error(cfg, method, profile, m, n_smooth=8, seed=0,
     Returns a dict with the sup, the right-hand side, their ratio (the
     fitted constant), and tau.
     """
-    bd0 = _validate(cfg, method, profile, m, tau_threshold)
+    _, bd0 = _validate(cfg, method, profile, m, tau_threshold)
     n = cfg.n_atoms
     strains = first_diff(cfg)
     if s0 is None:

@@ -30,7 +30,6 @@ behaves as if mirror charges sat behind both walls (`mirror_energy`).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +38,6 @@ from .field import eval_green_dirichlet, eval_green_periodic
 from .lattice import first_diff, positions
 
 __all__ = [
-    "GammaPair",
     "StressFunction",
     "self_energy",
     "energy_periodic",
@@ -326,18 +324,6 @@ def weak_form_periodic(cfg, u, profile, m):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GammaPair:
-    """Wall moments (gamma_L, gamma_R) of the slab charge; both nonnegative."""
-
-    gamma_L: float
-    gamma_R: float
-
-    def __post_init__(self):
-        if self.gamma_L < 0 or self.gamma_R < 0:
-            raise ValueError("wall moments of a nonnegative density are nonnegative")
-
-
 def _wall_sums(y, bd):
     k = bd.m / bd.eps
     s_l = np.exp(-k * (np.asarray(y, dtype=float) - bd.a_L))
@@ -346,10 +332,11 @@ def _wall_sums(y, bd):
 
 
 def gamma_pair(y_at, bd, profile):
-    """Closed-form wall moments gamma = (mu/m) sum_j e^{-(m/eps) dist(y_j, wall)}."""
+    """Closed-form wall moments (gamma_L, gamma_R) of the slab charge,
+    gamma = (mu/m) sum_j e^{-(m/eps) dist(y_j, wall)}."""
     muv = mu(profile, bd.m)
     s_l, s_r = _wall_sums(y_at, bd)
-    return GammaPair(muv / bd.m * float(np.sum(s_l)), muv / bd.m * float(np.sum(s_r)))
+    return muv / bd.m * float(np.sum(s_l)), muv / bd.m * float(np.sum(s_r))
 
 
 def g_star(y_at, bd, profile):
@@ -358,13 +345,10 @@ def g_star(y_at, bd, profile):
     g* = T gamma / (1 - tau^2) with T = [[1, tau], [tau, 1]]; the layer
     coefficients are then c* = gamma / (1 - tau^2).
     """
-    gp = gamma_pair(y_at, bd, profile)
+    gam_l, gam_r = gamma_pair(y_at, bd, profile)
     tau = bd.tau
     det = 1.0 - tau * tau
-    return (
-        (gp.gamma_L + tau * gp.gamma_R) / det,
-        (tau * gp.gamma_L + gp.gamma_R) / det,
-    )
+    return (gam_l + tau * gam_r) / det, (tau * gam_l + gam_r) / det
 
 
 def _slab_core(s_free, gam_l, gam_r, tau, g_l, g_r, m, eps):
@@ -426,8 +410,7 @@ def energy_dirichlet(y_at, bd, profile):
     """Slab energy E_{a,g}(y) = -I_a(phi) at the solved Dirichlet field, in
     the exact closed form -I(phi_0) - I(xi_g) for any boundary data g."""
     pair_val, _ = _slab_pair_part(y_at, bd, profile)
-    gp = gamma_pair(y_at, bd, profile)
-    core = _slab_core(0.0, gp.gamma_L, gp.gamma_R, bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
+    core = _slab_core(0.0, *gamma_pair(y_at, bd, profile), bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
     return pair_val + core[0]
 
 
@@ -440,19 +423,17 @@ def mirror_energy(y_at, bd, profile):
     and the cross-wall image term (the tau piece).
     """
     pair_val, _ = _slab_pair_part(y_at, bd, profile)
-    gp = gamma_pair(y_at, bd, profile)
+    gam_l, gam_r = gamma_pair(y_at, bd, profile)
     tau = bd.tau
     return pair_val + (bd.m * bd.eps / 4.0) * (
-        (gp.gamma_L**2 + gp.gamma_R**2 + 2.0 * tau * gp.gamma_L * gp.gamma_R)
-        / (1.0 - tau * tau)
+        (gam_l**2 + gam_r**2 + 2.0 * tau * gam_l * gam_r) / (1.0 - tau * tau)
     )
 
 
 def d_energy_dirichlet_y(y_at, bd, profile):
     """Gradient of the slab energy in the atom positions (fixed a, g)."""
     _, pair_grad = _slab_pair_part(y_at, bd, profile)
-    gp = gamma_pair(y_at, bd, profile)
-    core = _slab_core(0.0, gp.gamma_L, gp.gamma_R, bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
+    core = _slab_core(0.0, *gamma_pair(y_at, bd, profile), bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
     muv = mu(profile, bd.m)
     k = bd.m / bd.eps
     s_l, s_r = _wall_sums(y_at, bd)
@@ -464,37 +445,26 @@ def d_energy_dirichlet_y(y_at, bd, profile):
 def d_energy_dirichlet_g(y_at, bd, profile):
     """Closed-form gradient in the boundary data:
     D_g E = -m eps ((1-tau^2) c - gamma)^T T^{-1}; zero exactly at g = g*."""
-    gp = gamma_pair(y_at, bd, profile)
-    core = _slab_core(0.0, gp.gamma_L, gp.gamma_R, bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
+    core = _slab_core(0.0, *gamma_pair(y_at, bd, profile), bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
     return np.array([core[4], core[5]])
 
 
-def d_energy_dirichlet_a(y_at, bd, profile, backend="green", order=32):
-    """Derivatives of the slab energy in the wall positions (fixed y, g).
+def d_energy_dirichlet_a(y_at, bd, profile):
+    """Derivatives (d/da_L, d/da_R) of the slab energy in the wall positions
+    (fixed y, g): the closed form differentiated through gamma(a) and tau(a).
 
-    green: D_{a_R} E = integral sigma_y grad theta_R with theta_R the hat
-    rising from 0 at the outermost atom to 1 at a_R (similarly theta_L), so
-    each derivative is a window average of the stress next to its wall.
-    pair: differentiate the closed form through gamma(a) and tau(a).
+    They equal window averages of the stress next to each wall,
+    D_{a_R} E = integral sigma_y grad theta_R with theta_R the hat rising
+    from 0 at the outermost atom to 1 at a_R (similarly theta_L).
     """
-    y = np.asarray(y_at, dtype=float)
-    if backend == "green":
-        sf = stress_dirichlet(y, bd, profile)
-        span_r = bd.a_R - float(y[-1])
-        span_l = float(y[0]) - bd.a_L
-        d_ar = sf.integral(float(y[-1]), bd.a_R, order) / span_r
-        d_al = -sf.integral(bd.a_L, float(y[0]), order) / span_l
-        return d_al, d_ar
-    if backend == "pair":
-        gp = gamma_pair(y, bd, profile)
-        core = _slab_core(0.0, gp.gamma_L, gp.gamma_R, bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
-        k = bd.m / bd.eps
-        # dgamma_L/da_L = +k gamma_L, dgamma_R/da_R = -k gamma_R,
-        # dtau/da_L = +k tau, dtau/da_R = -k tau
-        d_al = core[1] * (k * gp.gamma_L) + core[3] * (k * bd.tau)
-        d_ar = core[2] * (-k * gp.gamma_R) + core[3] * (-k * bd.tau)
-        return float(d_al), float(d_ar)
-    raise ValueError("unknown backend %r" % backend)
+    gam_l, gam_r = gamma_pair(y_at, bd, profile)
+    core = _slab_core(0.0, gam_l, gam_r, bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
+    k = bd.m / bd.eps
+    # dgamma_L/da_L = +k gamma_L, dgamma_R/da_R = -k gamma_R,
+    # dtau/da_L = +k tau, dtau/da_R = -k tau
+    d_al = core[1] * (k * gam_l) + core[3] * (k * bd.tau)
+    d_ar = core[2] * (-k * gam_r) + core[3] * (-k * bd.tau)
+    return float(d_al), float(d_ar)
 
 
 def weak_form_dirichlet(y_at, bd, profile, u, order=24):

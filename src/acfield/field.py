@@ -573,17 +573,11 @@ def solve_dirichlet(y_at, bd, profile, mesh_density=16):
     ab[1] = diag[1:-1]
     phi[1:-1] = solveh_banded(ab, rhs)
 
-    # backward error over the interior rows (boundary rows carry the strong BC)
-    xl = phi.astype(np.longdouble)
-    axl = diag.astype(np.longdouble) * xl
-    axl[:-1] += off.astype(np.longdouble) * xl[1:]
-    axl[1:] += off.astype(np.longdouble) * xl[:-1]
-    rmax = float(np.max(np.abs(axl[1:-1] - b[1:-1].astype(np.longdouble))))
-    anorm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
-    res_int = rmax / (anorm * np.max(np.abs(phi)) + np.max(np.abs(b)))
+    # backward error of the interior system (boundary rows carry the strong BC)
+    res_int = _backward_error(diag[1:-1], off[1:-1], None, phi[1:-1], rhs)
     if res_int > 1e-12:
         raise RuntimeError("dirichlet FEM solve residual %.3e exceeds 1e-12" % res_int)
-    aphi = np.asarray(axl, dtype=float)
+    aphi = _apply_cyclic_tridiag(diag, off, 0.0, phi)
     interaction = float(b @ phi)
     i_value = 0.5 * float(phi @ aphi) - interaction
     return Field(

@@ -135,7 +135,7 @@ def test_method2_chain_rule_completeness():
     vals = w * cb_cell_denergy(first_diff(cfg), PROFILE, M, cfg.eps) / cfg.eps
     frozen = vals - np.roll(vals, -1)
     frozen[part.atom_indices(cfg)] += d_energy_dirichlet_y(y_at, bd, PROFILE)
-    d_al, d_ar = d_energy_dirichlet_a(y_at, bd, PROFILE, backend="pair")
+    d_al, d_ar = d_energy_dirichlet_a(y_at, bd, PROFILE)
     frozen[i - part.K - 1] += 0.5 * d_al
     frozen[i - part.K] += 0.5 * d_al
     frozen[i + part.K] += 0.5 * d_ar

@@ -11,7 +11,6 @@ from acfield.field import (
 )
 from acfield.lattice import ChainConfig, homogeneous, positions
 from acfield.energy import (
-    GammaPair,
     d_energy_dirichlet_a,
     d_energy_dirichlet_g,
     d_energy_dirichlet_y,
@@ -206,18 +205,16 @@ def test_slab_energy_decomposition():
 
 def test_gamma_pair_closed_form():
     y, bd = slab_setup(wiggled_chain())
-    gp = gamma_pair(y, bd, PROF)
-    assert gp.gamma_L == pytest.approx(GAMMA_L_REF, rel=1e-12)
-    assert gp.gamma_R == pytest.approx(GAMMA_R_REF, rel=1e-12)
+    gam_l, gam_r = gamma_pair(y, bd, PROF)
+    assert gam_l == pytest.approx(GAMMA_L_REF, rel=1e-12)
+    assert gam_r == pytest.approx(GAMMA_R_REF, rel=1e-12)
     # single atom: gamma is one exponential exactly
     y1 = np.array([0.3])
     bd1 = BoundaryData(0.0, 1.0, 0.0, 0.0, M, 0.1)
-    gp1 = gamma_pair(y1, bd1, PROF)
+    gam_l, gam_r = gamma_pair(y1, bd1, PROF)
     muv = mu(PROF, M)
-    assert gp1.gamma_L == pytest.approx(muv / M * np.exp(-0.3 / 0.1), rel=1e-15)
-    assert gp1.gamma_R == pytest.approx(muv / M * np.exp(-0.7 / 0.1), rel=1e-15)
-    with pytest.raises(ValueError):
-        GammaPair(-1e-3, 0.5)
+    assert gam_l == pytest.approx(muv / M * np.exp(-0.3 / 0.1), rel=1e-15)
+    assert gam_r == pytest.approx(muv / M * np.exp(-0.7 / 0.1), rel=1e-15)
 
 
 def test_slab_forces_pair_match_fd():
@@ -256,8 +253,11 @@ def test_slab_forces_fem_routes():
 
 def test_wall_derivatives_routes_agree_and_match_fd():
     y, bd = slab_setup(wiggled_chain())
-    d_pair = d_energy_dirichlet_a(y, bd, PROF, backend="pair")
-    d_green = d_energy_dirichlet_a(y, bd, PROF, backend="green")
+    d_pair = d_energy_dirichlet_a(y, bd, PROF)
+    # reference: the window average of the stress next to each wall
+    sf = stress_dirichlet(y, bd, PROF)
+    d_green = (-sf.integral(bd.a_L, float(y[0]), 32) / (float(y[0]) - bd.a_L),
+               sf.integral(float(y[-1]), bd.a_R, 32) / (bd.a_R - float(y[-1])))
     for dp, dg in zip(d_pair, d_green):
         assert abs(dp - dg) < 1e-9 * max(abs(dp), 1e-6)
     h = 1e-6
@@ -334,10 +334,10 @@ def test_wall_image_cross_term_sign():
     budget = fem_relative_budget(PROF, M, 64)
     assert abs(e_mir - e_fem) < budget * abs(e_fem)
 
-    gp = gamma_pair(y, bd, PROF)
+    gam_l, gam_r = gamma_pair(y, bd, PROF)
     tau = bd.tau
     cross = 2.0 * (M * eps / 4.0) * (tau / (1 - tau * tau)) * (
-        tau * (gp.gamma_L**2 + gp.gamma_R**2) + 2.0 * gp.gamma_L * gp.gamma_R
+        tau * (gam_l**2 + gam_r**2) + 2.0 * gam_l * gam_r
     )
     e_flipped = e_mir - cross
     assert abs(e_flipped - e_fem) > 10.0 * budget * abs(e_fem)
@@ -365,7 +365,7 @@ def test_stretch_identity():
     # left-wall version is exactly its negative
     y, bd = slab_setup(wiggled_chain())
     f = d_energy_dirichlet_y(y, bd, PROF)
-    d_al, d_ar = d_energy_dirichlet_a(y, bd, PROF, backend="pair")
+    d_al, d_ar = d_energy_dirichlet_a(y, bd, PROF)
     sf = stress_dirichlet(y, bd, PROF)
     mean_sigma = sf.integral(bd.a_L, bd.a_R) / bd.width
     th_r = (y - bd.a_L) / bd.width
@@ -382,7 +382,7 @@ def test_combined_interpolant_identity():
     # (a_L, h_L), (y_j, u_j), (a_R, h_R)
     y, bd = slab_setup(wiggled_chain())
     f = d_energy_dirichlet_y(y, bd, PROF)
-    d_al, d_ar = d_energy_dirichlet_a(y, bd, PROF, backend="pair")
+    d_al, d_ar = d_energy_dirichlet_a(y, bd, PROF)
     sf = stress_dirichlet(y, bd, PROF)
     rng = np.random.default_rng(13)
     u = rng.normal(0, 1.0, y.size)

@@ -193,6 +193,38 @@ def test_error_convergence_sweep_rows(tmp_path):
         assert pair[1].value < pair[0].value
 
 
+def test_checked_rows_fail_on_nan():
+    rows = harness._Rows("synthetic")
+    rows.at_most(12, 0.08, 0, 0.0, "capped", 0.5, 1.0)
+    rows.at_least(12, 0.08, 0, 0.0, "floored", 2.0, 1.0)
+    assert rows.failures == []
+    rows.at_most(12, 0.08, 0, 0.0, "capped-nan", float("nan"), 1.0)
+    rows.at_least(12, 0.08, 0, 0.0, "floored-nan", float("nan"), 1.0)
+    assert rows.failures == ["synthetic N=12: capped-nan = nan exceeds 1.0",
+                             "synthetic N=12: floored-nan = nan below 1.0"]
+    assert [r.bound for r in rows.rows] == [1.0] * 4
+
+
+def test_ghost_force_fails_on_nan_forces(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "ac_forces",
+                        lambda cfg, *args, **kwargs: np.full(cfg.n_atoms, np.nan))
+    spec = ExperimentSpec(kind="ghost-force", n_list=(20,), k_rule="9")
+    with pytest.raises(HarnessError, match="linf-residual-method1"):
+        run(spec, out_dir=str(tmp_path))
+
+
+def test_field_bound_fails_on_a_nan_cell_bound(tmp_path, monkeypatch):
+    real = harness.comparison_field_bound
+
+    def nan_at_cell_3(cfg, profile, m, j, grad=False):
+        return float("nan") if j == 3 else real(cfg, profile, m, j, grad=grad)
+
+    monkeypatch.setattr(harness, "comparison_field_bound", nan_at_cell_3)
+    spec = ExperimentSpec(kind="field-bound", n_list=(8,), force_amplitude=0.05)
+    with pytest.raises(HarnessError, match="field-gap-ratio-max = nan"):
+        run(spec, out_dir=str(tmp_path))
+
+
 def test_stability_deficit_rows_shrink(tmp_path):
     spec = ExperimentSpec(kind="stability", n_list=(20,), k_rule="9")
     rows = run(spec, out_dir=str(tmp_path))
