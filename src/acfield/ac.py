@@ -38,7 +38,7 @@ from .cauchy_born import (
 )
 from .density import check_separated, mu
 from .energy import (
-    _pair_sum_free_hessian,
+    _pair_hessian,
     _slab_core,
     _wall_sums,
     d_energy_dirichlet_a,
@@ -347,7 +347,7 @@ def _slab_hessian(cfg, method, profile, m, y_at, bd0):
     if method.variant == "method2":
         for dq, j_z, s in zip(grad_q[3:], (i_sl, i_sr), s_int):
             hess_z[j_z, j_z] += dq * _interface_strain_d2gamma(profile, m, s)
-    hess_z[:na, :na] += eps * muv**2 / (4.0 * m) * _pair_sum_free_hessian(y_at, m, eps)
+    hess_z[:na, :na] += eps * muv**2 / (4.0 * m) * _pair_hessian(y_at, m / eps)
     return p_map.T @ hess_z @ p_map
 
 

@@ -14,6 +14,13 @@ formulas are exact for separated bumps (the only regime in which the slab
 model is posed).  They also give the exact Hessian of the periodic energy
 (`hessian_periodic`).  Stresses use the kernel-route field of `field`.
 
+The pair sums have no cutoff.  The kernel factorizes along the chain (a
+pair's weight is the product of the per-gap factors x_l = e^{-(m/eps) g_l}
+between the two atoms), so the sums F_i over every atom right of atom i obey
+F_i = x_i (1 + F_{i+1}): one bidiagonal back substitution, closed in closed
+form over the periodic images (`_right_sums`).  A sum and its gradient cost
+O(n); the dense pair Hessian sums every pair.
+
 The P1 finite-element solves in `field` are an independent oracle for these
 closed forms, called directly there: 0.5 * solve_periodic(...).interaction
 and -solve_dirichlet(...).i_value are the discrete energies, and
@@ -32,10 +39,11 @@ behaves as if mirror charges sat behind both walls (`mirror_energy`).
 import math
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .density import gauss_on_interval, grad_delta_eps, mu, self_moment
-from .field import eval_green_dirichlet, eval_green_periodic
-from .lattice import first_diff, positions
+from .field import _check_inside_slab, eval_green_dirichlet, eval_green_periodic
+from .lattice import positions
 
 __all__ = [
     "StressFunction",
@@ -67,111 +75,65 @@ def self_energy(profile, m, eps):
 # ---------------------------------------------------------------------------
 
 
-def _periodic_d_max(cfg, m):
-    """Last in-period offset kept by the pair-sum cutoff 60/(m min y')."""
-    smin = float(np.min(first_diff(cfg)))
-    if smin > 0:
-        return min(cfg.N, int(math.ceil(60.0 / (m * smin))) + 1)
-    return cfg.N
+def _right_sums(y, k, L=None):
+    """F_i = sum of e^{-k (y_r - y_i)} over every atom r right of atom i
+    (ascending y) and, with a period L, over every image too.
 
-
-def _free_d_max(y, m, eps):
-    """Last index offset kept by the free pair-sum cutoff 60/(m min y')."""
-    n = y.size
-    smin = float(np.min(np.diff(y))) / eps if n > 1 else 1.0
-    if smin <= 0:
-        return n - 1
-    return min(n - 1, int(math.ceil(60.0 / (m * max(smin, 1e-12)))) + 1)
-
-
-def _pair_sum_periodic(cfg, m, want_grad=True):
-    """Ordered double sum over distinct (atom, image) pairs of e^{-(m/eps) dist}.
-
-    Offsets d = 1..N enumerate each unordered in-period pair once; the full
-    image family of a pair with in-period gap d0 is the pair of geometric
-    series (e^{-k d0} + e^{-k(L-d0)}) / (1 - e^{-kL}), and the j = k atom
-    pairs with its own images through 2 q / (1 - q).  Terms with exponent
-    beyond ~3 underflow thresholds are skipped.
+    The kernel factorizes along the chain: with the per-gap factors
+    x_l = e^{-k g_l}, a pair's weight is the product of the x_l between the
+    two atoms, so F_i = x_i (1 + F_{i+1}).  One upper-bidiagonal back
+    substitution gives R, the sums up to the last atom (with a period: up
+    to the image of atom 0); the periodic wrap closes in closed form,
+    F = R + P R_0 / (1 - q) with P_i = e^{-k (y_0 + L - y_i)} and
+    q = e^{-kL}.  Every term is a positive product and no term is dropped.
     """
-    y = positions(cfg)
-    n = y.size
-    eps, L = cfg.eps, cfg.L
-    k = m / eps
-    q = math.exp(-k * L)
-    geo = 1.0 / (1.0 - q)
-    s = n * 2.0 * q * geo
-    grad = np.zeros(n) if want_grad else None
-    idx = np.arange(n)
-    for d in range(1, _periodic_d_max(cfg, m) + 1):
-        jb = (idx + d) % n
-        d0 = y[jb] - y[idx] + L * (jb < idx)
-        el = np.exp(-k * d0)
-        er = np.exp(-k * (L - d0))
-        s += 2.0 * geo * float(np.sum(el + er))
-        if want_grad:
-            gterm = 2.0 * k * geo * (er - el)
-            np.add.at(grad, jb, gterm)
-            np.add.at(grad, idx, -gterm)
-    return s, grad
+    x = np.exp(-k * np.diff(y if L is None else np.append(y, y[0] + L)))
+    r = np.zeros(y.size)
+    if x.size:
+        ab = np.ones((2, x.size))
+        ab[0, 1:] = -x[:-1]
+        r[:x.size] = solve_banded((0, 1), ab, x)
+    if L is None:
+        return r
+    return r + np.exp(-k * (y[0] + L - y)) * (r[0] / -math.expm1(-k * L))
 
 
-def _pair_sum_free(y, m, eps, want_grad=True):
-    """Ordered double sum over distinct pairs of e^{-(m/eps)|y_i - y_j|} (no images)."""
+def _pair_sum(y, k, L=None, want_grad=True):
+    """Ordered double sum S over distinct pairs of e^{-k dist}, with every
+    image of a period L (an atom's own images included), and dS/dy.
+
+    From the right sums F and the left sums Lt (the right sums of the
+    reflected chain): S = 2 sum F and dS/dy = 2k (F - Lt), exact with no
+    cutoff; the only cancellation is the final difference.
+    """
+    y = np.asarray(y, dtype=float)
+    right = _right_sums(y, k, L)
+    s = 2.0 * float(np.sum(right))
+    if not want_grad:
+        return s, None
+    left = _right_sums(-y[::-1], k, L)[::-1]
+    return s, 2.0 * k * (right - left)
+
+
+def _pair_hessian(y, k, L=None):
+    """Second derivatives of `_pair_sum` in the positions (ascending y).
+
+    A pair at in-period gap d0 = y_j - y_i (j > i) contributes
+    2 k^2 e^{-k d0} to the curvature along y_j - y_i; with a period,
+    2 k^2 (e^{-k d0} + e^{-k(L-d0)}) / (1 - e^{-kL}) for all its images.
+    The upper triangle of `gap` holds d0 and the lower one the wrapped gap
+    y_j - y_i + L (+inf without a period: no term), so one exp gives every
+    term and e + e^T is exactly symmetric.  The diagonal is minus the row sum.
+    """
     y = np.asarray(y, dtype=float)
     n = y.size
-    k = m / eps
-    s = 0.0
-    grad = np.zeros(n) if want_grad else None
-    for d in range(1, _free_d_max(y, m, eps) + 1):
-        d0 = y[d:] - y[:-d]
-        el = np.exp(-k * d0)
-        s += 2.0 * float(np.sum(el))
-        if want_grad:
-            gterm = 2.0 * k * el
-            np.add.at(grad, np.arange(d, n), -gterm)
-            np.add.at(grad, np.arange(0, n - d), gterm)
-    return s, grad
-
-
-def _add_pair_curvature(hess, ia, ib, c):
-    """Add c (e_a - e_b)(e_a - e_b)^T for every pair (a, b) = (ia, ib) at
-    one offset: the index pairs of one offset are distinct, so plain fancy
-    indexing accumulates without collisions."""
-    hess[ia, ia] += c
-    hess[ib, ib] += c
-    hess[ia, ib] -= c
-    hess[ib, ia] -= c
-
-
-def _pair_sum_periodic_hessian(cfg, m):
-    """Second derivatives of `_pair_sum_periodic` in the positions.
-
-    A pair at in-period gap d0 contributes 2 geo k^2 (e^{-k d0} +
-    e^{-k(L-d0)}) to the curvature along y_b - y_a; same cutoff as the sum.
-    """
-    y = positions(cfg)
-    n = y.size
-    k = m / cfg.eps
-    geo = 1.0 / (1.0 - math.exp(-k * cfg.L))
-    hess = np.zeros((n, n))
-    idx = np.arange(n)
-    for d in range(1, _periodic_d_max(cfg, m) + 1):
-        jb = (idx + d) % n
-        d0 = y[jb] - y[idx] + cfg.L * (jb < idx)
-        _add_pair_curvature(hess, idx, jb,
-                            2.0 * geo * k * k * (np.exp(-k * d0) + np.exp(-k * (cfg.L - d0))))
-    return hess
-
-
-def _pair_sum_free_hessian(y, m, eps):
-    """Second derivatives of `_pair_sum_free`: 2 k^2 e^{-k d0} per pair."""
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    k = m / eps
-    hess = np.zeros((n, n))
-    for d in range(1, _free_d_max(y, m, eps) + 1):
-        ia = np.arange(n - d)
-        _add_pair_curvature(hess, ia, ia + d, 2.0 * k * k * np.exp(-k * (y[d:] - y[:-d])))
+    gap = y[None, :] - y[:, None]
+    np.add(gap, np.inf if L is None else L, out=gap, where=np.tri(n, k=-1, dtype=bool))
+    e = np.exp(-k * gap)
+    scale = -2.0 * k * k if L is None else 2.0 * k * k / math.expm1(-k * L)
+    hess = scale * (e + e.T)
+    np.fill_diagonal(hess, 0.0)
+    np.fill_diagonal(hess, -np.sum(hess, axis=1))
     return hess
 
 
@@ -179,14 +141,14 @@ def energy_periodic(cfg, profile, m):
     """Periodic chain energy E(y) = (1/2) integral rho_y phi: the exact
     resummed pair sum plus (2N+1) self energies."""
     muv = mu(profile, m)
-    s, _ = _pair_sum_periodic(cfg, m, want_grad=False)
+    s, _ = _pair_sum(positions(cfg), m / cfg.eps, cfg.L, want_grad=False)
     return cfg.eps * muv**2 / (4.0 * m) * s + cfg.n_atoms * self_energy(profile, m, cfg.eps)
 
 
 def forces_periodic(cfg, profile, m):
     """Gradient D_{y_j} E of the periodic energy, j = -N..N (closed form)."""
     muv = mu(profile, m)
-    _, grad = _pair_sum_periodic(cfg, m)
+    _, grad = _pair_sum(positions(cfg), m / cfg.eps, cfg.L)
     return cfg.eps * muv**2 / (4.0 * m) * grad
 
 
@@ -197,7 +159,7 @@ def hessian_periodic(cfg, profile, m):
     curvature: symmetric, with zero row sums (translation invariance).
     """
     muv = mu(profile, m)
-    return cfg.eps * muv**2 / (4.0 * m) * _pair_sum_periodic_hessian(cfg, m)
+    return cfg.eps * muv**2 / (4.0 * m) * _pair_hessian(positions(cfg), m / cfg.eps, cfg.L)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +295,10 @@ def _wall_sums(y, bd):
 
 def gamma_pair(y_at, bd, profile):
     """Closed-form wall moments (gamma_L, gamma_R) of the slab charge,
-    gamma = (mu/m) sum_j e^{-(m/eps) dist(y_j, wall)}."""
+    gamma = (mu/m) sum_j e^{-(m/eps) dist(y_j, wall)}.  Every slab closed
+    form goes through here, so this is where they reject a bump outside the
+    slab or touching a wall, and a NaN position."""
+    _check_inside_slab(y_at, bd, profile)
     muv = mu(profile, bd.m)
     s_l, s_r = _wall_sums(y_at, bd)
     return muv / bd.m * float(np.sum(s_l)), muv / bd.m * float(np.sum(s_r))
@@ -397,7 +362,7 @@ def _slab_core(s_free, gam_l, gam_r, tau, g_l, g_r, m, eps):
 
 def _slab_pair_part(y_at, bd, profile):
     muv = mu(profile, bd.m)
-    s_free, grad = _pair_sum_free(y_at, bd.m, bd.eps)
+    s_free, grad = _pair_sum(y_at, bd.m / bd.eps)
     pref = bd.eps * muv**2 / (4.0 * bd.m)
     n_at = np.asarray(y_at).size
     return (
@@ -409,8 +374,8 @@ def _slab_pair_part(y_at, bd, profile):
 def energy_dirichlet(y_at, bd, profile):
     """Slab energy E_{a,g}(y) = -I_a(phi) at the solved Dirichlet field, in
     the exact closed form -I(phi_0) - I(xi_g) for any boundary data g."""
-    pair_val, _ = _slab_pair_part(y_at, bd, profile)
     core = _slab_core(0.0, *gamma_pair(y_at, bd, profile), bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
+    pair_val, _ = _slab_pair_part(y_at, bd, profile)
     return pair_val + core[0]
 
 
@@ -422,8 +387,8 @@ def mirror_energy(y_at, bd, profile):
     interacting with its own mirror images behind each wall (gamma^2 terms)
     and the cross-wall image term (the tau piece).
     """
-    pair_val, _ = _slab_pair_part(y_at, bd, profile)
     gam_l, gam_r = gamma_pair(y_at, bd, profile)
+    pair_val, _ = _slab_pair_part(y_at, bd, profile)
     tau = bd.tau
     return pair_val + (bd.m * bd.eps / 4.0) * (
         (gam_l**2 + gam_r**2 + 2.0 * tau * gam_l * gam_r) / (1.0 - tau * tau)
@@ -432,8 +397,8 @@ def mirror_energy(y_at, bd, profile):
 
 def d_energy_dirichlet_y(y_at, bd, profile):
     """Gradient of the slab energy in the atom positions (fixed a, g)."""
-    _, pair_grad = _slab_pair_part(y_at, bd, profile)
     core = _slab_core(0.0, *gamma_pair(y_at, bd, profile), bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
+    _, pair_grad = _slab_pair_part(y_at, bd, profile)
     muv = mu(profile, bd.m)
     k = bd.m / bd.eps
     s_l, s_r = _wall_sums(y_at, bd)

@@ -86,6 +86,9 @@ class BoundaryData:
     eps: float
 
     def __post_init__(self):
+        values = (self.a_L, self.a_R, self.g_L, self.g_R, self.m, self.eps)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("boundary data must be finite")
         if not (self.a_R > self.a_L):
             raise ValueError("need a_R > a_L")
         if not (self.m > 0 and self.eps > 0):
@@ -105,6 +108,15 @@ class BoundaryData:
 
     def g(self):
         return np.array([self.g_L, self.g_R])
+
+
+def _check_inside_slab(y_at, bd, profile):
+    """Raise unless every atom bump lies strictly inside (a_L, a_R); a NaN
+    position fails too.  A bump touching a wall counts as contact."""
+    y = np.asarray(y_at, dtype=float)
+    w = profile.half_width * bd.eps
+    if not np.all((y - w > bd.a_L) & (y + w < bd.a_R)):
+        raise ValueError("atom bumps must lie strictly inside the slab")
 
 
 def xi_closed_form(bd):
@@ -257,8 +269,7 @@ def eval_green_dirichlet(y_at, bd, profile, x):
     w = profile.half_width * eps
     tau = bd.tau
     det = 1.0 - tau * tau
-    if np.any(y - w <= bd.a_L) or np.any(y + w >= bd.a_R):
-        raise ValueError("atom bumps must lie strictly inside the slab")
+    _check_inside_slab(y, bd, profile)
 
     dx = xs[:, None] - y[None, :]
     # direct piece: (mu/2m) e^{-k|x-c|}, quadrature when inside the bump
@@ -551,9 +562,7 @@ def solve_dirichlet(y_at, bd, profile, mesh_density=16):
     """
     m, eps = bd.m, bd.eps
     y = np.asarray(y_at, dtype=float)
-    w = profile.half_width * eps
-    if np.any(y - w <= bd.a_L) or np.any(y + w >= bd.a_R):
-        raise ValueError("atom bumps must lie strictly inside the slab")
+    _check_inside_slab(y, bd, profile)
     n = max(4, math.ceil(bd.width * mesh_density / (eps * profile.sigma0)))
     h = bd.width / n
 

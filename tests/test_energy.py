@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acfield.density import quartic_bump, mu, self_moment
 from acfield.field import (
     BoundaryData,
+    eval_green_dirichlet,
     fem_forces,
     fem_relative_budget,
     solve_dirichlet,
@@ -11,6 +16,7 @@ from acfield.field import (
 )
 from acfield.lattice import ChainConfig, homogeneous, positions
 from acfield.energy import (
+    _pair_sum,
     d_energy_dirichlet_a,
     d_energy_dirichlet_g,
     d_energy_dirichlet_y,
@@ -155,6 +161,87 @@ def test_periodic_forces_translation_and_mirror_symmetry():
     assert np.max(np.abs(fs + fs[::-1])) < 1e-13 * np.max(np.abs(fs))
 
 
+def smooth_chain(N, seed, F=1.1, amp=0.02):
+    """Low-mode displacement (modes 1..3, mode k of size amp/k)."""
+    rng = np.random.default_rng(seed)
+    theta = 2.0 * np.pi * np.arange(-N, N + 1) / (2 * N + 1)
+    u = sum(rng.normal(0.0, amp) / k * np.sin(k * theta)
+            + rng.normal(0.0, amp) / k * np.cos(k * theta) for k in (1, 2, 3))
+    return ChainConfig(N, F, u - u.mean())
+
+
+def longdouble_pair_terms(y, k, shift):
+    """Sum of e^{-k|y_j + shift - y_i|} over all i, j (the i = j term
+    dropped when shift = 0) and twice its derivative in each row's y_i,
+    term by term in np.longdouble, 256 rows at a time.  Over a set of
+    shifts closed under negation these add up to S and dS/dy."""
+    y = np.asarray(y, dtype=np.longdouble)
+    k = np.longdouble(k)
+    s = np.longdouble(0.0)
+    grad = np.zeros(y.size, dtype=np.longdouble)
+    for a in range(0, y.size, 256):
+        d = y[None, :] + np.longdouble(shift) - y[a:a + 256, None]
+        e = np.exp(-k * np.abs(d))
+        if shift == 0:
+            rows = np.arange(a, min(a + 256, y.size))
+            e[rows - a, rows] = 0.0
+        s += np.sum(e)
+        grad[a:a + 256] += 2.0 * k * np.sum(np.sign(d) * e, axis=1)
+    return s, grad
+
+
+def longdouble_pair_sums(y, k, L):
+    """(free, periodic) references: the free sum is the shift-0 block; the
+    periodic one adds images t L for |t| <= T, T the first count whose next
+    image, e^{-k((T+1) L - span)}, is below 1e-25."""
+    span = float(y[-1] - y[0])
+    T = 0
+    while math.exp(-k * ((T + 1) * L - span)) >= 1e-25:
+        T += 1
+    blocks = [longdouble_pair_terms(y, k, t * L) for t in range(-T, T + 1)]
+    free = blocks[T]
+    periodic = (sum(b[0] for b in blocks), sum(b[1] for b in blocks))
+    return free, periodic
+
+
+@pytest.mark.parametrize("N", [4, 1280])
+def test_pair_sums_match_longdouble_brute_force(N):
+    # every pair and every image that matters, summed in extended precision;
+    # at N = 4 the wrap-around and image terms are O(1)
+    cfg = smooth_chain(N, seed=7)
+    y, k = positions(cfg), M / cfg.eps
+    for period, (s_ref, g_ref) in zip((None, cfg.L), longdouble_pair_sums(y, k, cfg.L)):
+        s, g = _pair_sum(y, k, period)
+        g_ref = g_ref.astype(float)
+        assert abs(s - float(s_ref)) <= 1e-13 * float(s_ref)
+        assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+
+
+STRAINS = st.integers(1, 8).flatmap(lambda N: st.lists(
+    st.floats(PROF.sigma0 + 0.05, 3.0, exclude_min=True, exclude_max=True),
+    min_size=2 * N + 1, max_size=2 * N + 1))
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(strains=STRAINS, m=st.floats(0.25, 8.0))
+def test_pair_sum_properties(strains, m):
+    # the chain with these strains, its period closing the last gap; on a
+    # uniform chain g vanishes, so gradients are measured against the mean
+    # size 2k S/n of the terms that sum to one gradient entry
+    s = np.asarray(strains)
+    eps = 2.0 / s.size
+    y = eps * np.cumsum(s)
+    k, L = m / eps, eps * float(np.sum(s))
+    for period, (s_ref, g_ref) in zip((None, L), longdouble_pair_sums(y, k, L)):
+        s_val, g = _pair_sum(y, k, period)
+        scale = 2.0 * k * float(s_ref) / y.size
+        assert abs(s_val - float(s_ref)) <= 1e-13 * float(s_ref)
+        assert np.max(np.abs(g - g_ref.astype(float))) <= 1e-12 * scale
+        assert abs(np.sum(g)) <= 1e-12 * scale * y.size
+        _, g_reflected = _pair_sum(-y[::-1], k, period)
+        assert np.max(np.abs(g_reflected + g[::-1])) <= 1e-12 * scale
+
+
 def test_weak_form_periodic_identity():
     # integral sigma_y (interp u)' = DE . u for the exact field
     cfg = wiggled_chain()
@@ -215,6 +302,19 @@ def test_gamma_pair_closed_form():
     muv = mu(PROF, M)
     assert gam_l == pytest.approx(muv / M * np.exp(-0.3 / 0.1), rel=1e-15)
     assert gam_r == pytest.approx(muv / M * np.exp(-0.7 / 0.1), rel=1e-15)
+
+
+def test_nan_atom_raises_in_every_slab_route():
+    # a NaN position fails the inside-the-slab check itself (NaN compares
+    # false), not some later cast or solver
+    y = np.array([0.3, np.nan])
+    bd = BoundaryData(0.0, 1.0, 0.0, 0.0, 1.0, 0.1)
+    for route in (lambda: solve_dirichlet(y, bd, PROF),
+                  lambda: eval_green_dirichlet(y, bd, PROF, 0.5),
+                  lambda: energy_dirichlet(y, bd, PROF),
+                  lambda: d_energy_dirichlet_y(y, bd, PROF)):
+        with pytest.raises(ValueError, match="inside the slab"):
+            route()
 
 
 def test_slab_forces_pair_match_fd():

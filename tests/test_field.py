@@ -359,3 +359,10 @@ def test_boundary_data_validation():
         BoundaryData(1.0, 0.5, 0, 0, 1.0, 0.1)
     with pytest.raises(ValueError):
         BoundaryData(0.0, 1.0, 0, 0, -1.0, 0.1)
+    good = (0.0, 1.0, 0.0, 0.0, 1.0, 0.1)
+    for i in range(len(good)):
+        for bad in (math.nan, math.inf, -math.inf):
+            values = list(good)
+            values[i] = bad
+            with pytest.raises(ValueError, match="finite"):
+                BoundaryData(*values)
