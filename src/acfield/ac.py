@@ -41,6 +41,7 @@ from .energy import (
     _pair_hessian,
     _slab_core,
     _wall_sums,
+    _weak_form,
     d_energy_dirichlet_a,
     d_energy_dirichlet_g,
     d_energy_dirichlet_y,
@@ -274,7 +275,7 @@ def _core_gradient(q, variant, m, eps):
         g_l, g_r = (gam_l + tau * gam_r) / det, (tau * gam_l + gam_r) / det
     else:
         g_l, g_r = q[3], q[4]
-    return np.array(_slab_core(0.0, gam_l, gam_r, tau, g_l, g_r, m, eps)[1:1 + len(q)])
+    return np.array(_slab_core(gam_l, gam_r, tau, g_l, g_r, m, eps)[1:1 + len(q)])
 
 
 def _core_hessian(q, variant, m, eps):
@@ -397,48 +398,26 @@ def weak_form_qc(cfg, method, u, profile, m, tau_threshold=1e-8, order=24):
     if method.variant != "method1":
         raise ValueError("the coupled stress exists for method 1 only")
     y_at, bd0 = _validate(cfg, method, profile, m, tau_threshold)
-    part = method.partition
-    u = np.asarray(u, dtype=float)
-    y = positions(cfg, -cfg.N - 1, cfg.N)
-    uu = np.concatenate([[u[-1]], u])
-    i = cfg.N + 1  # index in the extended arrays of atom 0
     bd = _method_bd(cfg, method, profile, m, y_at, bd0)
-    acc = 0.0
-
-    # full CB cells (weight-1): cells -N..-K-1 and K+2..N
-    for j in list(range(-cfg.N, -part.K)) + list(range(part.K + 2, cfg.N + 1)):
-        du = uu[j + i] - uu[j + i - 1]
-        if du == 0.0:
-            continue
-        dy = y[j + i] - y[j + i - 1]
-        sf = cb_stress_function(cell_state(cfg, profile, m, j))
-        acc += du / dy * sf.integral(float(y[j + i - 1]), float(y[j + i]), order)
-
-    # half cells: outer halves of cells -K and K+1
-    for j, lo, hi in (
-        (-part.K, float(y[i - part.K - 1]), bd.a_L),
-        (part.K + 1, bd.a_R, float(y[i + part.K + 1])),
+    K, i = method.partition.K, cfg.N + 1  # i: atom 0's index in y and uu
+    y = positions(cfg, -cfg.N - 1, cfg.N)
+    uu = np.concatenate([[u[-1]], np.asarray(u, dtype=float)])
+    h_l = 0.5 * (uu[i - K - 1] + uu[i - K])
+    h_r = 0.5 * (uu[i + K] + uu[i + K + 1])
+    win = slice(i - K, i + K + 1)
+    acc = _weak_form(stress_dirichlet(y_at, bd, profile),
+                     np.concatenate([[bd.a_L], y[win], [bd.a_R]]),
+                     np.concatenate([[h_l], uu[win], [h_r]]), order)
+    # CB cells -N..-K, the last one ending at a_L, and K+1..N, the first one
+    # starting at a_R; a half cell keeps its full cell's gradient because the
+    # wall value is the midpoint value
+    for first, nodes, vals in (
+        (-cfg.N, np.append(y[:i - K], bd.a_L), np.append(uu[:i - K], h_l)),
+        (K + 1, np.insert(y[i + K + 1:], 0, bd.a_R), np.insert(uu[i + K + 1:], 0, h_r)),
     ):
-        du = uu[j + i] - uu[j + i - 1]
-        if du != 0.0:
-            dy = y[j + i] - y[j + i - 1]
-            sf = cb_stress_function(cell_state(cfg, profile, m, j))
-            acc += du / dy * sf.integral(lo, hi, order)
-
-    # atomistic window: nodes a_L, atoms, a_R with wall values from midpoints
-    idx = part.atom_indices(cfg) + 1  # extended-array indices
-    h_l = 0.5 * (uu[idx[0] - 1] + uu[idx[0]])
-    h_r = 0.5 * (uu[idx[-1]] + uu[idx[-1] + 1])
-    nodes_at = np.concatenate([[bd.a_L], y[idx], [bd.a_R]])
-    vals_at = np.concatenate([[h_l], uu[idx], [h_r]])
-    sf_at = stress_dirichlet(y_at, bd, profile)
-    for p in range(1, nodes_at.size):
-        du = vals_at[p] - vals_at[p - 1]
-        if du == 0.0:
-            continue
-        acc += du / (nodes_at[p] - nodes_at[p - 1]) * sf_at.integral(
-            float(nodes_at[p - 1]), float(nodes_at[p]), order
-        )
+        for p in range(nodes.size - 1):
+            sf = cb_stress_function(cell_state(cfg, profile, m, first + p))
+            acc += _weak_form(sf, nodes[p : p + 2], vals[p : p + 2], order)
     return acc
 
 

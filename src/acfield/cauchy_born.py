@@ -9,20 +9,20 @@ that chain is a geometric series with the exact closed form
 
 which is what the cell energy, the continuum forces, and the convexity floor
 all differentiate.  The cell field psi^(j) is the lattice Green sum of the
-comparison chain, evaluated like the periodic field: closed geometric
-families everywhere, with an exact quadrature correction on the bump that
-contains the evaluation point.  Nothing in this module touches a mesh.
+comparison chain, summed by the routine of the periodic field
+(`field._kernel_field` with period eps y'_j): closed geometric families
+everywhere, with an exact quadrature correction on the bump that contains
+the evaluation point.  Nothing in this module touches a mesh.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .density import check_separated, mu
 from .energy import StressFunction, self_energy
-from .field import _bump_kernel_quad
+from .field import _kernel_field
 from .lattice import first_diff, positions, second_diff
 
 __all__ = [
@@ -69,8 +69,7 @@ class CellState:
     """One cell of the chain together with its comparison-chain data.
 
     anchor is the right atom y_j; the comparison chain runs through
-    anchor + n * eps * strain for all integer n.  The field evaluator is
-    built lazily on first use.
+    anchor + n * eps * strain for all integer n.
     """
 
     j: int
@@ -93,43 +92,10 @@ class CellState:
     def spacing(self):
         return self.eps * self.strain
 
-    @cached_property
-    def _field(self):
-        profile, m, eps = self.profile, self.m, self.eps
-        h = self.spacing
-        anchor = self.anchor
-        k = m / eps
-        q = math.exp(-k * h)
-        geo = 1.0 / (1.0 - q)
-        muv = mu(profile, m)
-        w = profile.half_width * eps
-
-        def evaluate(x):
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            d0 = (x - anchor) % h
-            el = np.exp(-k * d0)
-            er = np.exp(-k * (h - d0))
-            val = muv / (2.0 * m) * (el + er) * geo
-            grad = muv / (2.0 * eps) * (er - el) * geo
-            # exact treatment of the bump containing x (at most one: h > 2w)
-            near_l = d0 < w
-            if np.any(near_l):
-                xs = x[near_l]
-                vq, gq = _bump_kernel_quad(profile, m, eps, xs - d0[near_l], xs)
-                val[near_l] += vq - muv / (2.0 * m) * el[near_l]
-                grad[near_l] += gq + muv / (2.0 * eps) * el[near_l]
-            near_r = (h - d0) < w
-            if np.any(near_r):
-                xs = x[near_r]
-                vq, gq = _bump_kernel_quad(profile, m, eps, xs + (h - d0)[near_r], xs)
-                val[near_r] += vq - muv / (2.0 * m) * er[near_r]
-                grad[near_r] += gq - muv / (2.0 * eps) * er[near_r]
-            return val, grad
-
-        return evaluate
-
     def field(self, x):
-        return self._field(x)
+        """(psi, grad psi) at x: the kernel sum over the comparison chain."""
+        return _kernel_field([self.anchor], self.profile, self.m, self.eps, x,
+                             self.spacing)
 
 
 def cell_state(cfg, profile, m, j):
@@ -244,13 +210,13 @@ def cb_hessian_lower_bound_check(cfg, u, profile, m):
     }
 
 
-def comparison_field_bound(cfg, profile, m, j, grad=False):
+def comparison_field_bound(cfg, profile, m, j):
     """Locality bound on max over Q_j of |phi - psi^(j)|, evaluated exactly:
 
         mu eps sum_n ||y''||_{l1(j-n .. j+n-1)} n e^{-m n min y'},
 
-    the index window tiling the chain periodically; the gradient bound
-    carries an extra factor m.  The tail is truncated once a crude upper
+    the index window tiling the chain periodically; m times it bounds
+    eps max |phi' - psi^(j)'|.  The tail is truncated once a crude upper
     estimate of the remainder drops below 1e-19.  Overlapping bumps raise
     ValueError: the bound assumes separated bumps, and at min y' <= 0 the
     tail does not decay.
@@ -268,5 +234,4 @@ def comparison_field_bound(cfg, profile, m, j, grad=False):
         idx = (np.arange(j - n, j + n) + cfg.N) % n_at
         total += float(np.sum(ypp[idx])) * n * decay
         n += 1
-    b = muv * cfg.eps * total
-    return m * b if grad else b
+    return muv * cfg.eps * total

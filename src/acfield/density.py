@@ -165,38 +165,36 @@ def grad_delta_eps(profile, eps, x):
     return profile.grad_delta1(np.asarray(x, dtype=float) / eps) / eps**2
 
 
-def _nearest_image_offsets(cfg, x):
-    """Offsets x - y_j reduced to the nearest periodic image, shape (len(x), 2N+1)."""
-    y = positions(cfg)
-    d = np.asarray(x, dtype=float)[:, None] - y[None, :]
-    return d - cfg.L * np.round(d / cfg.L)
+def _bump_offsets(atoms, w, x, L=None):
+    """Offsets x - c to every atom c, shape (len(x), len(atoms)); with a
+    period L, to the atom's nearest image.  Offsets outside the support
+    |x - c| < w are set to w, where the bump and its slope vanish."""
+    d = np.asarray(x, dtype=float)[:, None] - np.asarray(atoms, dtype=float)[None, :]
+    if L is not None:
+        d -= L * np.round(d / L)
+    d[np.abs(d) >= w] = w
+    return d
 
 
-def rho(cfg, profile, x, require_separated=False):
+def rho(cfg, profile, x):
     """Chain density rho_y(x) = eps * sum_j delta_eps(x - y_j), periodic in x."""
-    if require_separated:
-        check_separated(cfg, profile)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty_like(x)
-    w = profile.half_width * cfg.eps
+    y, w = positions(cfg), profile.half_width * cfg.eps
     for lo in range(0, x.size, 4096):
-        d = _nearest_image_offsets(cfg, x[lo : lo + 4096])
-        d[np.abs(d) >= w] = w  # outside support -> profile is zero anyway
+        d = _bump_offsets(y, w, x[lo : lo + 4096], cfg.L)
         out[lo : lo + 4096] = cfg.eps * np.sum(
             delta_eps(profile, cfg.eps, d), axis=1
         )
     return out if out.size > 1 else float(out[0])
 
 
-def grad_rho(cfg, profile, x, require_separated=False):
-    if require_separated:
-        check_separated(cfg, profile)
+def grad_rho(cfg, profile, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty_like(x)
-    w = profile.half_width * cfg.eps
+    y, w = positions(cfg), profile.half_width * cfg.eps
     for lo in range(0, x.size, 4096):
-        d = _nearest_image_offsets(cfg, x[lo : lo + 4096])
-        d[np.abs(d) >= w] = w
+        d = _bump_offsets(y, w, x[lo : lo + 4096], cfg.L)
         out[lo : lo + 4096] = cfg.eps * np.sum(
             grad_delta_eps(profile, cfg.eps, d), axis=1
         )

@@ -41,7 +41,7 @@ import math
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .density import gauss_on_interval, grad_delta_eps, mu, self_moment
+from .density import _bump_offsets, gauss_on_interval, grad_delta_eps, mu, self_moment
 from .field import _check_inside_slab, eval_green_dirichlet, eval_green_periodic
 from .lattice import positions
 
@@ -188,15 +188,8 @@ class StressFunction:
         self.L = L
         self.w = profile.half_width * eps
 
-    def _offsets(self, x):
-        d = np.asarray(x, dtype=float)[:, None] - self.atoms[None, :]
-        if self.L is not None:
-            d -= self.L * np.round(d / self.L)
-        return d
-
     def rho(self, x):
-        d = self._offsets(x)
-        d = np.where(np.abs(d) < self.w, d, self.w)
+        d = _bump_offsets(self.atoms, self.w, x, self.L)
         return self.eps * np.sum(
             self.profile.delta1(d / self.eps) / self.eps, axis=1
         )
@@ -209,8 +202,7 @@ class StressFunction:
     def sigma2(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         v, _ = self.field_eval(x)
-        d = self._offsets(x)
-        d = np.where(np.abs(d) < self.w, d, self.w)
+        d = _bump_offsets(self.atoms, self.w, x, self.L)
         gd = grad_delta_eps(self.profile, self.eps, d)
         return self.eps * v * np.sum(gd * d, axis=1)
 
@@ -260,6 +252,19 @@ def stress_dirichlet(y_at, bd, profile):
     return StressFunction(fe, y_at, profile, bd.m, bd.eps, L=None)
 
 
+def _weak_form(sf, nodes, vals, order=24):
+    """integral of the stress sf against the gradient of the piecewise-affine
+    interpolant through (nodes, vals): each piece's slope times the stress
+    integral over the piece (flat pieces skipped)."""
+    acc = 0.0
+    for j in range(1, nodes.size):
+        du = vals[j] - vals[j - 1]
+        if du == 0.0:
+            continue
+        acc += du / (nodes[j] - nodes[j - 1]) * sf.integral(float(nodes[j - 1]), float(nodes[j]), order)
+    return acc
+
+
 def weak_form_periodic(cfg, u, profile, m):
     """integral sigma_y grad(u-interpolant) over the period.
 
@@ -269,16 +274,8 @@ def weak_form_periodic(cfg, u, profile, m):
     quadrature precision.
     """
     u = np.asarray(u, dtype=float)
-    y = positions(cfg, -cfg.N - 1, cfg.N)
     uu = np.concatenate([[u[-1]], u])  # periodic: u_{-N-1} = u_N
-    sf = stress_periodic(cfg, profile, m)
-    acc = 0.0
-    for j in range(1, y.size):
-        du = uu[j] - uu[j - 1]
-        if du == 0.0:
-            continue
-        acc += du / (y[j] - y[j - 1]) * sf.integral(float(y[j - 1]), float(y[j]))
-    return acc
+    return _weak_form(stress_periodic(cfg, profile, m), positions(cfg, -cfg.N - 1, cfg.N), uu)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +313,7 @@ def g_star(y_at, bd, profile):
     return (gam_l + tau * gam_r) / det, (tau * gam_l + gam_r) / det
 
 
-def _slab_core(s_free, gam_l, gam_r, tau, g_l, g_r, m, eps):
+def _slab_core(gam_l, gam_r, tau, g_l, g_r, m, eps):
     """Slab energy as an explicit function of its reduced variables, with partials.
 
     E = (eps mu^2 / 4m) s_free + n_at * E_self    [added by caller]
@@ -374,7 +371,7 @@ def _slab_pair_part(y_at, bd, profile):
 def energy_dirichlet(y_at, bd, profile):
     """Slab energy E_{a,g}(y) = -I_a(phi) at the solved Dirichlet field, in
     the exact closed form -I(phi_0) - I(xi_g) for any boundary data g."""
-    core = _slab_core(0.0, *gamma_pair(y_at, bd, profile), bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
+    core = _slab_core(*gamma_pair(y_at, bd, profile), bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
     pair_val, _ = _slab_pair_part(y_at, bd, profile)
     return pair_val + core[0]
 
@@ -397,7 +394,7 @@ def mirror_energy(y_at, bd, profile):
 
 def d_energy_dirichlet_y(y_at, bd, profile):
     """Gradient of the slab energy in the atom positions (fixed a, g)."""
-    core = _slab_core(0.0, *gamma_pair(y_at, bd, profile), bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
+    core = _slab_core(*gamma_pair(y_at, bd, profile), bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
     _, pair_grad = _slab_pair_part(y_at, bd, profile)
     muv = mu(profile, bd.m)
     k = bd.m / bd.eps
@@ -410,7 +407,7 @@ def d_energy_dirichlet_y(y_at, bd, profile):
 def d_energy_dirichlet_g(y_at, bd, profile):
     """Closed-form gradient in the boundary data:
     D_g E = -m eps ((1-tau^2) c - gamma)^T T^{-1}; zero exactly at g = g*."""
-    core = _slab_core(0.0, *gamma_pair(y_at, bd, profile), bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
+    core = _slab_core(*gamma_pair(y_at, bd, profile), bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
     return np.array([core[4], core[5]])
 
 
@@ -423,7 +420,7 @@ def d_energy_dirichlet_a(y_at, bd, profile):
     from 0 at the outermost atom to 1 at a_R (similarly theta_L).
     """
     gam_l, gam_r = gamma_pair(y_at, bd, profile)
-    core = _slab_core(0.0, gam_l, gam_r, bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
+    core = _slab_core(gam_l, gam_r, bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
     k = bd.m / bd.eps
     # dgamma_L/da_L = +k gamma_L, dgamma_R/da_R = -k gamma_R,
     # dtau/da_L = +k tau, dtau/da_R = -k tau
@@ -439,14 +436,6 @@ def weak_form_dirichlet(y_at, bd, profile, u, order=24):
     d_energy_dirichlet_y . u for the exact field.
     """
     y = np.asarray(y_at, dtype=float)
-    u = np.asarray(u, dtype=float)
     nodes = np.concatenate([[bd.a_L], y, [bd.a_R]])
-    vals = np.concatenate([[0.0], u, [0.0]])
-    sf = stress_dirichlet(y, bd, profile)
-    acc = 0.0
-    for j in range(1, nodes.size):
-        du = vals[j] - vals[j - 1]
-        if du == 0.0:
-            continue
-        acc += du / (nodes[j] - nodes[j - 1]) * sf.integral(float(nodes[j - 1]), float(nodes[j]), order)
-    return acc
+    vals = np.concatenate([[0.0], np.asarray(u, dtype=float), [0.0]])
+    return _weak_form(stress_dirichlet(y, bd, profile), nodes, vals, order)

@@ -10,12 +10,16 @@ Omega_a = (a_L, a_R) with Dirichlet data phi(a_L) = g_L, phi(a_R) = g_R.
 Two evaluation routes are provided and deliberately kept independent:
 
 * Closed forms built on the kernel representation
-  phi(x) = (1/2m) sum_k integral delta_eps(z - y_k) e^{-(m/eps)|x - z|} dz
-  summed over all periodic images (`eval_green_periodic`), and the slab
-  Green's function (`green_dirichlet`, `eval_green_dirichlet`).  Outside a
-  bump every integral collapses through the mu moment; inside a bump a split
-  Gauss rule handles the kernel kink.  These are exact up to quadrature
-  (~1e-15); the production energies of `energy` and its stresses use them.
+  phi(x) = (1/2m) sum_c integral delta_eps(z - c) e^{-(m/eps)|x - z|} dz
+  over a set of bump images c.  One routine, `_kernel_field`, sums it for
+  three image sets: the chain with period L = 2F (`eval_green_periodic`),
+  the Cauchy-Born comparison chain of a cell with period eps * strain
+  (`cauchy_born.CellState.field`), and the free line, the direct piece of
+  the slab Green's function (`green_dirichlet`, `eval_green_dirichlet`),
+  whose mirror terms are added in closed form.  Outside a bump every
+  integral collapses through the mu moment; inside a bump a split Gauss
+  rule handles the kernel kink.  These are exact up to quadrature (~1e-15);
+  the production energies of `energy` and its stresses use them.
 
 * P1 finite elements (`solve_periodic`, `solve_dirichlet`), the independent
   cross-check oracle: uniform mesh with at least `mesh_density` nodes per
@@ -179,50 +183,65 @@ def _bump_kernel_quad(profile, m, eps, centers, x):
     return val, grad
 
 
-def eval_green_periodic(cfg, profile, m, x):
-    """Exact periodic field (value, gradient) at x via the kernel representation.
+def _kernel_field(y, profile, m, eps, x, L=None):
+    """Field (value, gradient) at x of unit bumps at y: every image c of a
+    bump contributes (mu/2m) e^{-(m/eps)|x - c|} while x lies outside it.
 
-    For every atom the full image sum is a pair of geometric series with ratio
-    exp(-(m/eps)L); both are summed in closed form.  If x lies inside a bump's
-    support the corresponding single image is evaluated by split quadrature
-    instead of the mu shortcut.  Accuracy ~1e-15 relative; works for any
-    configuration (no separation assumption).
+    With a period L the images are y + nL for every integer n.  For
+    d = (x - y) mod L, those at or left of x sit at distances d + nL and
+    those right of it at L - d + nL (n >= 0): two geometric series with
+    ratio e^{-(m/eps)L}, summed in closed form.  Without a period (the free
+    line) each atom is its own only image.  Either way the image whose bump
+    contains x is swapped for the split quadrature of `_bump_kernel_quad`.
+    Accuracy ~1e-15 relative; no separation is assumed.  Returns arrays
+    shaped like atleast_1d(x).
     """
-    x_in = np.asarray(x, dtype=float)
-    xarr = np.atleast_1d(x_in).astype(float)
-    y = positions(cfg)
-    eps, L = cfg.eps, cfg.L
-    me = m / eps
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=float)
+    k = m / eps
     muv = mu(profile, m)
     w = profile.half_width * eps
-    q = math.exp(-me * L)
-    geo = 1.0 / (1.0 - q)
-
-    val = np.zeros_like(xarr)
-    grad = np.zeros_like(xarr)
+    val = np.empty_like(x)
+    grad = np.empty_like(x)
     chunk = max(1, int(2e6 // max(1, y.size)))
-    for lo in range(0, xarr.size, chunk):
-        xs = xarr[lo : lo + chunk]
-        d0 = (xs[:, None] - y[None, :]) % L
-        e_l = np.exp(-me * d0)            # images at/left of x, n >= 0
-        e_r = np.exp(-me * (L - d0))      # images right of x, n >= 0
-        val[lo : lo + chunk] = muv / (2.0 * m) * geo * np.sum(e_l + e_r, axis=1)
-        grad[lo : lo + chunk] = muv / (2.0 * eps) * geo * np.sum(e_r - e_l, axis=1)
+    for lo in range(0, x.size, chunk):
+        xs = x[lo : lo + chunk]
+        d = xs[:, None] - y[None, :]
+        if L is None:
+            e = np.exp(-k * np.abs(d))
+            val[lo : lo + chunk] = muv / (2.0 * m) * np.sum(e, axis=1)
+            # an image at x itself (d = +0) takes the sign of one left of x,
+            # as the periodic sum below counts it
+            grad[lo : lo + chunk] = -muv / (2.0 * eps) * np.sum(np.copysign(e, d), axis=1)
+        else:
+            np.remainder(d, L, out=d)
+            geo = 1.0 / (1.0 - math.exp(-k * L))
+            e_l = np.exp(-k * d)
+            e_r = np.exp(-k * (L - d))
+            val[lo : lo + chunk] = muv / (2.0 * m) * geo * np.sum(e_l + e_r, axis=1)
+            grad[lo : lo + chunk] = muv / (2.0 * eps) * geo * np.sum(e_r - e_l, axis=1)
+            del e_l, e_r
+            # signed offset to the nearest image; -(L - d) keeps d = L (an
+            # image right of x at distance 0) negative, as the sum counts it
+            far = d > 0.5 * L
+            d[far] = -(L - d[far])
 
-        # fix up points sitting inside a bump: swap the offending closed-form
-        # image for the split quadrature
-        for mask, dist, sgn in ((d0 < w, d0, -1.0), ((L - d0) < w, L - d0, +1.0)):
-            ii, jj = np.nonzero(mask)
-            if ii.size == 0:
-                continue
-            centers = xs[ii] + sgn * dist[ii, jj]
-            qv, qg = _bump_kernel_quad(profile, m, eps, centers, xs[ii])
-            closed_v = muv / (2.0 * m) * np.exp(-me * dist[ii, jj])
-            closed_g = sgn * muv / (2.0 * eps) * np.exp(-me * dist[ii, jj])
-            np.add.at(val, lo + ii, qv - closed_v)
-            np.add.at(grad, lo + ii, qg - closed_g)
+        # swap the closed-form image whose bump contains x for the quadrature
+        ii, jj = np.nonzero(np.abs(d) < w)
+        if ii.size:
+            s = d[ii, jj]
+            e = np.exp(-k * np.abs(s))
+            qv, qg = _bump_kernel_quad(profile, m, eps, xs[ii] - s, xs[ii])
+            np.add.at(val, lo + ii, qv - muv / (2.0 * m) * e)
+            np.add.at(grad, lo + ii, qg + np.copysign(muv / (2.0 * eps) * e, s))
+    return val, grad
 
-    if x_in.ndim == 0:
+
+def eval_green_periodic(cfg, profile, m, x):
+    """Exact periodic field (value, gradient) at x: the kernel sum over every
+    image of the chain, period L = 2F (`_kernel_field`)."""
+    val, grad = _kernel_field(positions(cfg), profile, m, cfg.eps, x, cfg.L)
+    if np.ndim(x) == 0:
         return float(val[0]), float(grad[0])
     return val, grad
 
@@ -255,35 +274,21 @@ def green_dirichlet(bd, x, z):
 def eval_green_dirichlet(y_at, bd, profile, x):
     """Exact Dirichlet field (value, gradient) at x: integral G_a(x,.) rho + xi.
 
-    y_at are the atom positions inside the slab.  All mirror pieces of the
-    kernel are smooth across the bumps and integrate through the mu moment in
-    closed form; only the direct |x-z| piece needs the split quadrature when x
-    sits inside a bump.  Includes the boundary layer xi for the data in bd.
+    y_at are the atom positions inside the slab.  The direct |x-z| piece is
+    the free-line kernel sum (`_kernel_field` with no period).  All mirror
+    pieces of the kernel are smooth across the bumps and integrate through
+    the mu moment in closed form.  Includes the boundary layer xi for the
+    data in bd.
     """
     m, eps = bd.m, bd.eps
-    x_in = np.asarray(x, dtype=float)
-    xs = np.atleast_1d(x_in).astype(float)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.asarray(y_at, dtype=float)
     k = m / eps
     muv = mu(profile, m)
-    w = profile.half_width * eps
     tau = bd.tau
     det = 1.0 - tau * tau
     _check_inside_slab(y, bd, profile)
-
-    dx = xs[:, None] - y[None, :]
-    # direct piece: (mu/2m) e^{-k|x-c|}, quadrature when inside the bump
-    e_abs = np.exp(-k * np.abs(dx))
-    val = muv / (2.0 * m) * np.sum(e_abs, axis=1)
-    grad = -muv / (2.0 * eps) * np.sum(np.sign(dx) * e_abs, axis=1)
-    inside = np.abs(dx) < w
-    ii, jj = np.nonzero(inside)
-    if ii.size:
-        qv, qg = _bump_kernel_quad(profile, m, eps, y[jj], xs[ii])
-        closed_v = muv / (2.0 * m) * e_abs[ii, jj]
-        closed_g = -muv / (2.0 * eps) * np.sign(dx[ii, jj]) * e_abs[ii, jj]
-        np.add.at(val, ii, qv - closed_v)
-        np.add.at(grad, ii, qg - closed_g)
+    val, grad = _kernel_field(y, profile, m, eps, xs)
 
     # mirror pieces (exact for every x: no kink inside the slab)
     e_xl = np.exp(-k * (xs - bd.a_L))  # decaying from the left wall
@@ -304,7 +309,7 @@ def eval_green_dirichlet(y_at, bd, profile, x):
         val += xv
         grad += xg
 
-    if x_in.ndim == 0:
+    if np.ndim(x) == 0:
         return float(val[0]), float(grad[0])
     return val, grad
 
@@ -463,14 +468,9 @@ def _backward_error(diag, off, corner, x, b):
     normalization (rather than |r|/|b|) is the solver-quality measure that
     stays meaningful as the mesh is refined.
     """
-    xl = x.astype(np.longdouble)
-    ax = diag.astype(np.longdouble) * xl
-    ax[:-1] += off.astype(np.longdouble) * xl[1:]
-    ax[1:] += off.astype(np.longdouble) * xl[:-1]
-    if corner is not None:
-        ax[0] += np.longdouble(corner) * xl[-1]
-        ax[-1] += np.longdouble(corner) * xl[0]
-    r = np.max(np.abs(b.astype(np.longdouble) - ax))
+    ld = np.longdouble
+    ax = _apply_cyclic_tridiag(diag.astype(ld), off.astype(ld), ld(corner), x.astype(ld))
+    r = np.max(np.abs(b.astype(ld) - ax))
     anorm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
     return float(r / (anorm * np.max(np.abs(x)) + np.max(np.abs(b))))
 
@@ -583,7 +583,7 @@ def solve_dirichlet(y_at, bd, profile, mesh_density=16):
     phi[1:-1] = solveh_banded(ab, rhs)
 
     # backward error of the interior system (boundary rows carry the strong BC)
-    res_int = _backward_error(diag[1:-1], off[1:-1], None, phi[1:-1], rhs)
+    res_int = _backward_error(diag[1:-1], off[1:-1], 0.0, phi[1:-1], rhs)
     if res_int > 1e-12:
         raise RuntimeError("dirichlet FEM solve residual %.3e exceeds 1e-12" % res_int)
     aphi = _apply_cyclic_tridiag(diag, off, 0.0, phi)

@@ -39,7 +39,7 @@ from .lattice import (
     positions,
     second_diff,
 )
-from .density import quartic_bump, sextic_bump, delta_eps
+from .density import delta_eps, gauss_on_interval, quartic_bump, sextic_bump
 from .field import (
     BoundaryData,
     eval_green_dirichlet,
@@ -593,7 +593,6 @@ def _exp_cb_closed_form(spec, jobs):
     m = spec.m
     out = _Rows("cb-closed-form")
     cap = 1e-9
-    gauss_x, gauss_w = np.polynomial.legendre.leggauss(48)
     half = profile.half_width
     for n in spec.n_list:
         eps = 2.0 / (2 * n + 1)
@@ -605,8 +604,7 @@ def _exp_cb_closed_form(spec, jobs):
             # by periodicity of the field this collapses to one bump's support
             total = 0.0
             for lo, hi in ((-half * eps, 0.0), (0.0, half * eps)):
-                xs = 0.5 * (hi - lo) * gauss_x + 0.5 * (hi + lo)
-                ws = 0.5 * (hi - lo) * gauss_w
+                xs, ws = gauss_on_interval(lo, hi, 48)
                 val, _ = cb_cell_field(cell, xs)
                 total += float(np.sum(ws * delta_eps(profile, eps, xs) * val))
             quad = 0.5 * eps * total
@@ -635,7 +633,7 @@ def _exp_field_bound(spec, jobs):
             vp, gp = eval_green_periodic(cfg, profile, m, xs)
             vc, gc = cb_cell_field(cell, xs)
             bound_v = comparison_field_bound(cfg, profile, m, j)
-            bound_g = comparison_field_bound(cfg, profile, m, j, grad=True)
+            bound_g = m * bound_v
             ratios_v.append(float(np.max(np.abs(vp - vc))) / bound_v)
             ratios_g.append(eps * float(np.max(np.abs(gp - gc))) / bound_g)
         out.at_most(n, eps, 0, 0.0, "field-gap-ratio-max", float(np.max(ratios_v)), slack)

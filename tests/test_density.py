@@ -130,10 +130,10 @@ def test_nonoverlap_pair_identity():
 def test_separation_check():
     prof = quartic_bump(0.5)
     # strain 1.1 > sigma0: fine
-    rho(homogeneous(4, 1.1), prof, 0.0, require_separated=True)
+    check_separated(homogeneous(4, 1.1), prof)
     # strain 0.4 < sigma0 = 0.5: overlapping bumps must raise
     with pytest.raises(ValueError, match="overlap"):
-        rho(homogeneous(4, 0.4), prof, 0.0, require_separated=True)
+        check_separated(homogeneous(4, 0.4), prof)
 
 
 def test_separation_is_strict_at_contact():

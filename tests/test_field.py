@@ -6,6 +6,7 @@ import pytest
 from acfield.density import gauss_on_interval, grad_delta_eps, quartic_bump, sextic_bump
 from acfield.field import (
     BoundaryData,
+    _kernel_field,
     eval_green_dirichlet,
     eval_green_free,
     eval_green_periodic,
@@ -203,6 +204,30 @@ def test_green_periodic_gradient_fd():
 def test_green_free_kernel():
     assert eval_green_free(2.0, 0.1, 0.0) == pytest.approx(1.0 / (2 * 0.1 * 2.0))
     assert eval_green_free(1.0, 0.1, 0.05) == pytest.approx(np.exp(-0.5) / 0.2)
+
+
+def test_kernel_field_periodic_branch_matches_free_line():
+    # a chain inside (-1, 1): at period 40 every foreign image is at least
+    # 38 away, e^{-(m/eps) 38} ~ 1e-33, so both image sets give one field.
+    # Reducing x - y mod 40 rounds offsets to ulp(40)/2 ~ 3.6e-15, which
+    # moves a term by (m/eps) 3.6e-15 relative; m/eps = 2 keeps that under
+    # the tolerance.  Gradients are measured on the kernel's own scale: an
+    # image's closed-form gradient is m/eps times its value.
+    eps = 0.5
+    y = np.array([-0.8, -0.45, -0.1, 0.25, 0.62])
+    w = PROF.half_width * eps
+    xs = np.concatenate([
+        y,                                # at a centre
+        np.nextafter(y, -np.inf),         # just left of one: d mod L rounds to L
+        y + 0.6 * w, y - 0.3 * w,         # inside a bump
+        0.5 * (y[:-1] + y[1:]),           # between bumps
+        [-0.95, 0.97],
+    ])
+    vf, gf = _kernel_field(y, PROF, M, eps, xs)
+    vp, gp = _kernel_field(y, PROF, M, eps, xs, L=40.0)
+    scale = np.max(np.abs(vf))
+    assert np.max(np.abs(vp - vf)) <= 1e-14 * scale
+    assert np.max(np.abs(gp - gf)) <= 1e-14 * (M / eps) * scale
 
 
 def test_dirichlet_fem_within_budget_and_bc():

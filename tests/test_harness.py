@@ -216,8 +216,8 @@ def test_ghost_force_fails_on_nan_forces(tmp_path, monkeypatch):
 def test_field_bound_fails_on_a_nan_cell_bound(tmp_path, monkeypatch):
     real = harness.comparison_field_bound
 
-    def nan_at_cell_3(cfg, profile, m, j, grad=False):
-        return float("nan") if j == 3 else real(cfg, profile, m, j, grad=grad)
+    def nan_at_cell_3(cfg, profile, m, j):
+        return float("nan") if j == 3 else real(cfg, profile, m, j)
 
     monkeypatch.setattr(harness, "comparison_field_bound", nan_at_cell_3)
     spec = ExperimentSpec(kind="field-bound", n_list=(8,), force_amplitude=0.05)
