@@ -48,7 +48,6 @@ from .energy import (
     energy_dirichlet,
     forces_periodic,
     g_star,
-    mirror_energy,
     stress_dirichlet,
 )
 from .field import BoundaryData
@@ -167,12 +166,8 @@ def ac_energy(cfg, method, profile, m, tau_threshold=1e-8):
     strains = first_diff(cfg)
     e_cb = float(np.sum(_cb_weights(cfg, method.partition.K)
                         * cb_cell_energy(strains, profile, m, cfg.eps)))
-    if method.variant == "method1":
-        e_at = mirror_energy(y_at, bd0, profile)
-    else:
-        g = g_method2(cfg, method.partition, profile, m)
-        e_at = energy_dirichlet(y_at, bd0.with_g(*g), profile)
-    return e_cb + e_at
+    bd = _method_bd(cfg, method, profile, m, y_at, bd0)
+    return e_cb + energy_dirichlet(y_at, bd, profile)
 
 
 def _interface_strain_gamma(profile, m, s):

@@ -210,21 +210,14 @@ class StressFunction:
         return self.sigma1(x) + self.sigma2(x)
 
     def _breakpoints(self, a, b):
-        pts = [a, b]
-        for c in self.atoms:
-            for edge in (c - self.w, c + self.w):
-                e = edge
-                if self.L is not None:
-                    # bring in every image of this edge that lies inside (a, b)
-                    nlo = math.floor((a - e) / self.L)
-                    nhi = math.ceil((b - e) / self.L)
-                    for n in range(nlo, nhi + 1):
-                        if a < e + n * self.L < b:
-                            pts.append(e + n * self.L)
-                    continue
-                if a < e < b:
-                    pts.append(e)
-        return np.unique(np.asarray(pts, dtype=float))
+        """a, b and every bump edge inside (a, b), images included, sorted."""
+        edges = np.concatenate([self.atoms - self.w, self.atoms + self.w])
+        if self.L is not None:
+            n = np.arange(math.floor((a - edges.max()) / self.L),
+                          math.ceil((b - edges.min()) / self.L) + 1)
+            edges = (edges[:, None] + n * self.L).ravel()
+        inside = edges[(a < edges) & (edges < b)]
+        return np.unique(np.concatenate([[a, b], inside]))
 
     def integral(self, a, b, order=24):
         """integral of sigma over (a, b), split at bump edges."""
@@ -382,7 +375,8 @@ def mirror_energy(y_at, bd, profile):
     E* = P_dir/(4 m eps) + (m eps/4) (gamma_L^2 + gamma_R^2 + 2 tau gamma_L
     gamma_R) / (1 - tau^2): the direct pair interactions plus the charge
     interacting with its own mirror images behind each wall (gamma^2 terms)
-    and the cross-wall image term (the tau piece).
+    and the cross-wall image term (the tau piece).  The couplings evaluate
+    `energy_dirichlet` at g*; this independent form checks it.
     """
     gam_l, gam_r = gamma_pair(y_at, bd, profile)
     pair_val, _ = _slab_pair_part(y_at, bd, profile)

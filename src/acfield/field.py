@@ -11,22 +11,25 @@ Two evaluation routes are provided and deliberately kept independent:
 
 * Closed forms built on the kernel representation
   phi(x) = (1/2m) sum_c integral delta_eps(z - c) e^{-(m/eps)|x - z|} dz
-  over a set of bump images c.  One routine, `_kernel_field`, sums it for
-  three image sets: the chain with period L = 2F (`eval_green_periodic`),
-  the Cauchy-Born comparison chain of a cell with period eps * strain
-  (`cauchy_born.CellState.field`), and the free line, the direct piece of
-  the slab Green's function (`green_dirichlet`, `eval_green_dirichlet`),
-  whose mirror terms are added in closed form.  Outside a bump every
-  integral collapses through the mu moment; inside a bump a split Gauss
-  rule handles the kernel kink.  These are exact up to quadrature (~1e-15);
-  the production energies of `energy` and its stresses use them.
+  over the periodic images c of the bumps.  One routine, `_kernel_field`,
+  sums it for three periods: the chain, L = 2F (`eval_green_periodic`); the
+  Cauchy-Born comparison chain of a cell, L = eps * y'_j
+  (`cauchy_born.CellState.field`); and the slab, L = 2(a_R - a_L), where
+  odd reflection at both walls puts same-sign images of every charge on
+  that lattice and leaves only the odd mirror charges, added in closed form
+  (`eval_green_dirichlet`; `green_dirichlet` is the point-source kernel).
+  Outside a bump every integral collapses through the mu moment; inside a
+  bump a split Gauss rule handles the kernel kink.  The nearest image is
+  exact while |x - y| < L/2 (always, in the slab); these are exact up to
+  quadrature (~1e-15).  The production energies of `energy` and its
+  stresses use them.
 
 * P1 finite elements (`solve_periodic`, `solve_dirichlet`), the independent
   cross-check oracle: uniform mesh with at least `mesh_density` nodes per
   bump support, exact Gauss-Legendre load assembly (bump x hat is a
-  polynomial on each sub-element), direct (cyclic-)tridiagonal solves.  The
-  discrete energies are 0.5 * Field.interaction (periodic) and
-  -Field.i_value (slab).  The periodic mesh lives on the fixed window
+  polynomial on each sub-element), direct solves: the periodic matrix is
+  circulant (FFT solve), the slab's banded (Cholesky).  The discrete
+  energies are 0.5 * Field.interaction (periodic) and -Field.i_value (slab).  The periodic mesh lives on the fixed window
   [-F, F) independent of y, so `fem_forces`, the analytic force formula
   evaluated at the FEM field, is the *exact* discrete gradient of the
   discrete energy.  Load and forces share one vectorized loop over
@@ -47,9 +50,9 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
+from scipy.linalg import solve_circulant, solveh_banded
 
-from .density import gauss_on_interval, grad_delta_eps, mu
+from .density import _nearest_image, gauss_on_interval, grad_delta_eps, mu
 from .lattice import positions
 
 __all__ = [
@@ -59,7 +62,6 @@ __all__ = [
     "solve_dirichlet",
     "fem_forces",
     "xi_closed_form",
-    "eval_green_free",
     "eval_green_periodic",
     "eval_green_dirichlet",
     "green_dirichlet",
@@ -148,11 +150,6 @@ def xi_closed_form(bd):
     return (c_L, c_R), xi
 
 
-def eval_green_free(m, eps, x):
-    """Whole-line kernel G(x) = exp(-(m/eps)|x|) / (2 eps m)."""
-    return np.exp(-(m / eps) * np.abs(np.asarray(x, dtype=float))) / (2.0 * eps * m)
-
-
 # ---------------------------------------------------------------------------
 # closed-form (kernel) route
 # ---------------------------------------------------------------------------
@@ -183,53 +180,58 @@ def _bump_kernel_quad(profile, m, eps, centers, x):
     return val, grad
 
 
-def _kernel_field(y, profile, m, eps, x, L=None):
-    """Field (value, gradient) at x of unit bumps at y: every image c of a
-    bump contributes (mu/2m) e^{-(m/eps)|x - c|} while x lies outside it.
+def _kernel_field(y, profile, m, eps, x, L):
+    """Field (value, gradient) at x of unit bumps at y and all their images
+    y + nL: every image c contributes (mu/2m) e^{-(m/eps)|x - c|} while x
+    lies outside its bump.
 
-    With a period L the images are y + nL for every integer n.  For
-    d = (x - y) mod L, those at or left of x sit at distances d + nL and
-    those right of it at L - d + nL (n >= 0): two geometric series with
-    ratio e^{-(m/eps)L}, summed in closed form.  Without a period (the free
-    line) each atom is its own only image.  Either way the image whose bump
-    contains x is swapped for the split quadrature of `_bump_kernel_quad`.
-    Accuracy ~1e-15 relative; no separation is assumed.  Returns arrays
-    shaped like atleast_1d(x).
+    Three callers pick the period: the chain (L = 2F), a Cauchy-Born cell's
+    comparison chain (L = eps y'_j) and the slab (L = 2(a_R - a_L), the
+    direct charge and its same-sign wall images; `eval_green_dirichlet`
+    adds the odd mirror charges).  With d = x - y reduced to the nearest
+    image, the images sit at |d| + nL on its side and at L - |d| + nL on the
+    other (n >= 0): two geometric series summed in closed form,
+    geo (e^{-k|d|} + e^{-k(L-|d|)}) with geo = 1 / (1 - e^{-kL}), k = m/eps.
+    The nearest image whose bump contains x is swapped for the split
+    quadrature of `_bump_kernel_quad`.  The reduction is exact while
+    |x - y| < L/2; farther, d carries the rounding of ulp(L)/2.  Accuracy
+    ~1e-15 relative; no separation is assumed.  Returns arrays shaped like
+    atleast_1d(x).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     k = m / eps
     muv = mu(profile, m)
     w = profile.half_width * eps
+    geo = 1.0 / -math.expm1(-k * L)
     val = np.empty_like(x)
     grad = np.empty_like(x)
     chunk = max(1, int(2e6 // max(1, y.size)))
     for lo in range(0, x.size, chunk):
         xs = x[lo : lo + chunk]
+        # three chunk-sized arrays, reused in place: the offsets d (then
+        # their signs), the near series e_n and the far series e_f
         d = xs[:, None] - y[None, :]
-        if L is None:
-            e = np.exp(-k * np.abs(d))
-            val[lo : lo + chunk] = muv / (2.0 * m) * np.sum(e, axis=1)
-            # an image at x itself (d = +0) takes the sign of one left of x,
-            # as the periodic sum below counts it
-            grad[lo : lo + chunk] = -muv / (2.0 * eps) * np.sum(np.copysign(e, d), axis=1)
-        else:
-            np.remainder(d, L, out=d)
-            geo = 1.0 / (1.0 - math.exp(-k * L))
-            e_l = np.exp(-k * d)
-            e_r = np.exp(-k * (L - d))
-            val[lo : lo + chunk] = muv / (2.0 * m) * geo * np.sum(e_l + e_r, axis=1)
-            grad[lo : lo + chunk] = muv / (2.0 * eps) * geo * np.sum(e_r - e_l, axis=1)
-            del e_l, e_r
-            # signed offset to the nearest image; -(L - d) keeps d = L (an
-            # image right of x at distance 0) negative, as the sum counts it
-            far = d > 0.5 * L
-            d[far] = -(L - d[far])
+        e_n = np.empty_like(d)
+        e_f = np.empty_like(d)
+        _nearest_image(d, L, buf=e_n)
+        np.abs(d, out=e_f)
+        ii, jj = np.nonzero(e_f < w)
+        s = d[ii, jj]
+        np.multiply(e_f, -k, out=e_n)
+        np.exp(e_n, out=e_n)
+        np.subtract(L, e_f, out=e_f)
+        e_f *= -k
+        np.exp(e_f, out=e_f)
+        val[lo : lo + chunk] = muv / (2.0 * m) * geo * (e_n.sum(axis=1) + e_f.sum(axis=1))
+        # an image at x itself (d = +0) counts as one left of x, as the
+        # quadrature swap below does
+        e_n -= e_f
+        e_n *= np.copysign(1.0, d, out=d)
+        grad[lo : lo + chunk] = -muv / (2.0 * eps) * geo * e_n.sum(axis=1)
 
-        # swap the closed-form image whose bump contains x for the quadrature
-        ii, jj = np.nonzero(np.abs(d) < w)
+        # swap the nearest image whose bump contains x for the quadrature
         if ii.size:
-            s = d[ii, jj]
             e = np.exp(-k * np.abs(s))
             qv, qg = _bump_kernel_quad(profile, m, eps, xs[ii] - s, xs[ii])
             np.add.at(val, lo + ii, qv - muv / (2.0 * m) * e)
@@ -272,36 +274,31 @@ def green_dirichlet(bd, x, z):
 
 
 def eval_green_dirichlet(y_at, bd, profile, x):
-    """Exact Dirichlet field (value, gradient) at x: integral G_a(x,.) rho + xi.
+    """Exact Dirichlet field (value, gradient) at x in the slab: integral
+    G_a(x,.) rho + xi.
 
-    y_at are the atom positions inside the slab.  The direct |x-z| piece is
-    the free-line kernel sum (`_kernel_field` with no period).  All mirror
-    pieces of the kernel are smooth across the bumps and integrate through
-    the mu moment in closed form.  Includes the boundary layer xi for the
-    data in bd.
+    y_at are the atom positions inside the slab.  Reflecting oddly at both
+    walls gives the direct charges and their same-sign images, a kernel sum
+    of period 2(a_R - a_L) (`_kernel_field`), and the odd mirror charges
+    behind each wall, smooth across the slab, which integrate through the mu
+    moment in closed form.  Includes the boundary layer xi for the data in
+    bd.
     """
     m, eps = bd.m, bd.eps
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.asarray(y_at, dtype=float)
     k = m / eps
-    muv = mu(profile, m)
-    tau = bd.tau
-    det = 1.0 - tau * tau
     _check_inside_slab(y, bd, profile)
-    val, grad = _kernel_field(y, profile, m, eps, xs)
+    val, grad = _kernel_field(y, profile, m, eps, xs, 2.0 * bd.width)
 
-    # mirror pieces (exact for every x: no kink inside the slab)
+    # odd mirror charges: -(mu/2m)(e_xl s_l + e_xr s_r) / (1 - tau^2)
     e_xl = np.exp(-k * (xs - bd.a_L))  # decaying from the left wall
     e_xr = np.exp(-k * (bd.a_R - xs))
     s_l = np.sum(np.exp(-k * (y - bd.a_L)))  # sum_j e^{-k(y_j - a_L)}
     s_r = np.sum(np.exp(-k * (bd.a_R - y)))
-    c = muv / (2.0 * m)
-    val += c / det * (
-        -e_xl * s_l - e_xr * s_r + tau * (e_xl * s_r + e_xr * s_l)
-    )
-    grad += c * k / det * (
-        e_xl * s_l - e_xr * s_r + tau * (e_xr * s_l - e_xl * s_r)
-    )
+    c = mu(profile, m) / (2.0 * m) / (1.0 - bd.tau * bd.tau)
+    val -= c * (e_xl * s_l + e_xr * s_r)
+    grad += c * k * (e_xl * s_l - e_xr * s_r)
 
     if bd.g_L != 0.0 or bd.g_R != 0.0:
         _, xi = xi_closed_form(bd)
@@ -475,42 +472,6 @@ def _backward_error(diag, off, corner, x, b):
     return float(r / (anorm * np.max(np.abs(x)) + np.max(np.abs(b))))
 
 
-def _solve_cyclic_tridiag(diag, off, corner, b):
-    """Direct solve of a symmetric cyclic tridiagonal system.
-
-    Sherman-Morrison on top of a banded LU, plus a couple of iterative
-    refinement sweeps: the rank-one correction alone can lose a digit and the
-    solve contract is a 1e-12 relative residual.
-    """
-    n = diag.size
-    gamma = -diag[0]
-    d = diag.copy()
-    d[0] -= gamma
-    d[-1] -= corner * corner / gamma
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off
-    ab[1] = d
-    ab[2, :-1] = off
-    u = np.zeros(n)
-    u[0] = gamma
-    u[-1] = corner
-
-    def sm_solve(rhs):
-        zq = solve_banded((1, 1), ab, np.column_stack([rhs, u]))
-        zvec, qvec = zq[:, 0], zq[:, 1]
-        vz = zvec[0] + corner / gamma * zvec[-1]
-        vq = qvec[0] + corner / gamma * qvec[-1]
-        return zvec - qvec * (vz / (1.0 + vq))
-
-    x = sm_solve(b)
-    for _ in range(2):
-        if _backward_error(diag, off, corner, x, b) <= 1e-14:
-            break
-        r = b - _apply_cyclic_tridiag(diag, off, corner, x)
-        x = x + sm_solve(r)
-    return x
-
-
 def solve_periodic(cfg, profile, m, mesh_density=16, constant_rho=None):
     """P1 FEM solve of the periodic field problem on the fixed window [-F, F).
 
@@ -538,7 +499,10 @@ def solve_periodic(cfg, profile, m, mesh_density=16, constant_rho=None):
     else:
         b = np.full(n, float(constant_rho) * h)
 
-    phi = _solve_cyclic_tridiag(diag, off, corner, b)
+    # the uniform periodic mesh makes the matrix circulant
+    col = np.zeros(n)
+    col[0], col[1], col[-1] = diag[0], off[0], corner
+    phi = solve_circulant(col, b)
 
     # backward-error residual and the discrete functional
     res = _backward_error(diag, off, corner, phi, b)

@@ -14,6 +14,7 @@ from acfield.field import (
     solve_dirichlet,
     solve_periodic,
 )
+from acfield.cauchy_born import cb_stress_function, cell_state
 from acfield.lattice import ChainConfig, homogeneous, positions
 from acfield.energy import (
     _pair_sum,
@@ -28,6 +29,7 @@ from acfield.energy import (
     mirror_energy,
     self_energy,
     stress_dirichlet,
+    stress_periodic,
     weak_form_dirichlet,
     weak_form_periodic,
 )
@@ -517,3 +519,38 @@ def test_stress_parts():
     rho = bd.eps * np.sum(PROF.delta1(d / bd.eps) / bd.eps, axis=1)
     expect = 0.5 * bd.eps**2 * g**2 - 0.5 * M**2 * v**2 + rho * v
     assert np.max(np.abs(sf.sigma1(xs) - expect)) < 1e-14 * np.max(np.abs(expect))
+
+
+def _loop_breakpoints(sf, a, b):
+    """Per-atom, per-edge, per-image loop: the reference for
+    `StressFunction._breakpoints`."""
+    pts = [a, b]
+    for c in sf.atoms:
+        for e in (c - sf.w, c + sf.w):
+            if sf.L is None:
+                if a < e < b:
+                    pts.append(e)
+                continue
+            for n in range(math.floor((a - e) / sf.L), math.ceil((b - e) / sf.L) + 1):
+                if a < e + n * sf.L < b:
+                    pts.append(e + n * sf.L)
+    return np.unique(np.asarray(pts, dtype=float))
+
+
+def test_breakpoints_match_edge_loop():
+    # the same points bit for bit: every interval between neighbours (and
+    # some spanning several periods) of the chain, its cells and a slab
+    cfg = wiggled_chain()
+    y = positions(cfg, -cfg.N - 1, cfg.N)
+    y_at, bd = slab_setup(cfg)
+    cases = [(stress_periodic(cfg, PROF, M), np.concatenate([y, [y[0] + 2.5 * cfg.L]])),
+             (stress_dirichlet(y_at, bd, PROF), np.concatenate([[bd.a_L], y_at, [bd.a_R]]))]
+    for j in (-cfg.N, -2, 0, 5, cfg.N):
+        cell = cell_state(cfg, PROF, M, j)
+        cases.append((cb_stress_function(cell),
+                      cell.anchor + cell.spacing * np.array([-4.0, -1.0, -0.3, 0.0, 2.0])))
+    for sf, nodes in cases:
+        for a, b in zip(nodes[:-1], nodes[1:]):
+            assert np.array_equal(sf._breakpoints(a, b), _loop_breakpoints(sf, a, b))
+        assert np.array_equal(sf._breakpoints(nodes[0], nodes[-1]),
+                              _loop_breakpoints(sf, nodes[0], nodes[-1]))

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from acfield.density import gauss_on_interval, grad_delta_eps, quartic_bump, sextic_bump
+from acfield.density import gauss_on_interval, grad_delta_eps, mu, quartic_bump, sextic_bump
 from acfield.field import (
     BoundaryData,
+    _bump_kernel_quad,
     _kernel_field,
     eval_green_dirichlet,
-    eval_green_free,
     eval_green_periodic,
     fem_forces,
     fem_relative_budget,
@@ -201,33 +201,83 @@ def test_green_periodic_gradient_fd():
     assert np.allclose(g, (vp - vm) / (2 * h), atol=5e-8)
 
 
-def test_green_free_kernel():
-    assert eval_green_free(2.0, 0.1, 0.0) == pytest.approx(1.0 / (2 * 0.1 * 2.0))
-    assert eval_green_free(1.0, 0.1, 0.05) == pytest.approx(np.exp(-0.5) / 0.2)
+def _free_line_field(y, m, eps, x):
+    """Whole-line kernel sum of unit bumps at y: (mu/2m) e^{-(m/eps)|x - y_j|}
+    per atom, the split quadrature on the bump that contains x."""
+    k, c, w = m / eps, mu(PROF, m) / (2.0 * m), PROF.half_width * eps
+    d = x[:, None] - y[None, :]
+    e = c * np.exp(-k * np.abs(d))
+    val, grad = e.sum(axis=1), -k * np.sum(np.copysign(e, d), axis=1)
+    ii, jj = np.nonzero(np.abs(d) < w)
+    qv, qg = _bump_kernel_quad(PROF, m, eps, y[jj], x[ii])
+    val[ii] += qv - e[ii, jj]
+    grad[ii] += qg + k * np.copysign(e[ii, jj], d[ii, jj])
+    return val, grad
 
 
-def test_kernel_field_periodic_branch_matches_free_line():
+@pytest.mark.parametrize("m", [1.0, 5.0, 10.0])
+def test_kernel_field_matches_free_line_sum(m):
     # a chain inside (-1, 1): at period 40 every foreign image is at least
-    # 38 away, e^{-(m/eps) 38} ~ 1e-33, so both image sets give one field.
-    # Reducing x - y mod 40 rounds offsets to ulp(40)/2 ~ 3.6e-15, which
-    # moves a term by (m/eps) 3.6e-15 relative; m/eps = 2 keeps that under
-    # the tolerance.  Gradients are measured on the kernel's own scale: an
-    # image's closed-form gradient is m/eps times its value.
+    # 38 away, e^{-(m/eps) 38} <= 1e-33, so the periodic sum is the free-line
+    # one.  Every offset is below L/2, so the nearest-image reduction is
+    # exact and no (m/eps) ulp(L) error scales the gradient.  Gradients are
+    # measured on the kernel's own scale: an image's gradient is m/eps times
+    # its value.
     eps = 0.5
     y = np.array([-0.8, -0.45, -0.1, 0.25, 0.62])
     w = PROF.half_width * eps
     xs = np.concatenate([
         y,                                # at a centre
-        np.nextafter(y, -np.inf),         # just left of one: d mod L rounds to L
-        y + 0.6 * w, y - 0.3 * w,         # inside a bump
+        np.nextafter(y, -np.inf),         # just left of one
+        y + 0.6 * w,                      # inside a bump
+        *(y - f * w for f in (0.1, 0.2, 0.3, 0.45, 0.7, 0.9)),  # left of its centre
         0.5 * (y[:-1] + y[1:]),           # between bumps
         [-0.95, 0.97],
     ])
-    vf, gf = _kernel_field(y, PROF, M, eps, xs)
-    vp, gp = _kernel_field(y, PROF, M, eps, xs, L=40.0)
+    vf, gf = _free_line_field(y, m, eps, xs)
+    vp, gp = _kernel_field(y, PROF, m, eps, xs, 40.0)
     scale = np.max(np.abs(vf))
     assert np.max(np.abs(vp - vf)) <= 1e-14 * scale
-    assert np.max(np.abs(gp - gf)) <= 1e-14 * (M / eps) * scale
+    assert np.max(np.abs(gp - gf)) <= 1e-14 * (m / eps) * scale
+
+
+def _green_dirichlet_dx(bd, x, z):
+    """d/dx of `green_dirichlet` term by term."""
+    k, tau, d = bd.m / bd.eps, bd.tau, bd.width
+    det = 1.0 - tau * tau
+    return k * (
+        -np.sign(x - z) * np.exp(-k * np.abs(x - z))
+        + (np.exp(-k * (x + z - 2.0 * bd.a_L)) - np.exp(-k * (2.0 * bd.a_R - x - z))) / det
+        + tau * (np.exp(-k * (z - x + d)) - np.exp(-k * (x - z + d))) / det
+    ) / (2.0 * bd.m * bd.eps)
+
+
+@pytest.mark.parametrize("m", [0.25, M, 4.0])  # tau from 0.05 to 4e-22
+def test_eval_green_dirichlet_matches_green_function_quadrature(m):
+    # integral G_a(x, z) rho(z) dz by Gauss rules on each bump, split at the
+    # kernel kink z = x, plus the boundary layer xi
+    cfg = wiggled_chain()
+    y, bd = slab_setup(cfg)
+    bd = BoundaryData(bd.a_L, bd.a_R, bd.g_L, bd.g_R, m, bd.eps)
+    w = PROF.half_width * cfg.eps
+    xs = np.concatenate([
+        y, y + 0.7 * w, y - 0.4 * w,                      # inside bumps
+        [bd.a_L, bd.a_L + 1e-3 * w, bd.a_R - 1e-3 * w, bd.a_R],  # at the walls
+        0.5 * (y[:-1] + y[1:]),
+    ])
+    ref_v, ref_g = xi_closed_form(bd)[1](xs)
+    for j, c in enumerate(y):
+        for i, x in enumerate(xs):
+            cuts = [c - w, c + w] if abs(x - c) >= w else [c - w, x, c + w]
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                z, wq = gauss_on_interval(lo, hi, 40)
+                rho = PROF.delta1((z - c) / cfg.eps)
+                ref_v[i] += np.sum(wq * rho * green_dirichlet(bd, x, z))
+                ref_g[i] += np.sum(wq * rho * _green_dirichlet_dx(bd, x, z))
+    val, grad = eval_green_dirichlet(y, bd, PROF, xs)
+    scale = np.max(np.abs(ref_v))
+    assert np.max(np.abs(val - ref_v)) <= 1e-13 * scale
+    assert np.max(np.abs(grad - ref_g)) <= 1e-13 * (m / cfg.eps) * scale
 
 
 def test_dirichlet_fem_within_budget_and_bc():
