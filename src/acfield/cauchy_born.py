@@ -10,9 +10,10 @@ that chain is a geometric series with the exact closed form
 which is what the cell energy, the continuum forces, and the convexity floor
 all differentiate.  The cell field psi^(j) is the lattice Green sum of the
 comparison chain, summed by the routine of the periodic field
-(`field._kernel_field` with period eps y'_j): closed geometric families
-everywhere, with an exact quadrature correction on the bump that contains
-the evaluation point.  Nothing in this module touches a mesh.
+(`field._kernel_field` with period eps y'_j and one atom), with an exact
+quadrature correction on the bump that contains the evaluation point; the
+bound on its gap to the chain field is summed in closed form, with no
+truncation.  Nothing in this module touches a mesh.
 """
 
 import math
@@ -211,27 +212,29 @@ def cb_hessian_lower_bound_check(cfg, u, profile, m):
 
 
 def comparison_field_bound(cfg, profile, m, j):
-    """Locality bound on max over Q_j of |phi - psi^(j)|, evaluated exactly:
+    """Locality bound on max over Q_j of |phi - psi^(j)|,
 
-        mu eps sum_n ||y''||_{l1(j-n .. j+n-1)} n e^{-m n min y'},
+        mu eps sum_{n >= 1} ||y''||_{l1(j-n .. j+n-1)} n q^n,   q = e^{-m min y'},
 
     the index window tiling the chain periodically; m times it bounds
-    eps max |phi' - psi^(j)'|.  The tail is truncated once a crude upper
-    estimate of the remainder drops below 1e-19.  Overlapping bumps raise
-    ValueError: the bound assumes separated bumps, and at min y' <= 0 the
-    tail does not decay.
+    eps max |phi' - psi^(j)'|.  Summed exactly, with no truncation, by
+    swapping the sums: y''_{j+d} lies in window n exactly when n >= n0 (d + 1
+    for d >= 0, -d for d < 0), and sum_{n >= n0} n q^n = q^{n0} (n0 (1 - q)
+    + q) / (1 - q)^2.  The offsets d of one residue r mod P = 2N+1 (r + tP
+    and tP - r) add up as geometric series of ratio q^P, so bound_j =
+    mu eps sum_r |y''|_{j+r} w_r.  Overlapping bumps raise ValueError: the
+    bound assumes separated bumps, and at min y' <= 0 it diverges.
     """
     check_separated(cfg, profile, "comparison_field_bound")
-    ypp = np.abs(second_diff(cfg))
-    n_at = cfg.n_atoms
-    smin = float(np.min(first_diff(cfg)))
-    muv = mu(profile, m)
-    total, n = 0.0, 1
-    while True:
-        decay = math.exp(-m * n * smin)
-        if n > 1 and n * decay * float(np.sum(ypp)) * (n / n_at + 1) < 1e-19:
-            break
-        idx = (np.arange(j - n, j + n) + cfg.N) % n_at
-        total += float(np.sum(ypp[idx])) * n * decay
-        n += 1
-    return muv * cfg.eps * total
+    p = cfg.n_atoms
+    ms = m * float(np.min(first_diff(cfg)))
+    q, omq, om_qp = math.exp(-ms), -math.expm1(-ms), -math.expm1(-ms * p)
+
+    def residue_sum(a):  # sum over t >= 0 of sum_{n >= a + tP} n q^n
+        return np.exp(-ms * a) / omq**2 * (
+            (a * omq + q) / om_qp + p * omq * math.exp(-ms * p) / om_qp**2)
+
+    r = np.arange(p)
+    w = residue_sum(r + 1) + residue_sum(p - r)
+    ypp = np.abs(np.roll(second_diff(cfg), -(j + cfg.N)))
+    return mu(profile, m) * cfg.eps * float(np.dot(ypp, w))

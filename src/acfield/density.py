@@ -165,23 +165,13 @@ def grad_delta_eps(profile, eps, x):
     return profile.grad_delta1(np.asarray(x, dtype=float) / eps) / eps**2
 
 
-def _nearest_image(d, L, buf=None):
-    """Reduce offsets d in place to the nearest image of period L,
-    d - L round(d/L); `buf`, if given, is scratch of d's shape.  Exact while
-    |d| < L/2, where nothing is subtracted."""
-    q = np.divide(d, L, out=buf)
-    np.round(q, out=q)
-    q *= L
-    d -= q
-
-
 def _bump_offsets(atoms, w, x, L=None):
     """Offsets x - c to every atom c, shape (len(x), len(atoms)); with a
     period L, to the atom's nearest image.  Offsets outside the support
     |x - c| < w are set to w, where the bump and its slope vanish."""
     d = np.asarray(x, dtype=float)[:, None] - np.asarray(atoms, dtype=float)[None, :]
     if L is not None:
-        _nearest_image(d, L)
+        d -= L * np.round(d / L)
     d[np.abs(d) >= w] = w
     return d
 

@@ -18,8 +18,9 @@ The pair sums have no cutoff.  The kernel factorizes along the chain (a
 pair's weight is the product of the per-gap factors x_l = e^{-(m/eps) g_l}
 between the two atoms), so the sums F_i over every atom right of atom i obey
 F_i = x_i (1 + F_{i+1}): one bidiagonal back substitution, closed in closed
-form over the periodic images (`_right_sums`).  A sum and its gradient cost
-O(n); the dense pair Hessian sums every pair.
+form over the periodic images (`field._right_sums`, which also sums every
+closed-form field).  A sum and its gradient cost O(n); the dense pair
+Hessian sums every pair.
 
 The P1 finite-element solves in `field` are an independent oracle for these
 closed forms, called directly there: 0.5 * solve_periodic(...).interaction
@@ -39,10 +40,8 @@ behaves as if mirror charges sat behind both walls (`mirror_energy`).
 import math
 
 import numpy as np
-from scipy.linalg import solve_banded
-
 from .density import _bump_offsets, gauss_on_interval, grad_delta_eps, mu, self_moment
-from .field import _check_inside_slab, eval_green_dirichlet, eval_green_periodic
+from .field import _check_inside_slab, _right_sums, eval_green_dirichlet, eval_green_periodic
 from .lattice import positions
 
 __all__ = [
@@ -73,29 +72,6 @@ def self_energy(profile, m, eps):
 # ---------------------------------------------------------------------------
 # pair sums
 # ---------------------------------------------------------------------------
-
-
-def _right_sums(y, k, L=None):
-    """F_i = sum of e^{-k (y_r - y_i)} over every atom r right of atom i
-    (ascending y) and, with a period L, over every image too.
-
-    The kernel factorizes along the chain: with the per-gap factors
-    x_l = e^{-k g_l}, a pair's weight is the product of the x_l between the
-    two atoms, so F_i = x_i (1 + F_{i+1}).  One upper-bidiagonal back
-    substitution gives R, the sums up to the last atom (with a period: up
-    to the image of atom 0); the periodic wrap closes in closed form,
-    F = R + P R_0 / (1 - q) with P_i = e^{-k (y_0 + L - y_i)} and
-    q = e^{-kL}.  Every term is a positive product and no term is dropped.
-    """
-    x = np.exp(-k * np.diff(y if L is None else np.append(y, y[0] + L)))
-    r = np.zeros(y.size)
-    if x.size:
-        ab = np.ones((2, x.size))
-        ab[0, 1:] = -x[:-1]
-        r[:x.size] = solve_banded((0, 1), ab, x)
-    if L is None:
-        return r
-    return r + np.exp(-k * (y[0] + L - y)) * (r[0] / -math.expm1(-k * L))
 
 
 def _pair_sum(y, k, L=None, want_grad=True):

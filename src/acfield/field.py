@@ -19,10 +19,12 @@ Two evaluation routes are provided and deliberately kept independent:
   that lattice and leaves only the odd mirror charges, added in closed form
   (`eval_green_dirichlet`; `green_dirichlet` is the point-source kernel).
   Outside a bump every integral collapses through the mu moment; inside a
-  bump a split Gauss rule handles the kernel kink.  The nearest image is
-  exact while |x - y| < L/2 (always, in the slab); these are exact up to
-  quadrature (~1e-15).  The production energies of `energy` and its
-  stresses use them.
+  bump a split Gauss rule handles the kernel kink.  The kernel is
+  separable, so a point needs only its two neighbouring atoms and their
+  right and left sums over every image (`_right_sums`, which the pair
+  energies of `energy` share): O(n + P log n) for P points, with no
+  truncation.  These are exact up to quadrature (~1e-15).  The production
+  energies of `energy` and its stresses use them.
 
 * P1 finite elements (`solve_periodic`, `solve_dirichlet`), the independent
   cross-check oracle: uniform mesh with at least `mesh_density` nodes per
@@ -50,9 +52,9 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.linalg import solve_circulant, solveh_banded
+from scipy.linalg import solve_banded, solve_circulant, solveh_banded
 
-from .density import _nearest_image, gauss_on_interval, grad_delta_eps, mu
+from .density import gauss_on_interval, grad_delta_eps, mu
 from .lattice import positions
 
 __all__ = [
@@ -125,6 +127,12 @@ def _check_inside_slab(y_at, bd, profile):
         raise ValueError("atom bumps must lie strictly inside the slab")
 
 
+def _check_points_in_slab(x, a_L, a_R):
+    """Raise unless every x (not NaN) lies in [a_L, a_R], up to 1e-12."""
+    if not np.all((x >= a_L - 1e-12) & (x <= a_R + 1e-12)):
+        raise ValueError("evaluation point outside the slab")
+
+
 def xi_closed_form(bd):
     """Boundary-layer part of the Dirichlet field.
 
@@ -180,62 +188,80 @@ def _bump_kernel_quad(profile, m, eps, centers, x):
     return val, grad
 
 
+def _right_sums(y, k, L=None):
+    """F_i = sum of e^{-k (y_r - y_i)} over every atom r right of atom i
+    (ascending y) and, with a period L, over every image too.
+
+    The kernel factorizes along the chain: with the per-gap factors
+    x_l = e^{-k g_l}, a pair's weight is the product of the x_l between the
+    two atoms, so F_i = x_i (1 + F_{i+1}).  One upper-bidiagonal back
+    substitution gives R, the sums up to the last atom (with a period: up
+    to the image of atom 0); the last of them is its own gap factor, so a
+    single atom needs no solve.  The periodic wrap closes in closed form,
+    F = R + P R_0 / (1 - q) with P_i = e^{-k (y_0 + L - y_i)} and
+    q = e^{-kL}.  Every term is a positive product and no term is dropped.
+    """
+    x = np.exp(-k * np.diff(y if L is None else np.append(y, y[0] + L)))
+    r = np.zeros(y.size)
+    r[:x.size] = x
+    if x.size > 1:
+        ab = np.ones((2, x.size))
+        ab[0, 1:] = -x[:-1]
+        r[:x.size] = solve_banded((0, 1), ab, x)
+    if L is None:
+        return r
+    return r + np.exp(-k * (y[0] + L - y)) * (r[0] / -math.expm1(-k * L))
+
+
 def _kernel_field(y, profile, m, eps, x, L):
-    """Field (value, gradient) at x of unit bumps at y and all their images
-    y + nL: every image c contributes (mu/2m) e^{-(m/eps)|x - c|} while x
-    lies outside its bump.
+    """Field (value, gradient) at x of unit bumps at y (ascending, within
+    one period) and all their images y + nL: every image c contributes
+    (mu/2m) e^{-(m/eps)|x - c|} while x lies outside its bump.
 
     Three callers pick the period: the chain (L = 2F), a Cauchy-Born cell's
     comparison chain (L = eps y'_j) and the slab (L = 2(a_R - a_L), the
     direct charge and its same-sign wall images; `eval_green_dirichlet`
-    adds the odd mirror charges).  With d = x - y reduced to the nearest
-    image, the images sit at |d| + nL on its side and at L - |d| + nL on the
-    other (n >= 0): two geometric series summed in closed form,
-    geo (e^{-k|d|} + e^{-k(L-|d|)}) with geo = 1 / (1 - e^{-kL}), k = m/eps.
-    The nearest image whose bump contains x is swapped for the split
-    quadrature of `_bump_kernel_quad`.  The reduction is exact while
-    |x - y| < L/2; farther, d carries the rounding of ulp(L)/2.  Accuracy
-    ~1e-15 relative; no separation is assumed.  Returns arrays shaped like
-    atleast_1d(x).
+    adds the odd mirror charges).  The kernel is separable: with the right
+    and left sums F, Lt of `_right_sums`, x between its neighbouring images
+    l <= x < r sees S_r = e^{-k(y_r - x)} (1 + F_r) and S_l =
+    e^{-k(x - y_l)} (1 + Lt_l), k = m/eps; the field is (mu/2m)(S_r + S_l)
+    and its gradient (mu/2eps)(S_r - S_l).  A bump that contains x leaves
+    its "1 +" out and adds `_bump_kernel_quad` at its offset.  Only x
+    outside [y_{n-1} - L, y_0 + L] is reduced by the period, so every other
+    offset is one subtraction.  O(n + P log n); accuracy ~1e-15 relative.
+    Only the two neighbours can contain x, so a gap under half a bump
+    support raises ValueError.  Returns arrays shaped like atleast_1d(x).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
+    if y.size == 0:
+        return np.zeros_like(x), np.zeros_like(x)
     k = m / eps
-    muv = mu(profile, m)
     w = profile.half_width * eps
-    geo = 1.0 / -math.expm1(-k * L)
-    val = np.empty_like(x)
-    grad = np.empty_like(x)
-    chunk = max(1, int(2e6 // max(1, y.size)))
-    for lo in range(0, x.size, chunk):
-        xs = x[lo : lo + chunk]
-        # three chunk-sized arrays, reused in place: the offsets d (then
-        # their signs), the near series e_n and the far series e_f
-        d = xs[:, None] - y[None, :]
-        e_n = np.empty_like(d)
-        e_f = np.empty_like(d)
-        _nearest_image(d, L, buf=e_n)
-        np.abs(d, out=e_f)
-        ii, jj = np.nonzero(e_f < w)
-        s = d[ii, jj]
-        np.multiply(e_f, -k, out=e_n)
-        np.exp(e_n, out=e_n)
-        np.subtract(L, e_f, out=e_f)
-        e_f *= -k
-        np.exp(e_f, out=e_f)
-        val[lo : lo + chunk] = muv / (2.0 * m) * geo * (e_n.sum(axis=1) + e_f.sum(axis=1))
-        # an image at x itself (d = +0) counts as one left of x, as the
-        # quadrature swap below does
-        e_n -= e_f
-        e_n *= np.copysign(1.0, d, out=d)
-        grad[lo : lo + chunk] = -muv / (2.0 * eps) * geo * e_n.sum(axis=1)
+    ye = np.concatenate([[y[-1] - L], y, [y[0] + L]])
+    if not np.all(np.diff(ye) >= w):
+        raise ValueError("kernel field: bumps reach past a neighbouring atom")
+    atom = np.arange(-1, y.size + 1) % y.size
+    right = _right_sums(y, k, L)[atom]
+    left = _right_sums(-y[::-1], k, L)[::-1][atom]
 
-        # swap the nearest image whose bump contains x for the quadrature
-        if ii.size:
-            e = np.exp(-k * np.abs(s))
-            qv, qg = _bump_kernel_quad(profile, m, eps, xs[ii] - s, xs[ii])
-            np.add.at(val, lo + ii, qv - muv / (2.0 * m) * e)
-            np.add.at(grad, lo + ii, qg + np.copysign(muv / (2.0 * eps) * e, s))
+    far = (x < ye[0]) | (x > ye[-1])
+    x = np.where(far, x - L * np.floor((x - ye[0]) / L), x)
+    r = np.clip(np.searchsorted(ye, x, side="right"), 1, y.size + 1)
+    d_r = ye[r] - x
+    d_l = x - ye[r - 1]
+    in_r = d_r < w
+    in_l = d_l < w
+    s_r = np.exp(-k * d_r) * np.where(in_r, right[r], 1.0 + right[r])
+    s_l = np.exp(-k * d_l) * np.where(in_l, left[r - 1], 1.0 + left[r - 1])
+    muv = mu(profile, m)
+    val = muv / (2.0 * m) * (s_r + s_l)
+    grad = muv / (2.0 * eps) * (s_r - s_l)
+    for inside, offset in ((in_l, d_l), (in_r, -d_r)):
+        d = offset[inside]
+        qv, qg = _bump_kernel_quad(profile, m, eps, np.zeros_like(d), d)
+        val[inside] += qv
+        grad[inside] += qg
     return val, grad
 
 
@@ -275,7 +301,8 @@ def green_dirichlet(bd, x, z):
 
 def eval_green_dirichlet(y_at, bd, profile, x):
     """Exact Dirichlet field (value, gradient) at x in the slab: integral
-    G_a(x,.) rho + xi.
+    G_a(x,.) rho + xi.  A point outside [a_L, a_R] raises ValueError, as the
+    FEM field does: the kernel sum there would alias back into the slab.
 
     y_at are the atom positions inside the slab.  Reflecting oddly at both
     walls gives the direct charges and their same-sign images, a kernel sum
@@ -289,6 +316,7 @@ def eval_green_dirichlet(y_at, bd, profile, x):
     y = np.asarray(y_at, dtype=float)
     k = m / eps
     _check_inside_slab(y, bd, profile)
+    _check_points_in_slab(xs, bd.a_L, bd.a_R)
     val, grad = _kernel_field(y, profile, m, eps, xs, 2.0 * bd.width)
 
     # odd mirror charges: -(mu/2m)(e_xl s_l + e_xr s_r) / (1 - tau^2)
@@ -351,8 +379,7 @@ class Field:
             xr = (x - self.x0) % self.L
         else:
             hi = self.x0 + self.h * (self.n_nodes - 1)
-            if np.any(x < self.x0 - 1e-12) or np.any(x > hi + 1e-12):
-                raise ValueError("evaluation point outside the slab")
+            _check_points_in_slab(x, self.x0, hi)
             xr = np.clip(x - self.x0, 0.0, hi - self.x0)
         i = np.minimum((xr / self.h).astype(int), self.n_nodes - 1)
         if self.kind == "periodic":

@@ -626,12 +626,14 @@ def _exp_field_bound(spec, jobs):
         cfg = _sine_config(n, spec.stretch, spec.force_amplitude)
         eps = cfg.eps
         y = positions(cfg, -n - 1, n)
+        # 12 points in every cell Q_j = (y_{j-1}, y_j), one chain evaluation
+        xs = np.linspace(y[:-1], y[1:], 12, axis=-1)
+        vps, gps = eval_green_periodic(cfg, profile, m, xs)
         ratios_v, ratios_g = [], []
         for j in range(-n, n + 1):
             cell = cell_state(cfg, profile, m, j)
-            xs = np.linspace(y[j + n], y[j + n + 1], 12)
-            vp, gp = eval_green_periodic(cfg, profile, m, xs)
-            vc, gc = cb_cell_field(cell, xs)
+            vp, gp = vps[j + n], gps[j + n]
+            vc, gc = cb_cell_field(cell, xs[j + n])
             bound_v = comparison_field_bound(cfg, profile, m, j)
             bound_g = m * bound_v
             ratios_v.append(float(np.max(np.abs(vp - vc))) / bound_v)

@@ -314,6 +314,46 @@ def test_field_sup_norms_saturate_with_n():
     assert (max(grads) - min(grads)) < 0.10 * grads[-1]
 
 
+def _field_bound_loop(cfg, profile, m, j):
+    """The bound window by window, truncated once a crude estimate of the
+    remainder drops below 1e-19: the reference for the closed form."""
+    ypp = np.abs(second_diff(cfg))
+    n_at = cfg.n_atoms
+    smin = float(np.min(first_diff(cfg)))
+    total, n = 0.0, 1
+    while True:
+        decay = np.exp(-m * n * smin)
+        if n > 1 and n * decay * float(np.sum(ypp)) * (n / n_at + 1) < 1e-19:
+            break
+        idx = (np.arange(j - n, j + n) + cfg.N) % n_at
+        total += float(np.sum(ypp[idx])) * n * decay
+        n += 1
+    return mu(profile, m) * cfg.eps * total
+
+
+@pytest.mark.parametrize("N, F, s_min", [
+    (4, 1.1, None),     # windows wrap the 9 atoms many times
+    (20, 0.8, 0.517),   # near contact: min y' = sigma0 + 0.017
+    (20, 2.0, None),
+])
+def test_comparison_field_bound_matches_window_loop(N, F, s_min):
+    jj = np.arange(-N, N + 1)
+    u = np.sin(2 * np.pi * jj / (2 * N + 1)) + 0.3 * np.cos(6 * np.pi * jj / (2 * N + 1))
+    u -= u.mean()
+    eps = 2.0 / (2 * N + 1)
+    du = np.diff(np.append(u[-1], u)) / eps
+    if s_min is None:
+        u *= 0.1 * F / np.max(np.abs(du))
+    else:
+        u *= (F - s_min) / -np.min(du)
+    cfg = ChainConfig(N, F, u)
+    if s_min is not None:
+        assert float(np.min(first_diff(cfg))) == pytest.approx(s_min, rel=1e-12)
+    for j in range(-N, N + 1):
+        ref = _field_bound_loop(cfg, PROF, M, j)
+        assert abs(comparison_field_bound(cfg, PROF, M, j) - ref) <= 1e-14 * ref
+
+
 def test_comparison_field_bound_rejects_overlapping_bumps():
     # strain 0.4 below sigma0 = 0.5
     with pytest.raises(ValueError, match="overlap"):

@@ -191,6 +191,58 @@ def test_green_periodic_against_brute_image_sum():
     assert np.allclose(val, val_ref, rtol=1e-13)
 
 
+def _long_double_image_sum(cfg, m, x):
+    """Periodic field (value, gradient) at x in np.longdouble: every atom's
+    offset reduced to its nearest image (exact in long double), all images
+    as two geometric series, and the image whose bump contains x swapped for
+    `_bump_kernel_quad` at that offset."""
+    ld = np.longdouble
+    eps, L, y = ld(cfg.eps), ld(cfg.L), positions(cfg)
+    k = ld(m) / eps
+    d = x.astype(ld)[:, None] - y.astype(ld)[None, :]
+    d -= L * np.round(d / L)
+    a = np.abs(d)
+    geo = 1 / -np.expm1(-k * L)
+    near, far = np.exp(-k * a), np.exp(-k * (L - a))
+    own = np.where(a < ld(PROF.half_width * cfg.eps), near, 0)
+    c = ld(mu(PROF, m)) / 2
+    val = c / ld(m) * np.sum(geo * (near + far) - own, axis=1)
+    grad = -c / eps * np.sum(np.sign(d) * (geo * (near - far) - own), axis=1)
+    ii, jj = np.nonzero(own)
+    qv, qg = _bump_kernel_quad(PROF, m, cfg.eps, np.zeros(ii.size), d[ii, jj].astype(float))
+    val[ii] += qv
+    grad[ii] += qg
+    return val, grad
+
+
+@pytest.mark.parametrize("N, v_tol, g_tol", [(80, 2e-15, 1e-14), (320, 2e-13, 2e-12)])
+def test_green_periodic_against_long_double_image_sum(N, v_tol, g_tol):
+    # 800 nodes of the density-64 FEM mesh, the first and last included:
+    # atom -N's bump overhangs the window edge -F, so node 0 lies inside a
+    # bump at the edge of the period; errors as fractions of max|v|, max|g|
+    eps = 2.0 / (2 * N + 1)
+    rng = np.random.default_rng(N)
+    u = rng.normal(0.0, 0.05 * eps, 2 * N + 1)
+    u[0] = -0.5 * eps
+    cfg = ChainConfig(N, 1.1, u - u.mean())
+    n = cfg.n_atoms * math.ceil(64 * cfg.F / PROF.sigma0)
+    idx = np.unique(np.r_[0, 1, n - 2, n - 1, rng.choice(n, 796, replace=False)])
+    x = -cfg.F + cfg.L / n * idx
+    ref_v, ref_g = _long_double_image_sum(cfg, M, x)
+    in_bump = np.min(np.abs(x[:, None] - positions(cfg)), axis=1) < PROF.half_width * eps
+    assert 200 < np.count_nonzero(in_bump) < 600
+    val, grad = eval_green_periodic(cfg, PROF, M, x)
+    assert np.max(np.abs(val - ref_v)) <= v_tol * np.max(np.abs(ref_v))
+    assert np.max(np.abs(grad - ref_g)) <= g_tol * np.max(np.abs(ref_g))
+
+
+def test_green_periodic_rejects_bumps_past_a_neighbour():
+    # the field of a point looks for a containing bump among its two
+    # neighbouring atoms only: a gap under half a support must raise
+    with pytest.raises(ValueError, match="neighbouring atom"):
+        eval_green_periodic(homogeneous(8, 0.2), PROF, M, np.array([0.0]))
+
+
 def test_green_periodic_gradient_fd():
     cfg = wiggled_chain()
     xs = np.linspace(-0.97, 0.95, 29)
@@ -427,6 +479,22 @@ def test_slab_routes_agree_that_a_bump_touching_a_wall_is_contact():
     bd = BoundaryData(a_L, a_R, 0, 0, M, cfg.eps)
     assert solve_dirichlet(y, bd, PROF).value(x) > 0
     assert eval_green_dirichlet(y, bd, PROF, x)[0] > 0
+
+
+def test_slab_fields_reject_points_outside_the_slab():
+    # the closed form would alias a point outside back into the slab through
+    # its period 2(a_R - a_L); it raises, as the FEM field does
+    cfg = wiggled_chain()
+    y, bd = slab_setup(cfg)
+    f = solve_dirichlet(y, bd, PROF)
+    inside = 0.5 * (bd.a_L + bd.a_R)
+    for x in (bd.a_R + 0.6 * bd.width, bd.a_L - 1e-9, math.nan):
+        with pytest.raises(ValueError, match="outside the slab"):
+            eval_green_dirichlet(y, bd, PROF, np.array([inside, x]))
+        with pytest.raises(ValueError, match="outside the slab"):
+            f.value(np.array([inside, x]))
+    walls = np.array([bd.a_L, bd.a_R])
+    assert np.allclose(eval_green_dirichlet(y, bd, PROF, walls)[0], bd.g(), rtol=0, atol=1e-15)
 
 
 def test_boundary_data_validation():
