@@ -229,8 +229,8 @@ def _kernel_field(y, profile, m, eps, x, L):
     its "1 +" out and adds `_bump_kernel_quad` at its offset.  Only x
     outside [y_{n-1} - L, y_0 + L] is reduced by the period, so every other
     offset is one subtraction.  O(n + P log n); accuracy ~1e-15 relative.
-    Only the two neighbours can contain x, so a gap under half a bump
-    support raises ValueError.  Returns arrays shaped like atleast_1d(x).
+    Overlapping supports raise ValueError; without them x lies in at most
+    one bump, a neighbour's.  Returns arrays shaped like atleast_1d(x).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -239,8 +239,8 @@ def _kernel_field(y, profile, m, eps, x, L):
     k = m / eps
     w = profile.half_width * eps
     ye = np.concatenate([[y[-1] - L], y, [y[0] + L]])
-    if not np.all(np.diff(ye) >= w):
-        raise ValueError("kernel field: bumps reach past a neighbouring atom")
+    if not np.all(np.diff(ye) >= 2.0 * w):
+        raise ValueError("kernel field: bump supports overlap")
     atom = np.arange(-1, y.size + 1) % y.size
     right = _right_sums(y, k, L)[atom]
     left = _right_sums(-y[::-1], k, L)[::-1][atom]
@@ -257,11 +257,11 @@ def _kernel_field(y, profile, m, eps, x, L):
     muv = mu(profile, m)
     val = muv / (2.0 * m) * (s_r + s_l)
     grad = muv / (2.0 * eps) * (s_r - s_l)
-    for inside, offset in ((in_l, d_l), (in_r, -d_r)):
-        d = offset[inside]
-        qv, qg = _bump_kernel_quad(profile, m, eps, np.zeros_like(d), d)
-        val[inside] += qv
-        grad[inside] += qg
+    inside = in_l | in_r  # never both: the supports do not overlap
+    d = np.where(in_l, d_l, -d_r)[inside]
+    qv, qg = _bump_kernel_quad(profile, m, eps, np.zeros_like(d), d)
+    val[inside] += qv
+    grad[inside] += qg
     return val, grad
 
 

@@ -236,11 +236,12 @@ def test_green_periodic_against_long_double_image_sum(N, v_tol, g_tol):
     assert np.max(np.abs(grad - ref_g)) <= g_tol * np.max(np.abs(ref_g))
 
 
-def test_green_periodic_rejects_bumps_past_a_neighbour():
-    # the field of a point looks for a containing bump among its two
-    # neighbouring atoms only: a gap under half a support must raise
-    with pytest.raises(ValueError, match="neighbouring atom"):
-        eval_green_periodic(homogeneous(8, 0.2), PROF, M, np.array([0.0]))
+def test_green_periodic_rejects_overlapping_bumps():
+    # a point looks for the one bump that contains it among its two
+    # neighbouring atoms, so overlapping supports (strain 0.45 < sigma0)
+    # must raise rather than miss a bump
+    with pytest.raises(ValueError, match="overlap"):
+        eval_green_periodic(homogeneous(8, 0.45), PROF, M, np.array([0.0]))
 
 
 def test_green_periodic_gradient_fd():
