@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, null_space
 
 from .cauchy_born import (
     cb_cell_denergy,
@@ -465,19 +464,33 @@ def consistency_error(cfg, method, profile, m, n_smooth=8, seed=0,
     }
 
 
+def _mean_zero_basis(n):
+    """Orthonormal basis of the mean-zero vectors in R^n, as columns (the
+    Helmert basis): column k-1 is (1, ..., 1, -k, 0, ..., 0) / sqrt(k(k+1))
+    with k ones, k = 1..n-1."""
+    k = np.arange(1, n)
+    q = np.triu(np.ones((n, n - 1)))
+    q[k, k - 1] = -k
+    return q / np.sqrt(k * (k + 1.0))
+
+
 def stability_spectrum(cfg, method, profile, m, tau_threshold=1e-8):
     """Smallest eigenvalue of D^2 E^qc over mean-zero displacements,
     measured against the strain seminorm |u'|^2_{l2_eps}, next to the
     uniform convexity floor (m mu^2/2) e^{-m max y'}.
 
-    D^2 E^qc is the exact Hessian `ac_hessian`.
+    D^2 E^qc is the exact Hessian `ac_hessian`.  On the mean-zero basis Q the
+    pencil (Q^T H Q, Q^T B Q) reduces by the Cholesky factor C C^T = Q^T B Q
+    to the symmetric C^{-1} Q^T H Q C^{-T}.
     """
     hess = ac_hessian(cfg, method, profile, m, tau_threshold)
     n = cfg.n_atoms
     d_mat = np.eye(n) - np.roll(np.eye(n), 1, axis=1)  # row j: u_j - u_{j-1}
     b_mat = d_mat.T @ d_mat / cfg.eps
-    q = null_space(np.ones((1, n)))
-    lam = eigh(q.T @ hess @ q, q.T @ b_mat @ q, eigvals_only=True)
+    q = _mean_zero_basis(n)
+    c = np.linalg.cholesky(q.T @ b_mat @ q)
+    w = np.linalg.solve(c, np.linalg.solve(c, q.T @ hess @ q).T)
+    lam = np.linalg.eigvalsh(0.5 * (w + w.T))
     muv = mu(profile, m)
     bound = m * muv**2 / 2.0 * math.exp(-m * float(np.max(first_diff(cfg))))
     return float(lam[0]), bound

@@ -17,9 +17,9 @@ model is posed).  They also give the exact Hessian of the periodic energy
 The pair sums have no cutoff.  The kernel factorizes along the chain (a
 pair's weight is the product of the per-gap factors x_l = e^{-(m/eps) g_l}
 between the two atoms), so the sums F_i over every atom right of atom i obey
-F_i = x_i (1 + F_{i+1}): one bidiagonal back substitution, closed in closed
+F_i = x_i (1 + F_{i+1}): a doubling scan of that recurrence, closed in closed
 form over the periodic images (`field._right_sums`, which also sums every
-closed-form field).  A sum and its gradient cost O(n); the dense pair
+closed-form field).  A sum and its gradient cost O(n log n); the dense pair
 Hessian sums every pair.
 
 The P1 finite-element solves in `field` are an independent oracle for these

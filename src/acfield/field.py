@@ -22,16 +22,18 @@ Two evaluation routes are provided and deliberately kept independent:
   bump a split Gauss rule handles the kernel kink.  The kernel is
   separable, so a point needs only its two neighbouring atoms and their
   right and left sums over every image (`_right_sums`, which the pair
-  energies of `energy` share): O(n + P log n) for P points, with no
+  energies of `energy` share): O((n + P) log n) for P points, with no
   truncation.  These are exact up to quadrature (~1e-15).  The production
   energies of `energy` and its stresses use them.
 
 * P1 finite elements (`solve_periodic`, `solve_dirichlet`), the independent
   cross-check oracle: uniform mesh with at least `mesh_density` nodes per
   bump support, exact Gauss-Legendre load assembly (bump x hat is a
-  polynomial on each sub-element), direct solves: the periodic matrix is
-  circulant (FFT solve), the slab's banded (Cholesky).  The discrete
-  energies are 0.5 * Field.interaction (periodic) and -Field.i_value (slab).  The periodic mesh lives on the fixed window
+  polynomial on each sub-element), direct solves by FFT: the periodic matrix
+  is circulant, and the slab's interior matrix is tridiagonal Toeplitz, which
+  the odd extension makes circulant (the method of images on the mesh).  The
+  discrete energies are 0.5 * Field.interaction (periodic) and
+  -Field.i_value (slab).  The periodic mesh lives on the fixed window
   [-F, F) independent of y, so `fem_forces`, the analytic force formula
   evaluated at the FEM field, is the *exact* discrete gradient of the
   discrete energy.  Load and forces share one vectorized loop over
@@ -52,7 +54,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.linalg import solve_banded, solve_circulant, solveh_banded
 
 from .density import gauss_on_interval, grad_delta_eps, mu
 from .lattice import positions
@@ -194,20 +195,24 @@ def _right_sums(y, k, L=None):
 
     The kernel factorizes along the chain: with the per-gap factors
     x_l = e^{-k g_l}, a pair's weight is the product of the x_l between the
-    two atoms, so F_i = x_i (1 + F_{i+1}).  One upper-bidiagonal back
-    substitution gives R, the sums up to the last atom (with a period: up
-    to the image of atom 0); the last of them is its own gap factor, so a
-    single atom needs no solve.  The periodic wrap closes in closed form,
-    F = R + P R_0 / (1 - q) with P_i = e^{-k (y_0 + L - y_i)} and
+    two atoms, so F_i = x_i (1 + F_{i+1}).  A doubling scan solves this
+    first-order recurrence in log2(n) vector steps (Kogge-Stone; Blelloch,
+    "Prefix sums and their applications"): after the step of stride s,
+    F_i = a_i + b_i F_{i+2s}, with a_i the sum over the next 2s gaps and b_i
+    their product.  This gives R, the sums up to the last atom (with a
+    period: up to the image of atom 0).  The periodic wrap closes in closed
+    form, F = R + P R_0 / (1 - q) with P_i = e^{-k (y_0 + L - y_i)} and
     q = e^{-kL}.  Every term is a positive product and no term is dropped.
     """
     x = np.exp(-k * np.diff(y if L is None else np.append(y, y[0] + L)))
+    a, b = x.copy(), x  # b: the products over the strides, shortened each step
+    s = 1
+    while s < x.size:
+        a[:-s] += b[:x.size - s] * a[s:]
+        b = b[:-s] * b[s:]
+        s *= 2
     r = np.zeros(y.size)
-    r[:x.size] = x
-    if x.size > 1:
-        ab = np.ones((2, x.size))
-        ab[0, 1:] = -x[:-1]
-        r[:x.size] = solve_banded((0, 1), ab, x)
+    r[:x.size] = a
     if L is None:
         return r
     return r + np.exp(-k * (y[0] + L - y)) * (r[0] / -math.expm1(-k * L))
@@ -228,7 +233,7 @@ def _kernel_field(y, profile, m, eps, x, L):
     and its gradient (mu/2eps)(S_r - S_l).  A bump that contains x leaves
     its "1 +" out and adds `_bump_kernel_quad` at its offset.  Only x
     outside [y_{n-1} - L, y_0 + L] is reduced by the period, so every other
-    offset is one subtraction.  O(n + P log n); accuracy ~1e-15 relative.
+    offset is one subtraction.  O((n + P) log n); accuracy ~1e-15 relative.
     Overlapping supports raise ValueError; without them x lies in at most
     one bump, a neighbour's.  Returns arrays shaped like atleast_1d(x).
     """
@@ -483,20 +488,57 @@ def _apply_cyclic_tridiag(diag, off, corner, x):
     return ax
 
 
-def _backward_error(diag, off, corner, x, b):
-    """Normwise backward error |b - Ax| / (|A| |x| + |b|), infinity norms.
+def _residual(diag, off, corner, x, b):
+    """b - A x in extended precision, for the cyclic tridiagonal A.
 
-    The residual is accumulated in extended precision: the stiffness part of
-    Ax cancels from ~|A||x| down to ~|b|, so a double-precision dot product
-    cannot see residuals below that cancellation noise.  The backward-error
-    normalization (rather than |r|/|b|) is the solver-quality measure that
-    stays meaningful as the mesh is refined.
+    The stiffness part of Ax cancels from ~|A||x| down to ~|b|, so a
+    double-precision product cannot see residuals below that cancellation
+    noise.
     """
     ld = np.longdouble
-    ax = _apply_cyclic_tridiag(diag.astype(ld), off.astype(ld), ld(corner), x.astype(ld))
-    r = np.max(np.abs(b.astype(ld) - ax))
+    return b.astype(ld) - _apply_cyclic_tridiag(
+        diag.astype(ld), off.astype(ld), ld(corner), x.astype(ld))
+
+
+def _backward_error(diag, off, corner, x, b):
+    """Normwise backward error |b - Ax| / (|A| |x| + |b|), infinity norms,
+    with the residual of `_residual`.  The backward-error normalization
+    (rather than |r|/|b|) is the solver-quality measure that stays
+    meaningful as the mesh is refined.
+    """
+    r = np.max(np.abs(_residual(diag, off, corner, x, b)))
     anorm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
     return float(r / (anorm * np.max(np.abs(x)) + np.max(np.abs(b))))
+
+
+def _solve_circulant(diag, off, b):
+    """Solve C x = b for the symmetric circulant C with diagonal `diag` and
+    both cyclic off-diagonals `off` (n >= 3): the FFT diagonalizes C, with
+    eigenvalues diag + 2 off cos(2 pi j / n)."""
+    col = np.zeros(b.size)
+    col[0], col[1], col[-1] = diag, off, off
+    return np.fft.irfft(np.fft.rfft(b) / np.fft.rfft(col).real, b.size)
+
+
+def _solve_dirichlet_toeplitz(diag, off, b):
+    """Solve T x = b for the tridiagonal Toeplitz T (diagonal `diag`,
+    off-diagonals `off`) of the n - 1 interior nodes of a slab.
+
+    The method of images on the mesh: the odd extension of b, period 2n, with
+    zeros at the two walls, has the odd extension of x as its circulant
+    solution, so T shares the periodic mesh's FFT solve (a DST-I).  One
+    refinement step, a second solve on the extended-precision residual,
+    brings the backward error to that of a banded Cholesky solve.
+    """
+    def solve(rhs):
+        ext = np.zeros(2 * (rhs.size + 1))
+        ext[1:rhs.size + 1] = rhs
+        ext[rhs.size + 2:] = -rhs[::-1]
+        return _solve_circulant(diag, off, ext)[1:rhs.size + 1]
+
+    dv, ov = np.full(b.size, diag), np.full(b.size - 1, off)
+    x = solve(b)
+    return x + solve(_residual(dv, ov, 0.0, x, b).astype(float))
 
 
 def solve_periodic(cfg, profile, m, mesh_density=16, constant_rho=None):
@@ -527,9 +569,7 @@ def solve_periodic(cfg, profile, m, mesh_density=16, constant_rho=None):
         b = np.full(n, float(constant_rho) * h)
 
     # the uniform periodic mesh makes the matrix circulant
-    col = np.zeros(n)
-    col[0], col[1], col[-1] = diag[0], off[0], corner
-    phi = solve_circulant(col, b)
+    phi = _solve_circulant(diag[0], corner, b)
 
     # backward-error residual and the discrete functional
     res = _backward_error(diag, off, corner, phi, b)
@@ -568,10 +608,7 @@ def solve_dirichlet(y_at, bd, profile, mesh_density=16):
     rhs = b[1:-1].copy()
     rhs[0] -= off[0] * bd.g_L
     rhs[-1] -= off[-1] * bd.g_R
-    ab = np.zeros((2, n - 1))
-    ab[0, 1:] = off[1:-1]
-    ab[1] = diag[1:-1]
-    phi[1:-1] = solveh_banded(ab, rhs)
+    phi[1:-1] = _solve_dirichlet_toeplitz(diag[1], off[0], rhs)
 
     # backward error of the interior system (boundary rows carry the strong BC)
     res_int = _backward_error(diag[1:-1], off[1:-1], 0.0, phi[1:-1], rhs)

@@ -42,19 +42,22 @@ class ChainConfig:
     """Periodic chain state: atom count parameter N, stretch F, displacements u.
 
     u must have length 2N+1 and zero mean (the model is translation invariant;
-    minimizers are sought in the mean-zero class).
+    minimizers are sought in the mean-zero class).  The config keeps its own
+    read-only copy of u and builds its positions y_j, j = -N..N, once
+    (`positions`).
     """
 
     N: int
     F: float
     u: np.ndarray = field(repr=False)
+    _y: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be >= 1")
         if not self.F > 0:
             raise ValueError("F must be positive")
-        u = np.asarray(self.u, dtype=float)
+        u = np.array(self.u, dtype=float)
         if u.shape != (2 * self.N + 1,):
             raise ValueError(
                 "u must have length 2N+1 = %d, got shape %s" % (2 * self.N + 1, u.shape)
@@ -64,7 +67,11 @@ class ChainConfig:
         scale = max(1.0, float(np.max(np.abs(u))))
         if abs(float(np.sum(u))) > 1e-9 * scale * len(u):
             raise ValueError("u must be mean-zero over one period")
+        u.flags.writeable = False
+        y = self.F * self.eps * (np.arange(u.size) - self.N) + u
+        y.flags.writeable = False
         object.__setattr__(self, "u", u)
+        object.__setattr__(self, "_y", y)
 
     @property
     def n_atoms(self):
@@ -112,16 +119,17 @@ def positions(cfg, j_lo=None, j_hi=None):
     """Atom positions y_j for j = j_lo..j_hi inclusive (default -N..N).
 
     Indices outside -N..N follow the periodic extension y_{j+(2N+1)} = y_j + L.
+    The default range returns the config's own read-only array.
     """
     if j_lo is None:
-        j_lo, j_hi = -cfg.N, cfg.N
+        return cfg._y
     if j_hi < j_lo:
         raise ValueError("j_hi must be >= j_lo")
     j = np.arange(j_lo, j_hi + 1)
     period = cfg.n_atoms
     i = (j + cfg.N) % period
     k = (j + cfg.N) // period
-    return cfg.F * cfg.eps * (i - cfg.N) + cfg.u[i] + k * cfg.L
+    return cfg._y[i] + k * cfg.L
 
 
 def first_diff(cfg):

@@ -12,6 +12,7 @@ import pytest
 
 from acfield.ac import (
     AcPartition,
+    _mean_zero_basis,
     ac_energy,
     ac_forces,
     ac_hessian,
@@ -277,6 +278,14 @@ def test_consistency_kink_decays_in_k():
             for K in (8, 12, 16, 20)]
     assert all(a > b for a, b in zip(sups, sups[1:]))
     assert sups[-1] < sups[0] / 10
+
+
+@pytest.mark.parametrize("n", [2, 3, 41, 321])
+def test_mean_zero_basis_is_orthonormal(n):
+    q = _mean_zero_basis(n)
+    assert q.shape == (n, n - 1)
+    assert np.max(np.abs(q.T @ q - np.eye(n - 1))) <= 1e-14
+    assert np.max(np.abs(np.ones(n) @ q)) <= 1e-14
 
 
 def test_stability_homogeneous_method1():

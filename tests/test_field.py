@@ -8,6 +8,7 @@ from acfield.field import (
     BoundaryData,
     _bump_kernel_quad,
     _kernel_field,
+    _right_sums,
     eval_green_dirichlet,
     eval_green_periodic,
     fem_forces,
@@ -236,6 +237,43 @@ def test_green_periodic_against_long_double_image_sum(N, v_tol, g_tol):
     assert np.max(np.abs(grad - ref_g)) <= g_tol * np.max(np.abs(ref_g))
 
 
+def _right_sums_long_double(y, k, L):
+    """F_i = x_i (1 + F_{i+1}) by plain back substitution in long double,
+    closed periodically as in `_right_sums`."""
+    ld = np.longdouble
+    y, k = y.astype(ld), ld(k)
+    x = np.exp(-k * np.diff(y if L is None else np.append(y, y[0] + ld(L))))
+    r = np.zeros(y.size, dtype=ld)
+    acc = ld(0)
+    for i in range(x.size - 1, -1, -1):
+        acc = x[i] * (1 + acc)
+        r[i] = acc
+    if L is None:
+        return r
+    return r + np.exp(-k * (y[0] + ld(L) - y)) * r[0] / (1 - np.exp(-k * ld(L)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 1281, 2561])
+@pytest.mark.parametrize("periodic", [False, True], ids=["free", "periodic"])
+def test_right_sums_scan_against_long_double_recurrence(n, periodic):
+    # chains of mean spacing 2/n (unit length, as in the model) with gaps
+    # varying by +-40%; k from n/2 (gap factors ~0.37) to 8n (~1e-7)
+    rng = np.random.default_rng(n)
+    gaps = 2.0 / n * (0.6 + 0.8 * rng.random(n))
+    y = np.cumsum(gaps) - gaps[0]
+    L = float(np.sum(gaps)) if periodic else None
+    for k in (n / 2, n, 8 * n):
+        got = _right_sums(y, k, L)
+        ref = _right_sums_long_double(y, k, L)
+        if not periodic:  # nothing lies right of the last atom
+            assert got[-1] == 0.0
+            got, ref = got[:-1], ref[:-1]
+        ref = ref.astype(float)
+        assert np.all(ref >= np.finfo(float).tiny)  # normal-range entries
+        err = np.abs(got - ref) / ref
+        assert np.all(err <= 5e-14), (k, float(np.max(err)))
+
+
 def test_green_periodic_rejects_overlapping_bumps():
     # a point looks for the one bump that contains it among its two
     # neighbouring atoms, so overlapping supports (strain 0.45 < sigma0)
@@ -422,6 +460,27 @@ def test_green_dirichlet_solves_g0_problem():
     ref, _ = eval_green_dirichlet(y, bd0, PROF, xs)
     budget = fem_relative_budget(PROF, M, 128)
     assert np.max(np.abs(f.value(xs) - ref)) <= budget * np.max(np.abs(ref))
+
+
+def _wall_slab():
+    # the five-atom slab of test_energy's wall-image test
+    eps = 0.1
+    y = eps * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    return y, BoundaryData(float(y[0]) - 0.55 * eps, float(y[-1]) + 0.55 * eps, 0.3, -0.2, M, eps)
+
+
+@pytest.mark.parametrize("slab, mesh_density, n", [
+    (_wall_slab, 64, 653),
+    (lambda: slab_setup(wiggled_chain(), g=(0.0, 0.0)), 128, 3148),
+    (lambda: slab_setup(wiggled_chain()), 8192, 201423),
+], ids=["wall-slab", "g0-slab", "fine-slab"])
+def test_dirichlet_fft_solve_backward_error(slab, mesh_density, n):
+    # the odd-extension FFT solve plus one refinement step is as backward
+    # stable as a banded Cholesky solve, far inside the 1e-12 gate
+    y, bd = slab()
+    f = solve_dirichlet(y, bd, PROF, mesh_density)
+    assert f.n_nodes == n + 1
+    assert f.residual_rel <= 4e-16
 
 
 def test_green_dirichlet_gradient_fd():

@@ -256,6 +256,21 @@ def test_module_cli_runs_without_runtime_warning():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_no_module_loads_scipy():
+    # the package depends on numpy alone: importing every module of it must
+    # not load scipy (which costs more set-up time than numpy itself)
+    src = str(Path(harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import importlib, pkgutil, sys, acfield\n"
+            "for mod in pkgutil.iter_modules(acfield.__path__):\n"
+            "    importlib.import_module('acfield.' + mod.name)\n"
+            "print(' '.join(sorted(k for k in sys.modules if k.startswith('scipy'))))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
 def test_cli_spec_errors_exit_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
     assert "i/o error" in capsys.readouterr().err

@@ -15,6 +15,28 @@ from acfield.lattice import (
 )
 
 
+def test_positions_cached_read_only_and_bit_identical():
+    rng = np.random.default_rng(3)
+    N, F = 6, 1.3
+    u = rng.normal(0, 0.05, 2 * N + 1)
+    u -= u.mean()
+    cfg = ChainConfig(N, F, u)
+    u[0] += 1.0  # the config holds its own copy
+    assert cfg.u[0] == u[0] - 1.0
+    assert positions(cfg) is positions(cfg)
+    for arr in (cfg.u, positions(cfg)):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the per-call formula the cache replaces, for the default range and
+    # for indices of the periodic extension
+    for j_lo, j_hi in ((-N, N), (-N - 1, N + 1), (-3 * N, 4 * N)):
+        j = np.arange(j_lo, j_hi + 1)
+        i, k = (j + N) % cfg.n_atoms, (j + N) // cfg.n_atoms
+        ref = cfg.F * cfg.eps * (i - N) + cfg.u[i] + k * cfg.L
+        got = positions(cfg) if j_lo == -N and j_hi == N else positions(cfg, j_lo, j_hi)
+        assert np.array_equal(got, ref)
+
+
 def test_homogeneous_positions_small():
     # N=1, F=1: eps = 2/3, atoms at -2/3, 0, 2/3; shifted by +2/3 that is (0, 2/3, 4/3)
     cfg = homogeneous(1, 1.0)

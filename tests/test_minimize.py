@@ -17,6 +17,7 @@ from acfield.minimize import (
     CauchyBornModel,
     ExternalForce,
     MinimizeError,
+    _cholesky_solve,
     compare_minimizers,
     minimize,
     sine_force,
@@ -70,6 +71,24 @@ def test_sine_force_equilibrium():
     assert abs(float(np.sum(r.y_final.u))) < 1e-12
     # descent was strict across accepted steps
     assert all(a > b for a, b in zip(r.energies, r.energies[1:]))
+
+
+@pytest.mark.parametrize("n", [1, 5, 32, 41, 100])
+def test_cholesky_solve_matches_dense_solve(n):
+    # n = 32 is one full block; 41 and 100 end on a partial block
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    a = a @ a.T + n * np.eye(n)  # condition number below ~10
+    b = rng.standard_normal(n)
+    x = _cholesky_solve(a, b)
+    ref = np.linalg.solve(a, b)
+    assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_cholesky_solve_raises_on_indefinite_matrix():
+    a = np.diag([2.0, 1.0, -1e-3, 3.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        _cholesky_solve(a, np.ones(4))
 
 
 def test_criticality_probes():
