@@ -169,9 +169,10 @@ def _cholesky_solve(a, b):
 
     numpy has no triangular solve: each block row subtracts the solved part
     by one product and solves its diagonal block.  The block size changes the
-    last bits of x; with blocks of 8 to 32 rows the final Newton polish of the
-    test-suite's sine equilibrium (41 atoms) still decreases the energy
-    strictly, while 48 rows or more (one block) end on an equal energy.
+    last bits of x; with blocks of 8, 16 or 32 rows the final Newton polish
+    of the test-suite's sine equilibrium (41 atoms) still decreases the
+    energy strictly, while 48 rows or more (one block) end on an equal
+    energy.
     """
     block = 32
     low = np.linalg.cholesky(a)

@@ -256,8 +256,8 @@ def _right_sums_long_double(y, k, L):
 @pytest.mark.parametrize("n", [1, 2, 9, 1281, 2561])
 @pytest.mark.parametrize("periodic", [False, True], ids=["free", "periodic"])
 def test_right_sums_scan_against_long_double_recurrence(n, periodic):
-    # chains of mean spacing 2/n (unit length, as in the model) with gaps
-    # varying by +-40%; k from n/2 (gap factors ~0.37) to 8n (~1e-7)
+    # n atoms over a period of about 2, as in the model, with gaps varying
+    # by +-40%; k from n/2 (gap factors ~0.37) to 8n (~1e-7)
     rng = np.random.default_rng(n)
     gaps = 2.0 / n * (0.6 + 0.8 * rng.random(n))
     y = np.cumsum(gaps) - gaps[0]
