@@ -421,8 +421,11 @@ def consistency_error(cfg, method, profile, m, n_smooth=8, seed=0,
     next to the theory's right-hand side eps ||y''||_w + tau.
 
     Probes: every hat displacement plus n_smooth random low-frequency modes,
-    mean-adjusted.  The weighted seminorm decays into the atomistic window
-    with rate m s0 from the interfaces; s0 defaults to the minimal strain.
+    mean-adjusted, as the rows of one matrix; their strain seminorms are one
+    row reduction and their pairings with DE - DE^qc one matvec.  Probes with
+    a vanishing seminorm are skipped.  The weighted seminorm decays into the
+    atomistic window with rate m s0 from the interfaces; s0 defaults to the
+    minimal strain.
     Returns a dict with the sup, the right-hand side, their ratio (the
     fitted constant), and tau.
     """
@@ -435,23 +438,19 @@ def consistency_error(cfg, method, profile, m, n_smooth=8, seed=0,
     f_qc = ac_forces(cfg, method, profile, m, tau_threshold)
     diff = f_at - f_qc
 
+    # probes as rows: the n hats, then n_smooth random low-frequency modes
     rng = np.random.default_rng(seed)
-    probes = list(np.eye(n))
+    draws = [(rng.integers(1, 4), rng.uniform(0, 2 * np.pi), rng.uniform(0.5, 1.5))
+             for _ in range(n_smooth)]
+    k, phase, amp = np.array(draws, dtype=float).reshape(n_smooth, 3).T[:, :, None]
     jj = np.arange(-cfg.N, cfg.N + 1)
-    for _ in range(n_smooth):
-        k = rng.integers(1, 4)
-        phase = rng.uniform(0, 2 * np.pi)
-        amp = rng.uniform(0.5, 1.5)
-        probes.append(amp * np.sin(2 * np.pi * k * jj / n + phase))
+    probes = np.vstack([np.eye(n), amp * np.sin(2 * np.pi * k * jj / n + phase)])
 
-    sup = 0.0
-    for u in probes:
-        u = u - u.mean()
-        du = u - np.roll(u, 1)
-        h1 = math.sqrt(float(np.sum(du**2 / (cfg.eps * strains))))
-        if h1 < 1e-14:
-            continue
-        sup = max(sup, abs(float(diff @ u)) / h1)
+    u = probes - probes.mean(axis=1, keepdims=True)
+    du = u - np.roll(u, 1, axis=1)
+    h1 = np.sqrt(np.sum(du**2 / (cfg.eps * strains), axis=1))
+    keep = h1 >= 1e-14
+    sup = float(np.max(np.abs(u[keep] @ diff) / h1[keep], initial=0.0))
 
     params = DiscreteNormParams(s0=s0, m=m, K=method.partition.K)
     rhs = cfg.eps * norm_weighted(second_diff(cfg), cfg.eps, params) + bd0.tau
@@ -460,18 +459,20 @@ def consistency_error(cfg, method, profile, m, n_smooth=8, seed=0,
         "rhs": float(rhs),
         "fitted_C": sup / rhs if rhs > 0 else math.inf,
         "tau": bd0.tau,
-        "n_probes": len(probes),
+        "n_probes": probes.shape[0],
     }
 
 
-def _mean_zero_basis(n):
-    """Orthonormal basis of the mean-zero vectors in R^n, as columns (the
-    Helmert basis): column k-1 is (1, ..., 1, -k, 0, ..., 0) / sqrt(k(k+1))
-    with k ones, k = 1..n-1."""
-    k = np.arange(1, n)
-    q = np.triu(np.ones((n, n - 1)))
-    q[k, k - 1] = -k
-    return q / np.sqrt(k * (k + 1.0))
+def _fourier_basis(n):
+    """Real Fourier basis of the mean-zero vectors in R^n, n = 2N+1 odd, as
+    columns: sqrt(2/n) cos(2 pi k i/n) and sqrt(2/n) sin(2 pi k i/n),
+    k = 1..N.  It is orthonormal and diagonalizes the periodic second
+    difference D^T D; returns the basis and the eigenvalue
+    2 - 2 cos(2 pi k/n) = 4 sin^2(pi k/n) of each column."""
+    k = np.repeat(np.arange(1, n // 2 + 1), 2)
+    arg = 2.0 * np.pi / n * (np.outer(np.arange(n), k) % n)  # exact reduction: |arg| < 2 pi
+    q = math.sqrt(2.0 / n) * np.where(np.arange(k.size) % 2, np.sin(arg), np.cos(arg))
+    return q, 4.0 * np.sin(np.pi * k / n) ** 2
 
 
 def stability_spectrum(cfg, method, profile, m, tau_threshold=1e-8):
@@ -479,17 +480,15 @@ def stability_spectrum(cfg, method, profile, m, tau_threshold=1e-8):
     measured against the strain seminorm |u'|^2_{l2_eps}, next to the
     uniform convexity floor (m mu^2/2) e^{-m max y'}.
 
-    D^2 E^qc is the exact Hessian `ac_hessian`.  On the mean-zero basis Q the
-    pencil (Q^T H Q, Q^T B Q) reduces by the Cholesky factor C C^T = Q^T B Q
-    to the symmetric C^{-1} Q^T H Q C^{-T}.
+    D^2 E^qc is the exact Hessian `ac_hessian`.  The seminorm's matrix
+    B = D^T D / eps is circulant, so the real Fourier basis Q of the
+    mean-zero vectors diagonalizes it, Q^T B Q = Lambda, and the pencil
+    (Q^T H Q, Lambda) is the symmetric Lambda^{-1/2} Q^T H Q Lambda^{-1/2}.
     """
     hess = ac_hessian(cfg, method, profile, m, tau_threshold)
-    n = cfg.n_atoms
-    d_mat = np.eye(n) - np.roll(np.eye(n), 1, axis=1)  # row j: u_j - u_{j-1}
-    b_mat = d_mat.T @ d_mat / cfg.eps
-    q = _mean_zero_basis(n)
-    c = np.linalg.cholesky(q.T @ b_mat @ q)
-    w = np.linalg.solve(c, np.linalg.solve(c, q.T @ hess @ q).T)
+    q, lam_b = _fourier_basis(cfg.n_atoms)
+    s = np.sqrt(cfg.eps / lam_b)
+    w = s[:, None] * (q.T @ hess @ q) * s
     lam = np.linalg.eigvalsh(0.5 * (w + w.T))
     muv = mu(profile, m)
     bound = m * muv**2 / 2.0 * math.exp(-m * float(np.max(first_diff(cfg))))

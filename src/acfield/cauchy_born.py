@@ -9,11 +9,11 @@ that chain is a geometric series with the exact closed form
 
 which is what the cell energy, the continuum forces, and the convexity floor
 all differentiate.  The cell field psi^(j) is the lattice Green sum of the
-comparison chain, summed by the routine of the periodic field
-(`field._kernel_field` with period eps y'_j and one atom), with an exact
-quadrature correction on the bump that contains the evaluation point; the
-bound on its gap to the chain field is summed in closed form, with no
-truncation.  Nothing in this module touches a mesh.
+comparison chain, one bump per period eps y'_j, with an exact quadrature
+correction on the bump that contains the evaluation point; every cell's
+field comes from one batch routine (`field._cell_fields`), and the bound
+on its gap to the chain field is summed in closed form, with no truncation,
+for every cell at once.  Nothing in this module touches a mesh.
 """
 
 import math
@@ -23,7 +23,7 @@ import numpy as np
 
 from .density import check_separated, mu
 from .energy import StressFunction, self_energy
-from .field import _kernel_field
+from .field import _cell_fields
 from .lattice import first_diff, positions, second_diff
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "cb_cell_denergy",
     "cb_cell_d2energy",
     "cb_cell_field",
+    "cb_cell_fields",
     "cb_stress",
     "cb_stress_function",
     "cb_total_energy",
@@ -95,8 +96,9 @@ class CellState:
 
     def field(self, x):
         """(psi, grad psi) at x: the kernel sum over the comparison chain."""
-        return _kernel_field([self.anchor], self.profile, self.m, self.eps, x,
-                             self.spacing)
+        val, grad = _cell_fields([self.anchor], [self.spacing], self.profile, self.m,
+                                 self.eps, np.atleast_1d(x)[None])
+        return val[0], grad[0]
 
 
 def cell_state(cfg, profile, m, j):
@@ -118,6 +120,13 @@ def cell_state(cfg, profile, m, j):
 def cb_cell_field(cell, x):
     """(psi^(j), grad psi^(j)) at x; exact image sum with geometric closure."""
     return cell.field(x)
+
+
+def cb_cell_fields(cfg, profile, m, xs):
+    """(psi^(j), grad psi^(j)) of every cell at once: row j + N of xs (shape
+    (2N+1, P)) is evaluated for cell Q_j's comparison chain."""
+    check_separated(cfg, profile, "cb_cell_fields")
+    return _cell_fields(positions(cfg), cfg.eps * first_diff(cfg), profile, m, cfg.eps, xs)
 
 
 def cb_stress_function(cell):
@@ -222,8 +231,11 @@ def comparison_field_bound(cfg, profile, m, j):
     for d >= 0, -d for d < 0), and sum_{n >= n0} n q^n = q^{n0} (n0 (1 - q)
     + q) / (1 - q)^2.  The offsets d of one residue r mod P = 2N+1 (r + tP
     and tP - r) add up as geometric series of ratio q^P, so bound_j =
-    mu eps sum_r |y''|_{j+r} w_r.  Overlapping bumps raise ValueError: the
-    bound assumes separated bumps, and at min y' <= 0 it diverges.
+    mu eps sum_r |y''|_{j+r} w_r.  The weights w do not depend on j, so the
+    bounds of several cells are one circular correlation of |y''| with w.
+    j is a cell index or an integer array of them (then the result is an
+    array).  Overlapping bumps raise ValueError: the bound assumes separated
+    bumps, and at min y' <= 0 it diverges.
     """
     check_separated(cfg, profile, "comparison_field_bound")
     p = cfg.n_atoms
@@ -236,5 +248,8 @@ def comparison_field_bound(cfg, profile, m, j):
 
     r = np.arange(p)
     w = residue_sum(r + 1) + residue_sum(p - r)
-    ypp = np.abs(np.roll(second_diff(cfg), -(j + cfg.N)))
-    return mu(profile, m) * cfg.eps * float(np.dot(ypp, w))
+    ypp = np.abs(second_diff(cfg))[(np.atleast_1d(j)[:, None] + cfg.N + r) % p]
+    # a row sum, not a BLAS matvec: one cell's bound does not depend on
+    # which other cells are asked for
+    out = mu(profile, m) * cfg.eps * np.sum(ypp * w, axis=1)
+    return out if np.ndim(j) else float(out[0])

@@ -326,14 +326,16 @@ def _slab_core(gam_l, gam_r, tau, g_l, g_r, m, eps):
     )
 
 
-def _slab_pair_part(y_at, bd, profile):
+def _slab_pair_part(y_at, bd, profile, want_grad=True):
+    """The slab's direct pair energy plus its self energies, and (with
+    want_grad) the pair energy's gradient in the positions, else None."""
     muv = mu(profile, bd.m)
-    s_free, grad = _pair_sum(y_at, bd.m / bd.eps)
+    s_free, grad = _pair_sum(y_at, bd.m / bd.eps, want_grad=want_grad)
     pref = bd.eps * muv**2 / (4.0 * bd.m)
     n_at = np.asarray(y_at).size
     return (
         pref * s_free + n_at * self_energy(profile, bd.m, bd.eps),
-        pref * grad,
+        None if grad is None else pref * grad,
     )
 
 
@@ -341,7 +343,7 @@ def energy_dirichlet(y_at, bd, profile):
     """Slab energy E_{a,g}(y) = -I_a(phi) at the solved Dirichlet field, in
     the exact closed form -I(phi_0) - I(xi_g) for any boundary data g."""
     core = _slab_core(*gamma_pair(y_at, bd, profile), bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
-    pair_val, _ = _slab_pair_part(y_at, bd, profile)
+    pair_val, _ = _slab_pair_part(y_at, bd, profile, want_grad=False)
     return pair_val + core[0]
 
 
@@ -355,7 +357,7 @@ def mirror_energy(y_at, bd, profile):
     `energy_dirichlet` at g*; this independent form checks it.
     """
     gam_l, gam_r = gamma_pair(y_at, bd, profile)
-    pair_val, _ = _slab_pair_part(y_at, bd, profile)
+    pair_val, _ = _slab_pair_part(y_at, bd, profile, want_grad=False)
     tau = bd.tau
     return pair_val + (bd.m * bd.eps / 4.0) * (
         (gam_l**2 + gam_r**2 + 2.0 * tau * gam_l * gam_r) / (1.0 - tau * tau)

@@ -12,7 +12,7 @@ import pytest
 
 from acfield.ac import (
     AcPartition,
-    _mean_zero_basis,
+    _fourier_basis,
     ac_energy,
     ac_forces,
     ac_hessian,
@@ -32,6 +32,7 @@ from acfield.energy import (
     d_energy_dirichlet_g,
     d_energy_dirichlet_y,
     energy_periodic,
+    forces_periodic,
     g_star,
     stress_periodic,
 )
@@ -280,12 +281,50 @@ def test_consistency_kink_decays_in_k():
     assert sups[-1] < sups[0] / 10
 
 
-@pytest.mark.parametrize("n", [2, 3, 41, 321])
-def test_mean_zero_basis_is_orthonormal(n):
-    q = _mean_zero_basis(n)
+def _consistency_sup_loop(cfg, method, n_smooth=8, seed=0):
+    """The probe sup of `consistency_error` one probe at a time: (sup, count)."""
+    n = cfg.n_atoms
+    strains = first_diff(cfg)
+    diff = forces_periodic(cfg, PROFILE, M) - ac_forces(cfg, method, PROFILE, M)
+    rng = np.random.default_rng(seed)
+    probes = list(np.eye(n))
+    jj = np.arange(-cfg.N, cfg.N + 1)
+    for _ in range(n_smooth):
+        k = rng.integers(1, 4)
+        phase = rng.uniform(0, 2 * np.pi)
+        amp = rng.uniform(0.5, 1.5)
+        probes.append(amp * np.sin(2 * np.pi * k * jj / n + phase))
+    sup = 0.0
+    for u in probes:
+        u = u - u.mean()
+        du = u - np.roll(u, 1)
+        h1 = math.sqrt(float(np.sum(du**2 / (cfg.eps * strains))))
+        if h1 >= 1e-14:
+            sup = max(sup, abs(float(diff @ u)) / h1)
+    return sup, len(probes)
+
+
+@pytest.mark.parametrize("make", [method1, method2])
+def test_consistency_probe_matrix_matches_probe_loop(make):
+    cfg = wiggled_chain()
+    for seed in (0, 5):
+        rep = consistency_error(cfg, make(8), PROFILE, M, seed=seed)
+        sup, count = _consistency_sup_loop(cfg, make(8), seed=seed)
+        assert rep["n_probes"] == count
+        assert abs(rep["sup_error"] - sup) <= 1e-14 * sup
+
+
+@pytest.mark.parametrize("N", [2, 3, 41, 321])
+def test_mean_zero_basis_is_orthonormal(N):
+    # the real Fourier basis of a chain of n = 2N+1 atoms: orthonormal,
+    # mean-zero, and it diagonalizes the periodic second difference D^T D
+    n = 2 * N + 1
+    q, lam = _fourier_basis(n)
     assert q.shape == (n, n - 1)
     assert np.max(np.abs(q.T @ q - np.eye(n - 1))) <= 1e-14
     assert np.max(np.abs(np.ones(n) @ q)) <= 1e-14
+    d = np.eye(n) - np.roll(np.eye(n), 1, axis=1)
+    assert np.max(np.abs(q.T @ (d.T @ d) @ q - np.diag(lam))) <= 1e-13
 
 
 def test_stability_homogeneous_method1():

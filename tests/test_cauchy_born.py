@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from acfield.density import gauss_on_interval, quartic_bump, mu
-from acfield.field import eval_green_periodic
+from acfield.density import gauss_on_interval, quartic_bump, mu, sextic_bump
+from acfield.field import _kernel_field, eval_green_periodic
 from acfield.lattice import ChainConfig, first_diff, homogeneous, positions, second_diff
 from acfield.energy import self_energy, stress_periodic
 from acfield.cauchy_born import (
@@ -11,6 +11,7 @@ from acfield.cauchy_born import (
     cb_cell_denergy,
     cb_cell_energy,
     cb_cell_field,
+    cb_cell_fields,
     cb_forces,
     cb_hessian_lower_bound_check,
     cb_stress_function,
@@ -126,6 +127,31 @@ def test_cell_field_periodicity():
     v2, g2 = cb_cell_field(cell, xs + cell.spacing)
     assert np.max(np.abs(v1 - v2)) < 1e-13 * np.max(np.abs(v1))
     assert np.max(np.abs(g1 - g2)) < 1e-12 * np.max(np.abs(g1))
+
+
+@pytest.mark.parametrize("prof", [quartic_bump(0.5), sextic_bump(0.5)], ids=["quartic", "sextic"])
+@pytest.mark.parametrize("N", [8, 40])
+def test_cell_fields_match_one_kernel_field_per_cell(N, prof):
+    # every cell's comparison field from one batch call against the periodic
+    # kernel sum of its one atom, period eps y'_j; points at both cell ends,
+    # in the bump and between bumps, and the same shifted by +-L_j, +-3 L_j
+    eps = 2.0 / (2 * N + 1)
+    rng = np.random.default_rng(N)
+    u = rng.normal(0.0, 0.1 * eps, 2 * N + 1)
+    cfg = ChainConfig(N, 1.1, u - u.mean())
+    y = positions(cfg, -N - 1, N)
+    spacing = eps * first_diff(cfg)
+    w = prof.half_width * eps
+    base = np.stack([y[:-1], y[1:]], axis=1)  # the cell's two atoms
+    base = np.concatenate([base, y[1:, None] + w * np.array([-0.9, -0.3, 0.3, 0.9]),
+                           0.5 * (y[:-1] + y[1:])[:, None]], axis=1)
+    xs = np.concatenate([base + f * spacing[:, None] for f in (0, -1, 1, -3, 3)], axis=1)
+    val, grad = cb_cell_fields(cfg, prof, M, xs)
+    ref = [_kernel_field([y[i + 1]], prof, M, eps, xs[i], spacing[i]) for i in range(cfg.n_atoms)]
+    ref_v, ref_g = np.array([r[0] for r in ref]), np.array([r[1] for r in ref])
+    assert val.shape == grad.shape == xs.shape
+    assert np.max(np.abs(val - ref_v)) <= 1e-13 * np.max(np.abs(ref_v))
+    assert np.max(np.abs(grad - ref_g)) <= 1e-13 * np.max(np.abs(ref_g))
 
 
 def test_cell_field_wide_cell_midpoint():
@@ -349,9 +375,14 @@ def test_comparison_field_bound_matches_window_loop(N, F, s_min):
     cfg = ChainConfig(N, F, u)
     if s_min is not None:
         assert float(np.min(first_diff(cfg))) == pytest.approx(s_min, rel=1e-12)
+    scalar = []
     for j in range(-N, N + 1):
         ref = _field_bound_loop(cfg, PROF, M, j)
-        assert abs(comparison_field_bound(cfg, PROF, M, j) - ref) <= 1e-14 * ref
+        scalar.append(comparison_field_bound(cfg, PROF, M, j))
+        assert isinstance(scalar[-1], float)
+        assert abs(scalar[-1] - ref) <= 1e-14 * ref
+    # every cell at once: the same numbers, bit for bit
+    assert np.array_equal(comparison_field_bound(cfg, PROF, M, jj), scalar)
 
 
 def test_comparison_field_bound_rejects_overlapping_bumps():

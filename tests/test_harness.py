@@ -217,7 +217,10 @@ def test_field_bound_fails_on_a_nan_cell_bound(tmp_path, monkeypatch):
     real = harness.comparison_field_bound
 
     def nan_at_cell_3(cfg, profile, m, j):
-        return float("nan") if j == 3 else real(cfg, profile, m, j)
+        out = real(cfg, profile, m, j)
+        assert j[3 + cfg.N] == 3
+        out[3 + cfg.N] = float("nan")
+        return out
 
     monkeypatch.setattr(harness, "comparison_field_bound", nan_at_cell_3)
     spec = ExperimentSpec(kind="field-bound", n_list=(8,), force_amplitude=0.05)
