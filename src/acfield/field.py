@@ -294,7 +294,7 @@ def _kernel_field(y, profile, m, eps, x, L):
 
 def _cell_fields(anchor, L, profile, m, eps, x):
     """Comparison-chain fields (value, gradient) of several cells at once:
-    row i of x (shape (cells, ...)) is evaluated for the chain of one bump
+    row i of x (shape (cells, P)) is evaluated for the chain of one bump
     per period L[i] through anchor[i].
 
     One atom per period makes both the right and the left sum of every
@@ -304,9 +304,8 @@ def _cell_fields(anchor, L, profile, m, eps, x):
     below the bump support raise ValueError.
     """
     x = np.asarray(x, dtype=float)
-    shape = (-1,) + (1,) * (x.ndim - 1)
-    c = np.asarray(anchor, dtype=float).reshape(shape)
-    L = np.asarray(L, dtype=float).reshape(shape)
+    c = np.asarray(anchor, dtype=float)[:, None]
+    L = np.asarray(L, dtype=float)[:, None]
     if not np.all(L >= 2.0 * profile.half_width * eps):
         raise ValueError("kernel field: bump supports overlap")
     kl = (m / eps) * L
