@@ -39,11 +39,9 @@ from .density import check_separated, mu
 from .energy import (
     _pair_hessian,
     _slab_core,
+    _slab_gradient,
     _wall_sums,
     _weak_form,
-    d_energy_dirichlet_a,
-    d_energy_dirichlet_g,
-    d_energy_dirichlet_y,
     energy_dirichlet,
     forces_periodic,
     g_star,
@@ -234,8 +232,8 @@ def ac_forces(cfg, method, profile, m, tau_threshold=1e-8):
     grad = vals - np.roll(vals, -1)  # cell c pulls atoms c and c-1
 
     bd = _method_bd(cfg, method, profile, m, y_at, bd0)
-    grad[part.atom_indices(cfg)] += d_energy_dirichlet_y(y_at, bd, profile)
-    d_al, d_ar = d_energy_dirichlet_a(y_at, bd, profile)
+    d_y, (d_al, d_ar), dg_e = _slab_gradient(y_at, bd, profile)
+    grad[part.atom_indices(cfg)] += d_y
     grad[i - part.K - 1] += 0.5 * d_al
     grad[i - part.K] += 0.5 * d_al
     grad[i + part.K] += 0.5 * d_ar
@@ -243,7 +241,6 @@ def ac_forces(cfg, method, profile, m, tau_threshold=1e-8):
 
     if method.variant == "method2":
         # explicit boundary-data term; for method 1 D_g E(g*) = 0 drops it
-        dg_e = d_energy_dirichlet_g(y_at, bd, profile)
         c_l, c_r = i - part.K, i + part.K + 1
         dgl = _interface_strain_dgamma(profile, m, float(strains[c_l])) / cfg.eps
         dgr = _interface_strain_dgamma(profile, m, float(strains[c_r])) / cfg.eps

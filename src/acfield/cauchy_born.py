@@ -43,6 +43,9 @@ __all__ = [
     "comparison_field_bound",
 ]
 
+# entries per block of `comparison_field_bound`'s (cells x (2N+1)) tables
+_BOUND_BLOCK = 1 << 16
+
 
 def cb_cell_energy(strain, profile, m, eps):
     """Cell energy e(strain): per-atom energy of the equidistant comparison chain."""
@@ -248,8 +251,16 @@ def comparison_field_bound(cfg, profile, m, j):
 
     r = np.arange(p)
     w = residue_sum(r + 1) + residue_sum(p - r)
-    ypp = np.abs(second_diff(cfg))[(np.atleast_1d(j)[:, None] + cfg.N + r) % p]
+    ypp = np.abs(second_diff(cfg))
+    cells = np.atleast_1d(j) + cfg.N
+    sums = np.empty(cells.size)
     # a row sum, not a BLAS matvec: one cell's bound does not depend on
-    # which other cells are asked for
-    out = mu(profile, m) * cfg.eps * np.sum(ypp * w, axis=1)
+    # which other cells are asked for, so blocks of rows keep the bits and
+    # bound the tables at _BOUND_BLOCK entries
+    rows = max(1, _BOUND_BLOCK // p)
+    for lo in range(0, cells.size, rows):
+        block = ypp[(cells[lo:lo + rows, None] + r) % p]
+        block *= w
+        sums[lo:lo + rows] = np.sum(block, axis=1)
+    out = mu(profile, m) * cfg.eps * sums
     return out if np.ndim(j) else float(out[0])

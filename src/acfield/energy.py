@@ -253,9 +253,23 @@ def weak_form_periodic(cfg, u, profile, m):
 
 
 def _wall_sums(y, bd):
+    """(e^{-k (y_j - a_L)}, e^{-k (a_R - y_j)}) with k = m/eps, for ascending
+    y inside the slab (the slab check ensures both).
+
+    A term is exactly 0 once k times its distance to the wall exceeds 746
+    (e^{-746} rounds to 0), so each family is evaluated only on the atoms
+    within 746/k of its wall, a prefix and a suffix found by `searchsorted`.
+    Every nonzero term, subnormal ones included, is computed as before, so
+    the arrays are those of the full exp, bit for bit.
+    """
+    y = np.asarray(y, dtype=float)
     k = bd.m / bd.eps
-    s_l = np.exp(-k * (np.asarray(y, dtype=float) - bd.a_L))
-    s_r = np.exp(-k * (bd.a_R - np.asarray(y, dtype=float)))
+    near_l = y.searchsorted(bd.a_L + 746.0 / k)
+    near_r = y.searchsorted(bd.a_R - 746.0 / k)
+    s_l, s_r = np.zeros((2, y.size))
+    left, right = s_l[:near_l], s_r[near_r:]  # computed in place
+    np.exp(np.multiply(y[:near_l] - bd.a_L, -k, out=left), out=left)
+    np.exp(np.multiply(bd.a_R - y[near_r:], -k, out=right), out=right)
     return s_l, s_r
 
 
@@ -364,23 +378,41 @@ def mirror_energy(y_at, bd, profile):
     )
 
 
-def d_energy_dirichlet_y(y_at, bd, profile):
-    """Gradient of the slab energy in the atom positions (fixed a, g)."""
-    core = _slab_core(*gamma_pair(y_at, bd, profile), bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
-    _, pair_grad = _slab_pair_part(y_at, bd, profile)
+def _slab_gradient(y_at, bd, profile):
+    """Every first derivative of the slab energy from one pass:
+    (D_y E, (D_{a_L} E, D_{a_R} E), D_g E).
+
+    One slab check, one pair of wall sums (the moments gamma are summed from
+    them), one `_slab_core` and one pair gradient.  D_y E goes through
+    gamma(y), D_a E through gamma(a) and tau(a):
+    dgamma_L/da_L = +k gamma_L, dgamma_R/da_R = -k gamma_R,
+    dtau/da_L = +k tau, dtau/da_R = -k tau.
+    """
+    _check_inside_slab(y_at, bd, profile)
     muv = mu(profile, bd.m)
     k = bd.m / bd.eps
     s_l, s_r = _wall_sums(y_at, bd)
+    gam_l, gam_r = muv / bd.m * float(np.sum(s_l)), muv / bd.m * float(np.sum(s_r))
+    core = _slab_core(gam_l, gam_r, bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
+    _, pair_grad = _slab_pair_part(y_at, bd, profile)
     dgl_dy = -(muv / bd.m) * k * s_l
     dgr_dy = (muv / bd.m) * k * s_r
-    return pair_grad + core[1] * dgl_dy + core[2] * dgr_dy
+    d_al = core[1] * (k * gam_l) + core[3] * (k * bd.tau)
+    d_ar = core[2] * (-k * gam_r) + core[3] * (-k * bd.tau)
+    return (pair_grad + core[1] * dgl_dy + core[2] * dgr_dy,
+            (float(d_al), float(d_ar)),
+            np.array([core[4], core[5]]))
+
+
+def d_energy_dirichlet_y(y_at, bd, profile):
+    """Gradient of the slab energy in the atom positions (fixed a, g)."""
+    return _slab_gradient(y_at, bd, profile)[0]
 
 
 def d_energy_dirichlet_g(y_at, bd, profile):
     """Closed-form gradient in the boundary data:
     D_g E = -m eps ((1-tau^2) c - gamma)^T T^{-1}; zero exactly at g = g*."""
-    core = _slab_core(*gamma_pair(y_at, bd, profile), bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
-    return np.array([core[4], core[5]])
+    return _slab_gradient(y_at, bd, profile)[2]
 
 
 def d_energy_dirichlet_a(y_at, bd, profile):
@@ -391,14 +423,7 @@ def d_energy_dirichlet_a(y_at, bd, profile):
     D_{a_R} E = integral sigma_y grad theta_R with theta_R the hat rising
     from 0 at the outermost atom to 1 at a_R (similarly theta_L).
     """
-    gam_l, gam_r = gamma_pair(y_at, bd, profile)
-    core = _slab_core(gam_l, gam_r, bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
-    k = bd.m / bd.eps
-    # dgamma_L/da_L = +k gamma_L, dgamma_R/da_R = -k gamma_R,
-    # dtau/da_L = +k tau, dtau/da_R = -k tau
-    d_al = core[1] * (k * gam_l) + core[3] * (k * bd.tau)
-    d_ar = core[2] * (-k * gam_r) + core[3] * (-k * bd.tau)
-    return float(d_al), float(d_ar)
+    return _slab_gradient(y_at, bd, profile)[1]
 
 
 def weak_form_dirichlet(y_at, bd, profile, u, order=24):

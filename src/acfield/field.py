@@ -79,6 +79,8 @@ __all__ = [
 #: (default geometry, max-norm, relative to max|phi|); 1.2 gives ~4x headroom.
 FEM_BUDGET_CONST = 1.2
 
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
+
 
 def fem_relative_budget(profile, m, mesh_density):
     """Conservative relative-accuracy budget of a FEM solve at this density."""
@@ -122,12 +124,17 @@ class BoundaryData:
 
 
 def _check_inside_slab(y_at, bd, profile):
-    """Raise unless every atom bump lies strictly inside (a_L, a_R); a NaN
-    position fails too.  A bump touching a wall counts as contact."""
+    """Raise unless every atom bump lies strictly inside (a_L, a_R) and the
+    atoms ascend with separated bumps (neighbours more than one support
+    apart); a NaN position fails too.  A bump touching a wall or another
+    bump counts as contact.  The slab closed forms hold only for ascending,
+    separated bumps."""
     y = np.asarray(y_at, dtype=float)
     w = profile.half_width * bd.eps
-    if not np.all((y - w > bd.a_L) & (y + w < bd.a_R)):
+    if not ((y - w > bd.a_L) & (y + w < bd.a_R)).all():
         raise ValueError("atom bumps must lie strictly inside the slab")
+    if not (y[1:] - y[:-1] > 2.0 * w).all():
+        raise ValueError("slab atoms must ascend with separated bumps")
 
 
 def _check_points_in_slab(x, a_L, a_R):
@@ -215,11 +222,32 @@ def _right_sums(y, k, L=None):
     period: up to the image of atom 0).  The periodic wrap closes in closed
     form, F = R + P R_0 / (1 - q) with P_i = e^{-k (y_0 + L - y_i)} and
     q = e^{-kL}.  Every term is a positive product and no term is dropped.
+
+    Work whose result cannot change a bit is skipped, so the output is
+    bit for bit that of the full scan.  The step of stride s adds
+    b_i a_{i+s} <= xmax^s * xmax / (1 - xmax) to an a_i >= min x; once
+    xmax^s * 4 xmax / (1 - xmax) is below a quarter ulp of min x, the sum
+    rounds back to a_i, and the same holds at every larger stride, so the
+    scan stops.  The stop stride is found once from min x and max x, and
+    only when 0 < xmax < 1/2 and that quarter ulp is a normal number (so
+    the rounding of subnormal products cannot matter); otherwise the scan
+    runs to the end.  At k gap ~ 1 it takes 6 steps instead of 12, and the
+    products b never reach the slow subnormal range.  The wrap's P_i is
+    exactly 0 where k (y_0 + L - y_i) > 746 (e^{-746} rounds to 0), so it
+    is evaluated on the ascending tail y_i >= y_0 + L - 746/k only.
     """
     x = np.exp(-k * np.diff(y if L is None else np.append(y, y[0] + L)))
+    stop, ascending = x.size, False
+    if x.size > 1:
+        lo, hi = float(x.min()), float(x.max())
+        ascending = hi < 1.0  # every gap positive (NaN: False)
+        quarter_ulp = math.ulp(lo) / 4.0
+        if 0.0 < hi < 0.5 and quarter_ulp >= _TINY:
+            # run the strides s with s ln(xmax) + ln(4 xmax/(1 - xmax)) >= ln(ulp/4)
+            stop = (math.log(quarter_ulp) - math.log(4.0 * hi / (1.0 - hi))) / math.log(hi)
     a, b = x.copy(), x  # b: the products over the strides, shortened each step
     s = 1
-    while s < x.size:
+    while s < x.size and s <= stop:
         a[:-s] += b[:x.size - s] * a[s:]
         b = b[:-s] * b[s:]
         s *= 2
@@ -227,7 +255,9 @@ def _right_sums(y, k, L=None):
     r[:x.size] = a
     if L is None:
         return r
-    return r + np.exp(-k * (y[0] + L - y)) * (r[0] / -math.expm1(-k * L))
+    tail = int(y.searchsorted(y[0] + L - 746.0 / k)) if ascending else 0
+    r[tail:] += np.exp(-k * (y[0] + L - y[tail:])) * (r[0] / -math.expm1(-k * L))
+    return r
 
 
 def _neighbour_field(profile, m, eps, d_l, d_r, f_r, lt_l):

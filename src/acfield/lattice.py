@@ -43,14 +43,16 @@ class ChainConfig:
 
     u must have length 2N+1 and zero mean (the model is translation invariant;
     minimizers are sought in the mean-zero class).  The config keeps its own
-    read-only copy of u and builds its positions y_j, j = -N..N, once
-    (`positions`).
+    read-only copy of u and builds, once and read-only, its positions y_j,
+    j = -N..N (`positions`) and its strains y'_j (`first_diff`): every model
+    call on the same config reads them instead of rebuilding them.
     """
 
     N: int
     F: float
     u: np.ndarray = field(repr=False)
     _y: np.ndarray = field(init=False, repr=False, compare=False)
+    _s: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 1:
@@ -70,8 +72,16 @@ class ChainConfig:
         u.flags.writeable = False
         y = self.F * self.eps * (np.arange(u.size) - self.N) + u
         y.flags.writeable = False
+        # y_{-N-1} = y_N - L; y + 0*L = y exactly, so these are the bits of
+        # np.diff(positions(cfg, -N-1, N)) / eps
+        s = np.empty(u.size)
+        s[0] = y[0] - (y[-1] - self.L)
+        np.subtract(y[1:], y[:-1], out=s[1:])
+        s /= self.eps
+        s.flags.writeable = False
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "_y", y)
+        object.__setattr__(self, "_s", s)
 
     @property
     def n_atoms(self):
@@ -133,9 +143,9 @@ def positions(cfg, j_lo=None, j_hi=None):
 
 
 def first_diff(cfg):
-    """Scaled first differences y'_j = (y_j - y_{j-1})/eps, j = -N..N (periodic)."""
-    y = positions(cfg, -cfg.N - 1, cfg.N)
-    return np.diff(y) / cfg.eps
+    """Scaled first differences y'_j = (y_j - y_{j-1})/eps, j = -N..N (periodic),
+    with y_{-N-1} = y_N - L: the config's own read-only array."""
+    return cfg._s
 
 
 def second_diff(cfg):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -397,3 +399,22 @@ def test_comparison_field_bound_rejects_overlapping_bumps():
     assert abs(float(np.min(first_diff(cfg))) + 0.33) < 1e-12
     with pytest.raises(ValueError, match="overlap"):
         comparison_field_bound(cfg, PROF, M, 0)
+
+
+def test_comparison_field_bound_all_cells_in_blocks():
+    # every cell of N = 640 in one call: the (cells x (2N+1)) tables would
+    # take 26 MB at once; in blocks of rows the peak stays small and each
+    # row sum, hence each cell's bound, keeps its bits
+    N = 640
+    jj = np.arange(-N, N + 1)
+    u = 0.05 * np.sin(2 * np.pi * jj / (2 * N + 1)) + 0.02 * np.cos(6 * np.pi * jj / (2 * N + 1))
+    cfg = ChainConfig(N, 1.1, u - u.mean())
+    scalar = [comparison_field_bound(cfg, PROF, M, j) for j in jj]
+    tracemalloc.start()
+    try:
+        every = comparison_field_bound(cfg, PROF, M, jj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(every, scalar)
+    assert peak <= 8 * 2**20, peak

@@ -14,10 +14,13 @@ from acfield.field import (
     solve_dirichlet,
     solve_periodic,
 )
+from acfield.ac import AcPartition, g_method2
 from acfield.cauchy_born import cb_stress_function, cell_state
 from acfield.lattice import ChainConfig, homogeneous, positions
 from acfield.energy import (
     _pair_sum,
+    _slab_core,
+    _slab_gradient,
     d_energy_dirichlet_a,
     d_energy_dirichlet_g,
     d_energy_dirichlet_y,
@@ -317,6 +320,70 @@ def test_nan_atom_raises_in_every_slab_route():
                   lambda: d_energy_dirichlet_y(y, bd, PROF)):
         with pytest.raises(ValueError, match="inside the slab"):
             route()
+
+
+def test_slab_rejects_unsorted_or_overlapping_atoms():
+    # the 11 window atoms of a uniform chain; the closed forms hold only for
+    # ascending, separated bumps, so a swap (the same physical charge, which
+    # used to give 0.2847 instead of 0.2190) and an overlap must raise
+    y, bd = AcPartition(5).window(homogeneous(20, 1.1), M)
+    assert energy_dirichlet(y, bd, PROF) == pytest.approx(0.2190060002686028, rel=1e-14)
+    w = PROF.half_width * bd.eps
+    swapped, overlapping, touching = y.copy(), y.copy(), y.copy()
+    swapped[[3, 4]] = swapped[[4, 3]]
+    overlapping[4] = overlapping[3] + 1.5 * w
+    touching[4] = touching[3] + 2.0 * w
+    for bad in (swapped, overlapping, touching):
+        for route in (energy_dirichlet, d_energy_dirichlet_y, solve_dirichlet):
+            with pytest.raises(ValueError, match="ascend with separated bumps"):
+                route(bad, bd, PROF)
+
+
+def _slab_derivatives_per_piece(y, bd):
+    """(D_y E, D_a E, D_g E) as three separate closed forms, each with its
+    own gamma_pair, `_slab_core` and wall sums (full exp): the route that
+    `_slab_gradient` folds into one pass."""
+    k = bd.m / bd.eps
+    muv = mu(PROF, bd.m)
+    core = _slab_core(*gamma_pair(y, bd, PROF), bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
+    _, grad = _pair_sum(y, k)
+    pair_grad = bd.eps * muv**2 / (4.0 * bd.m) * grad
+    dgl_dy = -(muv / bd.m) * k * np.exp(-k * (y - bd.a_L))
+    dgr_dy = (muv / bd.m) * k * np.exp(-k * (bd.a_R - y))
+    d_y = pair_grad + core[1] * dgl_dy + core[2] * dgr_dy
+
+    gam_l, gam_r = gamma_pair(y, bd, PROF)
+    core = _slab_core(gam_l, gam_r, bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
+    d_al = core[1] * (k * gam_l) + core[3] * (k * bd.tau)
+    d_ar = core[2] * (-k * gam_r) + core[3] * (-k * bd.tau)
+
+    core = _slab_core(*gamma_pair(y, bd, PROF), bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
+    return d_y, (float(d_al), float(d_ar)), np.array([core[4], core[5]])
+
+
+@pytest.mark.parametrize("N", [40, 1280])
+@pytest.mark.parametrize("variant", ["method1", "method2"])
+def test_slab_gradient_matches_per_piece_formulas(variant, N):
+    # a smooth random chain, the coupling's window at K = N/4 and its
+    # boundary data: the one-pass derivatives equal the three separate
+    # closed forms bit for bit
+    rng = np.random.default_rng(N)
+    theta = 2.0 * np.pi * np.arange(-N, N + 1) / (2 * N + 1)
+    u = sum(rng.normal(0.0, 0.02) / k * np.sin(k * theta) for k in (1, 2, 3))
+    cfg = ChainConfig(N, 1.1, u - u.mean())
+    part = AcPartition(N // 4)
+    y, bd0 = part.window(cfg, M)
+    g = g_star(y, bd0, PROF) if variant == "method1" else g_method2(cfg, part, PROF, M)
+    bd = bd0.with_g(*g)
+    d_y, d_a, d_g = _slab_gradient(y, bd, PROF)
+    ref_y, ref_a, ref_g = _slab_derivatives_per_piece(y, bd)
+    assert np.array_equal(d_y, ref_y)
+    assert d_a == ref_a
+    assert np.array_equal(d_g, ref_g)
+    # the public routes are selections from it
+    assert np.array_equal(d_energy_dirichlet_y(y, bd, PROF), ref_y)
+    assert d_energy_dirichlet_a(y, bd, PROF) == ref_a
+    assert np.array_equal(d_energy_dirichlet_g(y, bd, PROF), ref_g)
 
 
 def test_slab_forces_pair_match_fd():

@@ -19,6 +19,7 @@ from acfield.field import (
     solve_periodic,
     xi_closed_form,
 )
+from acfield.energy import _wall_sums
 from acfield.lattice import ChainConfig, homogeneous, positions
 
 PROF = quartic_bump(0.5)
@@ -272,6 +273,89 @@ def test_right_sums_scan_against_long_double_recurrence(n, periodic):
         assert np.all(ref >= np.finfo(float).tiny)  # normal-range entries
         err = np.abs(got - ref) / ref
         assert np.all(err <= 5e-14), (k, float(np.max(err)))
+
+
+def _right_sums_full_scan(y, k, L=None):
+    """The doubling scan run to the end, with the wrap's exp on every atom:
+    `_right_sums` before it learned to skip work that changes no bit."""
+    x = np.exp(-k * np.diff(y if L is None else np.append(y, y[0] + L)))
+    a, b = x.copy(), x
+    s = 1
+    while s < x.size:
+        a[:-s] += b[:x.size - s] * a[s:]
+        b = b[:-s] * b[s:]
+        s *= 2
+    r = np.zeros(y.size)
+    r[:x.size] = a
+    if L is None:
+        return r
+    return r + np.exp(-k * (y[0] + L - y)) * (r[0] / -math.expm1(-k * L))
+
+
+SKIP_GRID_M = (1e-3, 1e-2, 0.1, 1.0, 5.0, 30.0, 100.0, 400.0)
+SKIP_GRID_STRAINS = (PROF.sigma0 + 1e-7, 0.7, 1.1, 2.0, 3.5)
+
+
+def _skip_grid_chains(n, periodic):
+    """(y, L, m, eps, gaps) over the grid: n atoms at eps = 2/n, every
+    strain of SKIP_GRID_STRAINS as the floor of gaps that vary by up to
+    +20%, every m of SKIP_GRID_M."""
+    rng = np.random.default_rng(n)
+    eps = 2.0 / n
+    for s in SKIP_GRID_STRAINS:
+        gaps = eps * s * (1.0 + 0.2 * rng.random(n))
+        y = np.cumsum(gaps) - gaps[0]
+        L = float(np.sum(gaps)) if periodic else None
+        for m in SKIP_GRID_M:
+            yield y, L, m, eps, gaps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 81, 641, 2561])
+@pytest.mark.parametrize("periodic", [False, True], ids=["free", "periodic"])
+def test_right_sums_bit_identical_to_full_scan(n, periodic):
+    regimes = set()
+    for y, L, m, eps, gaps in _skip_grid_chains(n, periodic):
+        k = m / eps
+        got = _right_sums(y, k, L)
+        assert np.array_equal(got, _right_sums_full_scan(y, k, L)), (m, gaps[0] / eps)
+        x = np.exp(-k * (gaps if periodic else gaps[1:]))
+        if x.size > 1:
+            lo, hi = float(np.min(x)), float(np.max(x))
+            normal = np.spacing(lo) / 4.0 >= np.finfo(float).tiny
+            regimes.add("stop" if 0.0 < hi < 0.5 and normal
+                        else "no stop: tiny m" if hi >= 0.5 else "no stop: underflow")
+    if n >= 3:  # the grid runs the early stop and both full-scan regimes
+        assert regimes == {"stop", "no stop: tiny m", "no stop: underflow"}
+
+
+@pytest.mark.parametrize("n", [2, 9, 641])
+def test_right_sums_wide_wrap_gap_bit_identical(n):
+    # the slab's image sum has one wide gap, across the walls, at the wrap:
+    # its closure term reaches the subnormal range where k times the wide
+    # gap nears the 746 cut, and there it still moves the last atom's sum
+    eps, k = 2.0 / n, 1.1 * n / 2.0
+    y = eps * np.arange(n, dtype=float)
+    moved = False
+    for wrap in np.linspace(700.0, 760.0, 31):
+        L = n * eps + wrap / k
+        got = _right_sums(y, k, L)
+        assert np.array_equal(got, _right_sums_full_scan(y, k, L)), wrap
+        # before the closure, the last sum is the wrap gap's factor alone
+        moved |= bool(got[-1] != np.exp(-k * ((y[0] + L) - y[-1])))
+    assert moved
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 81, 641, 2561])
+def test_wall_sums_bit_identical_to_full_exp(n):
+    zero_tail = False
+    for y, _, m, eps, gaps in _skip_grid_chains(n, False):
+        bd = BoundaryData(y[0] - gaps[0], y[-1] + gaps[-1], 0.0, 0.0, m, eps)
+        k = bd.m / bd.eps
+        s_l, s_r = _wall_sums(y, bd)
+        assert np.array_equal(s_l, np.exp(-k * (y - bd.a_L)))
+        assert np.array_equal(s_r, np.exp(-k * (bd.a_R - y)))
+        zero_tail |= bool(s_l[-1] == 0.0)
+    assert zero_tail or n < 3  # the sliced branch is exercised
 
 
 def test_green_periodic_rejects_overlapping_bumps():

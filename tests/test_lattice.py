@@ -37,6 +37,23 @@ def test_positions_cached_read_only_and_bit_identical():
         assert np.array_equal(got, ref)
 
 
+def test_first_diff_cached_read_only_and_bit_identical():
+    rng = np.random.default_rng(4)
+    for N, F in ((1, 0.7), (6, 1.3), (40, 1.1)):
+        u = rng.normal(0, 0.05, 2 * N + 1)
+        cfg = ChainConfig(N, F, u - u.mean())
+        assert first_diff(cfg) is first_diff(cfg)
+        with pytest.raises(ValueError):
+            first_diff(cfg)[0] = 0.0
+        # the per-call formula the cache replaces
+        ref = np.diff(positions(cfg, -N - 1, N)) / cfg.eps
+        assert np.array_equal(first_diff(cfg), ref)
+        # a new config gets its own strains
+        other = cfg.replace_u(-cfg.u)
+        assert np.array_equal(first_diff(other),
+                              np.diff(positions(other, -N - 1, N)) / other.eps)
+
+
 def test_homogeneous_positions_small():
     # N=1, F=1: eps = 2/3, atoms at -2/3, 0, 2/3; shifted by +2/3 that is (0, 2/3, 4/3)
     cfg = homogeneous(1, 1.0)
