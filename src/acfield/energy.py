@@ -253,23 +253,10 @@ def weak_form_periodic(cfg, u, profile, m):
 
 
 def _wall_sums(y, bd):
-    """(e^{-k (y_j - a_L)}, e^{-k (a_R - y_j)}) with k = m/eps, for ascending
-    y inside the slab (the slab check ensures both).
-
-    A term is exactly 0 once k times its distance to the wall exceeds 746
-    (e^{-746} rounds to 0), so each family is evaluated only on the atoms
-    within 746/k of its wall, a prefix and a suffix found by `searchsorted`.
-    Every nonzero term, subnormal ones included, is computed as before, so
-    the arrays are those of the full exp, bit for bit.
-    """
-    y = np.asarray(y, dtype=float)
+    """(e^{-k (y_j - a_L)}, e^{-k (a_R - y_j)}) with k = m/eps."""
     k = bd.m / bd.eps
-    near_l = y.searchsorted(bd.a_L + 746.0 / k)
-    near_r = y.searchsorted(bd.a_R - 746.0 / k)
-    s_l, s_r = np.zeros((2, y.size))
-    left, right = s_l[:near_l], s_r[near_r:]  # computed in place
-    np.exp(np.multiply(y[:near_l] - bd.a_L, -k, out=left), out=left)
-    np.exp(np.multiply(bd.a_R - y[near_r:], -k, out=right), out=right)
+    s_l = np.exp(-k * (np.asarray(y, dtype=float) - bd.a_L))
+    s_r = np.exp(-k * (bd.a_R - np.asarray(y, dtype=float)))
     return s_l, s_r
 
 

@@ -48,9 +48,8 @@ from .field import (
     solve_periodic,
 )
 from .energy import (
-    d_energy_dirichlet_a,
+    _slab_gradient,
     d_energy_dirichlet_g,
-    d_energy_dirichlet_y,
     energy_dirichlet,
     energy_periodic,
     forces_periodic,
@@ -427,7 +426,7 @@ def _exp_gradient_audit(spec, jobs):
             g_l, g_r = 0.3 * float(gs[0]) + 0.01, 0.7 * float(gs[1]) - 0.02
             bd = bd0.with_g(g_l, g_r)
 
-            grad_y = d_energy_dirichlet_y(y_at, bd, profile)
+            grad_y, grad_a, grad_g = _slab_gradient(y_at, bd, profile)
             for dv in dirs:
                 dw = dv[: y_at.size]
                 fd = (
@@ -436,7 +435,6 @@ def _exp_gradient_audit(spec, jobs):
                 ) / (2.0 * h)
                 record("dirichlet-y", fd, float(grad_y @ dw))
 
-            grad_a = d_energy_dirichlet_a(y_at, bd, profile)
             h_a = 1e-6
             for i in range(2):
                 def e_wall(t, i=i):
@@ -448,7 +446,6 @@ def _exp_gradient_audit(spec, jobs):
                     return energy_dirichlet(y_at, b, profile)
                 record("dirichlet-a", (e_wall(h_a) - e_wall(-h_a)) / (2.0 * h_a), float(grad_a[i]))
 
-            grad_g = d_energy_dirichlet_g(y_at, bd, profile)
             for i in range(2):
                 def e_data(t, i=i):
                     b = bd.with_g(g_l + (t if i == 0 else 0.0), g_r + (t if i == 1 else 0.0))

@@ -19,7 +19,6 @@ from acfield.field import (
     solve_periodic,
     xi_closed_form,
 )
-from acfield.energy import _wall_sums
 from acfield.lattice import ChainConfig, homogeneous, positions
 
 PROF = quartic_bump(0.5)
@@ -343,19 +342,6 @@ def test_right_sums_wide_wrap_gap_bit_identical(n):
         # before the closure, the last sum is the wrap gap's factor alone
         moved |= bool(got[-1] != np.exp(-k * ((y[0] + L) - y[-1])))
     assert moved
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 9, 81, 641, 2561])
-def test_wall_sums_bit_identical_to_full_exp(n):
-    zero_tail = False
-    for y, _, m, eps, gaps in _skip_grid_chains(n, False):
-        bd = BoundaryData(y[0] - gaps[0], y[-1] + gaps[-1], 0.0, 0.0, m, eps)
-        k = bd.m / bd.eps
-        s_l, s_r = _wall_sums(y, bd)
-        assert np.array_equal(s_l, np.exp(-k * (y - bd.a_L)))
-        assert np.array_equal(s_r, np.exp(-k * (bd.a_R - y)))
-        zero_tail |= bool(s_l[-1] == 0.0)
-    assert zero_tail or n < 3  # the sliced branch is exercised
 
 
 def test_green_periodic_rejects_overlapping_bumps():
