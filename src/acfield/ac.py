@@ -37,17 +37,16 @@ from .cauchy_born import (
 )
 from .density import check_separated, mu
 from .energy import (
+    _g_star,
     _pair_hessian,
     _slab_core,
+    _slab_energy,
     _slab_gradient,
-    _wall_sums,
     _weak_form,
-    energy_dirichlet,
     forces_periodic,
-    g_star,
     stress_dirichlet,
 )
-from .field import BoundaryData
+from .field import BoundaryData, _walls
 from .lattice import DiscreteNormParams, first_diff, norm_weighted, positions, second_diff
 
 __all__ = [
@@ -87,9 +86,10 @@ class AcPartition:
         a_r = 0.5 * (y[i + self.K] + y[i + self.K + 1])
         return float(a_l), float(a_r)
 
-    def boundary_data(self, cfg, m, g=(0.0, 0.0)):
+    def boundary_data(self, cfg, m):
+        """The slab's boundary data with g = 0 (set g with `with_g`)."""
         a_l, a_r = self.boundaries(cfg)
-        return BoundaryData(a_l, a_r, g[0], g[1], m, cfg.eps)
+        return BoundaryData(a_l, a_r, 0.0, 0.0, m, cfg.eps)
 
     def tau(self, cfg, m):
         return self.boundary_data(cfg, m).tau
@@ -149,12 +149,14 @@ def _cb_weights(cfg, K):
 
 
 def _method_bd(cfg, method, profile, m, y_at, bd0):
-    """The slab's boundary data under the coupling: g* or the cell problem's."""
+    """(bd, walls): the slab's boundary data under the coupling, g* or the
+    cell problem's, and the slab's one `_walls` pass (the walls ignore g)."""
+    walls = _walls(y_at, bd0, profile)
     if method.variant == "method1":
-        g = g_star(y_at, bd0, profile)
+        g = _g_star(*walls[2:], bd0.tau)
     else:
         g = g_method2(cfg, method.partition, profile, m)
-    return bd0.with_g(*g)
+    return bd0.with_g(*g), walls
 
 
 def ac_energy(cfg, method, profile, m, tau_threshold=1e-8):
@@ -163,8 +165,8 @@ def ac_energy(cfg, method, profile, m, tau_threshold=1e-8):
     strains = first_diff(cfg)
     e_cb = float(np.sum(_cb_weights(cfg, method.partition.K)
                         * cb_cell_energy(strains, profile, m, cfg.eps)))
-    bd = _method_bd(cfg, method, profile, m, y_at, bd0)
-    return e_cb + energy_dirichlet(y_at, bd, profile)
+    bd, walls = _method_bd(cfg, method, profile, m, y_at, bd0)
+    return e_cb + _slab_energy(y_at, bd, profile, walls)
 
 
 def _interface_strain_gamma(profile, m, s):
@@ -231,8 +233,8 @@ def ac_forces(cfg, method, profile, m, tau_threshold=1e-8):
     vals = _cb_weights(cfg, part.K) * cb_cell_denergy(strains, profile, m, cfg.eps) / cfg.eps
     grad = vals - np.roll(vals, -1)  # cell c pulls atoms c and c-1
 
-    bd = _method_bd(cfg, method, profile, m, y_at, bd0)
-    d_y, (d_al, d_ar), dg_e = _slab_gradient(y_at, bd, profile)
+    bd, walls = _method_bd(cfg, method, profile, m, y_at, bd0)
+    d_y, (d_al, d_ar), dg_e = _slab_gradient(y_at, bd, profile, walls)
     grad[part.atom_indices(cfg)] += d_y
     grad[i - part.K - 1] += 0.5 * d_al
     grad[i - part.K] += 0.5 * d_al
@@ -262,8 +264,7 @@ def _core_gradient(q, variant, m, eps):
     """
     gam_l, gam_r, tau = q[0], q[1], q[2]
     if variant == "method1":
-        det = 1.0 - tau * tau
-        g_l, g_r = (gam_l + tau * gam_r) / det, (tau * gam_l + gam_r) / det
+        g_l, g_r = _g_star(gam_l, gam_r, tau)
     else:
         g_l, g_r = q[3], q[4]
     return np.array(_slab_core(gam_l, gam_r, tau, g_l, g_r, m, eps)[1:1 + len(q)])
@@ -312,7 +313,7 @@ def _slab_hessian(cfg, method, profile, m, y_at, bd0):
     p_map[i_sr, [i + K, i + K + 1]] = (-1.0 / eps, 1.0 / eps)
 
     # exponential families: coefficients and gradients of their exponents
-    s_l, s_r = _wall_sums(y_at, bd0)
+    s_l, s_r, _, _ = _walls(y_at, bd0, profile)
     lin_l = np.zeros((na, nz))
     lin_l[ia, ia], lin_l[:, i_al] = -k, k  # -k (y_j - a_L)
     lin_r = np.zeros((na, nz))
@@ -360,7 +361,7 @@ def sigma_qc(cfg, method, x, profile, m, tau_threshold=1e-8):
     if method.variant != "method1":
         raise ValueError("the coupled stress exists for method 1 only")
     y_at, bd0 = _validate(cfg, method, profile, m, tau_threshold)
-    bd = _method_bd(cfg, method, profile, m, y_at, bd0)
+    bd, _ = _method_bd(cfg, method, profile, m, y_at, bd0)
     nodes = positions(cfg, -cfg.N - 1, cfg.N)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs <= nodes[0]) or np.any(xs > nodes[-1]):
@@ -389,7 +390,7 @@ def weak_form_qc(cfg, method, u, profile, m, tau_threshold=1e-8, order=24):
     if method.variant != "method1":
         raise ValueError("the coupled stress exists for method 1 only")
     y_at, bd0 = _validate(cfg, method, profile, m, tau_threshold)
-    bd = _method_bd(cfg, method, profile, m, y_at, bd0)
+    bd, _ = _method_bd(cfg, method, profile, m, y_at, bd0)
     K, i = method.partition.K, cfg.N + 1  # i: atom 0's index in y and uu
     y = positions(cfg, -cfg.N - 1, cfg.N)
     uu = np.concatenate([[u[-1]], np.asarray(u, dtype=float)])
@@ -412,34 +413,30 @@ def weak_form_qc(cfg, method, u, profile, m, tau_threshold=1e-8, order=24):
     return acc
 
 
-def consistency_error(cfg, method, profile, m, n_smooth=8, seed=0,
-                      s0=None, tau_threshold=1e-8):
+def consistency_error(cfg, method, profile, m, seed=0, tau_threshold=1e-8):
     """Sup over probe displacements of |(DE - DE^qc) . u| / |grad u|_{L^2},
     next to the theory's right-hand side eps ||y''||_w + tau.
 
-    Probes: every hat displacement plus n_smooth random low-frequency modes,
+    Probes: every hat displacement plus 8 random low-frequency modes,
     mean-adjusted, as the rows of one matrix; their strain seminorms are one
     row reduction and their pairings with DE - DE^qc one matvec.  Probes with
     a vanishing seminorm are skipped.  The weighted seminorm decays into the
-    atomistic window with rate m s0 from the interfaces; s0 defaults to the
-    minimal strain.
+    atomistic window at rate m min y' from the interfaces.
     Returns a dict with the sup, the right-hand side, their ratio (the
     fitted constant), and tau.
     """
     _, bd0 = _validate(cfg, method, profile, m, tau_threshold)
     n = cfg.n_atoms
     strains = first_diff(cfg)
-    if s0 is None:
-        s0 = float(np.min(strains))
     f_at = forces_periodic(cfg, profile, m)
     f_qc = ac_forces(cfg, method, profile, m, tau_threshold)
     diff = f_at - f_qc
 
-    # probes as rows: the n hats, then n_smooth random low-frequency modes
+    # probes as rows: the n hats, then 8 random low-frequency modes
     rng = np.random.default_rng(seed)
     draws = [(rng.integers(1, 4), rng.uniform(0, 2 * np.pi), rng.uniform(0.5, 1.5))
-             for _ in range(n_smooth)]
-    k, phase, amp = np.array(draws, dtype=float).reshape(n_smooth, 3).T[:, :, None]
+             for _ in range(8)]
+    k, phase, amp = np.array(draws, dtype=float).T[:, :, None]
     jj = np.arange(-cfg.N, cfg.N + 1)
     probes = np.vstack([np.eye(n), amp * np.sin(2 * np.pi * k * jj / n + phase)])
 
@@ -449,7 +446,7 @@ def consistency_error(cfg, method, profile, m, n_smooth=8, seed=0,
     keep = h1 >= 1e-14
     sup = float(np.max(np.abs(u[keep] @ diff) / h1[keep], initial=0.0))
 
-    params = DiscreteNormParams(s0=s0, m=m, K=method.partition.K)
+    params = DiscreteNormParams(s0=float(np.min(strains)), m=m, K=method.partition.K)
     rhs = cfg.eps * norm_weighted(second_diff(cfg), cfg.eps, params) + bd0.tau
     return {
         "sup_error": sup,

@@ -29,7 +29,8 @@ and -solve_dirichlet(...).i_value are the discrete energies, and
 
 Wall moments and optimal boundary data: gamma_L = (mu/m) sum_j
 exp(-(m/eps)(y_j - a_L)) (and mirrored for gamma_R) measure the charge seen
-by each wall.  The energy is quadratic in g with
+by each wall.  They come from one `field._walls` pass, which g* and every
+slab route share.  The energy is quadratic in g with
 
     D_g E = -m eps ((1-tau^2) c - gamma)^T T^{-1},   T = [[1, tau], [tau, 1]],
 
@@ -41,7 +42,7 @@ import math
 
 import numpy as np
 from .density import _bump_offsets, gauss_on_interval, grad_delta_eps, mu, self_moment
-from .field import _check_inside_slab, _right_sums, eval_green_dirichlet, eval_green_periodic
+from .field import _right_sums, _t_solve, _walls, eval_green_dirichlet, eval_green_periodic
 from .lattice import positions
 
 __all__ = [
@@ -252,35 +253,23 @@ def weak_form_periodic(cfg, u, profile, m):
 # ---------------------------------------------------------------------------
 
 
-def _wall_sums(y, bd):
-    """(e^{-k (y_j - a_L)}, e^{-k (a_R - y_j)}) with k = m/eps."""
-    k = bd.m / bd.eps
-    s_l = np.exp(-k * (np.asarray(y, dtype=float) - bd.a_L))
-    s_r = np.exp(-k * (bd.a_R - np.asarray(y, dtype=float)))
-    return s_l, s_r
-
-
 def gamma_pair(y_at, bd, profile):
     """Closed-form wall moments (gamma_L, gamma_R) of the slab charge,
-    gamma = (mu/m) sum_j e^{-(m/eps) dist(y_j, wall)}.  Every slab closed
-    form goes through here, so this is where they reject a bump outside the
-    slab or touching a wall, and a NaN position."""
-    _check_inside_slab(y_at, bd, profile)
-    muv = mu(profile, bd.m)
-    s_l, s_r = _wall_sums(y_at, bd)
-    return muv / bd.m * float(np.sum(s_l)), muv / bd.m * float(np.sum(s_r))
+    gamma = (mu/m) sum_j e^{-(m/eps) dist(y_j, wall)} (`field._walls`)."""
+    return _walls(y_at, bd, profile)[2:]
+
+
+def _g_star(gam_l, gam_r, tau):
+    """g* = T gamma / (1 - tau^2) from the moments; plain arithmetic."""
+    det = 1.0 - tau * tau
+    return (gam_l + tau * gam_r) / det, (tau * gam_l + gam_r) / det
 
 
 def g_star(y_at, bd, profile):
-    """Boundary data that makes the slab energy stationary in g.
-
-    g* = T gamma / (1 - tau^2) with T = [[1, tau], [tau, 1]]; the layer
-    coefficients are then c* = gamma / (1 - tau^2).
-    """
-    gam_l, gam_r = gamma_pair(y_at, bd, profile)
-    tau = bd.tau
-    det = 1.0 - tau * tau
-    return (gam_l + tau * gam_r) / det, (tau * gam_l + gam_r) / det
+    """Boundary data g* = T gamma / (1 - tau^2), T = [[1, tau], [tau, 1]], that
+    makes the slab energy stationary in g; its layer coefficients are
+    c* = gamma / (1 - tau^2)."""
+    return _g_star(*gamma_pair(y_at, bd, profile), bd.tau)
 
 
 def _slab_core(gam_l, gam_r, tau, g_l, g_r, m, eps):
@@ -295,8 +284,7 @@ def _slab_core(gam_l, gam_r, tau, g_l, g_r, m, eps):
     d/dgamma_L, d/dgamma_R, d/dtau, d/dg_L, d/dg_R).
     """
     d = 1.0 - tau * tau
-    c_l = (g_l - tau * g_r) / d
-    c_r = (g_r - tau * g_l) / d
+    c_l, c_r = _t_solve(g_l, g_r, tau)
 
     a_val = -(m * eps / 4.0) * (gam_l**2 + gam_r**2) \
         - (m * eps / 4.0) * (tau / d) * (tau * (gam_l**2 + gam_r**2) - 2.0 * gam_l * gam_r)
@@ -340,12 +328,17 @@ def _slab_pair_part(y_at, bd, profile, want_grad=True):
     )
 
 
+def _slab_energy(y_at, bd, profile, walls):
+    """`energy_dirichlet` on the slab's `field._walls` pass."""
+    core = _slab_core(*walls[2:], bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
+    pair_val, _ = _slab_pair_part(y_at, bd, profile, want_grad=False)
+    return pair_val + core[0]
+
+
 def energy_dirichlet(y_at, bd, profile):
     """Slab energy E_{a,g}(y) = -I_a(phi) at the solved Dirichlet field, in
     the exact closed form -I(phi_0) - I(xi_g) for any boundary data g."""
-    core = _slab_core(*gamma_pair(y_at, bd, profile), bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
-    pair_val, _ = _slab_pair_part(y_at, bd, profile, want_grad=False)
-    return pair_val + core[0]
+    return _slab_energy(y_at, bd, profile, _walls(y_at, bd, profile))
 
 
 def mirror_energy(y_at, bd, profile):
@@ -365,21 +358,15 @@ def mirror_energy(y_at, bd, profile):
     )
 
 
-def _slab_gradient(y_at, bd, profile):
-    """Every first derivative of the slab energy from one pass:
-    (D_y E, (D_{a_L} E, D_{a_R} E), D_g E).
-
-    One slab check, one pair of wall sums (the moments gamma are summed from
-    them), one `_slab_core` and one pair gradient.  D_y E goes through
-    gamma(y), D_a E through gamma(a) and tau(a):
+def _slab_gradient(y_at, bd, profile, walls):
+    """Every first derivative (D_y E, (D_{a_L} E, D_{a_R} E), D_g E) of the
+    slab energy from its `field._walls` pass, one `_slab_core` and one pair
+    gradient.  D_y E goes through gamma(y), D_a E through gamma(a) and tau(a):
     dgamma_L/da_L = +k gamma_L, dgamma_R/da_R = -k gamma_R,
-    dtau/da_L = +k tau, dtau/da_R = -k tau.
-    """
-    _check_inside_slab(y_at, bd, profile)
+    dtau/da_L = +k tau, dtau/da_R = -k tau."""
+    s_l, s_r, gam_l, gam_r = walls
     muv = mu(profile, bd.m)
     k = bd.m / bd.eps
-    s_l, s_r = _wall_sums(y_at, bd)
-    gam_l, gam_r = muv / bd.m * float(np.sum(s_l)), muv / bd.m * float(np.sum(s_r))
     core = _slab_core(gam_l, gam_r, bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
     _, pair_grad = _slab_pair_part(y_at, bd, profile)
     dgl_dy = -(muv / bd.m) * k * s_l
@@ -393,13 +380,14 @@ def _slab_gradient(y_at, bd, profile):
 
 def d_energy_dirichlet_y(y_at, bd, profile):
     """Gradient of the slab energy in the atom positions (fixed a, g)."""
-    return _slab_gradient(y_at, bd, profile)[0]
+    return _slab_gradient(y_at, bd, profile, _walls(y_at, bd, profile))[0]
 
 
 def d_energy_dirichlet_g(y_at, bd, profile):
     """Closed-form gradient in the boundary data:
     D_g E = -m eps ((1-tau^2) c - gamma)^T T^{-1}; zero exactly at g = g*."""
-    return _slab_gradient(y_at, bd, profile)[2]
+    core = _slab_core(*gamma_pair(y_at, bd, profile), bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
+    return np.array([core[4], core[5]])
 
 
 def d_energy_dirichlet_a(y_at, bd, profile):
@@ -410,7 +398,7 @@ def d_energy_dirichlet_a(y_at, bd, profile):
     D_{a_R} E = integral sigma_y grad theta_R with theta_R the hat rising
     from 0 at the outermost atom to 1 at a_R (similarly theta_L).
     """
-    return _slab_gradient(y_at, bd, profile)[1]
+    return _slab_gradient(y_at, bd, profile, _walls(y_at, bd, profile))[1]
 
 
 def weak_form_dirichlet(y_at, bd, profile, u, order=24):

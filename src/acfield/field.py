@@ -42,7 +42,8 @@ Two evaluation routes are provided and deliberately kept independent:
   (bump, element) pieces (`_bump_pieces`).
 
 Atoms must be separated: a slab rejects any bump whose support reaches a
-wall, touching included.
+wall, touching included.  Every slab route, here and in `energy` and `ac`,
+reads its wall sums and moments from `_walls` and solves T c = g by `_t_solve`.
 
 FEM accuracy: the relative error of the P1 solution scales like
 (m h / eps)^2 = (m sigma0 / mesh_density)^2 with a constant below ~1/8
@@ -137,6 +138,25 @@ def _check_inside_slab(y_at, bd, profile):
         raise ValueError("slab atoms must ascend with separated bumps")
 
 
+def _walls(y_at, bd, profile):
+    """The slab's wall data, independent of g, after `_check_inside_slab`:
+    (s_L, s_R, gamma_L, gamma_R), s_L = e^{-k(y_j - a_L)}, s_R = e^{-k(a_R - y_j)},
+    k = m/eps, and the wall moments gamma = (mu/m) sum s."""
+    _check_inside_slab(y_at, bd, profile)
+    y = np.asarray(y_at, dtype=float)
+    k = bd.m / bd.eps
+    s_l = np.exp(-k * (y - bd.a_L))
+    s_r = np.exp(-k * (bd.a_R - y))
+    muv = mu(profile, bd.m)
+    return s_l, s_r, muv / bd.m * float(np.sum(s_l)), muv / bd.m * float(np.sum(s_r))
+
+
+def _t_solve(g_l, g_r, tau):
+    """c = T^{-1} g, T = [[1, tau], [tau, 1]]; plain arithmetic (complex-safe)."""
+    d = 1.0 - tau * tau
+    return (g_l - tau * g_r) / d, (g_r - tau * g_l) / d
+
+
 def _check_points_in_slab(x, a_L, a_R):
     """Raise unless every x (not NaN) lies in [a_L, a_R], up to 1e-12."""
     if not np.all((x >= a_L - 1e-12) & (x <= a_R + 1e-12)):
@@ -151,10 +171,7 @@ def xi_closed_form(bd):
     system [[1, tau], [tau, 1]] c = g.  Returns the coefficients and a
     callable `xi(x) -> (value, gradient)`.
     """
-    tau = bd.tau
-    det = 1.0 - tau * tau
-    c_L = (bd.g_L - tau * bd.g_R) / det
-    c_R = (bd.g_R - tau * bd.g_L) / det
+    c_L, c_R = _t_solve(bd.g_L, bd.g_R, bd.tau)
     me = bd.m / bd.eps
 
     def xi(x):
@@ -399,15 +416,14 @@ def eval_green_dirichlet(y_at, bd, profile, x):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.asarray(y_at, dtype=float)
     k = m / eps
-    _check_inside_slab(y, bd, profile)
+    wall_l, wall_r, _, _ = _walls(y, bd, profile)
     _check_points_in_slab(xs, bd.a_L, bd.a_R)
     val, grad = _kernel_field(y, profile, m, eps, xs, 2.0 * bd.width)
 
     # odd mirror charges: -(mu/2m)(e_xl s_l + e_xr s_r) / (1 - tau^2)
     e_xl = np.exp(-k * (xs - bd.a_L))  # decaying from the left wall
     e_xr = np.exp(-k * (bd.a_R - xs))
-    s_l = np.sum(np.exp(-k * (y - bd.a_L)))  # sum_j e^{-k(y_j - a_L)}
-    s_r = np.sum(np.exp(-k * (bd.a_R - y)))
+    s_l, s_r = np.sum(wall_l), np.sum(wall_r)  # sum_j e^{-k(y_j - a_L)}, ...
     c = mu(profile, m) / (2.0 * m) / (1.0 - bd.tau * bd.tau)
     val -= c * (e_xl * s_l + e_xr * s_r)
     grad += c * k * (e_xl * s_l - e_xr * s_r)
@@ -448,7 +464,6 @@ class Field:
     interaction: float = 0.0
     i_value: float = 0.0
     residual_rel: float = 0.0
-    bd: BoundaryData = None
 
     @property
     def n_nodes(self):
@@ -699,7 +714,6 @@ def solve_dirichlet(y_at, bd, profile, mesh_density=16):
     return Field(
         kind="dirichlet", x0=bd.a_L, h=h, values=phi, L=0.0, rhs=b,
         interaction=interaction, i_value=i_value, residual_rel=float(res_int),
-        bd=bd,
     )
 
 
@@ -721,10 +735,7 @@ def field_lipschitz_check(y_at, bd1, bd2, profile, mesh_density=16, n_samples=20
     f1 = solve_dirichlet(y_at, bd1, profile, mesh_density)
     f2 = solve_dirichlet(y_at, bd2, profile, mesh_density)
     dg = bd1.g() - bd2.g()
-    tau = bd1.tau
-    det = 1.0 - tau * tau
-    tinv_dg = np.array([dg[0] - tau * dg[1], dg[1] - tau * dg[0]]) / det
-    amp = float(np.linalg.norm(tinv_dg))
+    amp = float(np.linalg.norm(_t_solve(dg[0], dg[1], bd1.tau)))
     m, eps = bd1.m, bd1.eps
 
     rng = np.random.default_rng(seed)

@@ -140,7 +140,12 @@ class AcModel:
 
 
 class MinimizeError(RuntimeError):
-    pass
+    """`minimize` stopped without converging; `result` is the
+    `MinimizeResult` at the stop (unpickling restores it from the state)."""
+
+    def __init__(self, msg, result=None):
+        super().__init__(msg)
+        self.result = result
 
 
 @dataclass(frozen=True)
@@ -194,8 +199,7 @@ def _strain_guard(cfg):
     return float(s[p]), p - cfg.N
 
 
-def minimize(model, f, y0, tol=None, max_iter=60, margin=0.05,
-             raise_on_failure=True):
+def minimize(model, f, y0, tol=None, max_iter=60, margin=0.05):
     """Damped Newton for E(y) + (f, y)_eps over mean-zero displacements.
 
     Each step solves (H + c 11^T) d = -g with the model's exact Hessian H:
@@ -206,7 +210,8 @@ def minimize(model, f, y0, tol=None, max_iter=60, margin=0.05,
     separated with room to spare); the Armijo test carries a
     machine-precision slack so the final Newton polish steps, whose
     predicted decrease is below roundoff in the total energy, are not
-    rejected.
+    rejected.  Running out of iterations or a failed line search raises
+    `MinimizeError`, which carries the result at the stop.
     """
     eps = y0.eps
     if tol is None:
@@ -243,15 +248,11 @@ def minimize(model, f, y0, tol=None, max_iter=60, margin=0.05,
                               count["grad"], count["hess"],
                               count["backtracks"], count["fallbacks"])
 
-    def fail(msg):
-        if raise_on_failure:
-            raise MinimizeError(msg)
-        return result(False)
-
     steps = 0
     while gnorm > tol:
         if steps >= max_iter:
-            return fail("no convergence in %d iterations (|g| = %.3e)" % (max_iter, gnorm))
+            raise MinimizeError("no convergence in %d iterations (|g| = %.3e)"
+                                % (max_iter, gnorm), result(False))
 
         hess = model.hessian(cfg)
         count["hess"] += 1
@@ -281,7 +282,8 @@ def minimize(model, f, y0, tol=None, max_iter=60, margin=0.05,
             count["backtracks"] += 1
             t *= 0.5
         if accepted is None:
-            return fail("line search failed at step %d (|g| = %.3e)" % (steps + 1, gnorm))
+            raise MinimizeError("line search failed at step %d (|g| = %.3e)"
+                                % (steps + 1, gnorm), result(False))
 
         cfg, e_cur = accepted
         energies.append(e_cur)
@@ -292,17 +294,17 @@ def minimize(model, f, y0, tol=None, max_iter=60, margin=0.05,
     return result(True)
 
 
-def compare_minimizers(model_a, model_b, f, y0, tol=None, max_iter=60, margin=0.05):
+def compare_minimizers(model_a, model_b, f, y0):
     """Equilibrate both models and measure |y'_a - y'_b|_{l2_eps} next to the
     first-order bound eps * ||y''_a||_w + tau.
 
     The second minimization starts from the first minimizer.  tau and the
     weight band come from whichever model couples (zero and trivial weights
     otherwise); the weight decay rate uses the minimal strain of the first
-    minimizer.
+    minimizer.  Both minimizations run with `minimize`'s defaults.
     """
-    res_a = minimize(model_a, f, y0, tol=tol, max_iter=max_iter, margin=margin)
-    res_b = minimize(model_b, f, res_a.y_final, tol=tol, max_iter=max_iter, margin=margin)
+    res_a = minimize(model_a, f, y0)
+    res_b = minimize(model_b, f, res_a.y_final)
     ya, yb = res_a.y_final, res_b.y_final
     err = norm_l2eps(first_diff(ya) - first_diff(yb), ya.eps)
 

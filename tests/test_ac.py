@@ -10,9 +10,13 @@ import math
 import numpy as np
 import pytest
 
+import acfield.ac
+import acfield.energy
+import acfield.field
 from acfield.ac import (
     AcPartition,
     _fourier_basis,
+    _interface_strain_dgamma,
     ac_energy,
     ac_forces,
     ac_hessian,
@@ -31,6 +35,7 @@ from acfield.energy import (
     d_energy_dirichlet_a,
     d_energy_dirichlet_g,
     d_energy_dirichlet_y,
+    energy_dirichlet,
     energy_periodic,
     forces_periodic,
     g_star,
@@ -403,3 +408,81 @@ def test_ac_hessian_matches_fd(meth, bump, N, K, shape):
     assert np.max(rel) <= 1e-6
     assert np.array_equal(hess, hess.T)
     assert np.max(np.abs(hess.sum(axis=1))) <= 1e-12 * np.max(np.abs(hess))
+
+
+def _smooth_chain(N, seed):
+    rng = np.random.default_rng(seed)
+    theta = 2.0 * np.pi * np.arange(-N, N + 1) / (2 * N + 1)
+    u = sum(rng.normal(0.0, 0.02) / k * np.sin(k * theta) for k in (1, 2, 3))
+    return ChainConfig(N, 1.1, u - u.mean())
+
+
+def _coupled_by_public_pieces(cfg, method):
+    """(energy, forces) of the coupling composed from the public slab
+    routes: the weighted Cauchy-Born cells, then `energy_dirichlet` and
+    the `d_energy_dirichlet_*` derivatives at the coupling's boundary data
+    (g_star or g_method2), each with its own slab check and wall sums."""
+    part = method.partition
+    K, i, eps = part.K, cfg.N, cfg.eps
+    y, bd0 = part.window(cfg, M)
+    if method.variant == "method1":
+        g = g_star(y, bd0, PROFILE)
+    else:
+        g = g_method2(cfg, part, PROFILE, M)
+    bd = bd0.with_g(*g)
+    strains = first_diff(cfg)
+    w = np.ones(cfg.n_atoms)
+    w[i - K + 1 : i + K + 1] = 0.0
+    w[i - K] = w[i + K + 1] = 0.5
+    energy = float(np.sum(w * cb_cell_energy(strains, PROFILE, M, eps)))
+    energy += energy_dirichlet(y, bd, PROFILE)
+
+    vals = w * cb_cell_denergy(strains, PROFILE, M, eps) / eps
+    forces = vals - np.roll(vals, -1)
+    forces[part.atom_indices(cfg)] += d_energy_dirichlet_y(y, bd, PROFILE)
+    d_al, d_ar = d_energy_dirichlet_a(y, bd, PROFILE)
+    forces[i - K - 1] += 0.5 * d_al
+    forces[i - K] += 0.5 * d_al
+    forces[i + K] += 0.5 * d_ar
+    forces[i + K + 1] += 0.5 * d_ar
+    if method.variant == "method2":
+        dg_e = d_energy_dirichlet_g(y, bd, PROFILE)
+        for j, c in enumerate((i - K, i + K + 1)):
+            dg = _interface_strain_dgamma(PROFILE, M, float(strains[c])) / eps
+            forces[c] += dg_e[j] * dg
+            forces[c - 1] -= dg_e[j] * dg
+    return energy, forces
+
+
+@pytest.mark.parametrize("N", [40, 1280])
+@pytest.mark.parametrize("make", [method1, method2])
+def test_coupling_equals_public_composition_bitwise(make, N):
+    # the coupled energy and forces share one wall pass between the
+    # boundary data and the slab; the per-piece public route recomputes it
+    # for every piece, and both give the same bits
+    cfg = _smooth_chain(N, seed=N)
+    method = make(N // 4)
+    energy, forces = _coupled_by_public_pieces(cfg, method)
+    assert ac_energy(cfg, method, PROFILE, M) == energy
+    assert np.array_equal(ac_forces(cfg, method, PROFILE, M), forces)
+
+
+@pytest.mark.parametrize("make", [method1, method2])
+def test_one_slab_check_per_coupled_call(make, monkeypatch):
+    # the slab check is patched wherever a module binds it, so a route that
+    # imported it by name is counted too
+    calls = []
+    check = acfield.field._check_inside_slab
+
+    def counted(*args):
+        calls.append(None)
+        return check(*args)
+
+    for mod in (acfield.field, acfield.energy, acfield.ac):
+        if hasattr(mod, "_check_inside_slab"):
+            monkeypatch.setattr(mod, "_check_inside_slab", counted)
+    cfg, method = wiggled_chain(), make(8)
+    ac_energy(cfg, method, PROFILE, M)
+    assert len(calls) == 1
+    ac_forces(cfg, method, PROFILE, M)
+    assert len(calls) == 2

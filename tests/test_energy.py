@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from acfield.density import quartic_bump, mu, self_moment
 from acfield.field import (
     BoundaryData,
+    _walls,
     eval_green_dirichlet,
     fem_forces,
     fem_relative_budget,
@@ -375,7 +376,7 @@ def test_slab_gradient_matches_per_piece_formulas(variant, N):
     y, bd0 = part.window(cfg, M)
     g = g_star(y, bd0, PROF) if variant == "method1" else g_method2(cfg, part, PROF, M)
     bd = bd0.with_g(*g)
-    d_y, d_a, d_g = _slab_gradient(y, bd, PROF)
+    d_y, d_a, d_g = _slab_gradient(y, bd, PROF, _walls(y, bd, PROF))
     ref_y, ref_a, ref_g = _slab_derivatives_per_piece(y, bd)
     assert np.array_equal(d_y, ref_y)
     assert d_a == ref_a

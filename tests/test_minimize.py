@@ -122,9 +122,9 @@ def test_initial_guard_violation_names_bond():
 def test_exhaustion_raises_and_flag_mode():
     cfg = homogeneous(20, 1.1)
     hard = sine_force(20, 30.0)
-    with pytest.raises(MinimizeError):
+    with pytest.raises(MinimizeError) as excinfo:
         minimize(atomistic(), hard, cfg, max_iter=4)
-    r = minimize(atomistic(), hard, cfg, max_iter=4, raise_on_failure=False)
+    r = excinfo.value.result
     assert not r.converged
     assert r.iterations == 4
 
@@ -260,8 +260,10 @@ class NegatedHessian:
 
 
 def test_negated_hessian_makes_every_step_a_fallback():
-    r = minimize(NegatedHessian(atomistic()), sine_force(20, 0.3), homogeneous(20, 1.1),
-                 max_iter=5, raise_on_failure=False)
+    with pytest.raises(MinimizeError) as excinfo:
+        minimize(NegatedHessian(atomistic()), sine_force(20, 0.3), homogeneous(20, 1.1),
+                 max_iter=5)
+    r = excinfo.value.result
     assert r.iterations == 5
     assert r.n_fallbacks == r.iterations
     assert all(a > b for a, b in zip(r.energies, r.energies[1:]))
