@@ -123,15 +123,21 @@ def method2(K):
     return AcMethod("method2", AcPartition(K))
 
 
-def _validate(cfg, method, profile, m, tau_threshold):
-    """Reject contact and a leaky window; return the slab window (y_at, bd0)."""
+# The coupling's first-order error estimates hold only once the window's
+# boundary decay tau is negligible; a window with a larger tau is too narrow.
+_TAU_MAX = 1e-8
+
+
+def _validate(cfg, method, profile, m):
+    """Reject contact and a leaky window (tau > _TAU_MAX); return the slab
+    window (y_at, bd0)."""
     check_separated(cfg, profile)
     y_at, bd0 = method.partition.window(cfg, m)
-    if bd0.tau > tau_threshold:
+    if bd0.tau > _TAU_MAX:
         raise ValueError(
             "boundary decay tau = %.3e exceeds threshold %.1e; the coupled "
             "energy's O(tau) terms are not negligible at this window size"
-            % (bd0.tau, tau_threshold)
+            % (bd0.tau, _TAU_MAX)
         )
     return y_at, bd0
 
@@ -159,9 +165,9 @@ def _method_bd(cfg, method, profile, m, y_at, bd0):
     return bd0.with_g(*g), walls
 
 
-def ac_energy(cfg, method, profile, m, tau_threshold=1e-8):
+def ac_energy(cfg, method, profile, m):
     """Coupled energy: weighted continuum cells plus the atomistic slab."""
-    y_at, bd0 = _validate(cfg, method, profile, m, tau_threshold)
+    y_at, bd0 = _validate(cfg, method, profile, m)
     strains = first_diff(cfg)
     e_cb = float(np.sum(_cb_weights(cfg, method.partition.K)
                         * cb_cell_energy(strains, profile, m, cfg.eps)))
@@ -223,9 +229,9 @@ def d_g_method2(cfg, partition, profile, m, u):
     return out[0], out[1]
 
 
-def ac_forces(cfg, method, profile, m, tau_threshold=1e-8):
+def ac_forces(cfg, method, profile, m):
     """Gradient of ac_energy in the atom positions, fully analytic."""
-    y_at, bd0 = _validate(cfg, method, profile, m, tau_threshold)
+    y_at, bd0 = _validate(cfg, method, profile, m)
     part = method.partition
     i = cfg.N
     strains = first_diff(cfg)
@@ -344,23 +350,23 @@ def _slab_hessian(cfg, method, profile, m, y_at, bd0):
     return p_map.T @ hess_z @ p_map
 
 
-def ac_hessian(cfg, method, profile, m, tau_threshold=1e-8):
+def ac_hessian(cfg, method, profile, m):
     """Exact Hessian of ac_energy in the atom positions: the weighted
     Cauchy-Born cells (cyclic tridiagonal) plus the slab block."""
-    y_at, bd0 = _validate(cfg, method, profile, m, tau_threshold)
+    y_at, bd0 = _validate(cfg, method, profile, m)
     hess = cb_hessian(cfg, profile, m, _cb_weights(cfg, method.partition.K))
     hess += _slab_hessian(cfg, method, profile, m, y_at, bd0)
     return 0.5 * (hess + hess.T)
 
 
-def sigma_qc(cfg, method, x, profile, m, tau_threshold=1e-8):
+def sigma_qc(cfg, method, x, profile, m):
     """Coupled stress of method 1: sigma^cb cell by cell outside the window,
     the slab stress inside.  Method 2's derivative carries a boundary-data
     term no stress field represents, so it is rejected here.
     """
     if method.variant != "method1":
         raise ValueError("the coupled stress exists for method 1 only")
-    y_at, bd0 = _validate(cfg, method, profile, m, tau_threshold)
+    y_at, bd0 = _validate(cfg, method, profile, m)
     bd, _ = _method_bd(cfg, method, profile, m, y_at, bd0)
     nodes = positions(cfg, -cfg.N - 1, cfg.N)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -380,7 +386,7 @@ def sigma_qc(cfg, method, x, profile, m, tau_threshold=1e-8):
     return out if np.ndim(x) else float(out[0])
 
 
-def weak_form_qc(cfg, method, u, profile, m, tau_threshold=1e-8, order=24):
+def weak_form_qc(cfg, method, u, profile, m):
     """integral sigma^qc grad(interpolant of u) over the period (method 1).
 
     The interpolant runs through the atoms and through the walls, whose
@@ -389,7 +395,7 @@ def weak_form_qc(cfg, method, u, profile, m, tau_threshold=1e-8, order=24):
     """
     if method.variant != "method1":
         raise ValueError("the coupled stress exists for method 1 only")
-    y_at, bd0 = _validate(cfg, method, profile, m, tau_threshold)
+    y_at, bd0 = _validate(cfg, method, profile, m)
     bd, _ = _method_bd(cfg, method, profile, m, y_at, bd0)
     K, i = method.partition.K, cfg.N + 1  # i: atom 0's index in y and uu
     y = positions(cfg, -cfg.N - 1, cfg.N)
@@ -399,7 +405,7 @@ def weak_form_qc(cfg, method, u, profile, m, tau_threshold=1e-8, order=24):
     win = slice(i - K, i + K + 1)
     acc = _weak_form(stress_dirichlet(y_at, bd, profile),
                      np.concatenate([[bd.a_L], y[win], [bd.a_R]]),
-                     np.concatenate([[h_l], uu[win], [h_r]]), order)
+                     np.concatenate([[h_l], uu[win], [h_r]]))
     # CB cells -N..-K, the last one ending at a_L, and K+1..N, the first one
     # starting at a_R; a half cell keeps its full cell's gradient because the
     # wall value is the midpoint value
@@ -409,11 +415,11 @@ def weak_form_qc(cfg, method, u, profile, m, tau_threshold=1e-8, order=24):
     ):
         for p in range(nodes.size - 1):
             sf = cb_stress_function(cell_state(cfg, profile, m, first + p))
-            acc += _weak_form(sf, nodes[p : p + 2], vals[p : p + 2], order)
+            acc += _weak_form(sf, nodes[p : p + 2], vals[p : p + 2])
     return acc
 
 
-def consistency_error(cfg, method, profile, m, seed=0, tau_threshold=1e-8):
+def consistency_error(cfg, method, profile, m, seed=0):
     """Sup over probe displacements of |(DE - DE^qc) . u| / |grad u|_{L^2},
     next to the theory's right-hand side eps ||y''||_w + tau.
 
@@ -425,11 +431,11 @@ def consistency_error(cfg, method, profile, m, seed=0, tau_threshold=1e-8):
     Returns a dict with the sup, the right-hand side, their ratio (the
     fitted constant), and tau.
     """
-    _, bd0 = _validate(cfg, method, profile, m, tau_threshold)
+    _, bd0 = _validate(cfg, method, profile, m)
     n = cfg.n_atoms
     strains = first_diff(cfg)
     f_at = forces_periodic(cfg, profile, m)
-    f_qc = ac_forces(cfg, method, profile, m, tau_threshold)
+    f_qc = ac_forces(cfg, method, profile, m)
     diff = f_at - f_qc
 
     # probes as rows: the n hats, then 8 random low-frequency modes
@@ -469,7 +475,7 @@ def _fourier_basis(n):
     return q, 4.0 * np.sin(np.pi * k / n) ** 2
 
 
-def stability_spectrum(cfg, method, profile, m, tau_threshold=1e-8):
+def stability_spectrum(cfg, method, profile, m):
     """Smallest eigenvalue of D^2 E^qc over mean-zero displacements,
     measured against the strain seminorm |u'|^2_{l2_eps}, next to the
     uniform convexity floor (m mu^2/2) e^{-m max y'}.
@@ -479,7 +485,7 @@ def stability_spectrum(cfg, method, profile, m, tau_threshold=1e-8):
     mean-zero vectors diagonalizes it, Q^T B Q = Lambda, and the pencil
     (Q^T H Q, Lambda) is the symmetric Lambda^{-1/2} Q^T H Q Lambda^{-1/2}.
     """
-    hess = ac_hessian(cfg, method, profile, m, tau_threshold)
+    hess = ac_hessian(cfg, method, profile, m)
     q, lam_b = _fourier_basis(cfg.n_atoms)
     s = np.sqrt(cfg.eps / lam_b)
     w = s[:, None] * (q.T @ hess @ q) * s

@@ -17,7 +17,7 @@ for every cell at once.  Nothing in this module touches a mesh.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "cb_cell_d2energy",
     "cb_cell_field",
     "cb_cell_fields",
-    "cb_stress",
     "cb_stress_function",
     "cb_total_energy",
     "cb_forces",
@@ -74,7 +73,8 @@ class CellState:
     """One cell of the chain together with its comparison-chain data.
 
     anchor is the right atom y_j; the comparison chain runs through
-    anchor + n * eps * strain for all integer n.
+    anchor + n * eps * strain for all integer n.  energy is the cell energy
+    e(strain), computed on construction.
     """
 
     j: int
@@ -83,7 +83,7 @@ class CellState:
     profile: object
     m: float
     eps: float
-    energy: float = None
+    energy: float = dataclass_field(init=False)
 
     def __post_init__(self):
         if self.strain <= self.profile.sigma0:
@@ -142,12 +142,6 @@ def cb_stress_function(cell):
         cell.eps,
         L=cell.spacing,
     )
-
-
-def cb_stress(cell, x):
-    """Continuum stress sigma^cb of the cell at x."""
-    out = cb_stress_function(cell)(x)
-    return out if np.ndim(x) else float(out[0])
 
 
 def cb_total_energy(cfg, profile, m):

@@ -42,7 +42,6 @@ __all__ = [
     "delta_eps",
     "grad_delta_eps",
     "rho",
-    "grad_rho",
     "check_separated",
 ]
 
@@ -185,18 +184,6 @@ def rho(cfg, profile, x):
         d = _bump_offsets(y, w, x[lo : lo + 4096], cfg.L)
         out[lo : lo + 4096] = cfg.eps * np.sum(
             delta_eps(profile, cfg.eps, d), axis=1
-        )
-    return out if out.size > 1 else float(out[0])
-
-
-def grad_rho(cfg, profile, x):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(x)
-    y, w = positions(cfg), profile.half_width * cfg.eps
-    for lo in range(0, x.size, 4096):
-        d = _bump_offsets(y, w, x[lo : lo + 4096], cfg.L)
-        out[lo : lo + 4096] = cfg.eps * np.sum(
-            grad_delta_eps(profile, cfg.eps, d), axis=1
         )
     return out if out.size > 1 else float(out[0])
 

@@ -222,7 +222,7 @@ def stress_dirichlet(y_at, bd, profile):
     return StressFunction(fe, y_at, profile, bd.m, bd.eps, L=None)
 
 
-def _weak_form(sf, nodes, vals, order=24):
+def _weak_form(sf, nodes, vals):
     """integral of the stress sf against the gradient of the piecewise-affine
     interpolant through (nodes, vals): each piece's slope times the stress
     integral over the piece (flat pieces skipped)."""
@@ -231,7 +231,7 @@ def _weak_form(sf, nodes, vals, order=24):
         du = vals[j] - vals[j - 1]
         if du == 0.0:
             continue
-        acc += du / (nodes[j] - nodes[j - 1]) * sf.integral(float(nodes[j - 1]), float(nodes[j]), order)
+        acc += du / (nodes[j] - nodes[j - 1]) * sf.integral(float(nodes[j - 1]), float(nodes[j]))
     return acc
 
 
@@ -401,7 +401,7 @@ def d_energy_dirichlet_a(y_at, bd, profile):
     return _slab_gradient(y_at, bd, profile, _walls(y_at, bd, profile))[1]
 
 
-def weak_form_dirichlet(y_at, bd, profile, u, order=24):
+def weak_form_dirichlet(y_at, bd, profile, u):
     """integral sigma_y grad(u-interpolant) for u vanishing on the walls.
 
     Interpolation nodes are a_L, the atoms, a_R with values 0, u, 0; equals
@@ -410,4 +410,4 @@ def weak_form_dirichlet(y_at, bd, profile, u, order=24):
     y = np.asarray(y_at, dtype=float)
     nodes = np.concatenate([[bd.a_L], y, [bd.a_R]])
     vals = np.concatenate([[0.0], np.asarray(u, dtype=float), [0.0]])
-    return _weak_form(stress_dirichlet(y, bd, profile), nodes, vals, order)
+    return _weak_form(stress_dirichlet(y, bd, profile), nodes, vals)

@@ -717,7 +717,7 @@ def solve_dirichlet(y_at, bd, profile, mesh_density=16):
     )
 
 
-def field_lipschitz_check(y_at, bd1, bd2, profile, mesh_density=16, n_samples=200, seed=0):
+def field_lipschitz_check(y_at, bd1, bd2, profile, n_samples=200, seed=0):
     """Compare two slab solves differing only in boundary data against the
     exponential-locality bound
 
@@ -727,16 +727,18 @@ def field_lipschitz_check(y_at, bd1, bd2, profile, mesh_density=16, n_samples=20
     with d_a(x) = dist(x, {a_L, a_R}).  Sample points are drawn uniformly over
     the slab; points where the bound itself sinks below the FEM noise floor
     (budget * |g| scale) are reported but excluded from the ratio, since there
-    the two numerical solutions agree only to solver precision.  Returns a
+    the two numerical solutions agree only to solver precision.  Both solves
+    use `solve_dirichlet`'s default density of 16 nodes per bump.  Returns a
     report dict; raises nothing.
     """
     if (bd1.a_L, bd1.a_R, bd1.m, bd1.eps) != (bd2.a_L, bd2.a_R, bd2.m, bd2.eps):
         raise ValueError("boundary data must share the same slab and scales")
-    f1 = solve_dirichlet(y_at, bd1, profile, mesh_density)
-    f2 = solve_dirichlet(y_at, bd2, profile, mesh_density)
+    f1 = solve_dirichlet(y_at, bd1, profile)
+    f2 = solve_dirichlet(y_at, bd2, profile)
     dg = bd1.g() - bd2.g()
     amp = float(np.linalg.norm(_t_solve(dg[0], dg[1], bd1.tau)))
     m, eps = bd1.m, bd1.eps
+    budget = fem_relative_budget(profile, m, 16)
 
     rng = np.random.default_rng(seed)
     xs = bd1.a_L + bd1.width * rng.random(n_samples)
@@ -747,7 +749,7 @@ def field_lipschitz_check(y_at, bd1, bd2, profile, mesh_density=16, n_samples=20
 
     dv = np.abs(f1.value(xs) - f2.value(xs))
     dgr = eps * np.abs(f1.grad(xs) - f2.grad(xs))
-    floor = fem_relative_budget(profile, m, mesh_density) * max(amp, 1e-300)
+    floor = budget * max(amp, 1e-300)
     usable = bound_v > floor
     ratio_v = float(np.max(dv[usable] / bound_v[usable])) if usable.any() else 0.0
     ratio_g = float(np.max(dgr[usable] / bound_g[usable])) if usable.any() else 0.0
@@ -758,6 +760,5 @@ def field_lipschitz_check(y_at, bd1, bd2, profile, mesh_density=16, n_samples=20
         "n_samples": int(n_samples),
         "noise_floor": floor,
         "amp": amp,
-        "ok": bool(ratio_v <= 1.0 + 10.0 * fem_relative_budget(profile, m, mesh_density)
-                   and ratio_g <= 1.0 + 10.0 * fem_relative_budget(profile, m, mesh_density)),
+        "ok": bool(ratio_v <= 1.0 + 10.0 * budget and ratio_g <= 1.0 + 10.0 * budget),
     }

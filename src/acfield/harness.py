@@ -17,11 +17,9 @@ import csv
 import dataclasses
 import io
 import math
-import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
@@ -108,7 +106,10 @@ class ExperimentSpec:
     `k_rule` is either a literal atom count ("9") or a divisor rule ("n/4",
     meaning K = n // 4).  `n_list` drives sweeps for the kinds that refine;
     single-scale kinds run once per entry.  `stretch_list` is only read by
-    the ghost-force kind (empty means: use `stretch`).
+    the ghost-force kind (empty means: use `stretch`).  What the method
+    fixes is not a field: the coupled window's tau guard (1e-8, see
+    `acfield.ac`), the FEM kind's meshes (16, 32 and 64 nodes per bump) and
+    the error-convergence load's mode (`sine_force`, the lowest mode).
     """
 
     kind: str
@@ -120,9 +121,6 @@ class ExperimentSpec:
     k_rule: str = "n/4"
     stretch_list: tuple = ()
     force_amplitude: float = 0.3
-    force_mode: int = 1
-    mesh_density: int = 16
-    tau_threshold: float = 1e-8
     n_samples: int = 5
     seed: int = 0
     out: str = "."
@@ -158,12 +156,6 @@ class ExperimentSpec:
                 )
         if not (self.force_amplitude >= 0.0 and math.isfinite(self.force_amplitude)):
             raise SpecError("force_amplitude: must be >= 0, got %r" % (self.force_amplitude,))
-        if self.force_mode < 1:
-            raise SpecError("force_mode: must be >= 1, got %r" % (self.force_mode,))
-        if self.mesh_density < 4:
-            raise SpecError("mesh_density: must be >= 4, got %r" % (self.mesh_density,))
-        if not (self.tau_threshold > 0.0):
-            raise SpecError("tau_threshold: must be positive, got %r" % (self.tau_threshold,))
         if self.n_samples < 1:
             raise SpecError("n_samples: must be >= 1, got %r" % (self.n_samples,))
         if self.seed < 0:
@@ -290,9 +282,6 @@ _SPEC_FIELDS = {
     "k_rule": str,
     "stretch_list": _parse_float_list,
     "force_amplitude": _parse_float,
-    "force_mode": _parse_int,
-    "mesh_density": _parse_int,
-    "tau_threshold": _parse_float,
     "n_samples": _parse_int,
     "seed": _parse_int,
     "out": str,
@@ -340,18 +329,19 @@ def parse_spec(path):
 # shared numerical helpers
 
 
-def _smooth_random_config(n, stretch, sigma0, rng, amp=0.02, margin=0.15):
-    """Random low-mode displacement, redrawn until comfortably admissible."""
+def _smooth_random_config(n, stretch, sigma0, rng):
+    """Random low-mode displacement (modes 1-3, amplitude 0.02/k), redrawn
+    until its minimal strain exceeds sigma0 + 0.15."""
     jj = np.arange(-n, n + 1)
     theta = 2.0 * np.pi * jj / (2 * n + 1)
     for _ in range(64):
         u = np.zeros(2 * n + 1)
         for k in (1, 2, 3):
-            u += rng.normal(0.0, amp) / k * np.sin(k * theta)
-            u += rng.normal(0.0, amp) / k * np.cos(k * theta)
+            u += rng.normal(0.0, 0.02) / k * np.sin(k * theta)
+            u += rng.normal(0.0, 0.02) / k * np.cos(k * theta)
         u -= u.mean()
         cfg = ChainConfig(n, stretch, u)
-        if float(np.min(first_diff(cfg))) > sigma0 + margin:
+        if float(np.min(first_diff(cfg))) > sigma0 + 0.15:
             return cfg
     raise HarnessError("could not draw an admissible random configuration")
 
@@ -363,9 +353,9 @@ def _sine_config(n, stretch, amplitude):
     return ChainConfig(n, stretch, u)
 
 
-def _kinked_config(n, stretch, center, amplitude, width=1.5):
+def _kinked_config(n, stretch, center, amplitude):
     jj = np.arange(-n, n + 1)
-    u = amplitude * np.exp(-np.abs(jj - center) / width)
+    u = amplitude * np.exp(-np.abs(jj - center) / 1.5)
     u -= u.mean()
     return ChainConfig(n, stretch, u)
 
@@ -462,13 +452,10 @@ def _exp_gradient_audit(spec, jobs):
                 record("cb", fd, float(grad @ dv))
 
             for meth, label in ((method1(k), "ac-method1"), (method2(k), "ac-method2")):
-                grad = ac_forces(cfg, meth, profile, m, tau_threshold=spec.tau_threshold)
+                grad = ac_forces(cfg, meth, profile, m)
                 for dv in dirs:
                     fd = fd_energy(
-                        lambda u: ac_energy(
-                            ChainConfig(n, cfg.F, u), meth, profile, m,
-                            tau_threshold=spec.tau_threshold,
-                        ),
+                        lambda u: ac_energy(ChainConfig(n, cfg.F, u), meth, profile, m),
                         cfg.u, dv,
                     )
                     record(label, fd, float(grad @ dv))
@@ -499,7 +486,7 @@ def _exp_fem_cross(spec, jobs):
         y_at, bd0 = AcPartition(k).window(cfg, m)
         tau = bd0.tau
 
-        meshes = (spec.mesh_density, 2 * spec.mesh_density, 4 * spec.mesh_density)
+        meshes = (16, 32, 64)
         for name, solve, exact in (
             ("periodic",
              lambda md: solve_periodic(cfg, profile, m, md),
@@ -574,9 +561,7 @@ def _exp_ghost_force(spec, jobs):
             tau = AcPartition(k).tau(cfg, m)
             cap = 1e-8 + 10.0 * tau
             for meth, label in ((method1(k), "method1"), (method2(k), "method2")):
-                resid = float(np.max(np.abs(
-                    ac_forces(cfg, meth, profile, m, tau_threshold=spec.tau_threshold)
-                )))
+                resid = float(np.max(np.abs(ac_forces(cfg, meth, profile, m))))
                 out.at_most(n, eps, k, tau, "linf-residual-%s-F=%r" % (label, stretch),
                             resid, cap)
     return out.result()
@@ -657,10 +642,8 @@ def _exp_stability(spec, jobs):
         deficits = []
         for label, cfg in states:
             tau = AcPartition(k).tau(cfg, m)
-            lam1, lower = stability_spectrum(cfg, method1(k), profile, m,
-                                             tau_threshold=spec.tau_threshold)
-            lam2, _ = stability_spectrum(cfg, method2(k), profile, m,
-                                         tau_threshold=spec.tau_threshold)
+            lam1, lower = stability_spectrum(cfg, method1(k), profile, m)
+            lam2, _ = stability_spectrum(cfg, method2(k), profile, m)
             out.at_least(n, eps, k, tau, "lambda-min-method1-" + label, lam1, lower - 1e-6)
             # method 2 is only guaranteed stable away from interface kinks; a
             # kink on the interface cell genuinely destabilises it, which is
@@ -696,12 +679,10 @@ def _exp_consistency(spec, jobs):
         homog = homogeneous(n, spec.stretch)
         smooth = _sine_config(n, spec.stretch, spec.force_amplitude)
         for meth, label in ((method1(k), "method1"), (method2(k), "method2")):
-            res = consistency_error(homog, meth, profile, m, seed=spec.seed,
-                                    tau_threshold=spec.tau_threshold)
+            res = consistency_error(homog, meth, profile, m, seed=spec.seed)
             out.at_most(n, eps, k, res["tau"], "sup-error-homogeneous-" + label,
                         res["sup_error"], res["tau"] + 1e-12)
-            res = consistency_error(smooth, meth, profile, m, seed=spec.seed,
-                                    tau_threshold=spec.tau_threshold)
+            res = consistency_error(smooth, meth, profile, m, seed=spec.seed)
             out.add(n, eps, k, res["tau"], "sup-error-smooth-" + label,
                     res["sup_error"], res["rhs"], res["fitted_C"])
     return out.result()
@@ -720,14 +701,14 @@ def _convergence_point(spec, n):
     """
     profile = spec.bump()
     k = spec.k_of(n)
-    f = sine_force(n, spec.force_amplitude, spec.force_mode)
+    f = sine_force(n, spec.force_amplitude)
     y0 = homogeneous(n, spec.stretch)
     model_a = AtomisticModel(profile, spec.m)
     y_at = minimize(model_a, f, y0).y_final
     tau = AcPartition(k).tau(y0, spec.m)
     out = []
     for variant, meth in (("method1", method1(k)), ("method2", method2(k))):
-        model_b = AcModel(meth, profile, spec.m, tau_threshold=spec.tau_threshold)
+        model_b = AcModel(meth, profile, spec.m)
         err, rhs = compare_minimizers(model_a, model_b, f, y_at)
         out.append((n, variant, k, tau, float(err), float(rhs)))
     return out
@@ -816,14 +797,14 @@ _EXPERIMENTS = {
 def _pmap(fn, items, jobs):
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: loading the process pool costs every run's set-up ~15 ms
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
 
 
 def _resolve_jobs(jobs):
-    if jobs is None:
-        env = os.environ.get("ACFIELD_JOBS", "").strip()
-        jobs = int(env) if env else 1
     if jobs < 1:
         raise SpecError("jobs: must be >= 1, got %r" % (jobs,))
     return jobs
@@ -857,7 +838,7 @@ def _write_csv(path, spec, rows, elapsed):
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
-def run(spec, out_dir=None, seed=None, jobs=None):
+def run(spec, out_dir=None, seed=None, jobs=1):
     """Execute one experiment and write `<kind>.csv` into the output directory.
 
     Returns the result rows.  Hard check failures raise HarnessError, but
@@ -906,7 +887,7 @@ def _check_suite():
     ]
 
 
-def check(out_dir="acfield-check", jobs=None):
+def check(out_dir="acfield-check", jobs=1):
     """Run the built-in audit suite; print one PASS/FAIL line per kind."""
     failed = 0
     for spec in _check_suite():
@@ -937,11 +918,11 @@ def main(argv=None):
     p_run.add_argument("spec_file", help="key = value config file; see the README")
     p_run.add_argument("--out", default=None, help="output directory (default: from the spec)")
     p_run.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    p_run.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: $ACFIELD_JOBS or 1)")
+    p_run.add_argument("--jobs", type=int, default=1,
+                       help="worker processes (default: 1)")
     p_check = sub.add_parser("check", help="run the built-in audit suite at reduced scale")
     p_check.add_argument("--out", default="acfield-check")
-    p_check.add_argument("--jobs", type=int, default=None)
+    p_check.add_argument("--jobs", type=int, default=1)
     sub.add_parser("version", help="print the package version")
     args = parser.parse_args(argv)
 

@@ -14,9 +14,9 @@ Discrete differences are the scaled first/second differences
     y'_j  = (y_j - y_{j-1}) / eps,
     y''_j = (y_{j+1} - 2 y_j + y_{j-1}) / eps^2,
 
-both periodic.  Norms: ||v||_l2eps^2 = eps * sum v_j^2, the max norm, the
-first-difference seminorm ||v'||_l2eps, and an interface-weighted l2 norm of
-the second difference used by the coupling error estimates.
+both periodic.  Norms: ||v||_l2eps^2 = eps * sum v_j^2 and an
+interface-weighted l2 norm of the second difference used by the coupling
+error estimates.
 """
 
 from dataclasses import dataclass, field
@@ -31,8 +31,6 @@ __all__ = [
     "first_diff",
     "second_diff",
     "norm_l2eps",
-    "norm_linf",
-    "seminorm_u12",
     "norm_weighted",
 ]
 
@@ -158,22 +156,6 @@ def norm_l2eps(v, eps):
     """Scaled l2 norm, ||v||^2 = eps * sum v_j^2."""
     v = np.asarray(v, dtype=float)
     return float(np.sqrt(eps * np.dot(v, v)))
-
-
-def norm_linf(v):
-    v = np.asarray(v, dtype=float)
-    return float(np.max(np.abs(v))) if v.size else 0.0
-
-
-def seminorm_u12(v, eps):
-    """First-difference seminorm ||v'||_l2eps of a periodic vector v.
-
-    v'_j = (v_j - v_{j-1})/eps with periodic wrap (plain periodicity, no +L
-    shift: this is meant for displacement-like quantities).
-    """
-    v = np.asarray(v, dtype=float)
-    dv = (v - np.roll(v, 1)) / eps
-    return norm_l2eps(dv, eps)
 
 
 def norm_weighted(ypp, eps, params):

@@ -65,10 +65,10 @@ class ExternalForce:
         return cfg.eps * float(self.f @ positions(cfg))
 
 
-def sine_force(N, amplitude, k=1, phase=0.0):
-    """Mean-zero single-mode force f_j = amplitude * sin(2 pi k j/(2N+1) + phase)."""
+def sine_force(N, amplitude):
+    """Mean-zero lowest-mode force f_j = amplitude * sin(2 pi j/(2N+1))."""
     j = np.arange(-N, N + 1)
-    f = amplitude * np.sin(2 * np.pi * k * j / (2 * N + 1) + phase)
+    f = amplitude * np.sin(2 * np.pi * j / (2 * N + 1))
     return ExternalForce(f - f.mean())
 
 
@@ -123,20 +123,19 @@ class AcModel:
     method: object
     profile: object
     m: float
-    tau_threshold: float = 1e-8
 
     @property
     def name(self):
         return "ac_%s_K%d" % (self.method.variant, self.method.partition.K)
 
     def energy(self, cfg):
-        return ac_energy(cfg, self.method, self.profile, self.m, self.tau_threshold)
+        return ac_energy(cfg, self.method, self.profile, self.m)
 
     def gradient(self, cfg):
-        return ac_forces(cfg, self.method, self.profile, self.m, self.tau_threshold)
+        return ac_forces(cfg, self.method, self.profile, self.m)
 
     def hessian(self, cfg):
-        return ac_hessian(cfg, self.method, self.profile, self.m, self.tau_threshold)
+        return ac_hessian(cfg, self.method, self.profile, self.m)
 
 
 class MinimizeError(RuntimeError):
@@ -199,14 +198,14 @@ def _strain_guard(cfg):
     return float(s[p]), p - cfg.N
 
 
-def minimize(model, f, y0, tol=None, max_iter=60, margin=0.05):
+def minimize(model, f, y0, max_iter=60):
     """Damped Newton for E(y) + (f, y)_eps over mean-zero displacements.
 
     Each step solves (H + c 11^T) d = -g with the model's exact Hessian H:
     H 1 = 0 and g is mean-zero, so for any c > 0 the solution is mean-zero
-    and solves the Newton system on that subspace.  tol bounds the l2_eps
-    norm of the projected gradient; it defaults to 1e-10 * m * eps.  Every
-    accepted iterate keeps min y' >= sigma0 + margin (bumps must stay
+    and solves the Newton system on that subspace.  The iteration stops once
+    the l2_eps norm of the projected gradient is at most 1e-10 * m * eps.
+    Every accepted iterate keeps min y' > sigma0 + 0.05 (bumps must stay
     separated with room to spare); the Armijo test carries a
     machine-precision slack so the final Newton polish steps, whose
     predicted decrease is below roundoff in the total energy, are not
@@ -214,9 +213,8 @@ def minimize(model, f, y0, tol=None, max_iter=60, margin=0.05):
     `MinimizeError`, which carries the result at the stop.
     """
     eps = y0.eps
-    if tol is None:
-        tol = 1e-10 * model.m * eps
-    guard = model.profile.sigma0 + margin
+    tol = 1e-10 * model.m * eps
+    guard = model.profile.sigma0 + 0.05
 
     s_min, bond = _strain_guard(y0)
     if s_min <= guard:

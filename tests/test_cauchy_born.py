@@ -68,6 +68,8 @@ def test_cell_energy_matches_field_quadrature():
     for s in (1.2, 2.0):
         c = CellState(0, s, 0.3, PROF, M, 0.2)
         assert half_cell_quadrature(c) == pytest.approx(c.energy, rel=1e-12)
+    with pytest.raises(TypeError):  # the energy is computed, never passed
+        CellState(0, 1.2, 0.3, PROF, M, 0.2, energy=5.0)
 
 
 def test_cell_energy_isolated_atom_limit():

@@ -5,7 +5,6 @@ from acfield.cauchy_born import cell_state
 from acfield.density import (
     check_separated,
     gauss_on_interval,
-    grad_rho,
     mu,
     quartic_bump,
     rho,
@@ -94,7 +93,6 @@ def test_rho_peak_value_and_periodicity():
     assert rho(cfg, prof, float(y[3])) == pytest.approx(prof.delta1(0.0), rel=1e-12)
     xs = np.linspace(-1.0, 1.0, 11)
     assert np.allclose(rho(cfg, prof, xs), rho(cfg, prof, xs + cfg.L), rtol=1e-12)
-    assert np.allclose(grad_rho(cfg, prof, xs), grad_rho(cfg, prof, xs - 3 * cfg.L), rtol=1e-12)
 
 
 def test_rho_compact_support():
@@ -103,7 +101,6 @@ def test_rho_compact_support():
     y = positions(cfg)
     mid = 0.5 * (y[3] + y[4])  # midpoint between atoms, outside every bump
     assert rho(cfg, prof, mid) == 0.0
-    assert grad_rho(cfg, prof, mid) == 0.0
 
 
 def test_nonoverlap_pair_identity():

@@ -7,11 +7,9 @@ from acfield.lattice import (
     first_diff,
     homogeneous,
     norm_l2eps,
-    norm_linf,
     norm_weighted,
     positions,
     second_diff,
-    seminorm_u12,
 )
 
 
@@ -110,9 +108,6 @@ def test_norms():
     eps = 0.25
     v = np.ones(8)
     assert norm_l2eps(v, eps) == pytest.approx(np.sqrt(2.0))
-    assert norm_linf([-3.0, 2.0]) == 3.0
-    # all-ones displacement has zero first-difference seminorm
-    assert seminorm_u12(np.ones(9), eps) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_norm_l2eps_example():
