@@ -4,8 +4,13 @@ Both couplings keep the 2K+1 central atoms fully atomistic inside the window
 Omega_a = (a_L, a_R), with a_L = (y_{-K-1}+y_{-K})/2 and a_R = (y_K+y_{K+1})/2
 the midpoints between the interface atom pairs, and replace the outside by
 per-cell Cauchy-Born energies: full cells beyond the interface, the two cells
-straddling a_L, a_R at half weight.  The methods differ only in the boundary
-data of the atomistic slab:
+straddling a_L, a_R at half weight.  Those two interface cells, -K and K+1,
+come from one place, `AcPartition.interface_cells`, which also holds the one
+K < N check; the walls, the window's atoms, the weights, method 2's cell data
+and every derivative read them there.  Every entry point rejects contact
+(`density.check_separated`) and a window whose boundary decay tau is not
+negligible.  The methods differ only in the boundary data of the atomistic
+slab:
 
 * method 1 hands the slab its stationary data g*(y).  Since D_g E vanishes
   there, g*'s own y-dependence drops out of the forces (envelope argument),
@@ -47,7 +52,7 @@ from .energy import (
     stress_dirichlet,
 )
 from .field import BoundaryData, _walls
-from .lattice import DiscreteNormParams, first_diff, norm_weighted, positions, second_diff
+from .lattice import first_diff, norm_weighted, positions, second_diff
 
 __all__ = [
     "AcPartition",
@@ -76,15 +81,17 @@ class AcPartition:
         if self.K < 1:
             raise ValueError("atomistic half-width K must be at least 1")
 
-    def boundaries(self, cfg):
-        """(a_L, a_R): midpoints between the interface atom pairs."""
+    def interface_cells(self, cfg):
+        """Array indices (c_L, c_R) of the interface cells -K and K+1.  Cell c
+        joins atoms c-1 and c, and its midpoint is a wall."""
         if self.K >= cfg.N:
             raise ValueError("partition needs K < N")
+        return cfg.N - self.K, cfg.N + self.K + 1
+
+    def boundaries(self, cfg):
+        """(a_L, a_R): the midpoints of the two interface cells."""
         y = positions(cfg)
-        i = cfg.N
-        a_l = 0.5 * (y[i - self.K - 1] + y[i - self.K])
-        a_r = 0.5 * (y[i + self.K] + y[i + self.K + 1])
-        return float(a_l), float(a_r)
+        return tuple(float(0.5 * (y[c - 1] + y[c])) for c in self.interface_cells(cfg))
 
     def boundary_data(self, cfg, m):
         """The slab's boundary data with g = 0 (set g with `with_g`)."""
@@ -102,7 +109,7 @@ class AcPartition:
 
     def atom_indices(self, cfg):
         """Array indices of the atomistic atoms -K..K."""
-        return np.arange(cfg.N - self.K, cfg.N + self.K + 1)
+        return np.arange(*self.interface_cells(cfg))
 
 
 @dataclass(frozen=True)
@@ -142,15 +149,13 @@ def _validate(cfg, method, profile, m):
     return y_at, bd0
 
 
-def _cb_weights(cfg, K):
+def _cb_weights(cfg, partition):
     """Per-cell weights of the continuum part: 1 outside the window,
-    1/2 on the two interface cells, 0 on the 2K interior cells."""
-    n = cfg.n_atoms
-    w = np.ones(n)
-    i = cfg.N
-    w[i - K + 1 : i + K + 1] = 0.0  # cells -K+1 .. K
-    w[i - K] = 0.5  # cell -K, straddles a_L
-    w[i + K + 1] = 0.5  # cell K+1, straddles a_R
+    1/2 on the two interface cells, 0 on the 2K cells between them."""
+    c_l, c_r = partition.interface_cells(cfg)
+    w = np.ones(cfg.n_atoms)
+    w[c_l + 1 : c_r] = 0.0
+    w[[c_l, c_r]] = 0.5
     return w
 
 
@@ -169,7 +174,7 @@ def ac_energy(cfg, method, profile, m):
     """Coupled energy: weighted continuum cells plus the atomistic slab."""
     y_at, bd0 = _validate(cfg, method, profile, m)
     strains = first_diff(cfg)
-    e_cb = float(np.sum(_cb_weights(cfg, method.partition.K)
+    e_cb = float(np.sum(_cb_weights(cfg, method.partition)
                         * cb_cell_energy(strains, profile, m, cfg.eps)))
     bd, walls = _method_bd(cfg, method, profile, m, y_at, bd0)
     return e_cb + _slab_energy(y_at, bd, profile, walls)
@@ -197,16 +202,9 @@ def _interface_strain_d2gamma(profile, m, s):
 def g_method2(cfg, partition, profile, m):
     """Cell-problem boundary data: the interface cell's comparison field at
     the wall, a function of that cell's strain alone."""
-    if partition.K >= cfg.N:
-        raise ValueError("partition needs K < N")
     strains = first_diff(cfg)
-    i = cfg.N
-    s_l = float(strains[i - partition.K])
-    s_r = float(strains[i + partition.K + 1])
-    return (
-        _interface_strain_gamma(profile, m, s_l),
-        _interface_strain_gamma(profile, m, s_r),
-    )
+    return tuple(_interface_strain_gamma(profile, m, float(strains[c]))
+                 for c in partition.interface_cells(cfg))
 
 
 def d_g_method2(cfg, partition, profile, m, u):
@@ -217,45 +215,38 @@ def d_g_method2(cfg, partition, profile, m, u):
     particular it is bounded by |dgamma/ds| |u'| with the constant evaluated
     at the interface strain.
     """
-    if partition.K >= cfg.N:
-        raise ValueError("partition needs K < N")
     u = np.asarray(u, dtype=float)
     strains = first_diff(cfg)
-    i = cfg.N
     out = []
-    for c in (i - partition.K, i + partition.K + 1):
+    for c in partition.interface_cells(cfg):
         du = (u[c] - u[c - 1]) / cfg.eps
         out.append(_interface_strain_dgamma(profile, m, float(strains[c])) * du)
-    return out[0], out[1]
+    return tuple(out)
 
 
 def ac_forces(cfg, method, profile, m):
     """Gradient of ac_energy in the atom positions, fully analytic."""
     y_at, bd0 = _validate(cfg, method, profile, m)
     part = method.partition
-    i = cfg.N
+    cells = part.interface_cells(cfg)
     strains = first_diff(cfg)
 
-    vals = _cb_weights(cfg, part.K) * cb_cell_denergy(strains, profile, m, cfg.eps) / cfg.eps
+    vals = _cb_weights(cfg, part) * cb_cell_denergy(strains, profile, m, cfg.eps) / cfg.eps
     grad = vals - np.roll(vals, -1)  # cell c pulls atoms c and c-1
 
     bd, walls = _method_bd(cfg, method, profile, m, y_at, bd0)
     d_y, (d_al, d_ar), dg_e = _slab_gradient(y_at, bd, profile, walls)
     grad[part.atom_indices(cfg)] += d_y
-    grad[i - part.K - 1] += 0.5 * d_al
-    grad[i - part.K] += 0.5 * d_al
-    grad[i + part.K] += 0.5 * d_ar
-    grad[i + part.K + 1] += 0.5 * d_ar
+    for c, d_a in zip(cells, (d_al, d_ar)):  # each wall moves with its cell's atoms
+        grad[c - 1] += 0.5 * d_a
+        grad[c] += 0.5 * d_a
 
     if method.variant == "method2":
         # explicit boundary-data term; for method 1 D_g E(g*) = 0 drops it
-        c_l, c_r = i - part.K, i + part.K + 1
-        dgl = _interface_strain_dgamma(profile, m, float(strains[c_l])) / cfg.eps
-        dgr = _interface_strain_dgamma(profile, m, float(strains[c_r])) / cfg.eps
-        grad[c_l] += dg_e[0] * dgl
-        grad[c_l - 1] -= dg_e[0] * dgl
-        grad[c_r] += dg_e[1] * dgr
-        grad[c_r - 1] -= dg_e[1] * dgr
+        for c, d_e in zip(cells, dg_e):
+            dg = _interface_strain_dgamma(profile, m, float(strains[c])) / cfg.eps
+            grad[c] += d_e * dg
+            grad[c - 1] -= d_e * dg
     return grad
 
 
@@ -302,8 +293,9 @@ def _slab_hessian(cfg, method, profile, m, y_at, bd0):
     linear forms l of z, so its Hessian is sum c e^l (grad l)(grad l)^T.
     """
     part = method.partition
-    K, i, eps = part.K, cfg.N, cfg.eps
+    eps = cfg.eps
     idx = part.atom_indices(cfg)
+    cells = part.interface_cells(cfg)
     na = idx.size
     ia, i_al, i_ar, i_sl, i_sr = np.arange(na), na, na + 1, na + 2, na + 3
     nz = na + 4
@@ -313,10 +305,9 @@ def _slab_hessian(cfg, method, profile, m, y_at, bd0):
     # z = P y
     p_map = np.zeros((nz, cfg.n_atoms))
     p_map[ia, idx] = 1.0
-    p_map[i_al, [i - K - 1, i - K]] = 0.5
-    p_map[i_ar, [i + K, i + K + 1]] = 0.5
-    p_map[i_sl, [i - K - 1, i - K]] = (-1.0 / eps, 1.0 / eps)
-    p_map[i_sr, [i + K, i + K + 1]] = (-1.0 / eps, 1.0 / eps)
+    for i_a, i_s, c in zip((i_al, i_ar), (i_sl, i_sr), cells):
+        p_map[i_a, [c - 1, c]] = 0.5  # the wall: the cell's midpoint
+        p_map[i_s, [c - 1, c]] = (-1.0 / eps, 1.0 / eps)  # the cell's strain
 
     # exponential families: coefficients and gradients of their exponents
     s_l, s_r, _, _ = _walls(y_at, bd0, profile)
@@ -332,7 +323,7 @@ def _slab_hessian(cfg, method, profile, m, y_at, bd0):
     q = [float(np.sum(c)) for c, _ in families]
     if method.variant == "method2":
         strains = first_diff(cfg)
-        s_int = (float(strains[i - K]), float(strains[i + K + 1]))
+        s_int = tuple(float(strains[c]) for c in cells)
         q += [_interface_strain_gamma(profile, m, s) for s in s_int]
         rows = np.zeros((2, nz))
         rows[0, i_sl] = _interface_strain_dgamma(profile, m, s_int[0])
@@ -354,7 +345,7 @@ def ac_hessian(cfg, method, profile, m):
     """Exact Hessian of ac_energy in the atom positions: the weighted
     Cauchy-Born cells (cyclic tridiagonal) plus the slab block."""
     y_at, bd0 = _validate(cfg, method, profile, m)
-    hess = cb_hessian(cfg, profile, m, _cb_weights(cfg, method.partition.K))
+    hess = cb_hessian(cfg, profile, m, _cb_weights(cfg, method.partition))
     hess += _slab_hessian(cfg, method, profile, m, y_at, bd0)
     return 0.5 * (hess + hess.T)
 
@@ -397,12 +388,13 @@ def weak_form_qc(cfg, method, u, profile, m):
         raise ValueError("the coupled stress exists for method 1 only")
     y_at, bd0 = _validate(cfg, method, profile, m)
     bd, _ = _method_bd(cfg, method, profile, m, y_at, bd0)
-    K, i = method.partition.K, cfg.N + 1  # i: atom 0's index in y and uu
+    # y and uu start at atom -N-1, so cell c joins their entries c and c+1
+    c_l, c_r = method.partition.interface_cells(cfg)
     y = positions(cfg, -cfg.N - 1, cfg.N)
     uu = np.concatenate([[u[-1]], np.asarray(u, dtype=float)])
-    h_l = 0.5 * (uu[i - K - 1] + uu[i - K])
-    h_r = 0.5 * (uu[i + K] + uu[i + K + 1])
-    win = slice(i - K, i + K + 1)
+    h_l = 0.5 * (uu[c_l] + uu[c_l + 1])
+    h_r = 0.5 * (uu[c_r] + uu[c_r + 1])
+    win = slice(c_l + 1, c_r + 1)
     acc = _weak_form(stress_dirichlet(y_at, bd, profile),
                      np.concatenate([[bd.a_L], y[win], [bd.a_R]]),
                      np.concatenate([[h_l], uu[win], [h_r]]))
@@ -410,8 +402,8 @@ def weak_form_qc(cfg, method, u, profile, m):
     # starting at a_R; a half cell keeps its full cell's gradient because the
     # wall value is the midpoint value
     for first, nodes, vals in (
-        (-cfg.N, np.append(y[:i - K], bd.a_L), np.append(uu[:i - K], h_l)),
-        (K + 1, np.insert(y[i + K + 1:], 0, bd.a_R), np.insert(uu[i + K + 1:], 0, h_r)),
+        (-cfg.N, np.append(y[:c_l + 1], bd.a_L), np.append(uu[:c_l + 1], h_l)),
+        (c_r - cfg.N, np.insert(y[c_r + 1:], 0, bd.a_R), np.insert(uu[c_r + 1:], 0, h_r)),
     ):
         for p in range(nodes.size - 1):
             sf = cb_stress_function(cell_state(cfg, profile, m, first + p))
@@ -452,8 +444,8 @@ def consistency_error(cfg, method, profile, m, seed=0):
     keep = h1 >= 1e-14
     sup = float(np.max(np.abs(u[keep] @ diff) / h1[keep], initial=0.0))
 
-    params = DiscreteNormParams(s0=float(np.min(strains)), m=m, K=method.partition.K)
-    rhs = cfg.eps * norm_weighted(second_diff(cfg), cfg.eps, params) + bd0.tau
+    rhs = cfg.eps * norm_weighted(second_diff(cfg), cfg.eps, float(np.min(strains)), m,
+                                  method.partition.K) + bd0.tau
     return {
         "sup_error": sup,
         "rhs": float(rhs),

@@ -146,11 +146,13 @@ def cb_stress_function(cell):
 
 def cb_total_energy(cfg, profile, m):
     """E^cb(y) = sum over the 2N+1 cells of e(y'_j)."""
+    check_separated(cfg, profile, "cb_total_energy")
     return float(np.sum(cb_cell_energy(first_diff(cfg), profile, m, cfg.eps)))
 
 
 def cb_forces(cfg, profile, m):
     """Gradient of E^cb: D_{y_p} = (e'(y'_p) - e'(y'_{p+1})) / eps, cells wrapping."""
+    check_separated(cfg, profile, "cb_forces")
     ep = cb_cell_denergy(first_diff(cfg), profile, m, cfg.eps)
     return (ep - np.roll(ep, -1)) / cfg.eps
 
@@ -162,6 +164,7 @@ def cb_hessian(cfg, profile, m, weights=None):
     eps^2, so the Hessian is cyclic tridiagonal: D^T diag(.) D with D the
     periodic first difference.
     """
+    check_separated(cfg, profile, "cb_hessian")
     c = cb_cell_d2energy(first_diff(cfg), profile, m, cfg.eps) / cfg.eps**2
     if weights is not None:
         c = weights * c

@@ -31,7 +31,7 @@ from math import factorial
 
 import numpy as np
 
-from .lattice import positions
+from .lattice import first_diff, positions
 
 __all__ = [
     "BumpProfile",
@@ -191,11 +191,13 @@ def rho(cfg, profile, x):
 def check_separated(cfg, profile, where="chain"):
     """Raise unless neighbouring bumps are separated: min strain > sigma0.
 
-    At min strain == sigma0 two supports touch; that counts as contact, as
-    in `cauchy_born.CellState` and the slab solvers of `field`.
+    The one contact rule for a chain: every chain entry point whose closed
+    forms assume separated bumps calls it (the periodic energy, forces,
+    Hessian and field, the Cauchy-Born energy, forces, Hessian and cell
+    fields, and the couplings).  At min strain == sigma0 two supports touch;
+    that counts as contact, as in `cauchy_born.CellState` and the slab check
+    of `field`.
     """
-    from .lattice import first_diff
-
     smin = float(np.min(first_diff(cfg)))
     if smin <= profile.sigma0:
         raise ValueError(

@@ -41,7 +41,8 @@ behaves as if mirror charges sat behind both walls (`mirror_energy`).
 import math
 
 import numpy as np
-from .density import _bump_offsets, gauss_on_interval, grad_delta_eps, mu, self_moment
+from .density import (_bump_offsets, check_separated, gauss_on_interval, grad_delta_eps, mu,
+                      self_moment)
 from .field import _right_sums, _t_solve, _walls, eval_green_dirichlet, eval_green_periodic
 from .lattice import positions
 
@@ -117,6 +118,7 @@ def _pair_hessian(y, k, L=None):
 def energy_periodic(cfg, profile, m):
     """Periodic chain energy E(y) = (1/2) integral rho_y phi: the exact
     resummed pair sum plus (2N+1) self energies."""
+    check_separated(cfg, profile, "energy_periodic")
     muv = mu(profile, m)
     s, _ = _pair_sum(positions(cfg), m / cfg.eps, cfg.L, want_grad=False)
     return cfg.eps * muv**2 / (4.0 * m) * s + cfg.n_atoms * self_energy(profile, m, cfg.eps)
@@ -124,6 +126,7 @@ def energy_periodic(cfg, profile, m):
 
 def forces_periodic(cfg, profile, m):
     """Gradient D_{y_j} E of the periodic energy, j = -N..N (closed form)."""
+    check_separated(cfg, profile, "forces_periodic")
     muv = mu(profile, m)
     _, grad = _pair_sum(positions(cfg), m / cfg.eps, cfg.L)
     return cfg.eps * muv**2 / (4.0 * m) * grad
@@ -135,6 +138,7 @@ def hessian_periodic(cfg, profile, m):
     The self energies are constant, so this is the resummed pair sum's
     curvature: symmetric, with zero row sums (translation invariance).
     """
+    check_separated(cfg, profile, "hessian_periodic")
     muv = mu(profile, m)
     return cfg.eps * muv**2 / (4.0 * m) * _pair_hessian(positions(cfg), m / cfg.eps, cfg.L)
 

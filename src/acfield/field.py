@@ -41,9 +41,13 @@ Two evaluation routes are provided and deliberately kept independent:
   discrete energy.  Load and forces share one vectorized loop over
   (bump, element) pieces (`_bump_pieces`).
 
-Atoms must be separated: a slab rejects any bump whose support reaches a
-wall, touching included.  Every slab route, here and in `energy` and `ac`,
-reads its wall sums and moments from `_walls` and solves T c = g by `_t_solve`.
+Atoms must be separated, and touching counts as contact.  A chain is checked
+by `density.check_separated`, the one contact rule for a chain, which
+`eval_green_periodic` calls; a slab rejects any bump whose support reaches a
+wall or another bump (`_check_inside_slab`, run by `_walls`).  The kernel
+sums `_kernel_field` and `_cell_fields` check nothing: every caller has.
+Every slab route, here and in `energy` and `ac`, reads its wall sums and
+moments from `_walls` and solves T c = g by `_t_solve`.
 
 FEM accuracy: the relative error of the P1 solution scales like
 (m h / eps)^2 = (m sigma0 / mesh_density)^2 with a constant below ~1/8
@@ -58,7 +62,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .density import gauss_on_interval, grad_delta_eps, mu
+from .density import check_separated, gauss_on_interval, grad_delta_eps, mu
 from .lattice import positions
 
 __all__ = [
@@ -318,8 +322,9 @@ def _kernel_field(y, profile, m, eps, x, L):
     d_l = x - y_l, F_r and Lt_l (`_neighbour_field`).  Only x outside
     [y_{n-1} - L, y_0 + L] is reduced by the period, so every other offset
     is one subtraction.  O((n + P) log n); accuracy ~1e-15 relative.
-    Overlapping supports raise ValueError; without them x lies in at most
-    one bump, a neighbour's.  Returns arrays shaped like atleast_1d(x).
+    The callers have checked that the supports are separated (images
+    included), so x lies in at most one bump, a neighbour's.  Returns arrays
+    shaped like atleast_1d(x).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -327,8 +332,6 @@ def _kernel_field(y, profile, m, eps, x, L):
         return np.zeros_like(x), np.zeros_like(x)
     k = m / eps
     ye = np.concatenate([[y[-1] - L], y, [y[0] + L]])
-    if not np.all(np.diff(ye) >= 2.0 * profile.half_width * eps):
-        raise ValueError("kernel field: bump supports overlap")
     atom = np.arange(-1, y.size + 1) % y.size
     right = _right_sums(y, k, L)[atom]
     left = _right_sums(-y[::-1], k, L)[::-1][atom]
@@ -347,14 +350,12 @@ def _cell_fields(anchor, L, profile, m, eps, x):
     One atom per period makes both the right and the left sum of every
     image the geometric series q/(1 - q), q = e^{-(m/eps) L}, so a point
     needs only its offsets to the images around it (`_neighbour_field`).
-    A point outside [c - L, c + L] is reduced by the period.  Spacings
-    below the bump support raise ValueError.
+    A point outside [c - L, c + L] is reduced by the period.  The callers
+    have checked that every spacing exceeds the bump support.
     """
     x = np.asarray(x, dtype=float)
     c = np.asarray(anchor, dtype=float)[:, None]
     L = np.asarray(L, dtype=float)[:, None]
-    if not np.all(L >= 2.0 * profile.half_width * eps):
-        raise ValueError("kernel field: bump supports overlap")
     kl = (m / eps) * L
     f = np.exp(-kl) / -np.expm1(-kl)
     lo = c - L
@@ -368,7 +369,9 @@ def _cell_fields(anchor, L, profile, m, eps, x):
 
 def eval_green_periodic(cfg, profile, m, x):
     """Exact periodic field (value, gradient) at x: the kernel sum over every
-    image of the chain, period L = 2F (`_kernel_field`)."""
+    image of the chain, period L = 2F (`_kernel_field`).  Raises on contact
+    (`check_separated`)."""
+    check_separated(cfg, profile, "eval_green_periodic")
     val, grad = _kernel_field(positions(cfg), profile, m, cfg.eps, x, cfg.L)
     if np.ndim(x) == 0:
         return float(val[0]), float(grad[0])

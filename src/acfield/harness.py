@@ -30,7 +30,6 @@ import numpy as np
 from . import __version__
 from .lattice import (
     ChainConfig,
-    DiscreteNormParams,
     first_diff,
     homogeneous,
     norm_weighted,
@@ -397,19 +396,6 @@ def _exp_gradient_audit(spec, jobs):
                 dv -= dv.mean()
                 dirs.append(dv * (eps / np.max(np.abs(np.diff(dv)))))
 
-            def fd_energy(fun, u0, dv):
-                up = u0 + h * dv
-                um = u0 - h * dv
-                return (fun(up - up.mean()) - fun(um - um.mean())) / (2.0 * h)
-
-            grad = forces_periodic(cfg, profile, m)
-            for dv in dirs:
-                fd = fd_energy(
-                    lambda u: energy_periodic(ChainConfig(n, cfg.F, u), profile, m),
-                    cfg.u, dv,
-                )
-                record("periodic", fd, float(grad @ dv))
-
             y_at, bd0 = AcPartition(k).window(cfg, m)
             gs = g_star(y_at, bd0, profile)
             # generic boundary data, deliberately away from both g = 0 and
@@ -443,21 +429,19 @@ def _exp_gradient_audit(spec, jobs):
                     return energy_dirichlet(y_at, b, profile)
                 record("dirichlet-g", (e_data(h) - e_data(-h)) / (2.0 * h), float(grad_g[i]))
 
-            grad = cb_forces(cfg, profile, m)
-            for dv in dirs:
-                fd = fd_energy(
-                    lambda u: cb_total_energy(ChainConfig(n, cfg.F, u), profile, m),
-                    cfg.u, dv,
-                )
-                record("cb", fd, float(grad @ dv))
-
-            for meth, label in ((method1(k), "ac-method1"), (method2(k), "ac-method2")):
-                grad = ac_forces(cfg, meth, profile, m)
+            # the periodic models: (label, energy, gradient, the coupling if any)
+            for label, energy, gradient, meth in (
+                ("periodic", energy_periodic, forces_periodic, ()),
+                ("cb", cb_total_energy, cb_forces, ()),
+                ("ac-method1", ac_energy, ac_forces, (method1(k),)),
+                ("ac-method2", ac_energy, ac_forces, (method2(k),)),
+            ):
+                grad = gradient(cfg, *meth, profile, m)
                 for dv in dirs:
-                    fd = fd_energy(
-                        lambda u: ac_energy(ChainConfig(n, cfg.F, u), meth, profile, m),
-                        cfg.u, dv,
-                    )
+                    up, um = cfg.u + h * dv, cfg.u - h * dv
+                    fd = (energy(ChainConfig(n, cfg.F, up - up.mean()), *meth, profile, m)
+                          - energy(ChainConfig(n, cfg.F, um - um.mean()), *meth, profile, m)
+                          ) / (2.0 * h)
                     record(label, fd, float(grad @ dv))
 
         eps = 2.0 / (2 * n + 1)
@@ -759,8 +743,7 @@ def _exp_bc_gap(spec, jobs):
             gs = g_star(y_at, bd0, profile)
             g2 = g_method2(cfg, part, profile, m)
             gap = abs(float(g2[1]) - float(gs[1]))
-            params = DiscreteNormParams(s0=s0, m=m, K=k)
-            rhs = math.sqrt(eps) * norm_weighted(second_diff(cfg), eps, params) + tau
+            rhs = math.sqrt(eps) * norm_weighted(second_diff(cfg), eps, s0, m, k) + tau
             gaps.append(gap)
             rhss.append(rhs)
             out.add(n, eps, k, tau, "gap-d=%02d" % d, gap, rhs)

@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "ChainConfig",
-    "DiscreteNormParams",
     "homogeneous",
     "positions",
     "first_diff",
@@ -102,27 +101,6 @@ def homogeneous(N, F):
     return ChainConfig(N, F, np.zeros(2 * N + 1))
 
 
-@dataclass(frozen=True)
-class DiscreteNormParams:
-    """Parameters of the interface-weighted curvature norm.
-
-    s0 is the reference minimal strain entering the weight's decay rate, m the
-    screening mass and K the half-width of the atomistic index band: weights
-    are 1 outside the band (|j| > K) and decay like exp(-m*s0*dist(j, {-K, K}))
-    towards the middle of the band.
-    """
-
-    s0: float
-    m: float
-    K: int
-
-    def __post_init__(self):
-        if not (self.s0 > 0 and self.m > 0):
-            raise ValueError("s0 and m must be positive")
-        if self.K < 0:
-            raise ValueError("K must be nonnegative")
-
-
 def positions(cfg, j_lo=None, j_hi=None):
     """Atom positions y_j for j = j_lo..j_hi inclusive (default -N..N).
 
@@ -158,21 +136,27 @@ def norm_l2eps(v, eps):
     return float(np.sqrt(eps * np.dot(v, v)))
 
 
-def norm_weighted(ypp, eps, params):
+def norm_weighted(ypp, eps, s0, m, K):
     """Interface-weighted curvature norm sqrt(eps * sum_j w_j * ypp_j^2).
 
-    ypp is indexed j = -N..N like second_diff output.  Weights: w_j = 1 for
-    |j| > K, and exp(-m*s0*min(|j-K|, |j+K|)) for |j| <= K, so curvature deep
-    inside the atomistic band is discounted exponentially.
+    ypp is indexed j = -N..N like second_diff output; K is the half-width of
+    the atomistic index band, s0 the reference minimal strain and m the
+    screening mass.  Weights: w_j = 1 for |j| > K, and
+    exp(-m*s0*min(|j-K|, |j+K|)) for |j| <= K, so curvature deep inside the
+    atomistic band is discounted exponentially.
     """
+    if not (s0 > 0 and m > 0):
+        raise ValueError("s0 and m must be positive")
+    if K < 0:
+        raise ValueError("K must be nonnegative")
     ypp = np.asarray(ypp, dtype=float)
     n = ypp.size
     if n % 2 != 1:
         raise ValueError("ypp must have odd length 2N+1")
     N = (n - 1) // 2
-    if params.K > N:
+    if K > N:
         raise ValueError("K must be <= N")
     j = np.arange(-N, N + 1)
-    dist = np.minimum(np.abs(j - params.K), np.abs(j + params.K))
-    w = np.where(np.abs(j) <= params.K, np.exp(-params.m * params.s0 * dist), 1.0)
+    dist = np.minimum(np.abs(j - K), np.abs(j + K))
+    w = np.where(np.abs(j) <= K, np.exp(-m * s0 * dist), 1.0)
     return float(np.sqrt(eps * np.sum(w * ypp**2)))

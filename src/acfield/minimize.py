@@ -18,7 +18,6 @@ from .cauchy_born import cb_forces, cb_hessian, cb_total_energy
 from .energy import energy_periodic, forces_periodic, hessian_periodic
 from .lattice import (
     ChainConfig,
-    DiscreteNormParams,
     first_diff,
     norm_l2eps,
     norm_weighted,
@@ -312,6 +311,6 @@ def compare_minimizers(model_a, model_b, f, y0):
             tau = mod.method.partition.tau(yb, mod.m)
             k_band = mod.method.partition.K
             break
-    params = DiscreteNormParams(s0=res_a.min_strain, m=model_a.m, K=k_band)
-    rhs = ya.eps * norm_weighted(second_diff(ya), ya.eps, params) + tau
+    rhs = ya.eps * norm_weighted(second_diff(ya), ya.eps, res_a.min_strain, model_a.m,
+                                 k_band) + tau
     return err, rhs

@@ -62,6 +62,11 @@ def test_partition_validation():
     cfg = homogeneous(8, 1.1)
     with pytest.raises(ValueError):
         AcPartition(8).boundaries(cfg)  # needs K < N
+    # the one K < N check, in interface_cells, guards method 2's cell data too
+    with pytest.raises(ValueError, match="partition needs K < N"):
+        g_method2(cfg, AcPartition(8), PROFILE, M)
+    with pytest.raises(ValueError, match="partition needs K < N"):
+        d_g_method2(cfg, AcPartition(8), PROFILE, M, np.zeros(cfg.n_atoms))
     with pytest.raises(ValueError, match="tau"):
         ac_energy(cfg, method1(2), PROFILE, M)  # tau = 4e-3 over threshold
     with pytest.raises(ValueError):

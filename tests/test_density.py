@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from acfield.cauchy_born import cell_state
+from acfield.cauchy_born import cb_forces, cb_hessian, cb_total_energy, cell_state
 from acfield.density import (
     check_separated,
     gauss_on_interval,
@@ -11,6 +11,8 @@ from acfield.density import (
     self_moment,
     sextic_bump,
 )
+from acfield.energy import energy_periodic, forces_periodic, hessian_periodic
+from acfield.field import eval_green_periodic
 from acfield.lattice import ChainConfig, first_diff, homogeneous, positions
 
 # Frozen reference values from tests/oracle_density.py (brute-force trapezoid,
@@ -133,16 +135,34 @@ def test_separation_check():
         check_separated(homogeneous(4, 0.4), prof)
 
 
-def test_separation_is_strict_at_contact():
+# every chain entry point whose closed forms assume separated bumps
+CHAIN_ENTRY_POINTS = {
+    "check_separated": lambda cfg, prof: check_separated(cfg, prof),
+    "eval_green_periodic": lambda cfg, prof: eval_green_periodic(cfg, prof, 1.0, 0.0),
+    "energy_periodic": lambda cfg, prof: energy_periodic(cfg, prof, 1.0),
+    "forces_periodic": lambda cfg, prof: forces_periodic(cfg, prof, 1.0),
+    "hessian_periodic": lambda cfg, prof: hessian_periodic(cfg, prof, 1.0),
+    "cb_total_energy": lambda cfg, prof: cb_total_energy(cfg, prof, 1.0),
+    "cb_forces": lambda cfg, prof: cb_forces(cfg, prof, 1.0),
+    "cb_hessian": lambda cfg, prof: cb_hessian(cfg, prof, 1.0),
+}
+
+
+@pytest.mark.parametrize("entry", CHAIN_ENTRY_POINTS)
+def test_separation_is_strict_at_contact(entry):
     # min strain == sigma0 exactly: neighbouring supports touch, which is
-    # contact for check_separated as for the Cauchy-Born CellState
+    # contact for every chain entry point as for the Cauchy-Born CellState;
+    # strain 0.4 < sigma0 = 0.5 overlaps
+    call = CHAIN_ENTRY_POINTS[entry]
     cfg = homogeneous(10, 0.7)
     prof = quartic_bump(float(np.min(first_diff(cfg))))
-    with pytest.raises(ValueError, match="touch"):
-        check_separated(cfg, prof)
+    with pytest.raises(ValueError, match="touch or overlap"):
+        call(cfg, prof)
+    with pytest.raises(ValueError, match="touch or overlap"):
+        call(homogeneous(10, 0.4), quartic_bump(0.5))
     with pytest.raises(ValueError, match="overlapping"):
         cell_state(cfg, prof, 1.0, 0)
-    check_separated(homogeneous(10, 0.7), quartic_bump(0.69))
+    call(homogeneous(10, 0.7), quartic_bump(0.69))
 
 
 def test_sextic_is_c2_at_support_edge():

@@ -3,7 +3,6 @@ import pytest
 
 from acfield.lattice import (
     ChainConfig,
-    DiscreteNormParams,
     first_diff,
     homogeneous,
     norm_l2eps,
@@ -123,13 +122,12 @@ def test_weighted_norm_single_spike():
     ypp = np.zeros(2 * N + 1)
     ypp[N] = 2.5
     eps = 2.0 / (2 * N + 1)
-    p = DiscreteNormParams(s0=s0, m=m, K=K)
-    got = norm_weighted(ypp, eps, p)
+    got = norm_weighted(ypp, eps, s0, m, K)
     assert got == pytest.approx(np.sqrt(eps * np.exp(-4 * m * s0) * 2.5**2), rel=1e-12)
     # outside the band the weight is 1
     ypp2 = np.zeros(2 * N + 1)
     ypp2[N + K + 3] = 2.5
-    got2 = norm_weighted(ypp2, eps, p)
+    got2 = norm_weighted(ypp2, eps, s0, m, K)
     assert got2 == pytest.approx(np.sqrt(eps * 2.5**2), rel=1e-12)
 
 
