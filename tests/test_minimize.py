@@ -69,8 +69,12 @@ def test_sine_force_equilibrium():
     assert abs(r.energies[-1] - E_FINAL_SINE) < 1e-12
     # frame constraint held to machine precision
     assert abs(float(np.sum(r.y_final.u))) < 1e-12
-    # descent was strict across accepted steps
-    assert all(a > b for a, b in zip(r.energies, r.energies[1:]))
+    # descent was strict across accepted steps but the last: the final polish
+    # step's true decrease is below one ulp of E, so it may rise by no more
+    # than minimize's Armijo slack
+    e = r.energies
+    assert all(a > b for a, b in zip(e[:-2], e[1:-1]))
+    assert e[-1] <= e[-2] + 64 * np.finfo(float).eps * (1.0 + abs(e[-2]))
 
 
 @pytest.mark.parametrize("n", [1, 5, 32, 41, 100])
