@@ -271,3 +271,36 @@ def test_negated_hessian_makes_every_step_a_fallback():
     assert r.iterations == 5
     assert r.n_fallbacks == r.iterations
     assert all(a > b for a, b in zip(r.energies, r.energies[1:]))
+
+
+# (model, N, iterations) of every minimize call in criterion 8's sweep at
+# N = 40, 80, 160: the atomistic minimizer, then per coupling the atomistic
+# restart at it (0 steps) and the coupled minimizer
+SWEEP_NEWTON_ITERATIONS = [
+    ("atomistic", 40, 4), ("atomistic", 40, 0), ("ac_method1_K10", 40, 3),
+    ("atomistic", 40, 0), ("ac_method2_K10", 40, 5),
+    ("atomistic", 80, 4), ("atomistic", 80, 0), ("ac_method1_K20", 80, 2),
+    ("atomistic", 80, 0), ("ac_method2_K20", 80, 4),
+    ("atomistic", 160, 4), ("atomistic", 160, 0), ("ac_method1_K40", 160, 2),
+    ("atomistic", 160, 0), ("ac_method2_K40", 160, 4),
+]
+
+
+def test_sweep_newton_iterations_pinned(monkeypatch, tmp_path):
+    import acfield.harness
+    import acfield.minimize
+
+    calls = []
+    real = acfield.minimize.minimize
+
+    def recording(model, f, y0, **kw):
+        r = real(model, f, y0, **kw)
+        calls.append((model.name, y0.N, r.iterations, r.n_fallbacks))
+        return r
+
+    monkeypatch.setattr(acfield.minimize, "minimize", recording)
+    monkeypatch.setattr(acfield.harness, "minimize", recording)
+    acfield.harness.run(acfield.harness.ExperimentSpec(
+        kind="error-convergence", n_list=(40, 80, 160), out=str(tmp_path)))
+    assert [c[:3] for c in calls] == SWEEP_NEWTON_ITERATIONS
+    assert all(c[3] == 0 for c in calls)
