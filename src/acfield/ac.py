@@ -34,16 +34,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy_born import (
+    _cb_band,
     cb_cell_denergy,
     cb_cell_energy,
-    cb_hessian,
     cell_state,
     cb_stress_function,
 )
 from .density import check_separated, mu
 from .energy import (
     _g_star,
-    _pair_hessian,
+    _pair_curvature,
     _slab_core,
     _slab_energy,
     _slab_gradient,
@@ -52,6 +52,7 @@ from .energy import (
     stress_dirichlet,
 )
 from .field import BoundaryData, _walls
+from .hessian import Green, StructuredHessian
 from .lattice import first_diff, norm_weighted, positions, second_diff
 
 __all__ = [
@@ -62,6 +63,7 @@ __all__ = [
     "ac_energy",
     "ac_forces",
     "ac_hessian",
+    "ac_hessian_structured",
     "g_method2",
     "d_g_method2",
     "sigma_qc",
@@ -282,72 +284,77 @@ def _core_hessian(q, variant, m, eps):
     return 0.5 * (hess + hess.T)
 
 
-def _slab_hessian(cfg, method, profile, m, y_at, bd0):
-    """Hessian of the slab energy in the positions.
+def ac_hessian_structured(cfg, method, profile, m):
+    """Exact Hessian of ac_energy in structured form
+    (`hessian.StructuredHessian`).
 
-    The slab energy is the free pair sum of the window atoms plus the core,
-    a function of q = (gamma_L, gamma_R, tau[, g_L, g_R]).  It is assembled
-    in the reduced variables z = (window atoms, a_L, a_R, s_L, s_R), s the
-    interface strains that fix method 2's g, and mapped back through the
-    linear map z = P y.  Each gamma and tau is a sum of exponentials of
-    linear forms l of z, so its Hessian is sum c e^l (grad l)(grad l)^T.
+    B holds the weighted Cauchy-Born cells, which leave the window's atoms
+    uncoupled, and the slab's diagonal terms.  The slab energy is the free
+    pair sum of the window atoms, whose curvature is a diagonal minus a
+    Green's block on the window (`energy._pair_curvature`), plus the core, a
+    function of q = (gamma_L, gamma_R, tau[, g_L, g_R]).  In the reduced
+    variables z = (window atoms, a_L, a_R, s_L, s_R), s the interface
+    strains that fix method 2's g, each gamma and tau is a sum of
+    exponentials c e^l of linear forms l of z, so its Hessian is
+    sum c e^l (grad l)(grad l)^T.  Apart from the window's diagonal, every
+    term lies in the span of six vectors, the columns of U: the two wall
+    families c_L, c_R on the window atoms, and the maps y -> a_L, a_R, s_L,
+    s_R (each on its interface cell's two atoms).
     """
+    y_at, bd0 = _validate(cfg, method, profile, m)
     part = method.partition
     eps = cfg.eps
-    idx = part.atom_indices(cfg)
-    cells = part.interface_cells(cfg)
-    na = idx.size
-    ia, i_al, i_ar, i_sl, i_sr = np.arange(na), na, na + 1, na + 2, na + 3
-    nz = na + 4
+    n = cfg.n_atoms
+    c_l, c_r = part.interface_cells(cfg)
     k = m / eps
     muv = mu(profile, m)
 
-    # z = P y
-    p_map = np.zeros((nz, cfg.n_atoms))
-    p_map[ia, idx] = 1.0
-    for i_a, i_s, c in zip((i_al, i_ar), (i_sl, i_sr), cells):
-        p_map[i_a, [c - 1, c]] = 0.5  # the wall: the cell's midpoint
-        p_map[i_s, [c - 1, c]] = (-1.0 / eps, 1.0 / eps)  # the cell's strain
-
-    # exponential families: coefficients and gradients of their exponents
+    cells = (c_l, c_r)
+    cols = np.zeros((n, 6))  # c_L, c_R, a_L, a_R, s_L, s_R
     s_l, s_r, _, _ = _walls(y_at, bd0, profile)
-    lin_l = np.zeros((na, nz))
-    lin_l[ia, ia], lin_l[:, i_al] = -k, k  # -k (y_j - a_L)
-    lin_r = np.zeros((na, nz))
-    lin_r[ia, ia], lin_r[:, i_ar] = k, -k  # -k (a_R - y_j)
-    lin_t = np.zeros((1, nz))
-    lin_t[0, i_al], lin_t[0, i_ar] = k, -k  # -k (a_R - a_L)
-    families = [(muv / m * s_l, lin_l), (muv / m * s_r, lin_r), (np.array([bd0.tau]), lin_t)]
+    cols[c_l:c_r, 0] = muv / m * s_l
+    cols[c_l:c_r, 1] = muv / m * s_r
+    for j, c in enumerate(cells):
+        cols[[c - 1, c], 2 + j] = 0.5  # the wall: the cell's midpoint
+        cols[[c - 1, c], 4 + j] = (-1.0 / eps, 1.0 / eps)  # the cell's strain
+    q = [float(np.sum(cols[:, 0])), float(np.sum(cols[:, 1])), bd0.tau]
 
-    jac = np.array([c @ lin for c, lin in families])
-    q = [float(np.sum(c)) for c, _ in families]
+    # jac: the gradients of q in the basis of the columns
+    jac = np.zeros((3, 6))
+    jac[0, [0, 2]] = -k, k * q[0]  # gamma_L: -k (y_j - a_L)
+    jac[1, [1, 3]] = k, -k * q[1]  # gamma_R: -k (a_R - y_j)
+    jac[2, [2, 3]] = k * q[2], -k * q[2]  # tau: -k (a_R - a_L)
     if method.variant == "method2":
         strains = first_diff(cfg)
         s_int = tuple(float(strains[c]) for c in cells)
         q += [_interface_strain_gamma(profile, m, s) for s in s_int]
-        rows = np.zeros((2, nz))
-        rows[0, i_sl] = _interface_strain_dgamma(profile, m, s_int[0])
-        rows[1, i_sr] = _interface_strain_dgamma(profile, m, s_int[1])
+        rows = np.zeros((2, 6))
+        rows[[0, 1], [4, 5]] = [_interface_strain_dgamma(profile, m, s) for s in s_int]
         jac = np.vstack([jac, rows])
 
     grad_q = _core_gradient(q, method.variant, m, eps)
-    hess_z = jac.T @ _core_hessian(q, method.variant, m, eps) @ jac
-    for dq, (c, lin) in zip(grad_q, families):
-        hess_z += dq * (lin.T @ (c[:, None] * lin))
+    w = jac.T @ _core_hessian(q, method.variant, m, eps) @ jac
+    for f, i_a in ((0, 2), (1, 3)):  # k^2 sum_j c_j (e_a - e_j)(e_a - e_j)^T
+        w[i_a, i_a] += grad_q[f] * k * k * q[f]
+        w[i_a, f] -= grad_q[f] * k * k
+        w[f, i_a] -= grad_q[f] * k * k
+    w[np.ix_([2, 3], [2, 3])] += grad_q[2] * k * k * q[2] * np.array([[1.0, -1.0], [-1.0, 1.0]])
     if method.variant == "method2":
-        for dq, j_z, s in zip(grad_q[3:], (i_sl, i_sr), s_int):
-            hess_z[j_z, j_z] += dq * _interface_strain_d2gamma(profile, m, s)
-    hess_z[:na, :na] += eps * muv**2 / (4.0 * m) * _pair_hessian(y_at, m / eps)
-    return p_map.T @ hess_z @ p_map
+        for dq, i_s, s in zip(grad_q[3:], (4, 5), s_int):
+            w[i_s, i_s] += dq * _interface_strain_d2gamma(profile, m, s)
+
+    pref = eps * muv**2 / (4.0 * m)
+    diag, off = _cb_band(cfg, profile, m, _cb_weights(cfg, part))
+    diag[c_l:c_r] += pref * _pair_curvature(y_at, k) \
+        + k * k * (grad_q[0] * cols[c_l:c_r, 0] + grad_q[1] * cols[c_l:c_r, 1])
+    return StructuredHessian(diag, off, Green(c_l, pref * 4.0 * k**3, y_at, k, None),
+                             cols, 0.5 * (w + w.T))
 
 
 def ac_hessian(cfg, method, profile, m):
-    """Exact Hessian of ac_energy in the atom positions: the weighted
-    Cauchy-Born cells (cyclic tridiagonal) plus the slab block."""
-    y_at, bd0 = _validate(cfg, method, profile, m)
-    hess = cb_hessian(cfg, profile, m, _cb_weights(cfg, method.partition))
-    hess += _slab_hessian(cfg, method, profile, m, y_at, bd0)
-    return 0.5 * (hess + hess.T)
+    """Exact Hessian of ac_energy as an array: the dense expansion of
+    `ac_hessian_structured`."""
+    return ac_hessian_structured(cfg, method, profile, m).dense()
 
 
 def sigma_qc(cfg, method, x, profile, m):

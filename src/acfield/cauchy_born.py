@@ -24,6 +24,7 @@ import numpy as np
 from .density import check_separated, mu
 from .energy import StressFunction, self_energy
 from .field import _cell_fields
+from .hessian import StructuredHessian
 from .lattice import first_diff, positions, second_diff
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "cb_total_energy",
     "cb_forces",
     "cb_hessian",
+    "cb_hessian_structured",
     "cb_hessian_lower_bound_check",
     "comparison_field_bound",
 ]
@@ -157,24 +159,31 @@ def cb_forces(cfg, profile, m):
     return (ep - np.roll(ep, -1)) / cfg.eps
 
 
-def cb_hessian(cfg, profile, m, weights=None):
-    """Exact Hessian of sum_j w_j e(y'_j) (w = 1: of E^cb).
+def _cb_band(cfg, profile, m, weights):
+    """(diagonal, off) of the Hessian of sum_j w_j e(y'_j): cell j couples
+    atoms j-1 and j through the curvature w_j e''(y'_j) / eps^2, so
+    off[j] = -w_j e''(y'_j) / eps^2 (off[0] across the period)."""
+    c = weights * (cb_cell_d2energy(first_diff(cfg), profile, m, cfg.eps) / cfg.eps**2)
+    diag = c.copy()
+    diag[:-1] += c[1:]
+    diag[-1] += c[0]
+    return diag, -c
 
-    Cell j couples atoms j-1 and j through the curvature w_j e''(y'_j) /
-    eps^2, so the Hessian is cyclic tridiagonal: D^T diag(.) D with D the
-    periodic first difference.
-    """
+
+def cb_hessian_structured(cfg, profile, m):
+    """Exact Hessian of E^cb in structured form (`hessian.StructuredHessian`):
+    cyclic tridiagonal, D^T diag(e''(y') / eps^2) D with D the periodic
+    first difference."""
     check_separated(cfg, profile, "cb_hessian")
-    c = cb_cell_d2energy(first_diff(cfg), profile, m, cfg.eps) / cfg.eps**2
-    if weights is not None:
-        c = weights * c
-    n = c.size
-    i = np.arange(n)
-    hess = np.zeros((n, n))
-    hess[i, i] = c + np.roll(c, -1)
-    hess[i, i - 1] = -c
-    hess[i - 1, i] = -c
-    return hess
+    n = cfg.n_atoms
+    return StructuredHessian(*_cb_band(cfg, profile, m, 1.0), None,
+                             np.zeros((n, 0)), np.zeros((0, 0)))
+
+
+def cb_hessian(cfg, profile, m):
+    """Exact Hessian of E^cb as an array: the dense expansion of
+    `cb_hessian_structured`."""
+    return cb_hessian_structured(cfg, profile, m).dense()
 
 
 def cb_hessian_lower_bound_check(cfg, u, profile, m):

@@ -44,6 +44,7 @@ import numpy as np
 from .density import (_bump_offsets, check_separated, gauss_on_interval, grad_delta_eps, mu,
                       self_moment)
 from .field import _right_sums, _t_solve, _walls, eval_green_dirichlet, eval_green_periodic
+from .hessian import Green, StructuredHessian
 from .lattice import positions
 
 __all__ = [
@@ -52,6 +53,7 @@ __all__ = [
     "energy_periodic",
     "forces_periodic",
     "hessian_periodic",
+    "hessian_periodic_structured",
     "weak_form_periodic",
     "energy_dirichlet",
     "d_energy_dirichlet_y",
@@ -93,26 +95,20 @@ def _pair_sum(y, k, L=None, want_grad=True):
     return s, 2.0 * k * (right - left)
 
 
-def _pair_hessian(y, k, L=None):
-    """Second derivatives of `_pair_sum` in the positions (ascending y).
+def _pair_curvature(y, k, L=None):
+    """The Hessian of `_pair_sum` in the positions as D - 4k^3 Gamma, with
+    Gamma the Green's matrix of -u'' + k^2 u at y (`hessian.Green`); returns
+    the diagonal D.
 
-    A pair at in-period gap d0 = y_j - y_i (j > i) contributes
-    2 k^2 e^{-k d0} to the curvature along y_j - y_i; with a period,
-    2 k^2 (e^{-k d0} + e^{-k(L-d0)}) / (1 - e^{-kL}) for all its images.
-    The upper triangle of `gap` holds d0 and the lower one the wrapped gap
-    y_j - y_i + L (+inf without a period: no term), so one exp gives every
-    term and e + e^T is exactly symmetric.  The diagonal is minus the row sum.
+    A pair at distance d has curvature 2k^2 e^{-k d} along y_j - y_i, summed
+    over its images; that is 4k^3 Gamma_ij.  Translation invariance makes
+    D_i = 4k^3 sum_j Gamma_ij = 2k^2 (1 + F_i + Lt_i) with the right and
+    left sums (own images included).
     """
     y = np.asarray(y, dtype=float)
-    n = y.size
-    gap = y[None, :] - y[:, None]
-    np.add(gap, np.inf if L is None else L, out=gap, where=np.tri(n, k=-1, dtype=bool))
-    e = np.exp(-k * gap)
-    scale = -2.0 * k * k if L is None else 2.0 * k * k / math.expm1(-k * L)
-    hess = scale * (e + e.T)
-    np.fill_diagonal(hess, 0.0)
-    np.fill_diagonal(hess, -np.sum(hess, axis=1))
-    return hess
+    right = _right_sums(y, k, L)
+    left = _right_sums(-y[::-1], k, L)[::-1]
+    return 2.0 * k * k * (1.0 + right + left)
 
 
 def energy_periodic(cfg, profile, m):
@@ -132,15 +128,28 @@ def forces_periodic(cfg, profile, m):
     return cfg.eps * muv**2 / (4.0 * m) * grad
 
 
-def hessian_periodic(cfg, profile, m):
-    """Exact Hessian D^2 E of the periodic energy (pair closed form).
+def hessian_periodic_structured(cfg, profile, m):
+    """Exact Hessian D^2 E of the periodic energy in structured form
+    (`hessian.StructuredHessian`): a diagonal minus a multiple of the
+    periodic Green's matrix of the atoms.
 
     The self energies are constant, so this is the resummed pair sum's
     curvature: symmetric, with zero row sums (translation invariance).
     """
     check_separated(cfg, profile, "hessian_periodic")
-    muv = mu(profile, m)
-    return cfg.eps * muv**2 / (4.0 * m) * _pair_hessian(positions(cfg), m / cfg.eps, cfg.L)
+    k = m / cfg.eps
+    pref = cfg.eps * mu(profile, m) ** 2 / (4.0 * m)
+    y = positions(cfg)
+    n = cfg.n_atoms
+    return StructuredHessian(pref * _pair_curvature(y, k, cfg.L), np.zeros(n),
+                             Green(0, pref * 4.0 * k**3, y, k, cfg.L),
+                             np.zeros((n, 0)), np.zeros((0, 0)))
+
+
+def hessian_periodic(cfg, profile, m):
+    """Exact Hessian D^2 E of the periodic energy as an array: the dense
+    expansion of `hessian_periodic_structured`."""
+    return hessian_periodic_structured(cfg, profile, m).dense()
 
 
 # ---------------------------------------------------------------------------

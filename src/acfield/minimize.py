@@ -1,21 +1,24 @@
 """Equilibration: minimize E(y) + (f, y)_eps over mean-zero displacements.
 
-A model is anything with .energy(cfg) / .gradient(cfg) / .hessian(cfg) /
-.profile / .m; three are provided, each with an exact Hessian: the periodic
-atomistic energy, its Cauchy-Born approximation, and the coupled energies.
-The solver is a damped Newton iteration on the mean-zero subspace: Cholesky
-solve with the exact Hessian (steepest-descent fallback when it is not
-positive definite there), and Armijo backtracking that refuses any iterate
-whose minimal strain drops to the bump-overlap guard.
+A model is anything with .energy(cfg) / .gradient(cfg) /
+.hessian_structured(cfg) / .profile / .m; three are provided, each with an
+exact Hessian: the periodic atomistic energy, its Cauchy-Born approximation,
+and the coupled energies (their .hessian(cfg) is the dense array).  The
+solver is a damped Newton iteration on the mean-zero subspace: each step
+solves the Newton system from the Hessian's structure in O(n)
+(`hessian.StructuredHessian.newton_step`; steepest-descent fallback when the
+Hessian is not positive definite there), and Armijo backtracking refuses
+any iterate whose minimal strain drops to the bump-overlap guard.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ac import ac_energy, ac_forces, ac_hessian
-from .cauchy_born import cb_forces, cb_hessian, cb_total_energy
-from .energy import energy_periodic, forces_periodic, hessian_periodic
+from .ac import ac_energy, ac_forces, ac_hessian, ac_hessian_structured
+from .cauchy_born import cb_forces, cb_hessian, cb_hessian_structured, cb_total_energy
+from .energy import (energy_periodic, forces_periodic, hessian_periodic,
+                     hessian_periodic_structured)
 from .lattice import (
     ChainConfig,
     first_diff,
@@ -99,6 +102,9 @@ class AtomisticModel:
     def hessian(self, cfg):
         return hessian_periodic(cfg, self.profile, self.m)
 
+    def hessian_structured(self, cfg):
+        return hessian_periodic_structured(cfg, self.profile, self.m)
+
 
 @dataclass(frozen=True)
 class CauchyBornModel:
@@ -115,6 +121,9 @@ class CauchyBornModel:
 
     def hessian(self, cfg):
         return cb_hessian(cfg, self.profile, self.m)
+
+    def hessian_structured(self, cfg):
+        return cb_hessian_structured(cfg, self.profile, self.m)
 
 
 @dataclass(frozen=True)
@@ -136,6 +145,9 @@ class AcModel:
     def hessian(self, cfg):
         return ac_hessian(cfg, self.method, self.profile, self.m)
 
+    def hessian_structured(self, cfg):
+        return ac_hessian_structured(cfg, self.method, self.profile, self.m)
+
 
 class MinimizeError(RuntimeError):
     """`minimize` stopped without converging; `result` is the
@@ -148,9 +160,10 @@ class MinimizeError(RuntimeError):
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Endpoint of `minimize` and what it took: gradient and Hessian
-    evaluations, rejected line-search trials (backtracks), and steps that
-    fell back to steepest descent (Cholesky failure or lost descent)."""
+    """Endpoint of `minimize` and what it took: gradient evaluations,
+    structured Newton systems built (`n_hess_evals`, one per step), rejected
+    line-search trials (backtracks), and steps that fell back to steepest
+    descent (Hessian not positive definite, or lost descent)."""
 
     y_final: ChainConfig
     gradient_norm: float
@@ -165,31 +178,6 @@ class MinimizeResult:
     n_fallbacks: int = 0
 
 
-def _cholesky_solve(a, b):
-    """Solve a x = b for a symmetric positive definite a by its Cholesky
-    factor a = L L^T and two blocked triangular substitutions.  Raises
-    numpy.linalg.LinAlgError when a is not positive definite.
-
-    numpy has no triangular solve: each block row subtracts the solved part
-    by one product and solves its diagonal block.  The block size changes the
-    last bits of x; with blocks of 8, 16 or 32 rows the final Newton polish
-    of the test-suite's sine equilibrium (41 atoms) still decreases the
-    energy strictly, while 48 rows or more (one block) end on an equal
-    energy.
-    """
-    block = 32
-    low = np.linalg.cholesky(a)
-    x = np.array(b, dtype=float)
-    starts = range(0, x.size, block)
-    for i in starts:  # L z = b
-        j = i + block
-        x[i:j] = np.linalg.solve(low[i:j, i:j], x[i:j] - low[i:j, :i] @ x[:i])
-    for i in reversed(starts):  # L^T x = z
-        j = i + block
-        x[i:j] = np.linalg.solve(low[i:j, i:j].T, x[i:j] - low[j:, i:j].T @ x[j:])
-    return x
-
-
 def _strain_guard(cfg):
     """(min strain, index j of its bond)."""
     s = first_diff(cfg)
@@ -200,9 +188,10 @@ def _strain_guard(cfg):
 def minimize(model, f, y0, max_iter=60):
     """Damped Newton for E(y) + (f, y)_eps over mean-zero displacements.
 
-    Each step solves (H + c 11^T) d = -g with the model's exact Hessian H:
-    H 1 = 0 and g is mean-zero, so for any c > 0 the solution is mean-zero
-    and solves the Newton system on that subspace.  The iteration stops once
+    Each step solves (H + c 11^T) d = -g with the model's exact Hessian H,
+    from its structured form in O(n), never as a dense matrix: H 1 = 0 and g
+    is mean-zero, so for any c > 0 the solution is mean-zero and solves the
+    Newton system on that subspace.  The iteration stops once
     the l2_eps norm of the projected gradient is at most 1e-10 * m * eps.
     Every accepted iterate keeps min y' > sigma0 + 0.05 (bumps must stay
     separated with room to spare); the Armijo test carries a
@@ -251,14 +240,9 @@ def minimize(model, f, y0, max_iter=60):
             raise MinimizeError("no convergence in %d iterations (|g| = %.3e)"
                                 % (max_iter, gnorm), result(False))
 
-        hess = model.hessian(cfg)
+        d, positive = model.hessian_structured(cfg).newton_step(g)
         count["hess"] += 1
-        c = float(np.max(np.abs(np.diag(hess)))) / hess.shape[0]
-        try:
-            d = _cholesky_solve(hess + c, -g)  # hess + c is H + c 11^T
-            slope = float(g @ d)
-        except np.linalg.LinAlgError:
-            slope = 0.0
+        slope = float(g @ d) if positive else 0.0
         if slope >= 0:  # not positive definite, or lost descent: steepest descent
             count["fallbacks"] += 1
             d = -g

@@ -17,7 +17,6 @@ from acfield.minimize import (
     CauchyBornModel,
     ExternalForce,
     MinimizeError,
-    _cholesky_solve,
     compare_minimizers,
     minimize,
     sine_force,
@@ -75,24 +74,6 @@ def test_sine_force_equilibrium():
     e = r.energies
     assert all(a > b for a, b in zip(e[:-2], e[1:-1]))
     assert e[-1] <= e[-2] + 64 * np.finfo(float).eps * (1.0 + abs(e[-2]))
-
-
-@pytest.mark.parametrize("n", [1, 5, 32, 41, 100])
-def test_cholesky_solve_matches_dense_solve(n):
-    # n = 32 is one full block; 41 and 100 end on a partial block
-    rng = np.random.default_rng(n)
-    a = rng.standard_normal((n, n))
-    a = a @ a.T + n * np.eye(n)  # condition number about 5 or less
-    b = rng.standard_normal(n)
-    x = _cholesky_solve(a, b)
-    ref = np.linalg.solve(a, b)
-    assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-
-def test_cholesky_solve_raises_on_indefinite_matrix():
-    a = np.diag([2.0, 1.0, -1e-3, 3.0])
-    with pytest.raises(np.linalg.LinAlgError):
-        _cholesky_solve(a, np.ones(4))
 
 
 def test_criticality_probes():
@@ -245,6 +226,12 @@ def test_telemetry_counts_on_converging_case():
     assert r.n_backtracks >= 0
 
 
+def negated(h):
+    """The structured system of -H."""
+    green = None if h.green is None else h.green._replace(a=-h.green.a)
+    return h._replace(diag=-h.diag, off=-h.off, green=green, w=-h.w)
+
+
 class NegatedHessian:
     """A model whose Hessian is -H: never positive definite on the
     mean-zero subspace, so every step falls back to steepest descent."""
@@ -259,8 +246,8 @@ class NegatedHessian:
     def gradient(self, cfg):
         return self.model.gradient(cfg)
 
-    def hessian(self, cfg):
-        return -self.model.hessian(cfg)
+    def hessian_structured(self, cfg):
+        return negated(self.model.hessian_structured(cfg))
 
 
 def test_negated_hessian_makes_every_step_a_fallback():
