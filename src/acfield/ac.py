@@ -288,8 +288,8 @@ def ac_hessian_structured(cfg, method, profile, m):
     """Exact Hessian of ac_energy in structured form
     (`hessian.StructuredHessian`).
 
-    B holds the weighted Cauchy-Born cells, which leave the window's atoms
-    uncoupled, and the slab's diagonal terms.  The slab energy is the free
+    B holds the weighted Cauchy-Born cells, which couple no two window
+    atoms, and the slab's diagonal terms.  The slab energy is the free
     pair sum of the window atoms, whose curvature is a diagonal minus a
     Green's block on the window (`energy._pair_curvature`), plus the core, a
     function of q = (gamma_L, gamma_R, tau[, g_L, g_R]).  In the reduced
@@ -334,7 +334,9 @@ def ac_hessian_structured(cfg, method, profile, m):
 
     grad_q = _core_gradient(q, method.variant, m, eps)
     w = jac.T @ _core_hessian(q, method.variant, m, eps) @ jac
-    for f, i_a in ((0, 2), (1, 3)):  # k^2 sum_j c_j (e_a - e_j)(e_a - e_j)^T
+    # each wall family's k^2 sum_j c_j (e_a - e_j)(e_a - e_j)^T, less its
+    # diagonal k^2 c_j, which B holds
+    for f, i_a in ((0, 2), (1, 3)):
         w[i_a, i_a] += grad_q[f] * k * k * q[f]
         w[i_a, f] -= grad_q[f] * k * k
         w[f, i_a] -= grad_q[f] * k * k

@@ -37,12 +37,16 @@ b (e_i + e_j)(e_i + e_j)^T) leaves a core whose solve is one symmetric
 tridiagonal solve: B's couplings where the Green's block meets the other
 atoms (at the period's wrap when there is no block) and Gamma^{-1}'s
 coupling across the period.  The cut couplings, c 11^T and U W U^T are a
-Woodbury correction of rank at most 10 on that core.
+Woodbury correction of rank at most 9 on that core, and one step of
+iterative refinement on the bordered system restores the backward error
+that the correction loses.
 """
 
 from typing import NamedTuple
 
 import numpy as np
+
+from .field import _apply_cyclic_tridiag
 
 __all__ = ["Green", "StructuredHessian"]
 
@@ -59,13 +63,6 @@ class Green(NamedTuple):
     y: np.ndarray
     k: float
     L: object
-
-    def self_value(self):
-        """Gamma_ii: 1/2k on the line, coth(kL/2)/2k on the circle."""
-        if self.L is None:
-            return 0.5 / self.k
-        q = np.exp(-self.k * self.L)
-        return 0.5 / self.k * (1.0 + q) / -np.expm1(-self.k * self.L)
 
     def dense(self):
         """Gamma as an array."""
@@ -100,14 +97,6 @@ class StructuredHessian(NamedTuple):
     u: np.ndarray
     w: np.ndarray
 
-    def diagonal(self):
-        """The diagonal of H."""
-        out = self.diag + np.sum((self.u @ self.w) * self.u, axis=1)
-        gr = self.green
-        if gr is not None:
-            out[gr.lo:gr.lo + gr.y.size] -= gr.a * gr.self_value()
-        return out
-
     def dense(self):
         """H as an exactly symmetric array."""
         n = self.diag.size
@@ -127,7 +116,7 @@ class StructuredHessian(NamedTuple):
 
     def newton_step(self, g):
         """(d, positive_definite): d solves (H + c 11^T) d = -g with
-        c = max |diag H| / n, in O(n r) time and memory.
+        c = max |diag B| / n, in O(n r) time and memory.
 
         The Woodbury correction solves the bordered system; one step of
         iterative refinement on it, with the residual from the bordered
@@ -139,7 +128,7 @@ class StructuredHessian(NamedTuple):
         not to be used.
         """
         n = self.diag.size
-        c = float(np.max(np.abs(self.diagonal()))) / n
+        c = float(np.max(np.abs(self.diag))) / n
         gr = self.green
         lo, hi = (gr.lo, gr.lo + gr.y.size) if gr is not None else (0, 0)
         nw, ru = hi - lo, self.u.shape[1]
@@ -211,24 +200,15 @@ class StructuredHessian(NamedTuple):
         n = self.diag.size
         d = x[:n]
         out = np.empty_like(x)
-        out[:n] = _tridiag_product(self.diag, self.off, d) \
+        out[:n] = _apply_cyclic_tridiag(self.diag, self.off[1:], self.off[0], d) \
             + self.u @ (self.w @ (self.u.T @ d)) + c * np.sum(d)
         gr = self.green
         if gr is not None:
             win = slice(gr.lo, gr.lo + gr.y.size)
             out[win] += x[n:]
-            out[n:] = d[win] + _tridiag_product(*prec, x[n:]) / gr.a
+            q_diag, q_off = prec
+            out[n:] = d[win] + _apply_cyclic_tridiag(q_diag, q_off[1:], q_off[0], x[n:]) / gr.a
         return out
-
-
-def _tridiag_product(diag, off, x):
-    """J x for the symmetric cyclic tridiagonal J with J[i-1, i] = off[i]."""
-    out = diag * x
-    out[1:] += off[1:] * x[:-1]
-    out[:-1] += off[1:] * x[1:]
-    out[0] += off[0] * x[-1]
-    out[-1] += off[0] * x[0]
-    return out
 
 
 class _Core:

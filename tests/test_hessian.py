@@ -3,7 +3,7 @@
 Every model's Hessian comes as a `StructuredHessian`; its dense expansion is
 the model's dense Hessian, which the row-by-row FD tests audit.  Here the
 structured step `newton_step` is compared with a dense solve of the same
-system (H + c 11^T) d = -g, c = max |diag H| / n, and its positive-definiteness
+system (H + c 11^T) d = -g, c = max |diag B| / n, and its positive-definiteness
 decision with the dense spectrum.
 """
 
@@ -50,8 +50,8 @@ def negated(h):
 
 
 def newton_matrix(h):
-    hess = h.dense()
-    return hess + np.max(np.abs(np.diag(hess))) / hess.shape[0]
+    """H + c 11^T as an array."""
+    return h.dense() + np.max(np.abs(h.diag)) / h.diag.size
 
 
 def mean_zero_gradient(n):
