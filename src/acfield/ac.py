@@ -309,46 +309,50 @@ def ac_hessian_structured(cfg, method, profile, m):
     k = m / eps
     muv = mu(profile, m)
 
-    cells = (c_l, c_r)
+    win = slice(c_l, c_r)
     cols = np.zeros((n, 6))  # c_L, c_R, a_L, a_R, s_L, s_R
     s_l, s_r, _, _ = _walls(y_at, bd0, profile)
-    cols[c_l:c_r, 0] = muv / m * s_l
-    cols[c_l:c_r, 1] = muv / m * s_r
-    for j, c in enumerate(cells):
-        cols[[c - 1, c], 2 + j] = 0.5  # the wall: the cell's midpoint
-        cols[[c - 1, c], 4 + j] = (-1.0 / eps, 1.0 / eps)  # the cell's strain
-    q = [float(np.sum(cols[:, 0])), float(np.sum(cols[:, 1])), bd0.tau]
+    cols[win, 0] = muv / m * s_l
+    cols[win, 1] = muv / m * s_r
+    cols[c_l - 1:c_l + 1, 2] = cols[c_r - 1:c_r + 1, 3] = 0.5  # the walls: cell midpoints
+    cols[c_l - 1:c_l + 1, 4] = cols[c_r - 1:c_r + 1, 5] = (-1.0 / eps, 1.0 / eps)  # strains
+    q = [float(np.sum(cols[win, 0])), float(np.sum(cols[win, 1])), bd0.tau]
 
-    # jac: the gradients of q in the basis of the columns
-    jac = np.zeros((3, 6))
-    jac[0, [0, 2]] = -k, k * q[0]  # gamma_L: -k (y_j - a_L)
-    jac[1, [1, 3]] = k, -k * q[1]  # gamma_R: -k (a_R - y_j)
-    jac[2, [2, 3]] = k * q[2], -k * q[2]  # tau: -k (a_R - a_L)
+    # the gradients of q in the basis of the columns: gamma_L is a sum over
+    # e^{-k (y_j - a_L)}, gamma_R over e^{-k (a_R - y_j)}, tau = e^{-k (a_R - a_L)}
+    jac = [[-k, 0.0, k * q[0], 0.0, 0.0, 0.0],
+           [0.0, k, 0.0, -k * q[1], 0.0, 0.0],
+           [0.0, 0.0, k * q[2], -k * q[2], 0.0, 0.0]]
     if method.variant == "method2":
         strains = first_diff(cfg)
-        s_int = tuple(float(strains[c]) for c in cells)
+        s_int = (float(strains[c_l]), float(strains[c_r]))
         q += [_interface_strain_gamma(profile, m, s) for s in s_int]
-        rows = np.zeros((2, 6))
-        rows[[0, 1], [4, 5]] = [_interface_strain_dgamma(profile, m, s) for s in s_int]
-        jac = np.vstack([jac, rows])
+        dg_l, dg_r = (_interface_strain_dgamma(profile, m, s) for s in s_int)
+        jac += [[0.0, 0.0, 0.0, 0.0, dg_l, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, dg_r]]
+    jac = np.array(jac)
 
     grad_q = _core_gradient(q, method.variant, m, eps)
     w = jac.T @ _core_hessian(q, method.variant, m, eps) @ jac
     # each wall family's k^2 sum_j c_j (e_a - e_j)(e_a - e_j)^T, less its
-    # diagonal k^2 c_j, which B holds
+    # diagonal k^2 c_j, which B holds, and tau's k^2 tau (e_aL - e_aR)(...)^T
+    kk = k * k
     for f, i_a in ((0, 2), (1, 3)):
-        w[i_a, i_a] += grad_q[f] * k * k * q[f]
-        w[i_a, f] -= grad_q[f] * k * k
-        w[f, i_a] -= grad_q[f] * k * k
-    w[np.ix_([2, 3], [2, 3])] += grad_q[2] * k * k * q[2] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        w[i_a, i_a] += grad_q[f] * kk * q[f]
+        w[i_a, f] -= grad_q[f] * kk
+        w[f, i_a] -= grad_q[f] * kk
+    t = grad_q[2] * kk * q[2]
+    w[2, 2] += t
+    w[3, 3] += t
+    w[2, 3] -= t
+    w[3, 2] -= t
     if method.variant == "method2":
         for dq, i_s, s in zip(grad_q[3:], (4, 5), s_int):
             w[i_s, i_s] += dq * _interface_strain_d2gamma(profile, m, s)
 
     pref = eps * muv**2 / (4.0 * m)
     diag, off = _cb_band(cfg, profile, m, _cb_weights(cfg, part))
-    diag[c_l:c_r] += pref * _pair_curvature(y_at, k) \
-        + k * k * (grad_q[0] * cols[c_l:c_r, 0] + grad_q[1] * cols[c_l:c_r, 1])
+    diag[win] += pref * _pair_curvature(y_at, k) \
+        + kk * (grad_q[0] * cols[win, 0] + grad_q[1] * cols[win, 1])
     return StructuredHessian(diag, off, Green(c_l, pref * 4.0 * k**3, y_at, k, None),
                              cols, 0.5 * (w + w.T))
 

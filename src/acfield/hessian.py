@@ -188,9 +188,12 @@ class StructuredHessian(NamedTuple):
         resid = rhs[0] - self._bordered_product(sol, c, prec)
         sol += correct(core.solve(resid[None])[0])
 
+        # negative eigenvalues of M: the core's, plus the capacitance's
+        # positive ones, less the correction's; M has H + c 11^T's and
+        # Gamma^{-1}/a's, which are all negative when a < 0
         neg = core.neg + int(np.sum(sig > 0)) - int(np.sum(lam > 0))
         if gr is not None and gr.a < 0:
-            neg -= nw  # Gamma^{-1}/a is then negative definite
+            neg -= nw
         d = sol[:n]
         positive = neg == 0 and bool(np.all(sig != 0)) and bool(np.all(np.isfinite(d)))
         return d, positive
