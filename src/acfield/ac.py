@@ -25,7 +25,8 @@ slab:
 
 Energies, forces and the exact Hessian (`ac_hessian`) ride on the exact
 pair/closed forms of `energy` throughout; FEM appears only in cross-checks at
-test level.
+test level.  On one configuration they share the window's wall pass and
+chain sums, and both methods share them too (`_window_scans`).
 """
 
 import math
@@ -51,7 +52,7 @@ from .energy import (
     forces_periodic,
     stress_dirichlet,
 )
-from .field import BoundaryData, _walls
+from .field import BoundaryData, _ChainSums, _kept, _walls
 from .hessian import Green, StructuredHessian
 from .lattice import first_diff, norm_weighted, positions, second_diff
 
@@ -161,15 +162,26 @@ def _cb_weights(cfg, partition):
     return w
 
 
-def _method_bd(cfg, method, profile, m, y_at, bd0):
-    """(bd, walls): the slab's boundary data under the coupling, g* or the
-    cell problem's, and the slab's one `_walls` pass (the walls ignore g)."""
-    walls = _walls(y_at, bd0, profile)
+def _window_scans(cfg, method, profile, m, y_at, bd0):
+    """(walls, sums): the slab's `field._walls` pass (the walls ignore g) and
+    its atoms' chain sums, kept for cfg (`field._kept`).  Both methods have
+    the same window, so the energy, forces and Hessian of either make one
+    wall pass and at most one scan per side."""
+    part = method.partition
+    k = m / cfg.eps
+    walls = _kept(cfg, (part.K, m, profile), lambda: _walls(y_at, bd0, profile))
+    sums = _kept(cfg, (k, part.interface_cells(cfg)), lambda: _ChainSums(y_at, k))
+    return walls, sums
+
+
+def _method_bd(cfg, method, profile, m, bd0, walls):
+    """The slab's boundary data under the coupling: g* from the wall
+    moments, or the cell problem's."""
     if method.variant == "method1":
         g = _g_star(*walls[2:], bd0.tau)
     else:
         g = g_method2(cfg, method.partition, profile, m)
-    return bd0.with_g(*g), walls
+    return bd0.with_g(*g)
 
 
 def ac_energy(cfg, method, profile, m):
@@ -178,8 +190,9 @@ def ac_energy(cfg, method, profile, m):
     strains = first_diff(cfg)
     e_cb = float(np.sum(_cb_weights(cfg, method.partition)
                         * cb_cell_energy(strains, profile, m, cfg.eps)))
-    bd, walls = _method_bd(cfg, method, profile, m, y_at, bd0)
-    return e_cb + _slab_energy(y_at, bd, profile, walls)
+    walls, sums = _window_scans(cfg, method, profile, m, y_at, bd0)
+    bd = _method_bd(cfg, method, profile, m, bd0, walls)
+    return e_cb + _slab_energy(sums, bd, profile, walls)
 
 
 def _interface_strain_gamma(profile, m, s):
@@ -236,8 +249,9 @@ def ac_forces(cfg, method, profile, m):
     vals = _cb_weights(cfg, part) * cb_cell_denergy(strains, profile, m, cfg.eps) / cfg.eps
     grad = vals - np.roll(vals, -1)  # cell c pulls atoms c and c-1
 
-    bd, walls = _method_bd(cfg, method, profile, m, y_at, bd0)
-    d_y, (d_al, d_ar), dg_e = _slab_gradient(y_at, bd, profile, walls)
+    walls, sums = _window_scans(cfg, method, profile, m, y_at, bd0)
+    bd = _method_bd(cfg, method, profile, m, bd0, walls)
+    d_y, (d_al, d_ar), dg_e = _slab_gradient(sums, bd, profile, walls)
     grad[part.atom_indices(cfg)] += d_y
     for c, d_a in zip(cells, (d_al, d_ar)):  # each wall moves with its cell's atoms
         grad[c - 1] += 0.5 * d_a
@@ -311,7 +325,8 @@ def ac_hessian_structured(cfg, method, profile, m):
 
     win = slice(c_l, c_r)
     cols = np.zeros((n, 6))  # c_L, c_R, a_L, a_R, s_L, s_R
-    s_l, s_r, _, _ = _walls(y_at, bd0, profile)
+    walls, sums = _window_scans(cfg, method, profile, m, y_at, bd0)
+    s_l, s_r, _, _ = walls
     cols[win, 0] = muv / m * s_l
     cols[win, 1] = muv / m * s_r
     cols[c_l - 1:c_l + 1, 2] = cols[c_r - 1:c_r + 1, 3] = 0.5  # the walls: cell midpoints
@@ -351,7 +366,7 @@ def ac_hessian_structured(cfg, method, profile, m):
 
     pref = eps * muv**2 / (4.0 * m)
     diag, off = _cb_band(cfg, profile, m, _cb_weights(cfg, part))
-    diag[win] += pref * _pair_curvature(y_at, k) \
+    diag[win] += pref * _pair_curvature(sums) \
         + kk * (grad_q[0] * cols[win, 0] + grad_q[1] * cols[win, 1])
     return StructuredHessian(diag, off, Green(c_l, pref * 4.0 * k**3, y_at, k, None),
                              cols, 0.5 * (w + w.T))
@@ -371,7 +386,8 @@ def sigma_qc(cfg, method, x, profile, m):
     if method.variant != "method1":
         raise ValueError("the coupled stress exists for method 1 only")
     y_at, bd0 = _validate(cfg, method, profile, m)
-    bd, _ = _method_bd(cfg, method, profile, m, y_at, bd0)
+    walls, _ = _window_scans(cfg, method, profile, m, y_at, bd0)
+    bd = _method_bd(cfg, method, profile, m, bd0, walls)
     nodes = positions(cfg, -cfg.N - 1, cfg.N)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs <= nodes[0]) or np.any(xs > nodes[-1]):
@@ -400,7 +416,8 @@ def weak_form_qc(cfg, method, u, profile, m):
     if method.variant != "method1":
         raise ValueError("the coupled stress exists for method 1 only")
     y_at, bd0 = _validate(cfg, method, profile, m)
-    bd, _ = _method_bd(cfg, method, profile, m, y_at, bd0)
+    walls, _ = _window_scans(cfg, method, profile, m, y_at, bd0)
+    bd = _method_bd(cfg, method, profile, m, bd0, walls)
     # y and uu start at atom -N-1, so cell c joins their entries c and c+1
     c_l, c_r = method.partition.interface_cells(cfg)
     y = positions(cfg, -cfg.N - 1, cfg.N)

@@ -22,6 +22,16 @@ form over the periodic images (`field._right_sums`, which also sums every
 closed-form field).  A sum and its gradient cost O(n log n); the dense pair
 Hessian sums every pair.
 
+A configuration is scanned once per side.  Its periodic chain's right and
+left sums (`field._ChainSums`) are made on first use by whichever of
+`energy_periodic`, `forces_periodic`, `hessian_periodic_structured` and
+`eval_green_periodic` (so every periodic stress piece) needs them, and
+read by the others; the couplings in `ac` share their window's sums and
+wall data the same way.  They are kept, read-only, for the most recent
+configuration object only (`field._kept`): a call on another
+configuration drops them.  The slab routes here, which take bare
+positions, scan afresh.
+
 The P1 finite-element solves in `field` are an independent oracle for these
 closed forms, called directly there: 0.5 * solve_periodic(...).interaction
 and -solve_dirichlet(...).i_value are the discrete energies, and
@@ -43,7 +53,8 @@ import math
 import numpy as np
 from .density import (_bump_offsets, check_separated, gauss_on_interval, grad_delta_eps, mu,
                       self_moment)
-from .field import _right_sums, _t_solve, _walls, eval_green_dirichlet, eval_green_periodic
+from .field import (_ChainSums, _periodic_sums, _t_solve, _walls, eval_green_dirichlet,
+                    eval_green_periodic)
 from .hessian import Green, StructuredHessian
 from .lattice import positions
 
@@ -78,24 +89,23 @@ def self_energy(profile, m, eps):
 # ---------------------------------------------------------------------------
 
 
-def _pair_sum(y, k, L=None, want_grad=True):
-    """Ordered double sum S over distinct pairs of e^{-k dist}, with every
-    image of a period L (an atom's own images included), and dS/dy.
+def _pair_sum(sums, want_grad=True):
+    """Ordered double sum S over distinct pairs of e^{-k dist} of the chain
+    of `sums` (a `field._ChainSums`), with every image of its period L (an
+    atom's own images included), and dS/dy.
 
     From the right sums F and the left sums Lt (the right sums of the
     reflected chain): S = 2 sum F and dS/dy = 2k (F - Lt), exact with no
-    cutoff; the only cancellation is the final difference.
+    cutoff; the only cancellation is the final difference.  The energy
+    alone needs only F.
     """
-    y = np.asarray(y, dtype=float)
-    right = _right_sums(y, k, L)
-    s = 2.0 * float(np.sum(right))
+    s = 2.0 * float(np.sum(sums.right))
     if not want_grad:
         return s, None
-    left = _right_sums(-y[::-1], k, L)[::-1]
-    return s, 2.0 * k * (right - left)
+    return s, 2.0 * sums.k * (sums.right - sums.left)
 
 
-def _pair_curvature(y, k, L=None):
+def _pair_curvature(sums):
     """The Hessian of `_pair_sum` in the positions as D - 4k^3 Gamma, with
     Gamma the Green's matrix of -u'' + k^2 u at y (`hessian.Green`); returns
     the diagonal D.
@@ -105,10 +115,8 @@ def _pair_curvature(y, k, L=None):
     D_i = 4k^3 sum_j Gamma_ij = 2k^2 (1 + F_i + Lt_i) with the right and
     left sums (own images included).
     """
-    y = np.asarray(y, dtype=float)
-    right = _right_sums(y, k, L)
-    left = _right_sums(-y[::-1], k, L)[::-1]
-    return 2.0 * k * k * (1.0 + right + left)
+    k = sums.k
+    return 2.0 * k * k * (1.0 + sums.right + sums.left)
 
 
 def energy_periodic(cfg, profile, m):
@@ -116,7 +124,7 @@ def energy_periodic(cfg, profile, m):
     resummed pair sum plus (2N+1) self energies."""
     check_separated(cfg, profile, "energy_periodic")
     muv = mu(profile, m)
-    s, _ = _pair_sum(positions(cfg), m / cfg.eps, cfg.L, want_grad=False)
+    s, _ = _pair_sum(_periodic_sums(cfg, m), want_grad=False)
     return cfg.eps * muv**2 / (4.0 * m) * s + cfg.n_atoms * self_energy(profile, m, cfg.eps)
 
 
@@ -124,7 +132,7 @@ def forces_periodic(cfg, profile, m):
     """Gradient D_{y_j} E of the periodic energy, j = -N..N (closed form)."""
     check_separated(cfg, profile, "forces_periodic")
     muv = mu(profile, m)
-    _, grad = _pair_sum(positions(cfg), m / cfg.eps, cfg.L)
+    _, grad = _pair_sum(_periodic_sums(cfg, m))
     return cfg.eps * muv**2 / (4.0 * m) * grad
 
 
@@ -141,7 +149,7 @@ def hessian_periodic_structured(cfg, profile, m):
     pref = cfg.eps * mu(profile, m) ** 2 / (4.0 * m)
     y = positions(cfg)
     n = cfg.n_atoms
-    return StructuredHessian(pref * _pair_curvature(y, k, cfg.L), np.zeros(n),
+    return StructuredHessian(pref * _pair_curvature(_periodic_sums(cfg, m)), np.zeros(n),
                              Green(0, pref * 4.0 * k**3, y, k, cfg.L),
                              np.zeros((n, 0)), np.zeros((0, 0)))
 
@@ -328,30 +336,32 @@ def _slab_core(gam_l, gam_r, tau, g_l, g_r, m, eps):
     )
 
 
-def _slab_pair_part(y_at, bd, profile, want_grad=True):
+def _slab_pair_part(sums, bd, profile, want_grad=True):
     """The slab's direct pair energy plus its self energies, and (with
-    want_grad) the pair energy's gradient in the positions, else None."""
+    want_grad) the pair energy's gradient in the positions, else None; from
+    the slab atoms' chain sums."""
     muv = mu(profile, bd.m)
-    s_free, grad = _pair_sum(y_at, bd.m / bd.eps, want_grad=want_grad)
+    s_free, grad = _pair_sum(sums, want_grad=want_grad)
     pref = bd.eps * muv**2 / (4.0 * bd.m)
-    n_at = np.asarray(y_at).size
+    n_at = sums.y.size
     return (
         pref * s_free + n_at * self_energy(profile, bd.m, bd.eps),
         None if grad is None else pref * grad,
     )
 
 
-def _slab_energy(y_at, bd, profile, walls):
-    """`energy_dirichlet` on the slab's `field._walls` pass."""
+def _slab_energy(sums, bd, profile, walls):
+    """`energy_dirichlet` on the slab atoms' chain sums and `field._walls`
+    pass."""
     core = _slab_core(*walls[2:], bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
-    pair_val, _ = _slab_pair_part(y_at, bd, profile, want_grad=False)
+    pair_val, _ = _slab_pair_part(sums, bd, profile, want_grad=False)
     return pair_val + core[0]
 
 
 def energy_dirichlet(y_at, bd, profile):
     """Slab energy E_{a,g}(y) = -I_a(phi) at the solved Dirichlet field, in
     the exact closed form -I(phi_0) - I(xi_g) for any boundary data g."""
-    return _slab_energy(y_at, bd, profile, _walls(y_at, bd, profile))
+    return _slab_energy(_ChainSums(y_at, bd.m / bd.eps), bd, profile, _walls(y_at, bd, profile))
 
 
 def mirror_energy(y_at, bd, profile):
@@ -364,24 +374,24 @@ def mirror_energy(y_at, bd, profile):
     `energy_dirichlet` at g*; this independent form checks it.
     """
     gam_l, gam_r = gamma_pair(y_at, bd, profile)
-    pair_val, _ = _slab_pair_part(y_at, bd, profile, want_grad=False)
+    pair_val, _ = _slab_pair_part(_ChainSums(y_at, bd.m / bd.eps), bd, profile, want_grad=False)
     tau = bd.tau
     return pair_val + (bd.m * bd.eps / 4.0) * (
         (gam_l**2 + gam_r**2 + 2.0 * tau * gam_l * gam_r) / (1.0 - tau * tau)
     )
 
 
-def _slab_gradient(y_at, bd, profile, walls):
+def _slab_gradient(sums, bd, profile, walls):
     """Every first derivative (D_y E, (D_{a_L} E, D_{a_R} E), D_g E) of the
     slab energy from its `field._walls` pass, one `_slab_core` and one pair
-    gradient.  D_y E goes through gamma(y), D_a E through gamma(a) and tau(a):
-    dgamma_L/da_L = +k gamma_L, dgamma_R/da_R = -k gamma_R,
-    dtau/da_L = +k tau, dtau/da_R = -k tau."""
+    gradient (on the slab atoms' chain sums).  D_y E goes through gamma(y),
+    D_a E through gamma(a) and tau(a): dgamma_L/da_L = +k gamma_L,
+    dgamma_R/da_R = -k gamma_R, dtau/da_L = +k tau, dtau/da_R = -k tau."""
     s_l, s_r, gam_l, gam_r = walls
     muv = mu(profile, bd.m)
     k = bd.m / bd.eps
     core = _slab_core(gam_l, gam_r, bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
-    _, pair_grad = _slab_pair_part(y_at, bd, profile)
+    _, pair_grad = _slab_pair_part(sums, bd, profile)
     dgl_dy = -(muv / bd.m) * k * s_l
     dgr_dy = (muv / bd.m) * k * s_r
     d_al = core[1] * (k * gam_l) + core[3] * (k * bd.tau)
@@ -393,7 +403,8 @@ def _slab_gradient(y_at, bd, profile, walls):
 
 def d_energy_dirichlet_y(y_at, bd, profile):
     """Gradient of the slab energy in the atom positions (fixed a, g)."""
-    return _slab_gradient(y_at, bd, profile, _walls(y_at, bd, profile))[0]
+    walls = _walls(y_at, bd, profile)
+    return _slab_gradient(_ChainSums(y_at, bd.m / bd.eps), bd, profile, walls)[0]
 
 
 def d_energy_dirichlet_g(y_at, bd, profile):
@@ -411,7 +422,8 @@ def d_energy_dirichlet_a(y_at, bd, profile):
     D_{a_R} E = integral sigma_y grad theta_R with theta_R the hat rising
     from 0 at the outermost atom to 1 at a_R (similarly theta_L).
     """
-    return _slab_gradient(y_at, bd, profile, _walls(y_at, bd, profile))[1]
+    walls = _walls(y_at, bd, profile)
+    return _slab_gradient(_ChainSums(y_at, bd.m / bd.eps), bd, profile, walls)[1]
 
 
 def weak_form_dirichlet(y_at, bd, profile, u):

@@ -24,8 +24,9 @@ Two evaluation routes are provided and deliberately kept independent:
   bump a split Gauss rule handles the kernel kink.  The kernel is
   separable, so a point needs only its two neighbouring atoms and their
   right and left sums over every image (`_right_sums`, which the pair
-  energies of `energy` share): O((n + P) log n) for P points, with no
-  truncation.  These are exact up to quadrature (~1e-15).  The production
+  energies of `energy` share; `_kept` keeps a configuration's, so its
+  energy, forces, Hessian and field scan it once per side):
+  O((n + P) log n) for P points, with no truncation.  These are exact up to quadrature (~1e-15).  The production
   energies of `energy` and its stresses use them.
 
 * P1 finite elements (`solve_periodic`, `solve_dirichlet`), the independent
@@ -59,6 +60,7 @@ cross-checks.
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -144,13 +146,13 @@ def _check_inside_slab(y_at, bd, profile):
 
 def _walls(y_at, bd, profile):
     """The slab's wall data, independent of g, after `_check_inside_slab`:
-    (s_L, s_R, gamma_L, gamma_R), s_L = e^{-k(y_j - a_L)}, s_R = e^{-k(a_R - y_j)},
-    k = m/eps, and the wall moments gamma = (mu/m) sum s."""
+    (s_L, s_R, gamma_L, gamma_R), s_L = e^{-k(y_j - a_L)}, s_R = e^{-k(a_R - y_j)}
+    (read-only), k = m/eps, and the wall moments gamma = (mu/m) sum s."""
     _check_inside_slab(y_at, bd, profile)
     y = np.asarray(y_at, dtype=float)
     k = bd.m / bd.eps
-    s_l = np.exp(-k * (y - bd.a_L))
-    s_r = np.exp(-k * (bd.a_R - y))
+    s_l = _read_only(np.exp(-k * (y - bd.a_L)))
+    s_r = _read_only(np.exp(-k * (bd.a_R - y)))
     muv = mu(profile, bd.m)
     return s_l, s_r, muv / bd.m * float(np.sum(s_l)), muv / bd.m * float(np.sum(s_r))
 
@@ -281,6 +283,62 @@ def _right_sums(y, k, L=None):
     return r
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+class _ChainSums:
+    """The right sums F (`_right_sums`) and the left sums Lt (the right sums
+    of the reflected chain) of the ascending chain y at decay k, with a
+    period L or none: each side is one scan, made on first use, read-only.
+
+    A configuration's are kept for it by `_kept` and shared by every call on
+    it (`_periodic_sums`, `ac._window_scans`); a route given bare positions
+    (the public slab routes) makes its own.
+    """
+
+    def __init__(self, y, k, L=None):
+        self.y = np.asarray(y, dtype=float)
+        self.k = k
+        self.L = L
+
+    @cached_property
+    def right(self):
+        return _read_only(_right_sums(self.y, self.k, self.L))
+
+    @cached_property
+    def left(self):
+        return _read_only(_right_sums(-self.y[::-1], self.k, self.L)[::-1])
+
+
+_last = (None, {})  # the configuration whose scans are kept, and its scans by key
+
+
+def _kept(cfg, key, build):
+    """build() for the configuration cfg, made once per key: a later call on
+    the same object (compared by identity) with an equal key returns the
+    first result.  The key must name everything besides cfg that fixes the
+    result.  Only the most recent configuration is kept, by a strong
+    reference (so its id cannot be reused while it is kept); a call on
+    another configuration drops it and its scans."""
+    global _last
+    owner, kept = _last
+    if owner is not cfg:
+        kept = {}
+        _last = (cfg, kept)
+    if key not in kept:
+        kept[key] = build()
+    return kept[key]
+
+
+def _periodic_sums(cfg, m):
+    """The `_ChainSums` of the periodic chain of cfg at k = m/eps, kept for
+    cfg: its pair energy, forces, Hessian and field share them."""
+    k = m / cfg.eps
+    return _kept(cfg, (k, cfg.L), lambda: _ChainSums(positions(cfg), k, cfg.L))
+
+
 def _neighbour_field(profile, m, eps, d_l, d_r, f_r, lt_l):
     """Field (value, gradient) at points between two neighbouring images,
     at distances d_l to the left one and d_r to the right one, whose right
@@ -309,32 +367,32 @@ def _neighbour_field(profile, m, eps, d_l, d_r, f_r, lt_l):
     return val, grad
 
 
-def _kernel_field(y, profile, m, eps, x, L):
-    """Field (value, gradient) at x of unit bumps at y (ascending, within
-    one period) and all their images y + nL: every image c contributes
-    (mu/2m) e^{-(m/eps)|x - c|} while x lies outside its bump.
+def _kernel_field(sums, profile, m, eps, x):
+    """Field (value, gradient) at x of unit bumps at y = sums.y (ascending,
+    within one period) and all their images y + nL, L = sums.L: every
+    image c contributes (mu/2m) e^{-(m/eps)|x - c|} while x lies outside
+    its bump.
 
     Two callers pick the period: the chain (L = 2F) and the slab
     (L = 2(a_R - a_L), the direct charge and its same-sign wall images;
     `eval_green_dirichlet` adds the odd mirror charges).  The kernel is
-    separable: with the right and left sums F, Lt of `_right_sums`, x
-    between its neighbouring images l <= x < r needs only d_r = y_r - x,
-    d_l = x - y_l, F_r and Lt_l (`_neighbour_field`).  Only x outside
-    [y_{n-1} - L, y_0 + L] is reduced by the period, so every other offset
-    is one subtraction.  O((n + P) log n); accuracy ~1e-15 relative.
+    separable: with the right and left sums F, Lt of `sums` (a `_ChainSums`
+    at k = m/eps), x between its neighbouring images l <= x < r needs only
+    d_r = y_r - x, d_l = x - y_l, F_r and Lt_l (`_neighbour_field`).  Only
+    x outside [y_{n-1} - L, y_0 + L] is reduced by the period, so every
+    other offset is one subtraction.  O((n + P) log n); accuracy ~1e-15 relative.
     The callers have checked that the supports are separated (images
     included), so x lies in at most one bump, a neighbour's.  Returns arrays
     shaped like atleast_1d(x).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
+    y, L = sums.y, sums.L
     if y.size == 0:
         return np.zeros_like(x), np.zeros_like(x)
-    k = m / eps
     ye = np.concatenate([[y[-1] - L], y, [y[0] + L]])
     atom = np.arange(-1, y.size + 1) % y.size
-    right = _right_sums(y, k, L)[atom]
-    left = _right_sums(-y[::-1], k, L)[::-1][atom]
+    right = sums.right[atom]
+    left = sums.left[atom]
 
     far = (x < ye[0]) | (x > ye[-1])
     x = np.where(far, x - L * np.floor((x - ye[0]) / L), x)
@@ -369,10 +427,11 @@ def _cell_fields(anchor, L, profile, m, eps, x):
 
 def eval_green_periodic(cfg, profile, m, x):
     """Exact periodic field (value, gradient) at x: the kernel sum over every
-    image of the chain, period L = 2F (`_kernel_field`).  Raises on contact
+    image of the chain, period L = 2F (`_kernel_field`), on the chain sums
+    that cfg's pair energies share (`_periodic_sums`).  Raises on contact
     (`check_separated`)."""
     check_separated(cfg, profile, "eval_green_periodic")
-    val, grad = _kernel_field(positions(cfg), profile, m, cfg.eps, x, cfg.L)
+    val, grad = _kernel_field(_periodic_sums(cfg, m), profile, m, cfg.eps, x)
     if np.ndim(x) == 0:
         return float(val[0]), float(grad[0])
     return val, grad
@@ -421,7 +480,7 @@ def eval_green_dirichlet(y_at, bd, profile, x):
     k = m / eps
     wall_l, wall_r, _, _ = _walls(y, bd, profile)
     _check_points_in_slab(xs, bd.a_L, bd.a_R)
-    val, grad = _kernel_field(y, profile, m, eps, xs, 2.0 * bd.width)
+    val, grad = _kernel_field(_ChainSums(y, k, 2.0 * bd.width), profile, m, eps, xs)
 
     # odd mirror charges: -(mu/2m)(e_xl s_l + e_xr s_r) / (1 - tau^2)
     e_xl = np.exp(-k * (xs - bd.a_L))  # decaying from the left wall

@@ -39,6 +39,7 @@ from .lattice import (
 from .density import delta_eps, gauss_on_interval, quartic_bump, sextic_bump
 from .field import (
     BoundaryData,
+    _ChainSums,
     _walls,
     eval_green_dirichlet,
     eval_green_periodic,
@@ -403,7 +404,8 @@ def _exp_gradient_audit(spec, jobs):
             g_l, g_r = 0.3 * float(gs[0]) + 0.01, 0.7 * float(gs[1]) - 0.02
             bd = bd0.with_g(g_l, g_r)
 
-            grad_y, grad_a, grad_g = _slab_gradient(y_at, bd, profile, _walls(y_at, bd, profile))
+            grad_y, grad_a, grad_g = _slab_gradient(_ChainSums(y_at, bd.m / bd.eps), bd, profile,
+                                                    _walls(y_at, bd, profile))
             for dv in dirs:
                 dw = dv[: y_at.size]
                 fd = (

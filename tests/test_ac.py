@@ -6,6 +6,7 @@ energy, FD differentiation, and the quadrature stress integrals.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -39,9 +40,12 @@ from acfield.energy import (
     energy_periodic,
     forces_periodic,
     g_star,
+    hessian_periodic,
     stress_periodic,
 )
+from acfield.field import eval_green_periodic
 from acfield.lattice import ChainConfig, first_diff, homogeneous, positions
+from acfield.minimize import AcModel, AtomisticModel, CauchyBornModel
 
 PROFILE = quartic_bump()
 M = 1.0
@@ -470,22 +474,107 @@ def test_coupling_equals_public_composition_bitwise(make, N):
     assert np.array_equal(ac_forces(cfg, method, PROFILE, M), forces)
 
 
-@pytest.mark.parametrize("make", [method1, method2])
-def test_one_slab_check_per_coupled_call(make, monkeypatch):
-    # the slab check is patched wherever a module binds it, so a route that
-    # imported it by name is counted too
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.name: it is patched wherever an acfield
+    module binds it, so a route that imported it by name is counted too."""
     calls = []
-    check = acfield.field._check_inside_slab
+    original = getattr(module, name)
 
     def counted(*args):
         calls.append(None)
-        return check(*args)
+        return original(*args)
 
-    for mod in (acfield.field, acfield.energy, acfield.ac):
-        if hasattr(mod, "_check_inside_slab"):
-            monkeypatch.setattr(mod, "_check_inside_slab", counted)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("acfield") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [method1, method2])
+def test_one_slab_check_per_coupled_call(make, monkeypatch):
+    # energy and forces on one configuration share the window's wall pass,
+    # so its slab check runs once; a new configuration checks its own
+    calls = _count_calls(monkeypatch, acfield.field, "_check_inside_slab")
     cfg, method = wiggled_chain(), make(8)
     ac_energy(cfg, method, PROFILE, M)
     assert len(calls) == 1
     ac_forces(cfg, method, PROFILE, M)
+    assert len(calls) == 1
+    other = wiggled_chain(seed=4)
+    ac_energy(other, method, PROFILE, M)
+    ac_forces(other, method, PROFILE, M)
     assert len(calls) == 2
+
+
+def test_one_scan_per_chain_and_side(monkeypatch):
+    # the four models of the evaluate benchmark on one configuration: the
+    # periodic chain and the coupled window are each scanned once per side
+    # (4 scans), and both couplings share one wall pass
+    scans = _count_calls(monkeypatch, acfield.field, "_right_sums")
+    walls = _count_calls(monkeypatch, acfield.field, "_walls")
+    models = (AtomisticModel(PROFILE, M), CauchyBornModel(PROFILE, M),
+              AcModel(method1(10), PROFILE, M), AcModel(method2(10), PROFILE, M))
+    cfg = _smooth_chain(40, seed=1)
+    for model in models:
+        model.energy(cfg)
+        model.gradient(cfg)
+    assert (len(scans), len(walls)) == (4, 1)
+
+    # the atomistic energy, gradient and Hessian of a Newton step: 2 scans
+    del scans[:]
+    cfg = _smooth_chain(40, seed=2)
+    models[0].energy(cfg)
+    models[0].gradient(cfg)
+    models[0].hessian_structured(cfg)
+    assert len(scans) == 2
+
+
+def _kept_routes(profile, m, K):
+    """Every public route that reads scans kept for its configuration, as
+    functions of the configuration; Hessians as dense arrays."""
+    xs = np.linspace(-1.0, 1.0, 7)
+    routes = [lambda c: energy_periodic(c, profile, m),
+              lambda c: forces_periodic(c, profile, m),
+              lambda c: hessian_periodic(c, profile, m),
+              lambda c: eval_green_periodic(c, profile, m, xs)]
+    for method in (method1(K), method2(K)):
+        routes += [lambda c, meth=method: ac_energy(c, meth, profile, m),
+                   lambda c, meth=method: ac_forces(c, meth, profile, m),
+                   lambda c, meth=method: ac_hessian(c, meth, profile, m)]
+    return routes
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def test_kept_scans_never_go_stale():
+    # warm calls: two configurations of equal N and F alternating, then one
+    # configuration at two m, two windows and both profiles; each result
+    # has the bits of a cold call on a fresh copy of its configuration
+    cfg_a, cfg_b = wiggled_chain(seed=3), wiggled_chain(seed=4)
+    warm = []
+    routes = _kept_routes(PROFILE, M, 8)
+    for route in routes:
+        for cfg in (cfg_a, cfg_b, cfg_a, cfg_b):
+            warm.append((cfg, route, route(cfg)))
+    for cfg in (cfg_a, cfg_b, cfg_a):
+        warm += [(cfg, route, route(cfg)) for route in routes]
+    for profile in (PROFILE, sextic_bump()):
+        for m in (M, 1.5):
+            for K in (8, 12):
+                warm += [(cfg_a, route, route(cfg_a)) for route in _kept_routes(profile, m, K)]
+    for cfg, route, value in warm:
+        assert _bits(value) == _bits(route(cfg.replace_u(cfg.u)))
+
+
+def test_kept_scans_are_read_only():
+    cfg, method = wiggled_chain(), method1(8)
+    forces_periodic(cfg, PROFILE, M)
+    ac_forces(cfg, method, PROFILE, M)
+    sums = acfield.field._periodic_sums(cfg, M)
+    walls, window = acfield.ac._window_scans(cfg, method, PROFILE, M,
+                                             *acfield.ac._validate(cfg, method, PROFILE, M))
+    for kept in (sums.right, sums.left, walls[0], walls[1], window.right, window.left):
+        with pytest.raises(ValueError):
+            kept[0] = 0.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from acfield.density import gauss_on_interval, quartic_bump, mu, sextic_bump
-from acfield.field import _kernel_field, eval_green_periodic
+from acfield.field import _ChainSums, _kernel_field, eval_green_periodic
 from acfield.lattice import ChainConfig, first_diff, homogeneous, positions, second_diff
 from acfield.energy import self_energy, stress_periodic
 from acfield.cauchy_born import (
@@ -151,7 +151,8 @@ def test_cell_fields_match_one_kernel_field_per_cell(N, prof):
                            0.5 * (y[:-1] + y[1:])[:, None]], axis=1)
     xs = np.concatenate([base + f * spacing[:, None] for f in (0, -1, 1, -3, 3)], axis=1)
     val, grad = cb_cell_fields(cfg, prof, M, xs)
-    ref = [_kernel_field([y[i + 1]], prof, M, eps, xs[i], spacing[i]) for i in range(cfg.n_atoms)]
+    ref = [_kernel_field(_ChainSums([y[i + 1]], M / eps, spacing[i]), prof, M, eps, xs[i])
+           for i in range(cfg.n_atoms)]
     ref_v, ref_g = np.array([r[0] for r in ref]), np.array([r[1] for r in ref])
     assert val.shape == grad.shape == xs.shape
     assert np.max(np.abs(val - ref_v)) <= 1e-13 * np.max(np.abs(ref_v))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from acfield.density import quartic_bump, mu, self_moment
 from acfield.field import (
     BoundaryData,
+    _ChainSums,
     _walls,
     eval_green_dirichlet,
     fem_forces,
@@ -217,7 +218,7 @@ def test_pair_sums_match_longdouble_brute_force(N):
     cfg = smooth_chain(N, seed=7)
     y, k = positions(cfg), M / cfg.eps
     for period, (s_ref, g_ref) in zip((None, cfg.L), longdouble_pair_sums(y, k, cfg.L)):
-        s, g = _pair_sum(y, k, period)
+        s, g = _pair_sum(_ChainSums(y, k, period))
         g_ref = g_ref.astype(float)
         assert abs(s - float(s_ref)) <= 1e-13 * float(s_ref)
         assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
@@ -239,12 +240,12 @@ def test_pair_sum_properties(strains, m):
     y = eps * np.cumsum(s)
     k, L = m / eps, eps * float(np.sum(s))
     for period, (s_ref, g_ref) in zip((None, L), longdouble_pair_sums(y, k, L)):
-        s_val, g = _pair_sum(y, k, period)
+        s_val, g = _pair_sum(_ChainSums(y, k, period))
         scale = 2.0 * k * float(s_ref) / y.size
         assert abs(s_val - float(s_ref)) <= 1e-13 * float(s_ref)
         assert np.max(np.abs(g - g_ref.astype(float))) <= 1e-12 * scale
         assert abs(np.sum(g)) <= 1e-12 * scale * y.size
-        _, g_reflected = _pair_sum(-y[::-1], k, period)
+        _, g_reflected = _pair_sum(_ChainSums(-y[::-1], k, period))
         assert np.max(np.abs(g_reflected + g[::-1])) <= 1e-12 * scale
 
 
@@ -347,7 +348,7 @@ def _slab_derivatives_per_piece(y, bd):
     k = bd.m / bd.eps
     muv = mu(PROF, bd.m)
     core = _slab_core(*gamma_pair(y, bd, PROF), bd.tau, bd.g_L, bd.g_R, bd.m, bd.eps)
-    _, grad = _pair_sum(y, k)
+    _, grad = _pair_sum(_ChainSums(y, k))
     pair_grad = bd.eps * muv**2 / (4.0 * bd.m) * grad
     dgl_dy = -(muv / bd.m) * k * np.exp(-k * (y - bd.a_L))
     dgr_dy = (muv / bd.m) * k * np.exp(-k * (bd.a_R - y))
@@ -376,7 +377,7 @@ def test_slab_gradient_matches_per_piece_formulas(variant, N):
     y, bd0 = part.window(cfg, M)
     g = g_star(y, bd0, PROF) if variant == "method1" else g_method2(cfg, part, PROF, M)
     bd = bd0.with_g(*g)
-    d_y, d_a, d_g = _slab_gradient(y, bd, PROF, _walls(y, bd, PROF))
+    d_y, d_a, d_g = _slab_gradient(_ChainSums(y, bd.m / bd.eps), bd, PROF, _walls(y, bd, PROF))
     ref_y, ref_a, ref_g = _slab_derivatives_per_piece(y, bd)
     assert np.array_equal(d_y, ref_y)
     assert d_a == ref_a

@@ -6,6 +6,7 @@ import pytest
 from acfield.density import gauss_on_interval, grad_delta_eps, mu, quartic_bump, sextic_bump
 from acfield.field import (
     BoundaryData,
+    _ChainSums,
     _bump_kernel_quad,
     _kernel_field,
     _right_sums,
@@ -396,7 +397,7 @@ def test_kernel_field_matches_free_line_sum(m):
         [-0.95, 0.97],
     ])
     vf, gf = _free_line_field(y, m, eps, xs)
-    vp, gp = _kernel_field(y, PROF, m, eps, xs, 40.0)
+    vp, gp = _kernel_field(_ChainSums(y, m / eps, 40.0), PROF, m, eps, xs)
     scale = np.max(np.abs(vf))
     assert np.max(np.abs(vp - vf)) <= 1e-14 * scale
     assert np.max(np.abs(gp - gf)) <= 1e-14 * (m / eps) * scale
