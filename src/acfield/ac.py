@@ -392,17 +392,13 @@ def sigma_qc(cfg, method, x, profile, m):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs <= nodes[0]) or np.any(xs > nodes[-1]):
         raise ValueError("evaluation point outside the periodic window")
-    sf_at = stress_dirichlet(y_at, bd, profile)
     out = np.empty_like(xs)
     inside = (xs > bd.a_L) & (xs < bd.a_R)
-    if np.any(inside):
-        out[inside] = sf_at(xs[inside])
-    cells = {}
-    for p in np.nonzero(~inside)[0]:
-        j = int(np.searchsorted(nodes, xs[p], side="left")) - 1 - cfg.N
-        if j not in cells:
-            cells[j] = cb_stress_function(cell_state(cfg, profile, m, j))
-        out[p] = cells[j](np.array([xs[p]]))[0]
+    out[inside] = stress_dirichlet(y_at, bd, profile)(xs[inside])
+    cell = np.searchsorted(nodes, xs, side="left") - 1 - cfg.N
+    for j in np.unique(cell[~inside]):
+        at = ~inside & (cell == j)
+        out[at] = cb_stress_function(cell_state(cfg, profile, m, int(j)))(xs[at])
     return out if np.ndim(x) else float(out[0])
 
 

@@ -136,14 +136,7 @@ def cb_cell_fields(cfg, profile, m, xs):
 
 def cb_stress_function(cell):
     """StressFunction of the comparison chain (periodic with the cell spacing)."""
-    return StressFunction(
-        cell.field,
-        np.array([cell.anchor]),
-        cell.profile,
-        cell.m,
-        cell.eps,
-        L=cell.spacing,
-    )
+    return StressFunction(cell.field, [cell.anchor], cell.profile, cell.m, cell.eps, cell.spacing)
 
 
 def cb_total_energy(cfg, profile, m):

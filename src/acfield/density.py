@@ -164,27 +164,32 @@ def grad_delta_eps(profile, eps, x):
     return profile.grad_delta1(np.asarray(x, dtype=float) / eps) / eps**2
 
 
-def _bump_offsets(atoms, w, x, L=None):
-    """Offsets x - c to every atom c, shape (len(x), len(atoms)); with a
-    period L, to the atom's nearest image.  Offsets outside the support
-    |x - c| < w are set to w, where the bump and its slope vanish."""
-    d = np.asarray(x, dtype=float)[:, None] - np.asarray(atoms, dtype=float)[None, :]
-    if L is not None:
-        d -= L * np.round(d / L)
-    d[np.abs(d) >= w] = w
-    return d
+def _neighbours(y, L, x):
+    """The kernel sums' neighbour search over the ascending atoms y of period
+    L: returns ye = (y_{n-1} - L, y, y_0 + L), x with each point outside
+    [ye_0, ye_{n+1}] reduced by the period, and r with ye_{r-1} <= x <= ye_r."""
+    ye = np.concatenate([[y[-1] - L], y, [y[0] + L]])
+    far = (x < ye[0]) | (x > ye[-1])
+    x = np.where(far, x - L * np.floor((x - ye[0]) / L), x)
+    r = np.clip(np.searchsorted(ye, x, side="right"), 1, y.size + 1)
+    return ye, x, r
+
+
+def _bump_offset(y, L, w, x):
+    """x - c to the centre c of the one bump (half-width w, atoms y, period L;
+    separated) that holds x, a neighbour's; w outside every bump."""
+    ye, x, r = _neighbours(y, L, x)
+    d_l, d_r = x - ye[r - 1], ye[r] - x
+    return np.where(d_l < w, d_l, np.where(d_r < w, -d_r, w))
 
 
 def rho(cfg, profile, x):
-    """Chain density rho_y(x) = eps * sum_j delta_eps(x - y_j), periodic in x."""
+    """Chain density rho_y(x) = eps * sum_j delta_eps(x - y_j), periodic in x,
+    from the one bump that can hold each point.  Raises on contact."""
+    check_separated(cfg, profile, "rho")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(x)
-    y, w = positions(cfg), profile.half_width * cfg.eps
-    for lo in range(0, x.size, 4096):
-        d = _bump_offsets(y, w, x[lo : lo + 4096], cfg.L)
-        out[lo : lo + 4096] = cfg.eps * np.sum(
-            delta_eps(profile, cfg.eps, d), axis=1
-        )
+    d = _bump_offset(positions(cfg), cfg.L, profile.half_width * cfg.eps, x)
+    out = cfg.eps * delta_eps(profile, cfg.eps, d)
     return out if out.size > 1 else float(out[0])
 
 
@@ -192,8 +197,8 @@ def check_separated(cfg, profile, where="chain"):
     """Raise unless neighbouring bumps are separated: min strain > sigma0.
 
     The one contact rule for a chain: every chain entry point whose closed
-    forms assume separated bumps calls it (the periodic energy, forces,
-    Hessian and field, the Cauchy-Born energy, forces, Hessian and cell
+    forms assume separated bumps calls it (the density, the periodic energy,
+    forces, Hessian and field, the Cauchy-Born energy, forces, Hessian and cell
     fields, and the couplings).  At min strain == sigma0 two supports touch;
     that counts as contact, as in `cauchy_born.CellState` and the slab check
     of `field`.

@@ -25,9 +25,10 @@ Hessian sums every pair.
 A configuration is scanned once per side.  Its periodic chain's right and
 left sums (`field._ChainSums`) are made on first use by whichever of
 `energy_periodic`, `forces_periodic`, `hessian_periodic_structured` and
-`eval_green_periodic` (so every periodic stress piece) needs them, and
-read by the others; the couplings in `ac` share their window's sums and
-wall data the same way.  They are kept, read-only, for the most recent
+`eval_green_periodic` (and so the periodic stress: one field call per
+evaluation, and one per weak form) needs them, and read by the others;
+the couplings in `ac` share their window's sums and wall data the same
+way.  They are kept, read-only, for the most recent
 configuration object only (`field._kept`): a call on another
 configuration drops them.  The slab routes here, which take bare
 positions, scan afresh.
@@ -51,8 +52,8 @@ behaves as if mirror charges sat behind both walls (`mirror_energy`).
 import math
 
 import numpy as np
-from .density import (_bump_offsets, check_separated, gauss_on_interval, grad_delta_eps, mu,
-                      self_moment)
+from .density import (_bump_offset, check_separated, delta_eps, gauss_on_interval,
+                      grad_delta_eps, mu, self_moment)
 from .field import (_ChainSums, _periodic_sums, _t_solve, _walls, eval_green_dirichlet,
                     eval_green_periodic)
 from .hessian import Green, StructuredHessian
@@ -164,6 +165,8 @@ def hessian_periodic(cfg, profile, m):
 # stress
 # ---------------------------------------------------------------------------
 
+_GAUSS_ORDER = 24  # Gauss points per piece between bump edges
+
 
 class StressFunction:
     """The stress sigma_y of a solved field, split into its two parts:
@@ -171,13 +174,16 @@ class StressFunction:
     sigma_1 = eps^2/2 |phi'|^2 - m^2/2 phi^2 + rho phi        (field part)
     sigma_2 = eps sum_images phi(x) grad_delta_eps(x - c) (x - c)
 
-    `atoms` are the source positions; for periodic stress pass the period L
-    so sources act through their nearest image.  `field_eval(x) -> (phi,
-    phi')` supplies the field; integration splits at every bump edge so the
-    Gauss rule never crosses a kink.
+    `atoms` are the ascending sources in one period L of their bump train:
+    the chain (2F), a slab (2(a_R - a_L), as in `eval_green_dirichlet`: no
+    image reaches into the slab) or a comparison chain (its spacing).  rho
+    and sigma_2 come from the one bump that holds a point
+    (`density._bump_offset`), phi and phi' from one call of `field_eval(x)`.
+    Integration splits at every bump edge so the Gauss rule never crosses a
+    kink.
     """
 
-    def __init__(self, field_eval, atoms, profile, m, eps, L=None):
+    def __init__(self, field_eval, atoms, profile, m, eps, L):
         self.field_eval = field_eval
         self.atoms = np.asarray(atoms, dtype=float)
         self.profile = profile
@@ -186,74 +192,68 @@ class StressFunction:
         self.L = L
         self.w = profile.half_width * eps
 
-    def rho(self, x):
-        d = _bump_offsets(self.atoms, self.w, x, self.L)
-        return self.eps * np.sum(
-            self.profile.delta1(d / self.eps) / self.eps, axis=1
-        )
-
-    def sigma1(self, x):
+    def _parts(self, x):
+        """(sigma_1, sigma_2) at x from one field call and one bump offset."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         v, g = self.field_eval(x)
-        return 0.5 * self.eps**2 * g**2 - 0.5 * self.m**2 * v**2 + self.rho(x) * v
+        d = _bump_offset(self.atoms, self.L, self.w, x)
+        rho = self.eps * delta_eps(self.profile, self.eps, d)
+        return (0.5 * self.eps**2 * g**2 - 0.5 * self.m**2 * v**2 + rho * v,
+                self.eps * v * grad_delta_eps(self.profile, self.eps, d) * d)
+
+    def sigma1(self, x):
+        return self._parts(x)[0]
 
     def sigma2(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        v, _ = self.field_eval(x)
-        d = _bump_offsets(self.atoms, self.w, x, self.L)
-        gd = grad_delta_eps(self.profile, self.eps, d)
-        return self.eps * v * np.sum(gd * d, axis=1)
+        return self._parts(x)[1]
 
     def __call__(self, x):
-        return self.sigma1(x) + self.sigma2(x)
+        s1, s2 = self._parts(x)
+        return s1 + s2
 
     def _breakpoints(self, a, b):
         """a, b and every bump edge inside (a, b), images included, sorted."""
         edges = np.concatenate([self.atoms - self.w, self.atoms + self.w])
-        if self.L is not None:
-            n = np.arange(math.floor((a - edges.max()) / self.L),
-                          math.ceil((b - edges.min()) / self.L) + 1)
-            edges = (edges[:, None] + n * self.L).ravel()
+        n = np.arange(math.floor((a - edges.max()) / self.L),
+                      math.ceil((b - edges.min()) / self.L) + 1)
+        edges = (edges[:, None] + n * self.L).ravel()
         inside = edges[(a < edges) & (edges < b)]
         return np.unique(np.concatenate([[a, b], inside]))
 
-    def integral(self, a, b, order=24):
+    def _slope_integral(self, nodes, slopes, order):
+        """sum_j slopes_j * integral of sigma over (nodes_j, nodes_j+1), for
+        ascending nodes: the intervals of nonzero slope split at every bump
+        edge (`_breakpoints`), and the Gauss points of all pieces in one
+        stress call."""
+        pts = np.union1d(nodes, self._breakpoints(nodes[0], nodes[-1]))
+        slope = slopes[np.searchsorted(nodes, pts[:-1], side="right") - 1]
+        keep = slope != 0.0
+        z, wq = gauss_on_interval(pts[:-1][keep, None], pts[1:][keep, None], order)
+        return float(np.sum(slope[keep, None] * wq * self(z.ravel()).reshape(z.shape)))
+
+    def integral(self, a, b, order=_GAUSS_ORDER):
         """integral of sigma over (a, b), split at bump edges."""
-        if b <= a:
-            return 0.0
-        pts = self._breakpoints(a, b)
-        acc = 0.0
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            z, wq = gauss_on_interval(lo, hi, order)
-            acc += float(np.sum(wq * self(z)))
-        return acc
+        return self._slope_integral(np.array([a, b]), np.ones(1), order) if b > a else 0.0
 
 
 def stress_periodic(cfg, profile, m):
     """StressFunction of the periodic field (kernel route)."""
-    def fe(x):
-        return eval_green_periodic(cfg, profile, m, x)
-    return StressFunction(fe, positions(cfg), profile, m, cfg.eps, L=cfg.L)
+    return StressFunction(lambda x: eval_green_periodic(cfg, profile, m, x), positions(cfg),
+                          profile, m, cfg.eps, cfg.L)
 
 
 def stress_dirichlet(y_at, bd, profile):
-    """StressFunction of the slab field (kernel route)."""
-    def fe(x):
-        return eval_green_dirichlet(y_at, bd, profile, x)
-    return StressFunction(fe, y_at, profile, bd.m, bd.eps, L=None)
+    """StressFunction of the slab field (kernel route), on its kernel period."""
+    return StressFunction(lambda x: eval_green_dirichlet(y_at, bd, profile, x), y_at,
+                          profile, bd.m, bd.eps, 2.0 * bd.width)
 
 
 def _weak_form(sf, nodes, vals):
     """integral of the stress sf against the gradient of the piecewise-affine
-    interpolant through (nodes, vals): each piece's slope times the stress
-    integral over the piece (flat pieces skipped)."""
-    acc = 0.0
-    for j in range(1, nodes.size):
-        du = vals[j] - vals[j - 1]
-        if du == 0.0:
-            continue
-        acc += du / (nodes[j] - nodes[j - 1]) * sf.integral(float(nodes[j - 1]), float(nodes[j]))
-    return acc
+    interpolant through (nodes, vals): each piece's slope against the stress
+    over the piece, all pieces in one pass (flat pieces skipped)."""
+    nodes = np.asarray(nodes, dtype=float)
+    return sf._slope_integral(nodes, np.diff(vals) / np.diff(nodes), _GAUSS_ORDER)
 
 
 def weak_form_periodic(cfg, u, profile, m):

@@ -22,7 +22,8 @@ Two evaluation routes are provided and deliberately kept independent:
   two-neighbour formula (`_neighbour_field`).
   Outside a bump every integral collapses through the mu moment; inside a
   bump a split Gauss rule handles the kernel kink.  The kernel is
-  separable, so a point needs only its two neighbouring atoms and their
+  separable, so a point needs only its two neighbouring atoms (one search,
+  `density._neighbours`, which rho and the stresses share) and their
   right and left sums over every image (`_right_sums`, which the pair
   energies of `energy` share; `_kept` keeps a configuration's, so its
   energy, forces, Hessian and field scan it once per side):
@@ -64,7 +65,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .density import check_separated, gauss_on_interval, grad_delta_eps, mu
+from .density import _neighbours, check_separated, gauss_on_interval, grad_delta_eps, mu
 from .lattice import positions
 
 __all__ = [
@@ -378,9 +379,10 @@ def _kernel_field(sums, profile, m, eps, x):
     `eval_green_dirichlet` adds the odd mirror charges).  The kernel is
     separable: with the right and left sums F, Lt of `sums` (a `_ChainSums`
     at k = m/eps), x between its neighbouring images l <= x < r needs only
-    d_r = y_r - x, d_l = x - y_l, F_r and Lt_l (`_neighbour_field`).  Only
-    x outside [y_{n-1} - L, y_0 + L] is reduced by the period, so every
-    other offset is one subtraction.  O((n + P) log n); accuracy ~1e-15 relative.
+    d_r = y_r - x, d_l = x - y_l, F_r and Lt_l (`_neighbour_field`), found
+    by `density._neighbours`, the one bump lookup of the package: only x
+    outside [y_{n-1} - L, y_0 + L] is reduced by the period, so every other
+    offset is one subtraction.  O((n + P) log n); accuracy ~1e-15 relative.
     The callers have checked that the supports are separated (images
     included), so x lies in at most one bump, a neighbour's.  Returns arrays
     shaped like atleast_1d(x).
@@ -389,14 +391,10 @@ def _kernel_field(sums, profile, m, eps, x):
     y, L = sums.y, sums.L
     if y.size == 0:
         return np.zeros_like(x), np.zeros_like(x)
-    ye = np.concatenate([[y[-1] - L], y, [y[0] + L]])
+    ye, x, r = _neighbours(y, L, x)
     atom = np.arange(-1, y.size + 1) % y.size
     right = sums.right[atom]
     left = sums.left[atom]
-
-    far = (x < ye[0]) | (x > ye[-1])
-    x = np.where(far, x - L * np.floor((x - ye[0]) / L), x)
-    r = np.clip(np.searchsorted(ye, x, side="right"), 1, y.size + 1)
     return _neighbour_field(profile, m, eps, x - ye[r - 1], ye[r] - x, right[r], left[r - 1])
 
 

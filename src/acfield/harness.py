@@ -20,6 +20,7 @@ import math
 import re
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
@@ -873,7 +874,8 @@ def _check_suite():
 
 
 def check(out_dir="acfield-check", jobs=1):
-    """Run the built-in audit suite; print one PASS/FAIL line per kind."""
+    """Run the built-in audit suite; print one PASS/FAIL line per kind.  A kind
+    that raises fails with the exception's first line (traceback to stderr)."""
     failed = 0
     for spec in _check_suite():
         start = time.perf_counter()
@@ -885,6 +887,11 @@ def check(out_dir="acfield-check", jobs=1):
             failed += 1
             first = str(exc).splitlines()[1].strip() if "\n" in str(exc) else str(exc)
             print("%-22s FAIL   (%s)" % (spec.kind, first))
+        except Exception as exc:
+            failed += 1
+            traceback.print_exc()
+            first = (str(exc).splitlines() or [""])[0]
+            print("%-22s FAIL   (%s: %s)" % (spec.kind, type(exc).__name__, first))
     total = len(_check_suite())
     if failed:
         print("%d of %d experiment kinds failed" % (failed, total))

@@ -42,6 +42,7 @@ from acfield.energy import (
     g_star,
     hessian_periodic,
     stress_periodic,
+    weak_form_periodic,
 )
 from acfield.field import eval_green_periodic
 from acfield.lattice import ChainConfig, first_diff, homogeneous, positions
@@ -527,6 +528,16 @@ def test_one_scan_per_chain_and_side(monkeypatch):
     models[0].gradient(cfg)
     models[0].hessian_structured(cfg)
     assert len(scans) == 2
+
+
+def test_one_field_call_per_weak_form(monkeypatch):
+    # the periodic weak form gathers the Gauss points of every piece between
+    # nodes and bump edges and evaluates the field once over all of them
+    calls = _count_calls(monkeypatch, acfield.field, "eval_green_periodic")
+    cfg = _smooth_chain(160, seed=1)
+    u = np.random.default_rng(0).standard_normal(cfg.n_atoms)
+    weak_form_periodic(cfg, u, PROFILE, M)
+    assert len(calls) == 1
 
 
 def _kept_routes(profile, m, K):

@@ -138,6 +138,7 @@ def test_separation_check():
 # every chain entry point whose closed forms assume separated bumps
 CHAIN_ENTRY_POINTS = {
     "check_separated": lambda cfg, prof: check_separated(cfg, prof),
+    "rho": lambda cfg, prof: rho(cfg, prof, 0.0),
     "eval_green_periodic": lambda cfg, prof: eval_green_periodic(cfg, prof, 1.0, 0.0),
     "energy_periodic": lambda cfg, prof: energy_periodic(cfg, prof, 1.0),
     "forces_periodic": lambda cfg, prof: forces_periodic(cfg, prof, 1.0),

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acfield.density import quartic_bump, mu, self_moment
+from acfield.density import delta_eps, grad_delta_eps, mu, quartic_bump, rho, self_moment
 from acfield.field import (
     BoundaryData,
     _ChainSums,
@@ -623,3 +624,67 @@ def test_breakpoints_match_edge_loop():
             assert np.array_equal(sf._breakpoints(a, b), _loop_breakpoints(sf, a, b))
         assert np.array_equal(sf._breakpoints(nodes[0], nodes[-1]),
                               _loop_breakpoints(sf, nodes[0], nodes[-1]))
+
+
+def _all_atoms_offsets(atoms, w, x, L=None):
+    """Offsets x - c to every atom c (to its nearest image with a period L),
+    w outside the support: the points x atoms table the one-bump rule of
+    `StressFunction` replaced, kept here as its reference."""
+    d = x[:, None] - atoms[None, :]
+    if L is not None:
+        d -= L * np.round(d / L)
+    d[np.abs(d) >= w] = w
+    return d
+
+
+def test_one_bump_rule_matches_all_atoms_sum():
+    # rho and sigma_2 from the one bump that can hold each point equal the
+    # sums over every atom (and image): at bump edges, just inside them,
+    # across the periodic wrap and several periods away
+    cfg = wiggled_chain()
+    y = positions(cfg)
+    w = PROF.half_width * cfg.eps
+    y_at, bd = slab_setup(cfg)
+    cell = cell_state(cfg, PROF, M, 3)
+    near = np.array([-1.0, -(1 - 1e-9), -0.5, 0.0, 0.7, 1 - 1e-9, 1.0]) * w
+
+    chain_x = (y[[0, 4, -1]][:, None] + near).ravel()
+    chain_x = np.concatenate([chain_x, chain_x + cfg.L, chain_x - 3 * cfg.L,
+                              [y[-1] + 0.5 * (y[0] + cfg.L - y[-1])]])
+    slab_x = np.concatenate([(y_at[[0, 5, -1]][:, None] + near).ravel(), [bd.a_L, bd.a_R]])
+    cell_x = cell.anchor + near
+    cell_x = np.concatenate([cell_x, cell_x + cell.spacing, cell_x - 7 * cell.spacing])
+    cases = [(stress_periodic(cfg, PROF, M), y, chain_x, cfg.L),
+             (stress_dirichlet(y_at, bd, PROF), y_at, slab_x, None),
+             (cb_stress_function(cell), np.array([cell.anchor]), cell_x, cell.spacing)]
+    for sf, atoms, x, period in cases:
+        d = _all_atoms_offsets(atoms, w, x, period)
+        v, g = sf.field_eval(x)
+        rho_ref = cfg.eps * np.sum(delta_eps(PROF, cfg.eps, d), axis=1)
+        s1_ref = 0.5 * cfg.eps**2 * g**2 - 0.5 * M**2 * v**2 + rho_ref * v
+        s2_ref = cfg.eps * v * np.sum(grad_delta_eps(PROF, cfg.eps, d) * d, axis=1)
+        assert np.count_nonzero(s2_ref) >= x.size // 3  # the points do reach into bumps
+        # a point periods away is reduced by the period in another order of
+        # operations, so the offsets agree to a few ulps of x; sigma_2's slope
+        # makes that ~1e-13 of its scale
+        assert np.max(np.abs(sf.sigma1(x) - s1_ref)) <= 1e-12 * np.max(np.abs(s1_ref))
+        assert np.max(np.abs(sf.sigma2(x) - s2_ref)) <= 1e-12 * np.max(np.abs(s2_ref))
+        if sf.L == cfg.L:
+            assert np.max(np.abs(rho(cfg, PROF, x) - rho_ref)) <= 1e-12 * np.max(rho_ref)
+
+
+def test_stress_route_memory_is_linear():
+    # 20000 points of a 321-atom chain: a points x atoms table of doubles
+    # alone would take 51 MB
+    cfg = ChainConfig(160, 1.1, 0.01 * np.sin(2 * np.pi * np.arange(321) / 321))
+    x = np.linspace(-cfg.L, cfg.L, 20000)
+    sf = stress_periodic(cfg, PROF, M)
+    sf(x[:8])
+    for evaluate, cap in ((sf, 16 * 2**20), (lambda x: rho(cfg, PROF, x), 2 * 2**20)):
+        tracemalloc.start()
+        try:
+            evaluate(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap, peak

@@ -335,3 +335,25 @@ def test_check_suite_covers_every_kind():
     for spec in suite:
         for n in spec.n_list:
             assert 1 <= spec.k_of(n) < n
+
+
+def test_check_reports_any_exception_and_goes_on(tmp_path, monkeypatch, capsys):
+    # a kind that raises something other than HarnessError fails with the
+    # exception's type and first line; the later kinds still run and print
+    kinds = [spec.kind for spec in harness._check_suite()]
+    broken = kinds[4]
+
+    def fake_run(spec, out_dir=None, jobs=1):
+        if spec.kind == broken:
+            raise RuntimeError("scan blew up\nsecond line")
+        return []
+
+    monkeypatch.setattr(harness, "run", fake_run)
+    assert harness.check(str(tmp_path)) == 1
+    out, err = capsys.readouterr()
+    assert "RuntimeError: scan blew up" in err  # the traceback
+    lines = out.splitlines()
+    assert lines[4].split() == [broken, "FAIL", "(RuntimeError:", "scan", "blew", "up)"]
+    for kind, line in zip(kinds[5:], lines[5:]):
+        assert line.split()[:2] == [kind, "PASS"]
+    assert lines[-1] == "1 of %d experiment kinds failed" % len(kinds)
