@@ -25,19 +25,24 @@ slab:
 
 Energies, forces and the exact Hessian (`ac_hessian`) ride on the exact
 pair/closed forms of `energy` throughout; FEM appears only in cross-checks at
-test level.  On one configuration they share the window's wall pass and
-chain sums, and both methods share them too (`_window_scans`).
+test level.  On one configuration, every call of either method reads one
+window record (`_window`): the validated window, the continuum weights, the
+wall pass, the window's chain sums and each method's boundary data.  The
+cell terms e(y'_j) and e'(y'_j) are the Cauchy-Born model's own
+(`cauchy_born._cell_terms`), so on one configuration both couplings and
+the Cauchy-Born model form them once.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .cauchy_born import (
     _cb_band,
-    cb_cell_denergy,
-    cb_cell_energy,
+    _cell_pulls,
+    _cell_terms,
     cell_state,
     cb_stress_function,
 )
@@ -52,7 +57,7 @@ from .energy import (
     forces_periodic,
     stress_dirichlet,
 )
-from .field import BoundaryData, _ChainSums, _kept, _walls
+from .field import BoundaryData, _ChainSums, _kept, _read_only, _walls
 from .hessian import Green, StructuredHessian
 from .lattice import first_diff, norm_weighted, positions, second_diff
 
@@ -105,10 +110,10 @@ class AcPartition:
         return self.boundary_data(cfg, m).tau
 
     def window(self, cfg, m):
-        """The atomistic slab: (y_at, bd0), the positions of atoms -K..K and
-        the boundary data with g = 0."""
+        """The atomistic slab: (y_at, bd0), the positions of atoms -K..K (a
+        read-only view) and the boundary data with g = 0."""
         bd0 = self.boundary_data(cfg, m)
-        return positions(cfg)[self.atom_indices(cfg)], bd0
+        return positions(cfg)[slice(*self.interface_cells(cfg))], bd0
 
     def atom_indices(self, cfg):
         """Array indices of the atomistic atoms -K..K."""
@@ -138,61 +143,65 @@ def method2(K):
 _TAU_MAX = 1e-8
 
 
-def _validate(cfg, method, profile, m):
-    """Reject contact and a leaky window (tau > _TAU_MAX); return the slab
-    window (y_at, bd0)."""
-    check_separated(cfg, profile)
-    y_at, bd0 = method.partition.window(cfg, m)
-    if bd0.tau > _TAU_MAX:
-        raise ValueError(
-            "boundary decay tau = %.3e exceeds threshold %.1e; the coupled "
-            "energy's O(tau) terms are not negligible at this window size"
-            % (bd0.tau, _TAU_MAX)
-        )
-    return y_at, bd0
+class _Window:
+    """What every coupled call on one configuration reads, for one window
+    half-width K, profile and m: the validated slab (y_at, bd0), the
+    continuum weights, the slab's `field._walls` pass (the walls ignore g),
+    the window atoms' chain sums and each method's boundary data.
+
+    Building it rejects contact and a leaky window (tau > _TAU_MAX).
+    """
+
+    def __init__(self, cfg, partition, profile, m):
+        check_separated(cfg, profile)
+        y_at, bd0 = partition.window(cfg, m)
+        if bd0.tau > _TAU_MAX:
+            raise ValueError(
+                "boundary decay tau = %.3e exceeds threshold %.1e; the coupled "
+                "energy's O(tau) terms are not negligible at this window size"
+                % (bd0.tau, _TAU_MAX)
+            )
+        self.cfg, self.partition, self.profile, self.m = cfg, partition, profile, m
+        self.y_at, self.bd0 = y_at, bd0
+        self.walls = _walls(y_at, bd0, profile)
+        self.sums = _ChainSums(y_at, m / cfg.eps)
+        self._bd = {}
+
+    @cached_property
+    def weights(self):
+        """Per-cell weights of the continuum part: 1 outside the window,
+        1/2 on the two interface cells, 0 on the 2K cells between them."""
+        c_l, c_r = self.partition.interface_cells(self.cfg)
+        w = np.ones(self.cfg.n_atoms)
+        w[c_l + 1 : c_r] = 0.0
+        w[[c_l, c_r]] = 0.5
+        return _read_only(w)
+
+    def bd(self, variant):
+        """The slab's boundary data under the coupling: g* from the wall
+        moments (method 1), or the cell problem's (method 2)."""
+        if variant not in self._bd:
+            if variant == "method1":
+                g = _g_star(*self.walls[2:], self.bd0.tau)
+            else:
+                g = g_method2(self.cfg, self.partition, self.profile, self.m)
+            self._bd[variant] = self.bd0.with_g(*g)
+        return self._bd[variant]
 
 
-def _cb_weights(cfg, partition):
-    """Per-cell weights of the continuum part: 1 outside the window,
-    1/2 on the two interface cells, 0 on the 2K cells between them."""
-    c_l, c_r = partition.interface_cells(cfg)
-    w = np.ones(cfg.n_atoms)
-    w[c_l + 1 : c_r] = 0.0
-    w[[c_l, c_r]] = 0.5
-    return w
-
-
-def _window_scans(cfg, method, profile, m, y_at, bd0):
-    """(walls, sums): the slab's `field._walls` pass (the walls ignore g) and
-    its atoms' chain sums, kept for cfg (`field._kept`).  Both methods have
-    the same window, so the energy, forces and Hessian of either make one
-    wall pass and at most one scan per side."""
-    part = method.partition
-    k = m / cfg.eps
-    walls = _kept(cfg, (part.K, m, profile), lambda: _walls(y_at, bd0, profile))
-    sums = _kept(cfg, (k, part.interface_cells(cfg)), lambda: _ChainSums(y_at, k))
-    return walls, sums
-
-
-def _method_bd(cfg, method, profile, m, bd0, walls):
-    """The slab's boundary data under the coupling: g* from the wall
-    moments, or the cell problem's."""
-    if method.variant == "method1":
-        g = _g_star(*walls[2:], bd0.tau)
-    else:
-        g = g_method2(cfg, method.partition, profile, m)
-    return bd0.with_g(*g)
+def _window(cfg, partition, profile, m):
+    """The `_Window` of cfg, kept for it (`field._kept`): the energy, forces,
+    Hessian and stresses of both methods make one validation, one wall pass
+    and at most one scan per side."""
+    return _kept(cfg, ("window", partition.K, profile, m),
+                 lambda: _Window(cfg, partition, profile, m))
 
 
 def ac_energy(cfg, method, profile, m):
     """Coupled energy: weighted continuum cells plus the atomistic slab."""
-    y_at, bd0 = _validate(cfg, method, profile, m)
-    strains = first_diff(cfg)
-    e_cb = float(np.sum(_cb_weights(cfg, method.partition)
-                        * cb_cell_energy(strains, profile, m, cfg.eps)))
-    walls, sums = _window_scans(cfg, method, profile, m, y_at, bd0)
-    bd = _method_bd(cfg, method, profile, m, bd0, walls)
-    return e_cb + _slab_energy(sums, bd, profile, walls)
+    win = _window(cfg, method.partition, profile, m)
+    e_cb = float(np.sum(win.weights * _cell_terms(cfg, profile, m).energy))
+    return e_cb + _slab_energy(win.sums, win.bd(method.variant), profile, win.walls)
 
 
 def _interface_strain_gamma(profile, m, s):
@@ -241,18 +250,15 @@ def d_g_method2(cfg, partition, profile, m, u):
 
 def ac_forces(cfg, method, profile, m):
     """Gradient of ac_energy in the atom positions, fully analytic."""
-    y_at, bd0 = _validate(cfg, method, profile, m)
-    part = method.partition
-    cells = part.interface_cells(cfg)
+    win = _window(cfg, method.partition, profile, m)
+    cells = method.partition.interface_cells(cfg)
     strains = first_diff(cfg)
 
-    vals = _cb_weights(cfg, part) * cb_cell_denergy(strains, profile, m, cfg.eps) / cfg.eps
-    grad = vals - np.roll(vals, -1)  # cell c pulls atoms c and c-1
+    grad = _cell_pulls(win.weights * _cell_terms(cfg, profile, m).denergy / cfg.eps)
 
-    walls, sums = _window_scans(cfg, method, profile, m, y_at, bd0)
-    bd = _method_bd(cfg, method, profile, m, bd0, walls)
-    d_y, (d_al, d_ar), dg_e = _slab_gradient(sums, bd, profile, walls)
-    grad[part.atom_indices(cfg)] += d_y
+    d_y, (d_al, d_ar), dg_e = _slab_gradient(win.sums, win.bd(method.variant), profile,
+                                             win.walls)
+    grad[slice(*cells)] += d_y
     for c, d_a in zip(cells, (d_al, d_ar)):  # each wall moves with its cell's atoms
         grad[c - 1] += 0.5 * d_a
         grad[c] += 0.5 * d_a
@@ -315,18 +321,17 @@ def ac_hessian_structured(cfg, method, profile, m):
     families c_L, c_R on the window atoms, and the maps y -> a_L, a_R, s_L,
     s_R (each on its interface cell's two atoms).
     """
-    y_at, bd0 = _validate(cfg, method, profile, m)
-    part = method.partition
+    window = _window(cfg, method.partition, profile, m)
+    y_at, bd0 = window.y_at, window.bd0
     eps = cfg.eps
     n = cfg.n_atoms
-    c_l, c_r = part.interface_cells(cfg)
+    c_l, c_r = method.partition.interface_cells(cfg)
     k = m / eps
     muv = mu(profile, m)
 
     win = slice(c_l, c_r)
     cols = np.zeros((n, 6))  # c_L, c_R, a_L, a_R, s_L, s_R
-    walls, sums = _window_scans(cfg, method, profile, m, y_at, bd0)
-    s_l, s_r, _, _ = walls
+    s_l, s_r, _, _ = window.walls
     cols[win, 0] = muv / m * s_l
     cols[win, 1] = muv / m * s_r
     cols[c_l - 1:c_l + 1, 2] = cols[c_r - 1:c_r + 1, 3] = 0.5  # the walls: cell midpoints
@@ -365,8 +370,8 @@ def ac_hessian_structured(cfg, method, profile, m):
             w[i_s, i_s] += dq * _interface_strain_d2gamma(profile, m, s)
 
     pref = eps * muv**2 / (4.0 * m)
-    diag, off = _cb_band(cfg, profile, m, _cb_weights(cfg, part))
-    diag[win] += pref * _pair_curvature(sums) \
+    diag, off = _cb_band(cfg, profile, m, window.weights)
+    diag[win] += pref * _pair_curvature(window.sums) \
         + kk * (grad_q[0] * cols[win, 0] + grad_q[1] * cols[win, 1])
     return StructuredHessian(diag, off, Green(c_l, pref * 4.0 * k**3, y_at, k, None),
                              cols, 0.5 * (w + w.T))
@@ -385,9 +390,8 @@ def sigma_qc(cfg, method, x, profile, m):
     """
     if method.variant != "method1":
         raise ValueError("the coupled stress exists for method 1 only")
-    y_at, bd0 = _validate(cfg, method, profile, m)
-    walls, _ = _window_scans(cfg, method, profile, m, y_at, bd0)
-    bd = _method_bd(cfg, method, profile, m, bd0, walls)
+    win = _window(cfg, method.partition, profile, m)
+    y_at, bd = win.y_at, win.bd(method.variant)
     nodes = positions(cfg, -cfg.N - 1, cfg.N)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs <= nodes[0]) or np.any(xs > nodes[-1]):
@@ -411,9 +415,8 @@ def weak_form_qc(cfg, method, u, profile, m):
     """
     if method.variant != "method1":
         raise ValueError("the coupled stress exists for method 1 only")
-    y_at, bd0 = _validate(cfg, method, profile, m)
-    walls, _ = _window_scans(cfg, method, profile, m, y_at, bd0)
-    bd = _method_bd(cfg, method, profile, m, bd0, walls)
+    win = _window(cfg, method.partition, profile, m)
+    y_at, bd = win.y_at, win.bd(method.variant)
     # y and uu start at atom -N-1, so cell c joins their entries c and c+1
     c_l, c_r = method.partition.interface_cells(cfg)
     y = positions(cfg, -cfg.N - 1, cfg.N)
@@ -449,7 +452,7 @@ def consistency_error(cfg, method, profile, m, seed=0):
     Returns a dict with the sup, the right-hand side, their ratio (the
     fitted constant), and tau.
     """
-    _, bd0 = _validate(cfg, method, profile, m)
+    tau = _window(cfg, method.partition, profile, m).bd0.tau
     n = cfg.n_atoms
     strains = first_diff(cfg)
     f_at = forces_periodic(cfg, profile, m)
@@ -471,12 +474,12 @@ def consistency_error(cfg, method, profile, m, seed=0):
     sup = float(np.max(np.abs(u[keep] @ diff) / h1[keep], initial=0.0))
 
     rhs = cfg.eps * norm_weighted(second_diff(cfg), cfg.eps, float(np.min(strains)), m,
-                                  method.partition.K) + bd0.tau
+                                  method.partition.K) + tau
     return {
         "sup_error": sup,
         "rhs": float(rhs),
         "fitted_C": sup / rhs if rhs > 0 else math.inf,
-        "tau": bd0.tau,
+        "tau": tau,
         "n_probes": probes.shape[0],
     }
 

@@ -13,17 +13,20 @@ comparison chain, one bump per period eps y'_j, with an exact quadrature
 correction on the bump that contains the evaluation point; every cell's
 field comes from one batch routine (`field._cell_fields`), and the bound
 on its gap to the chain field is summed in closed form, with no truncation,
-for every cell at once.  Nothing in this module touches a mesh.
+for every cell at once.  On one configuration the cell terms e(y'_j) and
+e'(y'_j) are formed once (`_cell_terms`) and read by the total energy, the
+forces and both couplings of `ac`.  Nothing in this module touches a mesh.
 """
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
 from .density import check_separated, mu
 from .energy import StressFunction, self_energy
-from .field import _cell_fields
+from .field import _cell_fields, _kept, _read_only
 from .hessian import StructuredHessian
 from .lattice import first_diff, positions, second_diff
 
@@ -139,17 +142,51 @@ def cb_stress_function(cell):
     return StressFunction(cell.field, [cell.anchor], cell.profile, cell.m, cell.eps, cell.spacing)
 
 
+class _CellTerms:
+    """e(y'_j) and e'(y'_j) of every cell of one configuration, each formed
+    on first use, read-only."""
+
+    def __init__(self, cfg, profile, m):
+        self.strains = first_diff(cfg)
+        self.profile = profile
+        self.m = m
+        self.eps = cfg.eps
+
+    @cached_property
+    def energy(self):
+        return _read_only(cb_cell_energy(self.strains, self.profile, self.m, self.eps))
+
+    @cached_property
+    def denergy(self):
+        return _read_only(cb_cell_denergy(self.strains, self.profile, self.m, self.eps))
+
+
+def _cell_terms(cfg, profile, m):
+    """The `_CellTerms` of cfg, kept for it (`field._kept`): the Cauchy-Born
+    model and both couplings read the same cell terms."""
+    return _kept(cfg, ("cell terms", profile, m), lambda: _CellTerms(cfg, profile, m))
+
+
+def _cell_pulls(v):
+    """v_p - v_{p+1}, cells wrapping: cell c pulls atoms c and c-1."""
+    out = np.empty_like(v)
+    np.subtract(v[:-1], v[1:], out=out[:-1])
+    out[-1] = v[-1] - v[0]
+    return out
+
+
 def cb_total_energy(cfg, profile, m):
     """E^cb(y) = sum over the 2N+1 cells of e(y'_j)."""
     check_separated(cfg, profile, "cb_total_energy")
-    return float(np.sum(cb_cell_energy(first_diff(cfg), profile, m, cfg.eps)))
+    return float(np.sum(_cell_terms(cfg, profile, m).energy))
 
 
 def cb_forces(cfg, profile, m):
     """Gradient of E^cb: D_{y_p} = (e'(y'_p) - e'(y'_{p+1})) / eps, cells wrapping."""
     check_separated(cfg, profile, "cb_forces")
-    ep = cb_cell_denergy(first_diff(cfg), profile, m, cfg.eps)
-    return (ep - np.roll(ep, -1)) / cfg.eps
+    grad = _cell_pulls(_cell_terms(cfg, profile, m).denergy)
+    grad /= cfg.eps
+    return grad
 
 
 def _cb_band(cfg, profile, m, weights):

@@ -232,9 +232,16 @@ def _bump_kernel_quad(profile, m, eps, centers, x):
     return scale * (pieces[0] + pieces[1]), scale * (m / eps) * (pieces[1] - pieces[0])
 
 
-def _right_sums(y, k, L=None):
+def _gap_factors(y, k, L=None):
+    """The per-gap factors x_l = e^{-k g_l} of the chain y, with a period L
+    the wrap gap y_0 + L - y_{n-1} last."""
+    return np.exp(-k * np.diff(y if L is None else np.append(y, y[0] + L)))
+
+
+def _right_sums(y, k, L=None, x=None):
     """F_i = sum of e^{-k (y_r - y_i)} over every atom r right of atom i
-    (ascending y) and, with a period L, over every image too.
+    (ascending y) and, with a period L, over every image too.  x holds the
+    chain's gap factors (`_gap_factors`) if they are already formed.
 
     The kernel factorizes along the chain: with the per-gap factors
     x_l = e^{-k g_l}, a pair's weight is the product of the x_l between the
@@ -260,7 +267,8 @@ def _right_sums(y, k, L=None):
     exactly 0 where k (y_0 + L - y_i) > 746 (e^{-746} rounds to 0), so it
     is evaluated on the ascending tail y_i >= y_0 + L - 746/k only.
     """
-    x = np.exp(-k * np.diff(y if L is None else np.append(y, y[0] + L)))
+    if x is None:
+        x = _gap_factors(y, k, L)
     stop, ascending = x.size, False
     if x.size > 1:
         lo, hi = float(x.min()), float(x.max())
@@ -294,9 +302,13 @@ class _ChainSums:
     of the reflected chain) of the ascending chain y at decay k, with a
     period L or none: each side is one scan, made on first use, read-only.
 
+    Both sides read one `exp` of the gaps: the reflected chain's interior
+    gaps are bitwise the chain's, reversed, so only its wrap gap, which it
+    rounds as (L - y_{n-1}) + y_0, is formed again.
+
     A configuration's are kept for it by `_kept` and shared by every call on
-    it (`_periodic_sums`, `ac._window_scans`); a route given bare positions
-    (the public slab routes) makes its own.
+    it (`_periodic_sums`, `ac._window`); a route given bare positions (the
+    public slab routes) makes its own.
     """
 
     def __init__(self, y, k, L=None):
@@ -305,12 +317,20 @@ class _ChainSums:
         self.L = L
 
     @cached_property
+    def _gaps(self):
+        return _gap_factors(self.y, self.k, self.L)
+
+    @cached_property
     def right(self):
-        return _read_only(_right_sums(self.y, self.k, self.L))
+        return _read_only(_right_sums(self.y, self.k, self.L, self._gaps))
 
     @cached_property
     def left(self):
-        return _read_only(_right_sums(-self.y[::-1], self.k, self.L)[::-1])
+        y, L = self.y, self.L
+        x = self._gaps[::-1]
+        if L is not None:
+            x = np.append(x[1:], np.exp(-self.k * np.array([(L - y[-1]) + y[0]])))
+        return _read_only(_right_sums(-y[::-1], self.k, L, x)[::-1])
 
 
 _last = (None, {})  # the configuration whose scans are kept, and its scans by key
@@ -319,10 +339,14 @@ _last = (None, {})  # the configuration whose scans are kept, and its scans by k
 def _kept(cfg, key, build):
     """build() for the configuration cfg, made once per key: a later call on
     the same object (compared by identity) with an equal key returns the
-    first result.  The key must name everything besides cfg that fixes the
-    result.  Only the most recent configuration is kept, by a strong
-    reference (so its id cannot be reused while it is kept); a call on
-    another configuration drops it and its scans."""
+    first result.  A key is a tuple: the kind of the result, then
+    everything besides cfg that fixes it.  Three kinds are kept: the
+    periodic chain's sums ("periodic sums", m; `_periodic_sums`), the
+    Cauchy-Born cell terms ("cell terms", profile, m;
+    `cauchy_born._cell_terms`) and the coupling window ("window", K,
+    profile, m; `ac._window`).  Only the most recent configuration is
+    kept, by a strong reference (so its id cannot be reused while it is
+    kept); a call on another configuration drops it and its results."""
     global _last
     owner, kept = _last
     if owner is not cfg:
@@ -337,7 +361,7 @@ def _periodic_sums(cfg, m):
     """The `_ChainSums` of the periodic chain of cfg at k = m/eps, kept for
     cfg: its pair energy, forces, Hessian and field share them."""
     k = m / cfg.eps
-    return _kept(cfg, (k, cfg.L), lambda: _ChainSums(positions(cfg), k, cfg.L))
+    return _kept(cfg, ("periodic sums", m), lambda: _ChainSums(positions(cfg), k, cfg.L))
 
 
 def _neighbour_field(profile, m, eps, d_l, d_r, f_r, lt_l):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import acfield.ac
+import acfield.cauchy_born
 import acfield.energy
 import acfield.field
 from acfield.ac import (
@@ -30,7 +31,16 @@ from acfield.ac import (
     stability_spectrum,
     weak_form_qc,
 )
-from acfield.cauchy_born import cb_cell_denergy, cb_cell_energy, cb_cell_field, cb_stress_function, cell_state
+from acfield.cauchy_born import (
+    cb_cell_denergy,
+    cb_cell_energy,
+    cb_cell_field,
+    cb_forces,
+    cb_hessian,
+    cb_stress_function,
+    cb_total_energy,
+    cell_state,
+)
 from acfield.density import mu, quartic_bump, sextic_bump
 from acfield.energy import (
     d_energy_dirichlet_a,
@@ -530,6 +540,24 @@ def test_one_scan_per_chain_and_side(monkeypatch):
     assert len(scans) == 2
 
 
+def test_cell_terms_and_boundary_data_once_per_configuration(monkeypatch):
+    # the Cauchy-Born model and both couplings read one configuration's
+    # cell terms e(y'_j) and e'(y'_j), and method 2's energy and forces one
+    # cell-problem solve, next to the 4 scans and 1 wall pass
+    counts = [_count_calls(monkeypatch, acfield.cauchy_born, "cb_cell_energy"),
+              _count_calls(monkeypatch, acfield.cauchy_born, "cb_cell_denergy"),
+              _count_calls(monkeypatch, acfield.ac, "g_method2"),
+              _count_calls(monkeypatch, acfield.field, "_right_sums"),
+              _count_calls(monkeypatch, acfield.field, "_walls")]
+    models = (AtomisticModel(PROFILE, M), CauchyBornModel(PROFILE, M),
+              AcModel(method1(10), PROFILE, M), AcModel(method2(10), PROFILE, M))
+    cfg = _smooth_chain(40, seed=1)
+    for model in models:
+        model.energy(cfg)
+        model.gradient(cfg)
+    assert [len(c) for c in counts] == [1, 1, 1, 4, 1]
+
+
 def test_one_field_call_per_weak_form(monkeypatch):
     # the periodic weak form gathers the Gauss points of every piece between
     # nodes and bump edges and evaluates the field once over all of them
@@ -547,11 +575,16 @@ def _kept_routes(profile, m, K):
     routes = [lambda c: energy_periodic(c, profile, m),
               lambda c: forces_periodic(c, profile, m),
               lambda c: hessian_periodic(c, profile, m),
-              lambda c: eval_green_periodic(c, profile, m, xs)]
-    for method in (method1(K), method2(K)):
-        routes += [lambda c, meth=method: ac_energy(c, meth, profile, m),
-                   lambda c, meth=method: ac_forces(c, meth, profile, m),
-                   lambda c, meth=method: ac_hessian(c, meth, profile, m)]
+              lambda c: eval_green_periodic(c, profile, m, xs),
+              lambda c: cb_total_energy(c, profile, m),
+              lambda c: cb_forces(c, profile, m),
+              lambda c: cb_hessian(c, profile, m)]
+    # the methods alternate, so each reads the window record the other made
+    for route in (ac_energy, ac_forces, ac_hessian):
+        for method in (method1(K), method2(K)):
+            routes.append(lambda c, f=route, meth=method: f(c, meth, profile, m))
+    routes += [lambda c: sigma_qc(c, method1(K), xs, profile, m),
+               lambda c: weak_form_qc(c, method1(K), np.sin(np.arange(c.n_atoms)), profile, m)]
     return routes
 
 
@@ -582,10 +615,12 @@ def test_kept_scans_never_go_stale():
 def test_kept_scans_are_read_only():
     cfg, method = wiggled_chain(), method1(8)
     forces_periodic(cfg, PROFILE, M)
+    ac_energy(cfg, method, PROFILE, M)
     ac_forces(cfg, method, PROFILE, M)
     sums = acfield.field._periodic_sums(cfg, M)
-    walls, window = acfield.ac._window_scans(cfg, method, PROFILE, M,
-                                             *acfield.ac._validate(cfg, method, PROFILE, M))
-    for kept in (sums.right, sums.left, walls[0], walls[1], window.right, window.left):
+    win = acfield.ac._window(cfg, method.partition, PROFILE, M)
+    cells = acfield.cauchy_born._cell_terms(cfg, PROFILE, M)
+    for kept in (sums.right, sums.left, win.walls[0], win.walls[1], win.sums.right,
+                 win.sums.left, win.y_at, win.weights, cells.energy, cells.denergy):
         with pytest.raises(ValueError):
             kept[0] = 0.0

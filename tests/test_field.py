@@ -345,6 +345,22 @@ def test_right_sums_wide_wrap_gap_bit_identical(n):
     assert moved
 
 
+@pytest.mark.parametrize("periodic", [False, True])
+def test_left_sums_reuse_the_right_scans_gap_factors_bitwise(periodic):
+    # the left scan reads the right scan's gap factors reversed and forms
+    # only the reflected chain's wrap gap, (L - y_{n-1}) + y_0, again; its
+    # bits are those of a scan of the reflected chain from scratch
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 17, 640, 2561):
+        for _ in range(4):
+            y = np.cumsum(rng.uniform(0.05, 2.0, n)) + rng.uniform(-5.0, 5.0)
+            L = float(y[-1] - y[0] + rng.uniform(0.05, 2.0)) if periodic else None
+            k = float(rng.uniform(0.3, 20.0))
+            sums = _ChainSums(y, k, L)
+            assert np.array_equal(sums.right, _right_sums(y, k, L))
+            assert np.array_equal(sums.left, _right_sums(-y[::-1], k, L)[::-1]), (n, k)
+
+
 def test_green_periodic_rejects_overlapping_bumps():
     # a point looks for the one bump that contains it among its two
     # neighbouring atoms, so overlapping supports (strain 0.45 < sigma0)
