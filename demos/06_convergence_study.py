@@ -7,13 +7,13 @@ full-size version of this sweep (N up to 320) runs through
 `acfield run` with an error-convergence spec; this is the table-top cut.
 """
 
-import numpy as np
+import tempfile
 
-from acfield.harness import ExperimentSpec, _exp_error_convergence
+from acfield.harness import ExperimentSpec, run
 
-spec = ExperimentSpec(kind="error-convergence", n_list=(48, 96), k_rule="n/4",
-                      force_amplitude=0.3)
-rows, failures = _exp_error_convergence(spec, jobs=1)
+with tempfile.TemporaryDirectory() as out:
+    rows = run(ExperimentSpec(kind="error-convergence", n_list=(48, 96), k_rule="n/4",
+                              force_amplitude=0.3, out=out))
 
 print("strain error of the coupled minimizer vs the full minimizer")
 print("(sine load 0.3, K = N/4, tolerance |gradient| <= 1e-10 m eps)")

@@ -187,10 +187,10 @@ def rho(cfg, profile, x):
     """Chain density rho_y(x) = eps * sum_j delta_eps(x - y_j), periodic in x,
     from the one bump that can hold each point.  Raises on contact."""
     check_separated(cfg, profile, "rho")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = _bump_offset(positions(cfg), cfg.L, profile.half_width * cfg.eps, x)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    d = _bump_offset(positions(cfg), cfg.L, profile.half_width * cfg.eps, xs)
     out = cfg.eps * delta_eps(profile, cfg.eps, d)
-    return out if out.size > 1 else float(out[0])
+    return out if np.ndim(x) else float(out[0])
 
 
 def check_separated(cfg, profile, where="chain"):

@@ -66,6 +66,7 @@ from functools import cached_property
 import numpy as np
 
 from .density import _neighbours, check_separated, gauss_on_interval, grad_delta_eps, mu
+from .hessian import _apply_cyclic_tridiag
 from .lattice import positions
 
 __all__ = [
@@ -655,15 +656,6 @@ def fem_forces(field, profile, eps, centers):
     piece = np.sum(wq * grad_delta_eps(profile, eps, dz) * phi, axis=1)
     n = np.size(centers)
     return -eps * np.bincount(atom, piece, minlength=n).astype(float)
-
-
-def _apply_cyclic_tridiag(diag, off, corner, x):
-    ax = diag * x
-    ax[:-1] += off * x[1:]
-    ax[1:] += off * x[:-1]
-    ax[0] += corner * x[-1]
-    ax[-1] += corner * x[0]
-    return ax
 
 
 def _residual(diag, off, corner, x, b):

@@ -3,9 +3,10 @@
 Each experiment kind audits one quantitative claim of the model end to end
 (analytic gradients vs finite differences, FEM vs closed-form kernels, ghost
 forces, field locality bounds, coupling stability, convergence of the coupled
-minimizers, boundary-data gaps).  `run` executes one kind from an
-ExperimentSpec and writes `<kind>.csv`; `check` runs every kind at a reduced
-scale as a self-test; `main` is the `acfield` console entry point.
+minimizers, boundary-data gaps); each kind is one entry of `_KINDS`.  `run`
+executes one kind from an ExperimentSpec and writes `<kind>.csv`; `check`
+runs every kind at a reduced scale as a self-test; `main` is the `acfield`
+console entry point.  The harness is a client of the package's public API.
 
 Output contract: rows are sorted deterministically and floats are written
 with `repr`, so two runs with the same spec and seed produce byte-identical
@@ -38,18 +39,11 @@ from .lattice import (
     second_diff,
 )
 from .density import delta_eps, gauss_on_interval, quartic_bump, sextic_bump
-from .field import (
-    BoundaryData,
-    _ChainSums,
-    _walls,
-    eval_green_dirichlet,
-    eval_green_periodic,
-    solve_dirichlet,
-    solve_periodic,
-)
+from .field import eval_green_dirichlet, eval_green_periodic, solve_dirichlet, solve_periodic
 from .energy import (
-    _slab_gradient,
+    d_energy_dirichlet_a,
     d_energy_dirichlet_g,
+    d_energy_dirichlet_y,
     energy_dirichlet,
     energy_periodic,
     forces_periodic,
@@ -214,6 +208,7 @@ class ResultRow:
 class _Rows:
     """The rows and failed hard checks of one experiment kind.
 
+    A row's `eps` is the lattice spacing 2/(2N+1) of its N (`ChainConfig.eps`).
     `at_most` and `at_least` record a row whose `bound` is the cap or floor
     and fail unless the value meets it, so a NaN never passes.
     """
@@ -222,16 +217,17 @@ class _Rows:
         self.kind = kind
         self.rows, self.failures = [], []
 
-    def add(self, n, eps, k, tau, quantity, value, bound=None, fitted_c=None):
-        self.rows.append(ResultRow(self.kind, n, eps, k, tau, quantity, value, bound, fitted_c))
+    def add(self, n, k, tau, quantity, value, bound=None, fitted_c=None):
+        self.rows.append(ResultRow(self.kind, n, 2.0 / (2 * n + 1), k, tau, quantity, value,
+                                   bound, fitted_c))
 
-    def at_most(self, n, eps, k, tau, quantity, value, cap):
-        self.add(n, eps, k, tau, quantity, value, cap)
+    def at_most(self, n, k, tau, quantity, value, cap):
+        self.add(n, k, tau, quantity, value, cap)
         if not value <= cap:
             self.fail(n, "%s = %r exceeds %r" % (quantity, value, cap))
 
-    def at_least(self, n, eps, k, tau, quantity, value, floor):
-        self.add(n, eps, k, tau, quantity, value, floor)
+    def at_least(self, n, k, tau, quantity, value, floor):
+        self.add(n, k, tau, quantity, value, floor)
         if not value >= floor:
             self.fail(n, "%s = %r below %r" % (quantity, value, floor))
 
@@ -330,42 +326,33 @@ def parse_spec(path):
 # shared numerical helpers
 
 
+def _chain(n, stretch, shape):
+    """The chain of 2n+1 atoms at mean strain `stretch`, displaced by
+    `shape(j)` at the atoms j = -n..n less its mean."""
+    u = shape(np.arange(-n, n + 1))
+    return ChainConfig(n, stretch, u - u.mean())
+
+
 def _smooth_random_config(n, stretch, sigma0, rng):
     """Random low-mode displacement (modes 1-3, amplitude 0.02/k), redrawn
-    until its minimal strain exceeds sigma0 + 0.15."""
-    jj = np.arange(-n, n + 1)
-    theta = 2.0 * np.pi * jj / (2 * n + 1)
-    for _ in range(64):
+    until its minimal strain exceeds sigma0 + 0.15.  Its mean strain is
+    `stretch`, so a stretch at or below sigma0 + 0.15 can never pass."""
+
+    def shape(jj):
+        theta = 2.0 * np.pi * jj / (2 * n + 1)
         u = np.zeros(2 * n + 1)
         for k in (1, 2, 3):
             u += rng.normal(0.0, 0.02) / k * np.sin(k * theta)
             u += rng.normal(0.0, 0.02) / k * np.cos(k * theta)
-        u -= u.mean()
-        cfg = ChainConfig(n, stretch, u)
+        return u
+
+    for _ in range(64):
+        cfg = _chain(n, stretch, shape)
         if float(np.min(first_diff(cfg))) > sigma0 + 0.15:
             return cfg
-    raise HarnessError("could not draw an admissible random configuration")
-
-
-def _sine_config(n, stretch, amplitude):
-    jj = np.arange(-n, n + 1)
-    u = amplitude * np.sin(2.0 * np.pi * jj / (2 * n + 1))
-    u -= u.mean()
-    return ChainConfig(n, stretch, u)
-
-
-def _kinked_config(n, stretch, center, amplitude):
-    jj = np.arange(-n, n + 1)
-    u = amplitude * np.exp(-np.abs(jj - center) / 1.5)
-    u -= u.mean()
-    return ChainConfig(n, stretch, u)
-
-
-def _tent_config(n, stretch, center, amplitude):
-    jj = np.arange(-n, n + 1)
-    u = np.where(np.abs(jj - center) <= 1, amplitude * (1.0 - 0.5 * np.abs(jj - center)), 0.0)
-    u -= u.mean()
-    return ChainConfig(n, stretch, u)
+    raise ValueError("stretch %r, sigma0 %r: no random chain in 64 draws has every strain "
+                     "above sigma0 + 0.15 = %.6g; the mean strain is the stretch, so raise "
+                     "stretch or lower sigma0" % (stretch, sigma0, sigma0 + 0.15))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +363,7 @@ def _exp_gradient_audit(spec, jobs):
     profile = spec.bump()
     m = spec.m
     bound = 1e-5
-    out = _Rows("gradient-audit")
+    out = _Rows(spec.kind)
     rng = np.random.default_rng(spec.seed)
     for n in spec.n_list:
         k = spec.k_of(n)
@@ -387,7 +374,6 @@ def _exp_gradient_audit(spec, jobs):
 
         for _ in range(spec.n_samples):
             cfg = _smooth_random_config(n, spec.stretch, spec.sigma0, rng)
-            eps = cfg.eps
             h = 1e-5
             # displacement directions with unit bond increments: the finite
             # difference then perturbs every strain by at most h, keeping the
@@ -396,7 +382,7 @@ def _exp_gradient_audit(spec, jobs):
             for _ in range(4):
                 dv = rng.normal(0.0, 1.0, 2 * n + 1)
                 dv -= dv.mean()
-                dirs.append(dv * (eps / np.max(np.abs(np.diff(dv)))))
+                dirs.append(dv * (cfg.eps / np.max(np.abs(np.diff(dv)))))
 
             y_at, bd0 = AcPartition(k).window(cfg, m)
             gs = g_star(y_at, bd0, profile)
@@ -405,8 +391,7 @@ def _exp_gradient_audit(spec, jobs):
             g_l, g_r = 0.3 * float(gs[0]) + 0.01, 0.7 * float(gs[1]) - 0.02
             bd = bd0.with_g(g_l, g_r)
 
-            grad_y, grad_a, grad_g = _slab_gradient(_ChainSums(y_at, bd.m / bd.eps), bd, profile,
-                                                    _walls(y_at, bd, profile))
+            grad_y = d_energy_dirichlet_y(y_at, bd, profile)
             for dv in dirs:
                 dw = dv[: y_at.size]
                 fd = (
@@ -415,22 +400,17 @@ def _exp_gradient_audit(spec, jobs):
                 ) / (2.0 * h)
                 record("dirichlet-y", fd, float(grad_y @ dw))
 
-            h_a = 1e-6
-            for i in range(2):
-                def e_wall(t, i=i):
-                    b = BoundaryData(
-                        bd.a_L + (t if i == 0 else 0.0),
-                        bd.a_R + (t if i == 1 else 0.0),
-                        g_l, g_r, m, eps,
-                    )
-                    return energy_dirichlet(y_at, b, profile)
-                record("dirichlet-a", (e_wall(h_a) - e_wall(-h_a)) / (2.0 * h_a), float(grad_a[i]))
-
-            for i in range(2):
-                def e_data(t, i=i):
-                    b = bd.with_g(g_l + (t if i == 0 else 0.0), g_r + (t if i == 1 else 0.0))
-                    return energy_dirichlet(y_at, b, profile)
-                record("dirichlet-g", (e_data(h) - e_data(-h)) / (2.0 * h), float(grad_g[i]))
+            # each wall position and each boundary value moved on its own
+            for family, names, grad, step in (
+                ("dirichlet-a", ("a_L", "a_R"), d_energy_dirichlet_a(y_at, bd, profile), 1e-6),
+                ("dirichlet-g", ("g_L", "g_R"), d_energy_dirichlet_g(y_at, bd, profile), h),
+            ):
+                for name, an in zip(names, grad):
+                    up, down = (dataclasses.replace(bd, **{name: getattr(bd, name) + t})
+                                for t in (step, -step))
+                    fd = (energy_dirichlet(y_at, up, profile)
+                          - energy_dirichlet(y_at, down, profile)) / (2.0 * step)
+                    record(family, fd, float(an))
 
             # the periodic models: (label, energy, gradient, the coupling if any)
             for label, energy, gradient, meth in (
@@ -447,12 +427,11 @@ def _exp_gradient_audit(spec, jobs):
                           ) / (2.0 * h)
                     record(label, fd, float(grad @ dv))
 
-        eps = 2.0 / (2 * n + 1)
         tau = AcPartition(k).tau(homogeneous(n, spec.stretch), m)
         for family in sorted(pairs):
             fd, an = np.array(pairs[family]).T
             rel = float(np.max(np.abs(fd - an)) / np.max(np.maximum(np.abs(fd), np.abs(an))))
-            out.at_most(n, eps, k, tau, "rel-error-" + family, rel, bound)
+            out.at_most(n, k, tau, "rel-error-" + family, rel, bound)
     return out.result()
 
 
@@ -463,13 +442,12 @@ def _exp_gradient_audit(spec, jobs):
 def _exp_fem_cross(spec, jobs):
     profile = spec.bump()
     m = spec.m
-    out = _Rows("fem-cross-validation")
+    out = _Rows(spec.kind)
     rng = np.random.default_rng(spec.seed)
     rate_floor = 1.8
     for n in spec.n_list:
         k = spec.k_of(n)
         cfg = _smooth_random_config(n, spec.stretch, spec.sigma0, rng)
-        eps = cfg.eps
         y_at, bd0 = AcPartition(k).window(cfg, m)
         tau = bd0.tau
 
@@ -487,9 +465,9 @@ def _exp_fem_cross(spec, jobs):
                 f = solve(md)
                 err = float(np.max(np.abs(f.values - exact(f.nodes()))))
                 errs.append(err)
-                out.add(n, eps, k, tau, "%s-nodal-error-level%d" % (name, level), err)
+                out.add(n, k, tau, "%s-nodal-error-level%d" % (name, level), err)
             for level in range(len(meshes) - 1):
-                out.at_least(n, eps, k, tau, "%s-rate-level%d%d" % (name, level, level + 1),
+                out.at_least(n, k, tau, "%s-rate-level%d%d" % (name, level, level + 1),
                              math.log2(errs[level] / errs[level + 1]), rate_floor)
     return out.result()
 
@@ -501,7 +479,7 @@ def _exp_fem_cross(spec, jobs):
 def _exp_optimal_bc(spec, jobs):
     profile = spec.bump()
     m = spec.m
-    out = _Rows("optimal-bc")
+    out = _Rows(spec.kind)
     rng = np.random.default_rng(spec.seed)
     for n in spec.n_list:
         k = spec.k_of(n)
@@ -513,7 +491,7 @@ def _exp_optimal_bc(spec, jobs):
         bd_star = bd0.with_g(*gs)
 
         closed = float(np.max(np.abs(d_energy_dirichlet_g(y_at, bd_star, profile))))
-        out.at_most(n, eps, k, tau, "dg-at-gstar-closed", closed, 1e-10 * m * eps)
+        out.at_most(n, k, tau, "dg-at-gstar-closed", closed, 1e-10 * m * eps)
 
         h = 1e-6
         fd = float(np.max([
@@ -522,11 +500,11 @@ def _exp_optimal_bc(spec, jobs):
             / (2.0 * h)
             for dl, dr in ((h, 0.0), (0.0, h))
         ]))
-        out.at_most(n, eps, k, tau, "dg-at-gstar-fd", fd, 1e-6 * m * eps)
+        out.at_most(n, k, tau, "dg-at-gstar-fd", fd, 1e-6 * m * eps)
 
         e_mirror = mirror_energy(y_at, bd0, profile)
         e_star = energy_dirichlet(y_at, bd_star, profile)
-        out.at_most(n, eps, k, tau, "mirror-vs-stationary-rel",
+        out.at_most(n, k, tau, "mirror-vs-stationary-rel",
                     abs(e_mirror - e_star) / abs(e_star), 1e-6 + 10.0 * tau)
     return out.result()
 
@@ -538,18 +516,17 @@ def _exp_optimal_bc(spec, jobs):
 def _exp_ghost_force(spec, jobs):
     profile = spec.bump()
     m = spec.m
-    out = _Rows("ghost-force")
+    out = _Rows(spec.kind)
     stretches = spec.stretch_list or (spec.stretch,)
     for n in spec.n_list:
         k = spec.k_of(n)
-        eps = 2.0 / (2 * n + 1)
         for stretch in stretches:
             cfg = homogeneous(n, stretch)
             tau = AcPartition(k).tau(cfg, m)
             cap = 1e-8 + 10.0 * tau
             for meth, label in ((method1(k), "method1"), (method2(k), "method2")):
                 resid = float(np.max(np.abs(ac_forces(cfg, meth, profile, m))))
-                out.at_most(n, eps, k, tau, "linf-residual-%s-F=%r" % (label, stretch),
+                out.at_most(n, k, tau, "linf-residual-%s-F=%r" % (label, stretch),
                             resid, cap)
     return out.result()
 
@@ -561,7 +538,7 @@ def _exp_ghost_force(spec, jobs):
 def _exp_cb_closed_form(spec, jobs):
     profile = spec.bump()
     m = spec.m
-    out = _Rows("cb-closed-form")
+    out = _Rows(spec.kind)
     cap = 1e-9
     half = profile.half_width
     for n in spec.n_list:
@@ -578,7 +555,7 @@ def _exp_cb_closed_form(spec, jobs):
                 val, _ = cb_cell_field(cell, xs)
                 total += float(np.sum(ws * delta_eps(profile, eps, xs) * val))
             quad = 0.5 * eps * total
-            out.at_most(n, eps, 0, 0.0, "cell-energy-rel-err-s=%.4f" % s,
+            out.at_most(n, 0, 0.0, "cell-energy-rel-err-s=%.4f" % s,
                         abs(closed - quad) / abs(quad), cap)
     return out.result()
 
@@ -590,10 +567,11 @@ def _exp_cb_closed_form(spec, jobs):
 def _exp_field_bound(spec, jobs):
     profile = spec.bump()
     m = spec.m
-    out = _Rows("field-bound")
+    out = _Rows(spec.kind)
     slack = 1.0 + 1e-10
     for n in spec.n_list:
-        cfg = _sine_config(n, spec.stretch, spec.force_amplitude)
+        cfg = _chain(n, spec.stretch,
+                     lambda jj: spec.force_amplitude * np.sin(2.0 * np.pi * jj / (2 * n + 1)))
         eps = cfg.eps
         y = positions(cfg, -n - 1, n)
         # 12 points in every cell Q_j = (y_{j-1}, y_j): one chain evaluation,
@@ -604,8 +582,8 @@ def _exp_field_bound(spec, jobs):
         bound_v = comparison_field_bound(cfg, profile, m, np.arange(-n, n + 1))
         ratios_v = np.max(np.abs(vps - vcs), axis=1) / bound_v
         ratios_g = eps * np.max(np.abs(gps - gcs), axis=1) / (m * bound_v)
-        out.at_most(n, eps, 0, 0.0, "field-gap-ratio-max", float(np.max(ratios_v)), slack)
-        out.at_most(n, eps, 0, 0.0, "field-gradient-gap-ratio-max",
+        out.at_most(n, 0, 0.0, "field-gap-ratio-max", float(np.max(ratios_v)), slack)
+        out.at_most(n, 0, 0.0, "field-gradient-gap-ratio-max",
                     float(np.max(ratios_g)), slack)
     return out.result()
 
@@ -617,33 +595,33 @@ def _exp_field_bound(spec, jobs):
 def _exp_stability(spec, jobs):
     profile = spec.bump()
     m = spec.m
-    out = _Rows("stability")
+    out = _Rows(spec.kind)
     offsets = (0, 1, 2, 3)
     for n in spec.n_list:
         k = spec.k_of(n)
         eps = 2.0 / (2 * n + 1)
         states = [("homogeneous", homogeneous(n, spec.stretch))]
         for d in offsets:
-            states.append(("kink-d=%d" % d,
-                           _kinked_config(n, spec.stretch, k - d, 0.2 * eps)))
+            states.append(("kink-d=%d" % d, _chain(
+                n, spec.stretch, lambda jj: 0.2 * eps * np.exp(-np.abs(jj - (k - d)) / 1.5))))
         deficits = []
         for label, cfg in states:
             tau = AcPartition(k).tau(cfg, m)
             lam1, lower = stability_spectrum(cfg, method1(k), profile, m)
             lam2, _ = stability_spectrum(cfg, method2(k), profile, m)
-            out.at_least(n, eps, k, tau, "lambda-min-method1-" + label, lam1, lower - 1e-6)
+            out.at_least(n, k, tau, "lambda-min-method1-" + label, lam1, lower - 1e-6)
             # method 2 is only guaranteed stable away from interface kinks; a
             # kink on the interface cell genuinely destabilises it, which is
             # what the shrinking deficit below quantifies
             if label == "homogeneous":
-                out.add(n, eps, k, tau, "lambda-min-method2-" + label, lam2, 0.0)
+                out.add(n, k, tau, "lambda-min-method2-" + label, lam2, 0.0)
                 if not lam2 > 0.0:
                     out.fail(n, "method-2 lambda_min %r on the homogeneous state is not "
                                 "positive" % lam2)
             else:
-                out.add(n, eps, k, tau, "lambda-min-method2-" + label, lam2)
+                out.add(n, k, tau, "lambda-min-method2-" + label, lam2)
                 deficits.append(lam1 - lam2)
-                out.add(n, eps, k, tau, "deficit-" + label, lam1 - lam2)
+                out.add(n, k, tau, "deficit-" + label, lam1 - lam2)
         for i in range(len(deficits) - 1):
             if not deficits[i + 1] < deficits[i]:
                 out.fail(n, "method-2 deficit did not shrink from kink offset %d to %d "
@@ -659,18 +637,18 @@ def _exp_stability(spec, jobs):
 def _exp_consistency(spec, jobs):
     profile = spec.bump()
     m = spec.m
-    out = _Rows("consistency")
+    out = _Rows(spec.kind)
     for n in spec.n_list:
         k = spec.k_of(n)
-        eps = 2.0 / (2 * n + 1)
         homog = homogeneous(n, spec.stretch)
-        smooth = _sine_config(n, spec.stretch, spec.force_amplitude)
+        smooth = _chain(n, spec.stretch,
+                        lambda jj: spec.force_amplitude * np.sin(2.0 * np.pi * jj / (2 * n + 1)))
         for meth, label in ((method1(k), "method1"), (method2(k), "method2")):
             res = consistency_error(homog, meth, profile, m, seed=spec.seed)
-            out.at_most(n, eps, k, res["tau"], "sup-error-homogeneous-" + label,
+            out.at_most(n, k, res["tau"], "sup-error-homogeneous-" + label,
                         res["sup_error"], res["tau"] + 1e-12)
             res = consistency_error(smooth, meth, profile, m, seed=spec.seed)
-            out.add(n, eps, k, res["tau"], "sup-error-smooth-" + label,
+            out.add(n, k, res["tau"], "sup-error-smooth-" + label,
                     res["sup_error"], res["rhs"], res["fitted_C"])
     return out.result()
 
@@ -702,24 +680,24 @@ def _convergence_point(spec, n):
 
 
 def _exp_error_convergence(spec, jobs):
-    out = _Rows("error-convergence")
+    out = _Rows(spec.kind)
     points = _pmap(partial(_convergence_point, spec), list(spec.n_list), jobs)
     results = [r for point in points for r in point]
     by_variant = {"method1": [], "method2": []}
     for n, variant, k, tau, err, rhs in results:
         eps = 2.0 / (2 * n + 1)
         by_variant[variant].append((eps, err, rhs))
-        out.add(n, eps, k, tau, "error-" + variant, err, rhs)
+        out.add(n, k, tau, "error-" + variant, err, rhs)
     n_last = spec.n_list[-1]
-    eps_last, k_last = 2.0 / (2 * n_last + 1), spec.k_of(n_last)
+    k_last = spec.k_of(n_last)
     for variant, triples in by_variant.items():
         if not triples:
             continue
         eps, err, rhs = np.array(triples).T
-        out.add(n_last, eps_last, k_last, 0.0, "fitted-c-" + variant, float(np.max(err / rhs)))
+        out.add(n_last, k_last, 0.0, "fitted-c-" + variant, float(np.max(err / rhs)))
         if len(triples) >= 2:
             slope = float(np.polyfit(np.log(eps), np.log(err), 1)[0])
-            out.add(n_last, eps_last, k_last, 0.0, "slope-" + variant, slope)
+            out.add(n_last, k_last, 0.0, "slope-" + variant, slope)
     return out.result()
 
 
@@ -730,7 +708,7 @@ def _exp_error_convergence(spec, jobs):
 def _exp_bc_gap(spec, jobs):
     profile = spec.bump()
     m = spec.m
-    out = _Rows("bc-gap")
+    out = _Rows(spec.kind)
     offsets = range(1, 11)
     for n in spec.n_list:
         k = spec.k_of(n)
@@ -739,7 +717,9 @@ def _exp_bc_gap(spec, jobs):
         amp = 0.3 * eps
         gaps, rhss = [], []
         for d in offsets:
-            cfg = _tent_config(n, spec.stretch, k + 1 - d, amp)
+            c = k + 1 - d  # the tent's peak
+            cfg = _chain(n, spec.stretch, lambda jj: np.where(
+                np.abs(jj - c) <= 1, amp * (1.0 - 0.5 * np.abs(jj - c)), 0.0))
             s0 = float(np.min(first_diff(cfg)))
             y_at, bd0 = part.window(cfg, m)
             tau = bd0.tau
@@ -749,30 +729,34 @@ def _exp_bc_gap(spec, jobs):
             rhs = math.sqrt(eps) * norm_weighted(second_diff(cfg), eps, s0, m, k) + tau
             gaps.append(gap)
             rhss.append(rhs)
-            out.add(n, eps, k, tau, "gap-d=%02d" % d, gap, rhs)
-        out.add(n, eps, k, tau, "fitted-c", float(np.max(np.divide(gaps, rhss))))
+            out.add(n, k, tau, "gap-d=%02d" % d, gap, rhs)
+        out.add(n, k, tau, "fitted-c", float(np.max(np.divide(gaps, rhss))))
         dd = np.arange(1, 11, dtype=float)
         tail = dd >= 4
         rate = -float(np.polyfit(dd[tail], np.log(np.asarray(gaps)[tail]), 1)[0])
         target = m * s0
-        out.add(n, eps, k, tau, "decay-rate", rate, target)
+        out.add(n, k, tau, "decay-rate", rate, target)
         if not abs(rate - target) <= 0.3 * target:
             out.fail(n, "fitted decay rate %.4f deviates from m*s0 = %.4f by more than 30%%"
                      % (rate, target))
     return out.result()
 
 
-_EXPERIMENTS = {
-    "gradient-audit": _exp_gradient_audit,
-    "fem-cross-validation": _exp_fem_cross,
-    "optimal-bc": _exp_optimal_bc,
-    "ghost-force": _exp_ghost_force,
-    "cb-closed-form": _exp_cb_closed_form,
-    "field-bound": _exp_field_bound,
-    "stability": _exp_stability,
-    "consistency": _exp_consistency,
-    "error-convergence": _exp_error_convergence,
-    "bc-gap": _exp_bc_gap,
+# Every experiment kind: its function (spec, jobs) -> (rows, failures), and
+# the spec fields of its `acfield check` run, at a scale that finishes in
+# seconds.
+_KINDS = {
+    "gradient-audit": (_exp_gradient_audit, dict(n_list=(20,), k_rule="9", n_samples=3)),
+    "fem-cross-validation": (_exp_fem_cross, dict(n_list=(8,))),
+    "optimal-bc": (_exp_optimal_bc, dict(n_list=(20,), k_rule="9")),
+    "ghost-force": (_exp_ghost_force, dict(n_list=(20,), k_rule="9",
+                                           stretch_list=(1.0, 1.2, 1.5))),
+    "cb-closed-form": (_exp_cb_closed_form, dict(n_list=(20,))),
+    "field-bound": (_exp_field_bound, dict(n_list=(8,), force_amplitude=0.05)),
+    "stability": (_exp_stability, dict(n_list=(20,), k_rule="9")),
+    "consistency": (_exp_consistency, dict(n_list=(20, 40), k_rule="9", force_amplitude=0.03)),
+    "error-convergence": (_exp_error_convergence, dict(n_list=(24, 48), k_rule="11")),
+    "bc-gap": (_exp_bc_gap, dict(n_list=(40,), k_rule="10")),
 }
 
 
@@ -824,28 +808,22 @@ def _write_csv(path, spec, rows, elapsed):
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
-def run(spec, out_dir=None, seed=None, jobs=1):
-    """Execute one experiment and write `<kind>.csv` into the output directory.
+def run(spec, jobs=1):
+    """Execute one experiment and write `<kind>.csv` into the directory
+    `spec.out`; the spec holds every setting, the seed too.
 
     Returns the result rows.  Hard check failures raise HarnessError, but
     only after the CSV (including the failing rows) has been written.
     """
-    overrides = {}
-    if out_dir is not None:
-        overrides["out"] = str(out_dir)
-    if seed is not None:
-        overrides["seed"] = seed
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
-    if spec.kind not in _EXPERIMENTS:
+    if spec.kind not in _KINDS:
         raise SpecError("kind: unknown experiment %r (choices: %s)"
-                        % (spec.kind, ", ".join(sorted(_EXPERIMENTS))))
+                        % (spec.kind, ", ".join(sorted(_KINDS))))
     for n in spec.n_list:
         spec.k_of(n)  # surface K-vs-N mismatches before any work starts
     jobs = _resolve_jobs(jobs)
 
     start = time.perf_counter()
-    rows, failures = _EXPERIMENTS[spec.kind](spec, jobs)
+    rows, failures = _KINDS[spec.kind][0](spec, jobs)
     elapsed = time.perf_counter() - start
     rows = sorted(rows, key=_sort_key)
     _write_csv(Path(spec.out) / (spec.kind + ".csv"), spec, rows, elapsed)
@@ -855,32 +833,16 @@ def run(spec, out_dir=None, seed=None, jobs=1):
     return rows
 
 
-def _check_suite():
-    """Every experiment kind at a scale that finishes in seconds."""
-    return [
-        ExperimentSpec(kind="gradient-audit", n_list=(20,), k_rule="9", n_samples=3),
-        ExperimentSpec(kind="fem-cross-validation", n_list=(8,)),
-        ExperimentSpec(kind="optimal-bc", n_list=(20,), k_rule="9"),
-        ExperimentSpec(kind="ghost-force", n_list=(20,), k_rule="9",
-                       stretch_list=(1.0, 1.2, 1.5)),
-        ExperimentSpec(kind="cb-closed-form", n_list=(20,)),
-        ExperimentSpec(kind="field-bound", n_list=(8,), force_amplitude=0.05),
-        ExperimentSpec(kind="stability", n_list=(20,), k_rule="9"),
-        ExperimentSpec(kind="consistency", n_list=(20, 40), k_rule="9",
-                       force_amplitude=0.03),
-        ExperimentSpec(kind="error-convergence", n_list=(24, 48), k_rule="11"),
-        ExperimentSpec(kind="bc-gap", n_list=(40,), k_rule="10"),
-    ]
-
-
 def check(out_dir="acfield-check", jobs=1):
-    """Run the built-in audit suite; print one PASS/FAIL line per kind.  A kind
-    that raises fails with the exception's first line (traceback to stderr)."""
+    """Run every kind's check spec (`_KINDS`); print one PASS/FAIL line per
+    kind.  A kind that raises fails with the exception's first line
+    (traceback to stderr)."""
     failed = 0
-    for spec in _check_suite():
+    for kind, (_, fields) in _KINDS.items():
+        spec = ExperimentSpec(kind=kind, out=str(out_dir), **fields)
         start = time.perf_counter()
         try:
-            rows = run(spec, out_dir=out_dir, jobs=jobs)
+            rows = run(spec, jobs=jobs)
             print("%-22s PASS   (%d rows, %.1fs)"
                   % (spec.kind, len(rows), time.perf_counter() - start))
         except HarnessError as exc:
@@ -892,7 +854,7 @@ def check(out_dir="acfield-check", jobs=1):
             traceback.print_exc()
             first = (str(exc).splitlines() or [""])[0]
             print("%-22s FAIL   (%s: %s)" % (spec.kind, type(exc).__name__, first))
-    total = len(_check_suite())
+    total = len(_KINDS)
     if failed:
         print("%d of %d experiment kinds failed" % (failed, total))
         return 1
@@ -925,7 +887,9 @@ def main(argv=None):
         if args.command == "check":
             return check(args.out, jobs=args.jobs)
         spec = parse_spec(args.spec_file)
-        rows = run(spec, out_dir=args.out, seed=args.seed, jobs=args.jobs)
+        overrides = dict(out=args.out, seed=args.seed)
+        spec = dataclasses.replace(spec, **{k: v for k, v in overrides.items() if v is not None})
+        rows = run(spec, jobs=args.jobs)
     except HarnessError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -936,8 +900,7 @@ def main(argv=None):
         prefix = "spec error" if isinstance(exc, SpecError) else "invalid configuration"
         print("%s: %s" % (prefix, exc), file=sys.stderr)
         return 2
-    out = Path(args.out) if args.out is not None else Path(spec.out)
-    print("wrote %d rows to %s" % (len(rows), out / (spec.kind + ".csv")))
+    print("wrote %d rows to %s" % (len(rows), Path(spec.out) / (spec.kind + ".csv")))
     return 0
 
 

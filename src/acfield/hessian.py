@@ -46,12 +46,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import _apply_cyclic_tridiag
-
 __all__ = ["Green", "StructuredHessian"]
 
 # cyclic reduction stops at a system of at most this many rows
 _DENSE_ROWS = 15
+
+
+def _apply_cyclic_tridiag(diag, off, corner, x):
+    """A x for the symmetric cyclic tridiagonal A with diagonal `diag`,
+    off-diagonal `off` and corner entry `corner` (FEM solves use it too)."""
+    ax = diag * x
+    ax[:-1] += off * x[1:]
+    ax[1:] += off * x[:-1]
+    ax[0] += corner * x[-1]
+    ax[-1] += corner * x[0]
+    return ax
 
 
 class Green(NamedTuple):

@@ -1,0 +1,34 @@
+"""`tools/count_settings.py`, the count of the package's settable values."""
+
+import ast
+import importlib.util
+import textwrap
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "count_settings.py"
+_spec = importlib.util.spec_from_file_location("count_settings", TOOL)
+count_settings = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(count_settings)
+
+
+def test_defaults_and_class_fields_with_a_value_count():
+    tree = ast.parse(textwrap.dedent("""
+        def f(a, b=1, *args, c=2, d, **kw):
+            def inner(i=0):
+                return i
+        g = lambda x=0: x
+        class C:
+            x: int = 0
+            y: int
+            name = "c"
+    """))
+    # b, c, i, x of the lambda, and the field x; not y (no value), not name
+    assert count_settings.count(tree) == 5
+
+
+def test_package_count_is_pinned(capsys):
+    # a change that adds or removes a settable value edits this number and
+    # says why in CHANGES.md; 63 -> 59 when `run` lost `out_dir` and `seed`
+    # and the gradient audit's wall and data closures their `i=i` defaults
+    assert count_settings.main(["count_settings.py"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "total 59"

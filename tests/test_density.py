@@ -105,6 +105,19 @@ def test_rho_compact_support():
     assert rho(cfg, prof, mid) == 0.0
 
 
+def test_rho_returns_an_array_for_any_array_input():
+    # a float only for a scalar x, as the field evaluators do: a one-element
+    # array gives a one-element array and an empty one an empty array
+    cfg = homogeneous(5, 1.2)
+    prof = quartic_bump(0.5)
+    y = positions(cfg)
+    one = rho(cfg, prof, np.array([y[3]]))
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    assert one[0] == rho(cfg, prof, float(y[3]))
+    empty = rho(cfg, prof, np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
 def test_nonoverlap_pair_identity():
     # For separated bumps the interaction integral collapses to
     # mu^2 exp(-(m/eps) |y_j - y_i|).  Oracle: 2D Gauss-Legendre.

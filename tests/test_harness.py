@@ -1,5 +1,7 @@
 """Config parsing, CSV determinism, and CLI behaviour of the experiment runner."""
 
+import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -120,9 +122,9 @@ def test_k_rule_resolution():
 
 
 def test_run_rejects_unknown_kind(tmp_path):
-    spec = ExperimentSpec(kind="warp-drive")
+    spec = ExperimentSpec(kind="warp-drive", out=str(tmp_path))
     with pytest.raises(SpecError, match="unknown experiment"):
-        run(spec, out_dir=str(tmp_path))
+        run(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +133,8 @@ def test_run_rejects_unknown_kind(tmp_path):
 
 def test_run_csv_is_deterministic_and_sorted(tmp_path):
     spec = ExperimentSpec(kind="cb-closed-form", n_list=(12,))
-    rows1 = run(spec, out_dir=str(tmp_path / "a"))
-    rows2 = run(spec, out_dir=str(tmp_path / "b"))
+    rows1 = run(dataclasses.replace(spec, out=str(tmp_path / "a")))
+    rows2 = run(dataclasses.replace(spec, out=str(tmp_path / "b")))
     body_a = body_of(tmp_path / "a" / "cb-closed-form.csv")
     body_b = body_of(tmp_path / "b" / "cb-closed-form.csv")
     assert body_a == body_b
@@ -152,8 +154,8 @@ def test_run_csv_is_deterministic_and_sorted(tmp_path):
 
 
 def test_run_header_embeds_resolved_spec(tmp_path):
-    spec = ExperimentSpec(kind="cb-closed-form", n_list=(12,), seed=3)
-    run(spec, out_dir=str(tmp_path))
+    spec = ExperimentSpec(kind="cb-closed-form", n_list=(12,), seed=3, out=str(tmp_path))
+    run(spec)
     spec_line = [ln for ln in (tmp_path / "cb-closed-form.csv").read_text().splitlines()
                  if ln.startswith("# spec ")][0]
     for token in ("m=1.0", "stretch=1.1", "sigma0=0.5", "n_list=12",
@@ -163,8 +165,8 @@ def test_run_header_embeds_resolved_spec(tmp_path):
 
 def test_ghost_force_rows_stay_under_budget(tmp_path):
     spec = ExperimentSpec(kind="ghost-force", n_list=(20,), k_rule="9",
-                          stretch_list=(1.0, 1.5))
-    rows = run(spec, out_dir=str(tmp_path))
+                          stretch_list=(1.0, 1.5), out=str(tmp_path))
+    rows = run(spec)
     assert len(rows) == 4
     assert {r.quantity for r in rows} == {
         "linf-residual-method1-F=1.0", "linf-residual-method2-F=1.0",
@@ -176,8 +178,9 @@ def test_ghost_force_rows_stay_under_budget(tmp_path):
 
 
 def test_error_convergence_sweep_rows(tmp_path):
-    spec = ExperimentSpec(kind="error-convergence", n_list=(24, 48), k_rule="11")
-    rows = run(spec, out_dir=str(tmp_path))
+    spec = ExperimentSpec(kind="error-convergence", n_list=(24, 48), k_rule="11",
+                          out=str(tmp_path))
+    rows = run(spec)
     by_q = {r.quantity: r for r in rows}
     assert len(rows) == 8
     for variant in ("method1", "method2"):
@@ -196,11 +199,11 @@ def test_error_convergence_sweep_rows(tmp_path):
 
 def test_checked_rows_fail_on_nan():
     rows = harness._Rows("synthetic")
-    rows.at_most(12, 0.08, 0, 0.0, "capped", 0.5, 1.0)
-    rows.at_least(12, 0.08, 0, 0.0, "floored", 2.0, 1.0)
+    rows.at_most(12, 0, 0.0, "capped", 0.5, 1.0)
+    rows.at_least(12, 0, 0.0, "floored", 2.0, 1.0)
     assert rows.failures == []
-    rows.at_most(12, 0.08, 0, 0.0, "capped-nan", float("nan"), 1.0)
-    rows.at_least(12, 0.08, 0, 0.0, "floored-nan", float("nan"), 1.0)
+    rows.at_most(12, 0, 0.0, "capped-nan", float("nan"), 1.0)
+    rows.at_least(12, 0, 0.0, "floored-nan", float("nan"), 1.0)
     assert rows.failures == ["synthetic N=12: capped-nan = nan exceeds 1.0",
                              "synthetic N=12: floored-nan = nan below 1.0"]
     assert [r.bound for r in rows.rows] == [1.0] * 4
@@ -209,9 +212,9 @@ def test_checked_rows_fail_on_nan():
 def test_ghost_force_fails_on_nan_forces(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "ac_forces",
                         lambda cfg, *args, **kwargs: np.full(cfg.n_atoms, np.nan))
-    spec = ExperimentSpec(kind="ghost-force", n_list=(20,), k_rule="9")
+    spec = ExperimentSpec(kind="ghost-force", n_list=(20,), k_rule="9", out=str(tmp_path))
     with pytest.raises(HarnessError, match="linf-residual-method1"):
-        run(spec, out_dir=str(tmp_path))
+        run(spec)
 
 
 def test_field_bound_fails_on_a_nan_cell_bound(tmp_path, monkeypatch):
@@ -224,14 +227,15 @@ def test_field_bound_fails_on_a_nan_cell_bound(tmp_path, monkeypatch):
         return out
 
     monkeypatch.setattr(harness, "comparison_field_bound", nan_at_cell_3)
-    spec = ExperimentSpec(kind="field-bound", n_list=(8,), force_amplitude=0.05)
+    spec = ExperimentSpec(kind="field-bound", n_list=(8,), force_amplitude=0.05,
+                          out=str(tmp_path))
     with pytest.raises(HarnessError, match="field-gap-ratio-max = nan"):
-        run(spec, out_dir=str(tmp_path))
+        run(spec)
 
 
 def test_stability_deficit_rows_shrink(tmp_path):
-    spec = ExperimentSpec(kind="stability", n_list=(20,), k_rule="9")
-    rows = run(spec, out_dir=str(tmp_path))
+    spec = ExperimentSpec(kind="stability", n_list=(20,), k_rule="9", out=str(tmp_path))
+    rows = run(spec)
     deficits = [r.value for r in sorted(
         (r for r in rows if r.quantity.startswith("deficit-kink")),
         key=lambda r: r.quantity)]
@@ -298,7 +302,8 @@ def test_cli_hard_failure_exits_1_but_writes_csv(tmp_path, capsys, monkeypatch):
     def broken(spec, jobs):
         return [harness.ResultRow("cb-closed-form", 12, 0.08, 0, 0.0,
                                   "synthetic", 1.0, 0.5)], ["synthetic check failed"]
-    monkeypatch.setitem(harness._EXPERIMENTS, "cb-closed-form", broken)
+    monkeypatch.setitem(harness._KINDS, "cb-closed-form",
+                        (broken, harness._KINDS["cb-closed-form"][1]))
     path = write_spec(tmp_path, "kind = cb-closed-form\nn_list = 12\n")
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
     assert "synthetic check failed" in capsys.readouterr().err
@@ -315,6 +320,18 @@ def test_cli_run_writes_and_reports(tmp_path, capsys):
     assert "seed=5" in spec_line
 
 
+def test_cli_spec_that_cannot_draw_a_chain_exits_2(tmp_path, capsys):
+    # every strain must exceed sigma0 + 0.15 = 0.65, but the mean strain is
+    # the stretch 0.6: no draw can pass, so the spec itself is invalid and no
+    # CSV is written
+    path = write_spec(tmp_path, "kind = gradient-audit\nn_list = 20\nk_rule = 9\n"
+                                "stretch = 0.6\n")
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: stretch 0.6, sigma0 0.5:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_jobs_resolution():
     assert harness._resolve_jobs(4) == 4
     with pytest.raises(SpecError):
@@ -323,16 +340,25 @@ def test_jobs_resolution():
 
 def test_parallel_and_serial_runs_agree(tmp_path):
     spec = ExperimentSpec(kind="error-convergence", n_list=(24, 48), k_rule="11")
-    run(spec, out_dir=str(tmp_path / "serial"), jobs=1)
-    run(spec, out_dir=str(tmp_path / "pool"), jobs=2)
+    run(dataclasses.replace(spec, out=str(tmp_path / "serial")), jobs=1)
+    run(dataclasses.replace(spec, out=str(tmp_path / "pool")), jobs=2)
     assert body_of(tmp_path / "serial" / "error-convergence.csv") == \
         body_of(tmp_path / "pool" / "error-convergence.csv")
 
 
-def test_check_suite_covers_every_kind():
-    suite = harness._check_suite()
-    assert {s.kind for s in suite} == set(harness._EXPERIMENTS)
-    for spec in suite:
+def test_harness_is_a_client_of_the_public_api():
+    # the harness and the demos import no private (`_`-prefixed) name of the
+    # package, and every kind's check spec resolves a valid K at each N
+    root = Path(harness.__file__).resolve().parents[2]
+    for path in [Path(harness.__file__)] + sorted((root / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "acfield"):
+                private = [a.name for a in node.names
+                           if a.name.startswith("_") and not a.name.endswith("__")]
+                assert not private, "%s imports %s" % (path.name, private)
+    for kind, (_, fields) in harness._KINDS.items():
+        spec = ExperimentSpec(kind=kind, **fields)
         for n in spec.n_list:
             assert 1 <= spec.k_of(n) < n
 
@@ -340,10 +366,10 @@ def test_check_suite_covers_every_kind():
 def test_check_reports_any_exception_and_goes_on(tmp_path, monkeypatch, capsys):
     # a kind that raises something other than HarnessError fails with the
     # exception's type and first line; the later kinds still run and print
-    kinds = [spec.kind for spec in harness._check_suite()]
+    kinds = list(harness._KINDS)
     broken = kinds[4]
 
-    def fake_run(spec, out_dir=None, jobs=1):
+    def fake_run(spec, jobs=1):
         if spec.kind == broken:
             raise RuntimeError("scan blew up\nsecond line")
         return []
