@@ -23,14 +23,14 @@ slab:
   single interface strain.  Its y-dependence contributes an explicit extra
   chain-rule term, and no pure stress form exists.
 
-Energies, forces and the exact Hessian (`ac_hessian`) ride on the exact
-pair/closed forms of `energy` throughout; FEM appears only in cross-checks at
-test level.  On one configuration, every call of either method reads one
-window record (`_window`): the validated window, the continuum weights, the
-wall pass, the window's chain sums and each method's boundary data.  The
-cell terms e(y'_j) and e'(y'_j) are the Cauchy-Born model's own
-(`cauchy_born._cell_terms`), so on one configuration both couplings and
-the Cauchy-Born model form them once.
+Energies, forces and the exact Hessian (`ac_hessian_structured`) ride on
+the exact pair/closed forms of `energy` throughout; FEM appears only in
+cross-checks at test level.  On one configuration, every call of either
+method reads one window record (`_window`): the validated window, the
+continuum weights, the wall pass, the window's chain sums and each method's
+boundary data.  The cell terms e(y'_j) and e'(y'_j) are the Cauchy-Born
+model's own (`cauchy_born._cell_terms`), so on one configuration both
+couplings and the Cauchy-Born model form them once.
 """
 
 import math
@@ -68,7 +68,6 @@ __all__ = [
     "method2",
     "ac_energy",
     "ac_forces",
-    "ac_hessian",
     "ac_hessian_structured",
     "g_method2",
     "d_g_method2",
@@ -377,12 +376,6 @@ def ac_hessian_structured(cfg, method, profile, m):
                              cols, 0.5 * (w + w.T))
 
 
-def ac_hessian(cfg, method, profile, m):
-    """Exact Hessian of ac_energy as an array: the dense expansion of
-    `ac_hessian_structured`."""
-    return ac_hessian_structured(cfg, method, profile, m).dense()
-
-
 def sigma_qc(cfg, method, x, profile, m):
     """Coupled stress of method 1: sigma^cb cell by cell outside the window,
     the slab stress inside.  Method 2's derivative carries a boundary-data
@@ -501,12 +494,13 @@ def stability_spectrum(cfg, method, profile, m):
     measured against the strain seminorm |u'|^2_{l2_eps}, next to the
     uniform convexity floor (m mu^2/2) e^{-m max y'}.
 
-    D^2 E^qc is the exact Hessian `ac_hessian`.  The seminorm's matrix
-    B = D^T D / eps is circulant, so the real Fourier basis Q of the
-    mean-zero vectors diagonalizes it, Q^T B Q = Lambda, and the pencil
-    (Q^T H Q, Lambda) is the symmetric Lambda^{-1/2} Q^T H Q Lambda^{-1/2}.
+    D^2 E^qc is the exact Hessian, `ac_hessian_structured` expanded to an
+    array.  The seminorm's matrix B = D^T D / eps is circulant, so the real
+    Fourier basis Q of the mean-zero vectors diagonalizes it,
+    Q^T B Q = Lambda, and the pencil (Q^T H Q, Lambda) is the symmetric
+    Lambda^{-1/2} Q^T H Q Lambda^{-1/2}.
     """
-    hess = ac_hessian(cfg, method, profile, m)
+    hess = ac_hessian_structured(cfg, method, profile, m).dense()
     q, lam_b = _fourier_basis(cfg.n_atoms)
     s = np.sqrt(cfg.eps / lam_b)
     w = s[:, None] * (q.T @ hess @ q) * s

@@ -19,8 +19,8 @@ forces and both couplings of `ac`.  Nothing in this module touches a mesh.
 """
 
 import math
-from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "cb_stress_function",
     "cb_total_energy",
     "cb_forces",
-    "cb_hessian",
     "cb_hessian_structured",
     "cb_hessian_lower_bound_check",
     "comparison_field_bound",
@@ -78,8 +77,8 @@ class CellState:
     """One cell of the chain together with its comparison-chain data.
 
     anchor is the right atom y_j; the comparison chain runs through
-    anchor + n * eps * strain for all integer n.  energy is the cell energy
-    e(strain), computed on construction.
+    anchor + n * eps * strain for all integer n.  Its energy is
+    `cb_cell_energy(strain)` and its field `cb_cell_field`.
     """
 
     j: int
@@ -88,7 +87,6 @@ class CellState:
     profile: object
     m: float
     eps: float
-    energy: float = dataclass_field(init=False)
 
     def __post_init__(self):
         if self.strain <= self.profile.sigma0:
@@ -96,17 +94,10 @@ class CellState:
                 "cell strain %.3g leaves comparison-chain bumps overlapping"
                 % self.strain
             )
-        self.energy = cb_cell_energy(self.strain, self.profile, self.m, self.eps)
 
     @property
     def spacing(self):
         return self.eps * self.strain
-
-    def field(self, x):
-        """(psi, grad psi) at x: the kernel sum over the comparison chain."""
-        val, grad = _cell_fields([self.anchor], [self.spacing], self.profile, self.m,
-                                 self.eps, np.atleast_1d(x)[None])
-        return val[0], grad[0]
 
 
 def cell_state(cfg, profile, m, j):
@@ -126,8 +117,11 @@ def cell_state(cfg, profile, m, j):
 
 
 def cb_cell_field(cell, x):
-    """(psi^(j), grad psi^(j)) at x; exact image sum with geometric closure."""
-    return cell.field(x)
+    """(psi^(j), grad psi^(j)) at x: the kernel sum over the cell's comparison
+    chain, every image in closed form."""
+    val, grad = _cell_fields([cell.anchor], [cell.spacing], cell.profile, cell.m, cell.eps,
+                             np.atleast_1d(x)[None])
+    return val[0], grad[0]
 
 
 def cb_cell_fields(cfg, profile, m, xs):
@@ -139,7 +133,8 @@ def cb_cell_fields(cfg, profile, m, xs):
 
 def cb_stress_function(cell):
     """StressFunction of the comparison chain (periodic with the cell spacing)."""
-    return StressFunction(cell.field, [cell.anchor], cell.profile, cell.m, cell.eps, cell.spacing)
+    return StressFunction(partial(cb_cell_field, cell), [cell.anchor], cell.profile, cell.m,
+                          cell.eps, cell.spacing)
 
 
 class _CellTerms:
@@ -204,16 +199,10 @@ def cb_hessian_structured(cfg, profile, m):
     """Exact Hessian of E^cb in structured form (`hessian.StructuredHessian`):
     cyclic tridiagonal, D^T diag(e''(y') / eps^2) D with D the periodic
     first difference."""
-    check_separated(cfg, profile, "cb_hessian")
+    check_separated(cfg, profile, "cb_hessian_structured")
     n = cfg.n_atoms
     return StructuredHessian(*_cb_band(cfg, profile, m, 1.0), None,
                              np.zeros((n, 0)), np.zeros((0, 0)))
-
-
-def cb_hessian(cfg, profile, m):
-    """Exact Hessian of E^cb as an array: the dense expansion of
-    `cb_hessian_structured`."""
-    return cb_hessian_structured(cfg, profile, m).dense()
 
 
 def cb_hessian_lower_bound_check(cfg, u, profile, m):

@@ -39,6 +39,7 @@ __all__ = [
     "sextic_bump",
     "mu",
     "self_moment",
+    "gauss_on_interval",
     "delta_eps",
     "grad_delta_eps",
     "rho",

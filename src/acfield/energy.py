@@ -12,7 +12,8 @@ geometrically-resummed pair sum plus a per-atom self energy, and the slab
 reduce to pair sums, the wall moments gamma, and the decay factor tau.  These
 formulas are exact for separated bumps (the only regime in which the slab
 model is posed).  They also give the exact Hessian of the periodic energy
-(`hessian_periodic`).  Stresses use the kernel-route field of `field`.
+(`hessian_periodic_structured`; `.dense()` expands it to an array).
+Stresses use the kernel-route field of `field`.
 
 The pair sums have no cutoff.  The kernel factorizes along the chain (a
 pair's weight is the product of the per-gap factors x_l = e^{-(m/eps) g_l}
@@ -64,7 +65,6 @@ __all__ = [
     "self_energy",
     "energy_periodic",
     "forces_periodic",
-    "hessian_periodic",
     "hessian_periodic_structured",
     "weak_form_periodic",
     "energy_dirichlet",
@@ -145,7 +145,7 @@ def hessian_periodic_structured(cfg, profile, m):
     The self energies are constant, so this is the resummed pair sum's
     curvature: symmetric, with zero row sums (translation invariance).
     """
-    check_separated(cfg, profile, "hessian_periodic")
+    check_separated(cfg, profile, "hessian_periodic_structured")
     k = m / cfg.eps
     pref = cfg.eps * mu(profile, m) ** 2 / (4.0 * m)
     y = positions(cfg)
@@ -153,12 +153,6 @@ def hessian_periodic_structured(cfg, profile, m):
     return StructuredHessian(pref * _pair_curvature(_periodic_sums(cfg, m)), np.zeros(n),
                              Green(0, pref * 4.0 * k**3, y, k, cfg.L),
                              np.zeros((n, 0)), np.zeros((0, 0)))
-
-
-def hessian_periodic(cfg, profile, m):
-    """Exact Hessian D^2 E of the periodic energy as an array: the dense
-    expansion of `hessian_periodic_structured`."""
-    return hessian_periodic_structured(cfg, profile, m).dense()
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +226,10 @@ class StressFunction:
         return float(np.sum(slope[keep, None] * wq * self(z.ravel()).reshape(z.shape)))
 
     def integral(self, a, b, order=_GAUSS_ORDER):
-        """integral of sigma over (a, b), split at bump edges."""
+        """Signed integral of sigma from a to b, split at bump edges:
+        integral(b, a) is -integral(a, b)."""
+        if b < a:
+            return -self.integral(b, a, order)
         return self._slope_integral(np.array([a, b]), np.ones(1), order) if b > a else 0.0
 
 

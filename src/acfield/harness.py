@@ -833,7 +833,10 @@ def run(spec, jobs=1):
     return rows
 
 
-def check(out_dir="acfield-check", jobs=1):
+_CHECK_OUT = "acfield-check"  # `check`'s output directory, from Python and the CLI
+
+
+def check(out_dir=_CHECK_OUT, jobs=1):
     """Run every kind's check spec (`_KINDS`); print one PASS/FAIL line per
     kind.  A kind that raises fails with the exception's first line
     (traceback to stderr)."""
@@ -875,7 +878,7 @@ def main(argv=None):
     p_run.add_argument("--jobs", type=int, default=1,
                        help="worker processes (default: 1)")
     p_check = sub.add_parser("check", help="run the built-in audit suite at reduced scale")
-    p_check.add_argument("--out", default="acfield-check")
+    p_check.add_argument("--out", default=_CHECK_OUT)
     p_check.add_argument("--jobs", type=int, default=1)
     sub.add_parser("version", help="print the package version")
     args = parser.parse_args(argv)

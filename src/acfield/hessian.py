@@ -17,8 +17,8 @@ over every atom (`energy.hessian_periodic_structured`), the Cauchy-Born
 Hessian is B alone (`cauchy_born.cb_hessian_structured`), and a coupled
 Hessian has the weighted Cauchy-Born cells in B, the slab's free pair sum as
 a Green's block on the window and its core terms in six columns of U
-(`ac.ac_hessian_structured`).  `dense` expands the form; the dense Hessians
-of the models are that expansion.
+(`ac.ac_hessian_structured`).  These are the models' only Hessians; `dense`
+expands one to an array.
 
 Gamma^{-1} is tridiagonal, cyclic on the circle (Gantmacher & Krein: the
 inverse of a one-pair matrix; Rue & Held, the precision of an exponential

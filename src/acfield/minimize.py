@@ -3,8 +3,8 @@
 A model is anything with .energy(cfg) / .gradient(cfg) /
 .hessian_structured(cfg) / .profile / .m; three are provided, each with an
 exact Hessian: the periodic atomistic energy, its Cauchy-Born approximation,
-and the coupled energies (their .hessian(cfg) is the dense array).  The
-solver is a damped Newton iteration on the mean-zero subspace: each step
+and the coupled energies (`.hessian_structured(cfg).dense()` is the array).
+The solver is a damped Newton iteration on the mean-zero subspace: each step
 solves the Newton system from the Hessian's structure in O(n)
 (`hessian.StructuredHessian.newton_step`; steepest-descent fallback when the
 Hessian is not positive definite there), and Armijo backtracking refuses
@@ -15,15 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ac import ac_energy, ac_forces, ac_hessian, ac_hessian_structured
-from .cauchy_born import cb_forces, cb_hessian, cb_hessian_structured, cb_total_energy
-from .energy import (energy_periodic, forces_periodic, hessian_periodic,
-                     hessian_periodic_structured)
+from .ac import ac_energy, ac_forces, ac_hessian_structured
+from .cauchy_born import cb_forces, cb_hessian_structured, cb_total_energy
+from .energy import energy_periodic, forces_periodic, hessian_periodic_structured
 from .lattice import (
     ChainConfig,
     first_diff,
     norm_l2eps,
     norm_weighted,
+    positions,
     second_diff,
 )
 
@@ -62,8 +62,6 @@ class ExternalForce:
         object.__setattr__(self, "f", f)
 
     def pairing(self, cfg):
-        from .lattice import positions
-
         return cfg.eps * float(self.f @ positions(cfg))
 
 
@@ -99,9 +97,6 @@ class AtomisticModel:
     def gradient(self, cfg):
         return forces_periodic(cfg, self.profile, self.m)
 
-    def hessian(self, cfg):
-        return hessian_periodic(cfg, self.profile, self.m)
-
     def hessian_structured(self, cfg):
         return hessian_periodic_structured(cfg, self.profile, self.m)
 
@@ -118,9 +113,6 @@ class CauchyBornModel:
 
     def gradient(self, cfg):
         return cb_forces(cfg, self.profile, self.m)
-
-    def hessian(self, cfg):
-        return cb_hessian(cfg, self.profile, self.m)
 
     def hessian_structured(self, cfg):
         return cb_hessian_structured(cfg, self.profile, self.m)
@@ -141,9 +133,6 @@ class AcModel:
 
     def gradient(self, cfg):
         return ac_forces(cfg, self.method, self.profile, self.m)
-
-    def hessian(self, cfg):
-        return ac_hessian(cfg, self.method, self.profile, self.m)
 
     def hessian_structured(self, cfg):
         return ac_hessian_structured(cfg, self.method, self.profile, self.m)

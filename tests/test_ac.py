@@ -21,7 +21,7 @@ from acfield.ac import (
     _interface_strain_dgamma,
     ac_energy,
     ac_forces,
-    ac_hessian,
+    ac_hessian_structured,
     consistency_error,
     d_g_method2,
     g_method2,
@@ -36,7 +36,7 @@ from acfield.cauchy_born import (
     cb_cell_energy,
     cb_cell_field,
     cb_forces,
-    cb_hessian,
+    cb_hessian_structured,
     cb_stress_function,
     cb_total_energy,
     cell_state,
@@ -50,7 +50,7 @@ from acfield.energy import (
     energy_periodic,
     forces_periodic,
     g_star,
-    hessian_periodic,
+    hessian_periodic_structured,
     stress_periodic,
     weak_form_periodic,
 )
@@ -413,7 +413,7 @@ def test_ac_hessian_matches_fd(meth, bump, N, K, shape):
     # the analytic forces (step 1e-5 eps)
     cfg = _hessian_test_chain(N, K, shape)
     method, profile = meth(K), bump()
-    hess = ac_hessian(cfg, method, profile, M)
+    hess = ac_hessian_structured(cfg, method, profile, M).dense()
     h = 1e-5 * cfg.eps
     fd = np.empty_like(hess)
     for p in range(cfg.n_atoms):
@@ -574,13 +574,13 @@ def _kept_routes(profile, m, K):
     xs = np.linspace(-1.0, 1.0, 7)
     routes = [lambda c: energy_periodic(c, profile, m),
               lambda c: forces_periodic(c, profile, m),
-              lambda c: hessian_periodic(c, profile, m),
+              lambda c: hessian_periodic_structured(c, profile, m).dense(),
               lambda c: eval_green_periodic(c, profile, m, xs),
               lambda c: cb_total_energy(c, profile, m),
               lambda c: cb_forces(c, profile, m),
-              lambda c: cb_hessian(c, profile, m)]
+              lambda c: cb_hessian_structured(c, profile, m).dense()]
     # the methods alternate, so each reads the window record the other made
-    for route in (ac_energy, ac_forces, ac_hessian):
+    for route in (ac_energy, ac_forces, lambda *a: ac_hessian_structured(*a).dense()):
         for method in (method1(K), method2(K)):
             routes.append(lambda c, f=route, meth=method: f(c, meth, profile, m))
     routes += [lambda c: sigma_qc(c, method1(K), xs, profile, m),

@@ -58,17 +58,17 @@ def half_cell_quadrature(cell):
     for lo, hi in ((cell.anchor - w, cell.anchor), (cell.anchor, cell.anchor + w)):
         z, wq = gauss_on_interval(lo, hi, 48)
         dens = PROF.delta1((z - cell.anchor) / cell.eps) / cell.eps
-        acc += 0.5 * float(np.sum(wq * cell.eps * dens * cell.field(z)[0]))
+        acc += 0.5 * float(np.sum(wq * cell.eps * dens * cb_cell_field(cell, z)[0]))
     return acc
 
 
 def test_cell_energy_matches_field_quadrature():
-    cell = CellState(0, 1.2, 0.3, PROF, M, 0.2)
-    assert cell.energy == pytest.approx(E_CELL_12, rel=1e-12)
+    assert cb_cell_energy(1.2, PROF, M, 0.2) == pytest.approx(E_CELL_12, rel=1e-12)
     for s in (1.2, 2.0):
         c = CellState(0, s, 0.3, PROF, M, 0.2)
-        assert half_cell_quadrature(c) == pytest.approx(c.energy, rel=1e-12)
-    with pytest.raises(TypeError):  # the energy is computed, never passed
+        assert half_cell_quadrature(c) == pytest.approx(
+            cb_cell_energy(s, PROF, M, 0.2), rel=1e-12)
+    with pytest.raises(TypeError):  # a cell holds no energy: it is cb_cell_energy(strain)
         CellState(0, 1.2, 0.3, PROF, M, 0.2, energy=5.0)
 
 
@@ -104,9 +104,7 @@ def test_cell_state_construction():
     assert cell.j == -2
     assert cell.anchor == y[cfg.N - 2]
     assert cell.strain == s[cfg.N - 2]
-    assert cell.energy == pytest.approx(
-        cb_cell_energy(cell.strain, PROF, M, cfg.eps), rel=1e-15
-    )
+    assert cell.spacing == cfg.eps * cell.strain
     with pytest.raises(ValueError):
         cell_state(cfg, PROF, M, cfg.N + 1)
     with pytest.raises(ValueError):

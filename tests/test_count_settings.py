@@ -29,6 +29,8 @@ def test_defaults_and_class_fields_with_a_value_count():
 def test_package_count_is_pinned(capsys):
     # a change that adds or removes a settable value edits this number and
     # says why in CHANGES.md; 63 -> 59 when `run` lost `out_dir` and `seed`
-    # and the gradient audit's wall and data closures their `i=i` defaults
+    # and the gradient audit's wall and data closures their `i=i` defaults;
+    # 59 -> 58 when `CellState` lost its stored `energy` field (a cell's
+    # energy is `cb_cell_energy(strain)`)
     assert count_settings.main(["count_settings.py"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "total 59"
+    assert capsys.readouterr().out.splitlines()[-1] == "total 58"

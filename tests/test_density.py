@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from acfield.cauchy_born import cb_forces, cb_hessian, cb_total_energy, cell_state
+from acfield.cauchy_born import cb_forces, cb_hessian_structured, cb_total_energy, cell_state
 from acfield.density import (
     check_separated,
     gauss_on_interval,
@@ -11,7 +11,7 @@ from acfield.density import (
     self_moment,
     sextic_bump,
 )
-from acfield.energy import energy_periodic, forces_periodic, hessian_periodic
+from acfield.energy import energy_periodic, forces_periodic, hessian_periodic_structured
 from acfield.field import eval_green_periodic
 from acfield.lattice import ChainConfig, first_diff, homogeneous, positions
 
@@ -155,10 +155,10 @@ CHAIN_ENTRY_POINTS = {
     "eval_green_periodic": lambda cfg, prof: eval_green_periodic(cfg, prof, 1.0, 0.0),
     "energy_periodic": lambda cfg, prof: energy_periodic(cfg, prof, 1.0),
     "forces_periodic": lambda cfg, prof: forces_periodic(cfg, prof, 1.0),
-    "hessian_periodic": lambda cfg, prof: hessian_periodic(cfg, prof, 1.0),
+    "hessian_periodic": lambda cfg, prof: hessian_periodic_structured(cfg, prof, 1.0),
     "cb_total_energy": lambda cfg, prof: cb_total_energy(cfg, prof, 1.0),
     "cb_forces": lambda cfg, prof: cb_forces(cfg, prof, 1.0),
-    "cb_hessian": lambda cfg, prof: cb_hessian(cfg, prof, 1.0),
+    "cb_hessian": lambda cfg, prof: cb_hessian_structured(cfg, prof, 1.0),
 }
 
 

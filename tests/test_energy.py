@@ -626,6 +626,24 @@ def test_breakpoints_match_edge_loop():
                               _loop_breakpoints(sf, nodes[0], nodes[-1]))
 
 
+def test_stress_integral_is_signed():
+    # integral(b, a) is -integral(a, b) bit for bit, for the chain, a slab
+    # and a cell, over a piece inside one bump and over several bumps
+    cfg = wiggled_chain()
+    y = positions(cfg)
+    y_at, bd = slab_setup(cfg)
+    cell = cell_state(cfg, PROF, M, 2)
+    cases = [(stress_periodic(cfg, PROF, M), float(y[3]), float(y[7])),
+             (stress_dirichlet(y_at, bd, PROF), bd.a_L, float(y_at[4])),
+             (cb_stress_function(cell), cell.anchor - 2.5 * cell.spacing, cell.anchor)]
+    for sf, a, b in cases:
+        for lo, hi in ((a, b), (a, a + 0.3 * PROF.half_width * cfg.eps)):
+            forward = sf.integral(lo, hi)
+            assert forward != 0.0
+            assert sf.integral(hi, lo) == -forward
+        assert sf.integral(a, a) == 0.0
+
+
 def _all_atoms_offsets(atoms, w, x, L=None):
     """Offsets x - c to every atom c (to its nearest image with a period L),
     w outside the support: the points x atoms table the one-bump rule of

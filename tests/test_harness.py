@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib
 import os
 import subprocess
 import sys
@@ -361,6 +362,37 @@ def test_harness_is_a_client_of_the_public_api():
         spec = ExperimentSpec(kind=kind, **fields)
         for n in spec.n_list:
             assert 1 <= spec.k_of(n) < n
+
+
+def test_each_all_lists_the_public_definitions():
+    # every name in a module's __all__ exists, and every public function or
+    # class the module defines at top level is listed
+    pkg = Path(harness.__file__).resolve().parent
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module("acfield." + path.stem)
+        listed = module.__all__
+        assert [n for n in listed if not hasattr(module, n)] == [], path.name
+        defined = {node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_")}
+        assert sorted(defined - set(listed)) == [], path.name
+
+
+def test_check_cli_and_python_share_one_output_directory(monkeypatch):
+    outs = []
+
+    def record(spec, jobs=1):
+        outs.append(spec.out)
+        return []
+
+    monkeypatch.setattr(harness, "run", record)
+    assert main(["check"]) == 0
+    cli = set(outs)
+    outs.clear()
+    assert harness.check() == 0
+    assert cli == set(outs) and len(cli) == 1
 
 
 def test_check_reports_any_exception_and_goes_on(tmp_path, monkeypatch, capsys):

@@ -193,7 +193,7 @@ def fd_hessian(gradient, cfg):
 
 
 def assert_exact_hessian(model, cfg):
-    hess = model.hessian(cfg)
+    hess = model.hessian_structured(cfg).dense()
     fd = fd_hessian(model.gradient, cfg)
     rel = np.max(np.abs(hess - fd), axis=1) / np.max(np.abs(hess), axis=1)
     assert np.max(rel) <= 1e-6
