@@ -14,8 +14,10 @@ slab:
 
 * method 1 hands the slab its stationary data g*(y).  Since D_g E vanishes
   there, g*'s own y-dependence drops out of the forces (envelope argument),
-  and the derivative is a pure stress form: the coupled stress sigma^qc is
-  sigma^cb cell by cell outside, the slab stress inside.
+  and the derivative is a pure stress form: the coupled stress sigma^qc,
+  each cell's sigma^cb outside and the slab stress inside, is one
+  StressFunction of the chain (`_qc_stress`) that `sigma_qc` and
+  `weak_form_qc` read, every cell's field in one batch.
 
 * method 2 solves the two interface cell problems instead: g is the
   comparison-chain field of the interface cell evaluated at the wall, which
@@ -39,25 +41,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .cauchy_born import (
-    _cb_band,
-    _cell_pulls,
-    _cell_terms,
-    cell_state,
-    cb_stress_function,
-)
+from .cauchy_born import _cb_band, _cell_pulls, _cell_terms
 from .density import check_separated, mu
-from .energy import (
-    _g_star,
-    _pair_curvature,
-    _slab_core,
-    _slab_energy,
-    _slab_gradient,
-    _weak_form,
-    forces_periodic,
-    stress_dirichlet,
-)
-from .field import BoundaryData, _ChainSums, _kept, _read_only, _walls
+from .energy import (StressFunction, _g_star, _nodal_values, _pair_curvature, _slab_core,
+                     _slab_energy, _slab_gradient, _weak_form, forces_periodic)
+from .field import (BoundaryData, _cell_fields, _ChainSums, _kept, _read_only, _walls,
+                    eval_green_dirichlet)
 from .hessian import Green, StructuredHessian
 from .lattice import first_diff, norm_weighted, positions, second_diff
 
@@ -238,13 +227,10 @@ def d_g_method2(cfg, partition, profile, m, u):
     particular it is bounded by |dgamma/ds| |u'| with the constant evaluated
     at the interface strain.
     """
-    u = np.asarray(u, dtype=float)
+    u = _nodal_values(u, cfg.n_atoms)
     strains = first_diff(cfg)
-    out = []
-    for c in partition.interface_cells(cfg):
-        du = (u[c] - u[c - 1]) / cfg.eps
-        out.append(_interface_strain_dgamma(profile, m, float(strains[c])) * du)
-    return tuple(out)
+    return tuple(_interface_strain_dgamma(profile, m, float(strains[c]))
+                 * ((u[c] - u[c - 1]) / cfg.eps) for c in partition.interface_cells(cfg))
 
 
 def ac_forces(cfg, method, profile, m):
@@ -376,26 +362,41 @@ def ac_hessian_structured(cfg, method, profile, m):
                              cols, 0.5 * (w + w.T))
 
 
-def sigma_qc(cfg, method, x, profile, m):
-    """Coupled stress of method 1: sigma^cb cell by cell outside the window,
-    the slab stress inside.  Method 2's derivative carries a boundary-data
-    term no stress field represents, so it is rejected here.
-    """
+def _qc_stress(cfg, method, profile, m):
+    """(sigma^qc, bd): method 1's coupled stress, one `StressFunction` of the
+    chain, and the slab's boundary data.  Its field is the slab's inside
+    (a_L, a_R), else the comparison field of the cell (y_{j-1}, y_j] holding
+    the point: one `eval_green_dirichlet` and one `_cell_fields` call, one
+    row per point.  A cell's comparison bumps are the chain's own, so the
+    chain's bump edges and offsets serve both parts.  Method 2's derivative
+    carries a boundary-data term no stress field represents: it raises."""
     if method.variant != "method1":
         raise ValueError("the coupled stress exists for method 1 only")
     win = _window(cfg, method.partition, profile, m)
-    y_at, bd = win.y_at, win.bd(method.variant)
-    nodes = positions(cfg, -cfg.N - 1, cfg.N)
+    bd = win.bd(method.variant)
+    y, spacing = positions(cfg, -cfg.N - 1, cfg.N), cfg.eps * first_diff(cfg)
+
+    def field(x):
+        inside = (x > bd.a_L) & (x < bd.a_R)
+        val, grad = np.empty_like(x), np.empty_like(x)
+        val[inside], grad[inside] = eval_green_dirichlet(win.y_at, bd, profile, x[inside])
+        out = x[~inside]
+        c = np.searchsorted(y, out, side="left") - 1  # cell c joins y[c], y[c + 1]
+        v, g = _cell_fields(y[c + 1], spacing[c], profile, m, cfg.eps, out[:, None])
+        val[~inside], grad[~inside] = v[:, 0], g[:, 0]
+        return val, grad
+
+    return StressFunction(field, positions(cfg), profile, m, cfg.eps, cfg.L), bd
+
+
+def sigma_qc(cfg, method, x, profile, m):
+    """Coupled stress of method 1 (`_qc_stress`) at x in (y_{-N-1}, y_N]."""
+    sf, _ = _qc_stress(cfg, method, profile, m)
+    y = positions(cfg, -cfg.N - 1, cfg.N)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs <= nodes[0]) or np.any(xs > nodes[-1]):
+    if not np.all((xs > y[0]) & (xs <= y[-1])):
         raise ValueError("evaluation point outside the periodic window")
-    out = np.empty_like(xs)
-    inside = (xs > bd.a_L) & (xs < bd.a_R)
-    out[inside] = stress_dirichlet(y_at, bd, profile)(xs[inside])
-    cell = np.searchsorted(nodes, xs, side="left") - 1 - cfg.N
-    for j in np.unique(cell[~inside]):
-        at = ~inside & (cell == j)
-        out[at] = cb_stress_function(cell_state(cfg, profile, m, int(j)))(xs[at])
+    out = sf(xs)
     return out if np.ndim(x) else float(out[0])
 
 
@@ -404,33 +405,18 @@ def weak_form_qc(cfg, method, u, profile, m):
 
     The interpolant runs through the atoms and through the walls, whose
     values move with the interface midpoints: u(a_L) = (u_{-K-1}+u_{-K})/2.
-    Equals ac_forces . u -- the weak form of the coupled energy.
+    A half cell keeps its full cell's gradient because the wall value is the
+    midpoint value.  Equals ac_forces . u -- the weak form of the coupled
+    energy.
     """
-    if method.variant != "method1":
-        raise ValueError("the coupled stress exists for method 1 only")
-    win = _window(cfg, method.partition, profile, m)
-    y_at, bd = win.y_at, win.bd(method.variant)
+    sf, bd = _qc_stress(cfg, method, profile, m)
+    u = _nodal_values(u, cfg.n_atoms)
     # y and uu start at atom -N-1, so cell c joins their entries c and c+1
-    c_l, c_r = method.partition.interface_cells(cfg)
+    at = np.add(method.partition.interface_cells(cfg), 1)
     y = positions(cfg, -cfg.N - 1, cfg.N)
-    uu = np.concatenate([[u[-1]], np.asarray(u, dtype=float)])
-    h_l = 0.5 * (uu[c_l] + uu[c_l + 1])
-    h_r = 0.5 * (uu[c_r] + uu[c_r + 1])
-    win = slice(c_l + 1, c_r + 1)
-    acc = _weak_form(stress_dirichlet(y_at, bd, profile),
-                     np.concatenate([[bd.a_L], y[win], [bd.a_R]]),
-                     np.concatenate([[h_l], uu[win], [h_r]]))
-    # CB cells -N..-K, the last one ending at a_L, and K+1..N, the first one
-    # starting at a_R; a half cell keeps its full cell's gradient because the
-    # wall value is the midpoint value
-    for first, nodes, vals in (
-        (-cfg.N, np.append(y[:c_l + 1], bd.a_L), np.append(uu[:c_l + 1], h_l)),
-        (c_r - cfg.N, np.insert(y[c_r + 1:], 0, bd.a_R), np.insert(uu[c_r + 1:], 0, h_r)),
-    ):
-        for p in range(nodes.size - 1):
-            sf = cb_stress_function(cell_state(cfg, profile, m, first + p))
-            acc += _weak_form(sf, nodes[p : p + 2], vals[p : p + 2])
-    return acc
+    uu = np.concatenate([[u[-1]], u])
+    mid = 0.5 * (uu[at - 1] + uu[at])
+    return _weak_form(sf, np.insert(y, at, [bd.a_L, bd.a_R]), np.insert(uu, at, mid))
 
 
 def consistency_error(cfg, method, profile, m, seed=0):

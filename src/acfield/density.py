@@ -168,7 +168,10 @@ def grad_delta_eps(profile, eps, x):
 def _neighbours(y, L, x):
     """The kernel sums' neighbour search over the ascending atoms y of period
     L: returns ye = (y_{n-1} - L, y, y_0 + L), x with each point outside
-    [ye_0, ye_{n+1}] reduced by the period, and r with ye_{r-1} <= x <= ye_r."""
+    [ye_0, ye_{n+1}] reduced by the period, and r with ye_{r-1} <= x <= ye_r;
+    a non-finite x, which no neighbours hold, raises."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError("evaluation point is not finite")
     ye = np.concatenate([[y[-1] - L], y, [y[0] + L]])
     far = (x < ye[0]) | (x > ye[-1])
     x = np.where(far, x - L * np.floor((x - ye[0]) / L), x)

@@ -189,8 +189,8 @@ class StressFunction:
     def _parts(self, x):
         """(sigma_1, sigma_2) at x from one field call and one bump offset."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        d = _bump_offset(self.atoms, self.L, self.w, x)  # first: a non-finite x raises
         v, g = self.field_eval(x)
-        d = _bump_offset(self.atoms, self.L, self.w, x)
         rho = self.eps * delta_eps(self.profile, self.eps, d)
         return (0.5 * self.eps**2 * g**2 - 0.5 * self.m**2 * v**2 + rho * v,
                 self.eps * v * grad_delta_eps(self.profile, self.eps, d) * d)
@@ -228,6 +228,8 @@ class StressFunction:
     def integral(self, a, b, order=_GAUSS_ORDER):
         """Signed integral of sigma from a to b, split at bump edges:
         integral(b, a) is -integral(a, b)."""
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError("integration limits must be finite")
         if b < a:
             return -self.integral(b, a, order)
         return self._slope_integral(np.array([a, b]), np.ones(1), order) if b > a else 0.0
@@ -243,6 +245,14 @@ def stress_dirichlet(y_at, bd, profile):
     """StressFunction of the slab field (kernel route), on its kernel period."""
     return StressFunction(lambda x: eval_green_dirichlet(y_at, bd, profile, x), y_at,
                           profile, bd.m, bd.eps, 2.0 * bd.width)
+
+
+def _nodal_values(u, n):
+    """u as a float array of n nodal values; any other length raises."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (n,):
+        raise ValueError("u must hold %d nodal values, got shape %s" % (n, u.shape))
+    return u
 
 
 def _weak_form(sf, nodes, vals):
@@ -261,7 +271,7 @@ def weak_form_periodic(cfg, u, profile, m):
     exact field; the kernel-route stress realises that identity to
     quadrature precision.
     """
-    u = np.asarray(u, dtype=float)
+    u = _nodal_values(u, cfg.n_atoms)
     uu = np.concatenate([[u[-1]], u])  # periodic: u_{-N-1} = u_N
     return _weak_form(stress_periodic(cfg, profile, m), positions(cfg, -cfg.N - 1, cfg.N), uu)
 
@@ -431,5 +441,5 @@ def weak_form_dirichlet(y_at, bd, profile, u):
     """
     y = np.asarray(y_at, dtype=float)
     nodes = np.concatenate([[bd.a_L], y, [bd.a_R]])
-    vals = np.concatenate([[0.0], np.asarray(u, dtype=float), [0.0]])
+    vals = np.concatenate([[0.0], _nodal_values(u, y.size), [0.0]])
     return _weak_form(stress_dirichlet(y, bd, profile), nodes, vals)

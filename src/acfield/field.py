@@ -424,9 +424,10 @@ def _kernel_field(sums, profile, m, eps, x):
 
 
 def _cell_fields(anchor, L, profile, m, eps, x):
-    """Comparison-chain fields (value, gradient) of several cells at once:
-    row i of x (shape (cells, P)) is evaluated for the chain of one bump
-    per period L[i] through anchor[i].
+    """Comparison-chain fields (value, gradient) of several chains at once:
+    row i of x (shape (rows, P)) is evaluated for the chain of one bump per
+    period L[i] through anchor[i]: one row per cell (`cb_cell_fields`), or
+    one per point for the cell holding it (the coupled stress, `ac._qc_stress`).
 
     One atom per period makes both the right and the left sum of every
     image the geometric series q/(1 - q), q = e^{-(m/eps) L}, so a point

@@ -52,6 +52,7 @@ from acfield.energy import (
     g_star,
     hessian_periodic_structured,
     stress_periodic,
+    weak_form_dirichlet,
     weak_form_periodic,
 )
 from acfield.field import eval_green_periodic
@@ -255,19 +256,74 @@ def test_sigma_qc_continuity_and_limits():
         err = abs(sigma_qc(cfgw, meth, x, PROFILE, M) - float(sf_per(np.array([x]))[0]))
         assert err <= math.exp(-M * gap / cfgw.eps)
 
-    # continuum region: exactly the cell stress
+    # continuum region: exactly the cell stress, in every cell Q_j =
+    # (y_{j-1}, y_j] outside the window and in both half cells up to their wall
     y_ext = positions(cfgw, -cfgw.N - 1, cfgw.N)
-    xp = float(y_ext[cfgw.N + 13]) + 0.3 * cfgw.eps  # inside cell 13, |j| > K+1
-    j = int(np.searchsorted(y_ext, xp)) - 1 - cfgw.N
-    assert abs(
-        sigma_qc(cfgw, meth, xp, PROFILE, M)
-        - cb_stress_function(cell_state(cfgw, PROFILE, M, j))(np.array([xp]))[0]
-    ) < 1e-12
+    j_l, j_r = (c - cfgw.N for c in meth.partition.interface_cells(cfgw))
+    for j in [*range(-cfgw.N, j_l + 1), *range(j_r, cfgw.N + 1)]:
+        lo, hi = y_ext[j + cfgw.N], y_ext[j + cfgw.N + 1]
+        lo, hi = (a_r, hi) if j == j_r else (lo, a_l) if j == j_l else (lo, hi)
+        xs = lo + (hi - lo) * np.array([0.05, 0.3, 0.5, 0.8, 1.0])
+        if j == j_r:
+            xs = np.append(xs, a_r)
+        ref = cb_stress_function(cell_state(cfgw, PROFILE, M, j))(xs)
+        assert np.max(np.abs(sigma_qc(cfgw, meth, xs, PROFILE, M) - ref)) < 1e-12
 
-    with pytest.raises(ValueError):
-        sigma_qc(cfgw, meth, float(y_ext[0]) - 0.01, PROFILE, M)
+    for x in (float(y_ext[0]) - 0.01, float(y_ext[0]), math.nan, math.inf):
+        with pytest.raises(ValueError, match="outside the periodic window"):
+            sigma_qc(cfgw, meth, np.array([0.0, x]), PROFILE, M)
     with pytest.raises(ValueError):
         sigma_qc(cfgw, method2(8), 0.0, PROFILE, M)
+
+
+def test_reflection_symmetry():
+    # reflecting the chain, y_j -> -y_{-j}, is u -> -u[::-1]: both couplings
+    # keep their energy and reflect their forces, method 1's stress is even,
+    # sigma_qc(ref, -x) = sigma_qc(cfg, x), and its weak form pairs the
+    # reflected displacement -v[::-1] to the same value
+    cfg = wiggled_chain()
+    ref = cfg.replace_u(-cfg.u[::-1])
+    for make in (method1, method2):
+        meth = make(8)
+        energy = ac_energy(cfg, meth, PROFILE, M)
+        assert abs(ac_energy(ref, meth, PROFILE, M) - energy) <= 1e-14 * abs(energy)
+        f = ac_forces(cfg, meth, PROFILE, M)
+        f_ref = ac_forces(ref, meth, PROFILE, M)
+        assert np.max(np.abs(f_ref + f[::-1])) <= 1e-14 * np.max(np.abs(f))
+
+    meth = method1(8)
+    y = positions(cfg)
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([rng.uniform(y[0], y[-1], 400), meth.partition.boundaries(cfg)])
+    sigma = sigma_qc(cfg, meth, xs, PROFILE, M)
+    assert np.max(np.abs(sigma_qc(ref, meth, -xs, PROFILE, M) - sigma)) \
+        <= 1e-14 * np.max(np.abs(sigma))
+    # the weak form cancels: measure it against its pairing's terms |f| . |v|
+    f = ac_forces(cfg, meth, PROFILE, M)
+    for _ in range(3):
+        v = rng.standard_normal(cfg.n_atoms)
+        wf = weak_form_qc(cfg, meth, v, PROFILE, M)
+        assert abs(weak_form_qc(ref, meth, -v[::-1], PROFILE, M) - wf) \
+            <= 1e-14 * (np.abs(f) @ np.abs(v))
+
+
+def test_u_of_the_wrong_length_raises():
+    # a displacement must hold one value per node: the weak forms and the
+    # cell-problem derivative name the length they expect
+    cfg = wiggled_chain()
+    n = cfg.n_atoms
+    y_at, bd = AcPartition(8).window(cfg, M)
+    for k in (1, -1):
+        bad = np.zeros(n + k)
+        for route in (lambda u: weak_form_qc(cfg, method1(8), u, PROFILE, M),
+                      lambda u: weak_form_periodic(cfg, u, PROFILE, M),
+                      lambda u: d_g_method2(cfg, AcPartition(8), PROFILE, M, u)):
+            with pytest.raises(ValueError, match="u must hold %d nodal values" % n):
+                route(bad)
+        with pytest.raises(ValueError, match="u must hold %d nodal values" % y_at.size):
+            weak_form_dirichlet(y_at, bd, PROFILE, np.zeros(y_at.size + k))
+    with pytest.raises(ValueError, match="u must hold %d nodal values" % n):
+        weak_form_qc(cfg, method1(8), np.zeros((n, 1)), PROFILE, M)
 
 
 def test_consistency_homogeneous():
@@ -566,6 +622,22 @@ def test_one_field_call_per_weak_form(monkeypatch):
     u = np.random.default_rng(0).standard_normal(cfg.n_atoms)
     weak_form_periodic(cfg, u, PROFILE, M)
     assert len(calls) == 1
+
+
+def test_one_field_call_per_coupled_stress_route(monkeypatch):
+    # sigma^qc is one StressFunction of the chain: the coupled weak form and
+    # a stress sweep over the period each make one slab field call and one
+    # comparison-field batch, one row per point (cell by cell, the weak form
+    # made 241 comparison-field calls here)
+    cells = _count_calls(monkeypatch, acfield.field, "_cell_fields")
+    slab = _count_calls(monkeypatch, acfield.field, "eval_green_dirichlet")
+    cfg, method = _smooth_chain(160, seed=1), method1(40)
+    u = np.random.default_rng(0).standard_normal(cfg.n_atoms)
+    weak_form_qc(cfg, method, u, PROFILE, M)
+    assert (len(cells), len(slab)) == (1, 1)
+    y = positions(cfg, -cfg.N - 1, cfg.N)
+    sigma_qc(cfg, method, np.linspace(y[0], y[-1], 2001)[1:], PROFILE, M)
+    assert (len(cells), len(slab)) == (2, 2)
 
 
 def _kept_routes(profile, m, K):

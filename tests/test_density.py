@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from acfield.cauchy_born import cb_forces, cb_hessian_structured, cb_total_energy, cell_state
+from acfield.cauchy_born import (
+    cb_forces,
+    cb_hessian_structured,
+    cb_stress_function,
+    cb_total_energy,
+    cell_state,
+)
 from acfield.density import (
     check_separated,
     gauss_on_interval,
@@ -11,7 +17,12 @@ from acfield.density import (
     self_moment,
     sextic_bump,
 )
-from acfield.energy import energy_periodic, forces_periodic, hessian_periodic_structured
+from acfield.energy import (
+    energy_periodic,
+    forces_periodic,
+    hessian_periodic_structured,
+    stress_periodic,
+)
 from acfield.field import eval_green_periodic
 from acfield.lattice import ChainConfig, first_diff, homogeneous, positions
 
@@ -116,6 +127,23 @@ def test_rho_returns_an_array_for_any_array_input():
     assert one[0] == rho(cfg, prof, float(y[3]))
     empty = rho(cfg, prof, np.array([]))
     assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+def test_non_finite_points_raise():
+    # the one neighbour search of rho, the kernel fields and the stresses
+    # (density._neighbours) rejects NaN and infinite points: rho gave 0.0 at
+    # NaN, the periodic field NaN at inf and the stress NaN at NaN
+    cfg = homogeneous(20, 1.1)
+    prof = quartic_bump(0.5)
+    routes = [lambda x: rho(cfg, prof, x),
+              lambda x: eval_green_periodic(cfg, prof, 1.0, x),
+              stress_periodic(cfg, prof, 1.0),
+              cb_stress_function(cell_state(cfg, prof, 1.0, 3))]
+    for bad in (np.nan, np.inf, -np.inf):
+        for route in routes:
+            for x in (bad, np.array([0.0, bad])):
+                with pytest.raises(ValueError, match="not finite"):
+                    route(x)
 
 
 def test_nonoverlap_pair_identity():

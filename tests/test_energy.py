@@ -644,6 +644,21 @@ def test_stress_integral_is_signed():
         assert sf.integral(a, a) == 0.0
 
 
+def test_stress_integral_rejects_non_finite_limits():
+    # a NaN limit fails both order tests and integrated to 0.0, an infinite
+    # one overflowed in the bump-edge search: both raise, for the chain, a
+    # slab and a cell
+    cfg = wiggled_chain()
+    y_at, bd = slab_setup(cfg)
+    x0 = float(y_at[2])
+    for sf in (stress_periodic(cfg, PROF, M), stress_dirichlet(y_at, bd, PROF),
+               cb_stress_function(cell_state(cfg, PROF, M, 2))):
+        for bad in (math.nan, math.inf, -math.inf):
+            for a, b in ((x0, bad), (bad, x0)):
+                with pytest.raises(ValueError, match="limits must be finite"):
+                    sf.integral(a, b)
+
+
 def _all_atoms_offsets(atoms, w, x, L=None):
     """Offsets x - c to every atom c (to its nearest image with a period L),
     w outside the support: the points x atoms table the one-bump rule of
