@@ -10,9 +10,10 @@ The package is organised bottom-up:
     cauchy_born  per-cell continuum energy and fields
     ac           the two coupling methods, consistency & stability checks
     minimize     damped-Newton equilibration, minimizer comparison
+    stress       stresses and weak forms, the oracle of the forces
     harness      experiment specs, CSV results, `acfield` CLI
-                 (import acfield.harness; `import acfield` does not load it,
-                 so `python -m acfield.harness` runs it cleanly)
+                 (`import acfield` loads neither stress nor harness: import
+                 them by name, so `python -m acfield.harness` runs cleanly)
 """
 
 __version__ = "0.1.0"

@@ -15,9 +15,8 @@ slab:
 * method 1 hands the slab its stationary data g*(y).  Since D_g E vanishes
   there, g*'s own y-dependence drops out of the forces (envelope argument),
   and the derivative is a pure stress form: the coupled stress sigma^qc,
-  each cell's sigma^cb outside and the slab stress inside, is one
-  StressFunction of the chain (`_qc_stress`) that `sigma_qc` and
-  `weak_form_qc` read, every cell's field in one batch.
+  each cell's sigma^cb outside and the slab stress inside, whose weak form
+  (`stress.weak_form_qc`) is the oracle of `ac_forces`.
 
 * method 2 solves the two interface cell problems instead: g is the
   comparison-chain field of the interface cell evaluated at the wall, which
@@ -43,10 +42,9 @@ import numpy as np
 
 from .cauchy_born import _cb_band, _cell_pulls, _cell_terms
 from .density import check_separated, mu
-from .energy import (StressFunction, _g_star, _nodal_values, _pair_curvature, _slab_core,
-                     _slab_energy, _slab_gradient, _weak_form, forces_periodic)
-from .field import (BoundaryData, _cell_fields, _ChainSums, _kept, _read_only, _walls,
-                    eval_green_dirichlet)
+from .energy import (_g_star, _nodal_values, _pair_curvature, _slab_core, _slab_energy,
+                     _slab_gradient, forces_periodic)
+from .field import BoundaryData, _ChainSums, _kept, _read_only, _walls
 from .hessian import Green, StructuredHessian
 from .lattice import first_diff, norm_weighted, positions, second_diff
 
@@ -60,8 +58,6 @@ __all__ = [
     "ac_hessian_structured",
     "g_method2",
     "d_g_method2",
-    "sigma_qc",
-    "weak_form_qc",
     "consistency_error",
     "stability_spectrum",
 ]
@@ -178,9 +174,9 @@ class _Window:
 
 
 def _window(cfg, partition, profile, m):
-    """The `_Window` of cfg, kept for it (`field._kept`): the energy, forces,
-    Hessian and stresses of both methods make one validation, one wall pass
-    and at most one scan per side."""
+    """The `_Window` of cfg, kept for it (`field._kept`): the energy, forces
+    and Hessian of both methods and method 1's stress (`stress._qc_stress`)
+    make one validation, one wall pass and at most one scan per side."""
     return _kept(cfg, ("window", partition.K, profile, m),
                  lambda: _Window(cfg, partition, profile, m))
 
@@ -360,63 +356,6 @@ def ac_hessian_structured(cfg, method, profile, m):
         + kk * (grad_q[0] * cols[win, 0] + grad_q[1] * cols[win, 1])
     return StructuredHessian(diag, off, Green(c_l, pref * 4.0 * k**3, y_at, k, None),
                              cols, 0.5 * (w + w.T))
-
-
-def _qc_stress(cfg, method, profile, m):
-    """(sigma^qc, bd): method 1's coupled stress, one `StressFunction` of the
-    chain, and the slab's boundary data.  Its field is the slab's inside
-    (a_L, a_R), else the comparison field of the cell (y_{j-1}, y_j] holding
-    the point: one `eval_green_dirichlet` and one `_cell_fields` call, one
-    row per point.  A cell's comparison bumps are the chain's own, so the
-    chain's bump edges and offsets serve both parts.  Method 2's derivative
-    carries a boundary-data term no stress field represents: it raises."""
-    if method.variant != "method1":
-        raise ValueError("the coupled stress exists for method 1 only")
-    win = _window(cfg, method.partition, profile, m)
-    bd = win.bd(method.variant)
-    y, spacing = positions(cfg, -cfg.N - 1, cfg.N), cfg.eps * first_diff(cfg)
-
-    def field(x):
-        inside = (x > bd.a_L) & (x < bd.a_R)
-        val, grad = np.empty_like(x), np.empty_like(x)
-        val[inside], grad[inside] = eval_green_dirichlet(win.y_at, bd, profile, x[inside])
-        out = x[~inside]
-        c = np.searchsorted(y, out, side="left") - 1  # cell c joins y[c], y[c + 1]
-        v, g = _cell_fields(y[c + 1], spacing[c], profile, m, cfg.eps, out[:, None])
-        val[~inside], grad[~inside] = v[:, 0], g[:, 0]
-        return val, grad
-
-    return StressFunction(field, positions(cfg), profile, m, cfg.eps, cfg.L), bd
-
-
-def sigma_qc(cfg, method, x, profile, m):
-    """Coupled stress of method 1 (`_qc_stress`) at x in (y_{-N-1}, y_N]."""
-    sf, _ = _qc_stress(cfg, method, profile, m)
-    y = positions(cfg, -cfg.N - 1, cfg.N)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all((xs > y[0]) & (xs <= y[-1])):
-        raise ValueError("evaluation point outside the periodic window")
-    out = sf(xs)
-    return out if np.ndim(x) else float(out[0])
-
-
-def weak_form_qc(cfg, method, u, profile, m):
-    """integral sigma^qc grad(interpolant of u) over the period (method 1).
-
-    The interpolant runs through the atoms and through the walls, whose
-    values move with the interface midpoints: u(a_L) = (u_{-K-1}+u_{-K})/2.
-    A half cell keeps its full cell's gradient because the wall value is the
-    midpoint value.  Equals ac_forces . u -- the weak form of the coupled
-    energy.
-    """
-    sf, bd = _qc_stress(cfg, method, profile, m)
-    u = _nodal_values(u, cfg.n_atoms)
-    # y and uu start at atom -N-1, so cell c joins their entries c and c+1
-    at = np.add(method.partition.interface_cells(cfg), 1)
-    y = positions(cfg, -cfg.N - 1, cfg.N)
-    uu = np.concatenate([[u[-1]], u])
-    mid = 0.5 * (uu[at - 1] + uu[at])
-    return _weak_form(sf, np.insert(y, at, [bd.a_L, bd.a_R]), np.insert(uu, at, mid))
 
 
 def consistency_error(cfg, method, profile, m, seed=0):

@@ -20,12 +20,12 @@ forces and both couplings of `ac`.  Nothing in this module touches a mesh.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from .density import check_separated, mu
-from .energy import StressFunction, self_energy
+from .energy import _nodal_values, self_energy
 from .field import _cell_fields, _kept, _read_only
 from .hessian import StructuredHessian
 from .lattice import first_diff, positions, second_diff
@@ -38,7 +38,6 @@ __all__ = [
     "cb_cell_d2energy",
     "cb_cell_field",
     "cb_cell_fields",
-    "cb_stress_function",
     "cb_total_energy",
     "cb_forces",
     "cb_hessian_structured",
@@ -131,12 +130,6 @@ def cb_cell_fields(cfg, profile, m, xs):
     return _cell_fields(positions(cfg), cfg.eps * first_diff(cfg), profile, m, cfg.eps, xs)
 
 
-def cb_stress_function(cell):
-    """StressFunction of the comparison chain (periodic with the cell spacing)."""
-    return StressFunction(partial(cb_cell_field, cell), [cell.anchor], cell.profile, cell.m,
-                          cell.eps, cell.spacing)
-
-
 class _CellTerms:
     """e(y'_j) and e'(y'_j) of every cell of one configuration, each formed
     on first use, read-only."""
@@ -216,7 +209,7 @@ def cb_hessian_lower_bound_check(cfg, u, profile, m):
     Returns a dict with the quadratic form, both floors, and the per-cell
     ratio minima taken over cells where u' != 0.
     """
-    u = np.asarray(u, dtype=float)
+    u = _nodal_values(u, cfg.n_atoms)
     strains = first_diff(cfg)
     du = (u - np.roll(u, 1)) / cfg.eps  # u'_j across cell j
     e2 = cb_cell_d2energy(strains, profile, m, cfg.eps)

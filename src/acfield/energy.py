@@ -13,7 +13,7 @@ reduce to pair sums, the wall moments gamma, and the decay factor tau.  These
 formulas are exact for separated bumps (the only regime in which the slab
 model is posed).  They also give the exact Hessian of the periodic energy
 (`hessian_periodic_structured`; `.dense()` expands it to an array).
-Stresses use the kernel-route field of `field`.
+The forces' oracle, the weak form DE . u = integral sigma_y (Iu)', is in `stress`.
 
 The pair sums have no cutoff.  The kernel factorizes along the chain (a
 pair's weight is the product of the per-gap factors x_l = e^{-(m/eps) g_l}
@@ -26,13 +26,11 @@ Hessian sums every pair.
 A configuration is scanned once per side.  Its periodic chain's right and
 left sums (`field._ChainSums`) are made on first use by whichever of
 `energy_periodic`, `forces_periodic`, `hessian_periodic_structured` and
-`eval_green_periodic` (and so the periodic stress: one field call per
-evaluation, and one per weak form) needs them, and read by the others;
-the couplings in `ac` share their window's sums and wall data the same
-way.  They are kept, read-only, for the most recent
-configuration object only (`field._kept`): a call on another
-configuration drops them.  The slab routes here, which take bare
-positions, scan afresh.
+`eval_green_periodic` needs them, and read by the others; the couplings in
+`ac` share their window's sums and wall data the same way.  They are kept,
+read-only, for the most recent configuration object only (`field._kept`):
+a call on another configuration drops them.  The slab routes here, which
+take bare positions, scan afresh.
 
 The P1 finite-element solves in `field` are an independent oracle for these
 closed forms, called directly there: 0.5 * solve_periodic(...).interaction
@@ -50,39 +48,41 @@ which vanishes exactly at g* = T gamma / (1 - tau^2); at that point the field
 behaves as if mirror charges sat behind both walls (`mirror_energy`).
 """
 
-import math
-
 import numpy as np
-from .density import (_bump_offset, check_separated, delta_eps, gauss_on_interval,
-                      grad_delta_eps, mu, self_moment)
-from .field import (_ChainSums, _periodic_sums, _t_solve, _walls, eval_green_dirichlet,
-                    eval_green_periodic)
+from .density import check_separated, mu, self_moment
+from .field import _ChainSums, _periodic_sums, _t_solve, _walls
 from .hessian import Green, StructuredHessian
 from .lattice import positions
 
 __all__ = [
-    "StressFunction",
     "self_energy",
     "energy_periodic",
     "forces_periodic",
     "hessian_periodic_structured",
-    "weak_form_periodic",
     "energy_dirichlet",
     "d_energy_dirichlet_y",
     "d_energy_dirichlet_a",
     "d_energy_dirichlet_g",
-    "weak_form_dirichlet",
     "gamma_pair",
     "g_star",
     "mirror_energy",
-    "stress_periodic",
-    "stress_dirichlet",
 ]
 
 
 def self_energy(profile, m, eps):
     """Per-atom self energy (eps/4m) * self_moment: the bump interacting with itself."""
     return eps / (4.0 * m) * self_moment(profile, m)
+
+
+def _nodal_values(u, n):
+    """u as a float array of n finite nodal values; any other length, or a
+    non-finite entry, raises."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (n,):
+        raise ValueError("u must hold %d nodal values, got shape %s" % (n, u.shape))
+    if not np.all(np.isfinite(u)):
+        raise ValueError("u must hold finite nodal values")
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -153,127 +153,6 @@ def hessian_periodic_structured(cfg, profile, m):
     return StructuredHessian(pref * _pair_curvature(_periodic_sums(cfg, m)), np.zeros(n),
                              Green(0, pref * 4.0 * k**3, y, k, cfg.L),
                              np.zeros((n, 0)), np.zeros((0, 0)))
-
-
-# ---------------------------------------------------------------------------
-# stress
-# ---------------------------------------------------------------------------
-
-_GAUSS_ORDER = 24  # Gauss points per piece between bump edges
-
-
-class StressFunction:
-    """The stress sigma_y of a solved field, split into its two parts:
-
-    sigma_1 = eps^2/2 |phi'|^2 - m^2/2 phi^2 + rho phi        (field part)
-    sigma_2 = eps sum_images phi(x) grad_delta_eps(x - c) (x - c)
-
-    `atoms` are the ascending sources in one period L of their bump train:
-    the chain (2F), a slab (2(a_R - a_L), as in `eval_green_dirichlet`: no
-    image reaches into the slab) or a comparison chain (its spacing).  rho
-    and sigma_2 come from the one bump that holds a point
-    (`density._bump_offset`), phi and phi' from one call of `field_eval(x)`.
-    Integration splits at every bump edge so the Gauss rule never crosses a
-    kink.
-    """
-
-    def __init__(self, field_eval, atoms, profile, m, eps, L):
-        self.field_eval = field_eval
-        self.atoms = np.asarray(atoms, dtype=float)
-        self.profile = profile
-        self.m = m
-        self.eps = eps
-        self.L = L
-        self.w = profile.half_width * eps
-
-    def _parts(self, x):
-        """(sigma_1, sigma_2) at x from one field call and one bump offset."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        d = _bump_offset(self.atoms, self.L, self.w, x)  # first: a non-finite x raises
-        v, g = self.field_eval(x)
-        rho = self.eps * delta_eps(self.profile, self.eps, d)
-        return (0.5 * self.eps**2 * g**2 - 0.5 * self.m**2 * v**2 + rho * v,
-                self.eps * v * grad_delta_eps(self.profile, self.eps, d) * d)
-
-    def sigma1(self, x):
-        return self._parts(x)[0]
-
-    def sigma2(self, x):
-        return self._parts(x)[1]
-
-    def __call__(self, x):
-        s1, s2 = self._parts(x)
-        return s1 + s2
-
-    def _breakpoints(self, a, b):
-        """a, b and every bump edge inside (a, b), images included, sorted."""
-        edges = np.concatenate([self.atoms - self.w, self.atoms + self.w])
-        n = np.arange(math.floor((a - edges.max()) / self.L),
-                      math.ceil((b - edges.min()) / self.L) + 1)
-        edges = (edges[:, None] + n * self.L).ravel()
-        inside = edges[(a < edges) & (edges < b)]
-        return np.unique(np.concatenate([[a, b], inside]))
-
-    def _slope_integral(self, nodes, slopes, order):
-        """sum_j slopes_j * integral of sigma over (nodes_j, nodes_j+1), for
-        ascending nodes: the intervals of nonzero slope split at every bump
-        edge (`_breakpoints`), and the Gauss points of all pieces in one
-        stress call."""
-        pts = np.union1d(nodes, self._breakpoints(nodes[0], nodes[-1]))
-        slope = slopes[np.searchsorted(nodes, pts[:-1], side="right") - 1]
-        keep = slope != 0.0
-        z, wq = gauss_on_interval(pts[:-1][keep, None], pts[1:][keep, None], order)
-        return float(np.sum(slope[keep, None] * wq * self(z.ravel()).reshape(z.shape)))
-
-    def integral(self, a, b, order=_GAUSS_ORDER):
-        """Signed integral of sigma from a to b, split at bump edges:
-        integral(b, a) is -integral(a, b)."""
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError("integration limits must be finite")
-        if b < a:
-            return -self.integral(b, a, order)
-        return self._slope_integral(np.array([a, b]), np.ones(1), order) if b > a else 0.0
-
-
-def stress_periodic(cfg, profile, m):
-    """StressFunction of the periodic field (kernel route)."""
-    return StressFunction(lambda x: eval_green_periodic(cfg, profile, m, x), positions(cfg),
-                          profile, m, cfg.eps, cfg.L)
-
-
-def stress_dirichlet(y_at, bd, profile):
-    """StressFunction of the slab field (kernel route), on its kernel period."""
-    return StressFunction(lambda x: eval_green_dirichlet(y_at, bd, profile, x), y_at,
-                          profile, bd.m, bd.eps, 2.0 * bd.width)
-
-
-def _nodal_values(u, n):
-    """u as a float array of n nodal values; any other length raises."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (n,):
-        raise ValueError("u must hold %d nodal values, got shape %s" % (n, u.shape))
-    return u
-
-
-def _weak_form(sf, nodes, vals):
-    """integral of the stress sf against the gradient of the piecewise-affine
-    interpolant through (nodes, vals): each piece's slope against the stress
-    over the piece, all pieces in one pass (flat pieces skipped)."""
-    nodes = np.asarray(nodes, dtype=float)
-    return sf._slope_integral(nodes, np.diff(vals) / np.diff(nodes), _GAUSS_ORDER)
-
-
-def weak_form_periodic(cfg, u, profile, m):
-    """integral sigma_y grad(u-interpolant) over the period.
-
-    u holds nodal values at atoms -N..N; the interpolant is piecewise affine
-    between consecutive atoms (periodic closure).  Equals forces . u for the
-    exact field; the kernel-route stress realises that identity to
-    quadrature precision.
-    """
-    u = _nodal_values(u, cfg.n_atoms)
-    uu = np.concatenate([[u[-1]], u])  # periodic: u_{-N-1} = u_N
-    return _weak_form(stress_periodic(cfg, profile, m), positions(cfg, -cfg.N - 1, cfg.N), uu)
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +311,3 @@ def d_energy_dirichlet_a(y_at, bd, profile):
     walls = _walls(y_at, bd, profile)
     return _slab_gradient(_ChainSums(y_at, bd.m / bd.eps), bd, profile, walls)[1]
 
-
-def weak_form_dirichlet(y_at, bd, profile, u):
-    """integral sigma_y grad(u-interpolant) for u vanishing on the walls.
-
-    Interpolation nodes are a_L, the atoms, a_R with values 0, u, 0; equals
-    d_energy_dirichlet_y . u for the exact field.
-    """
-    y = np.asarray(y_at, dtype=float)
-    nodes = np.concatenate([[bd.a_L], y, [bd.a_R]])
-    vals = np.concatenate([[0.0], _nodal_values(u, y.size), [0.0]])
-    return _weak_form(stress_dirichlet(y, bd, profile), nodes, vals)

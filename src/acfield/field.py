@@ -23,12 +23,12 @@ Two evaluation routes are provided and deliberately kept independent:
   Outside a bump every integral collapses through the mu moment; inside a
   bump a split Gauss rule handles the kernel kink.  The kernel is
   separable, so a point needs only its two neighbouring atoms (one search,
-  `density._neighbours`, which rho and the stresses share) and their
+  `density._neighbours`, which rho and the stress route share) and their
   right and left sums over every image (`_right_sums`, which the pair
   energies of `energy` share; `_kept` keeps a configuration's, so its
   energy, forces, Hessian and field scan it once per side):
-  O((n + P) log n) for P points, with no truncation.  These are exact up to quadrature (~1e-15).  The production
-  energies of `energy` and its stresses use them.
+  O((n + P) log n) for P points, with no truncation, exact up to quadrature
+  (~1e-15).  The energies of `energy` and the stresses of `stress` use them.
 
 * P1 finite elements (`solve_periodic`, `solve_dirichlet`), the independent
   cross-check oracle: uniform mesh with at least `mesh_density` nodes per
@@ -427,15 +427,18 @@ def _cell_fields(anchor, L, profile, m, eps, x):
     """Comparison-chain fields (value, gradient) of several chains at once:
     row i of x (shape (rows, P)) is evaluated for the chain of one bump per
     period L[i] through anchor[i]: one row per cell (`cb_cell_fields`), or
-    one per point for the cell holding it (the coupled stress, `ac._qc_stress`).
+    one per point for the cell holding it (the coupled stress, `stress._qc_stress`).
 
     One atom per period makes both the right and the left sum of every
     image the geometric series q/(1 - q), q = e^{-(m/eps) L}, so a point
     needs only its offsets to the images around it (`_neighbour_field`).
-    A point outside [c - L, c + L] is reduced by the period.  The callers
-    have checked that every spacing exceeds the bump support.
+    A point outside [c - L, c + L] is reduced by the period; a non-finite
+    one raises, as in `density._neighbours`.  The callers have checked that
+    every spacing exceeds the bump support.
     """
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("evaluation point is not finite")
     c = np.asarray(anchor, dtype=float)[:, None]
     L = np.asarray(L, dtype=float)[:, None]
     kl = (m / eps) * L

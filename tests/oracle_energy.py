@@ -19,6 +19,7 @@ from acfield.density import gauss_on_interval, quartic_bump, rho as rho_periodic
 from acfield.field import BoundaryData, eval_green_dirichlet, eval_green_periodic
 from acfield.lattice import ChainConfig, positions
 from acfield import energy as en
+from acfield.stress import stress_dirichlet
 
 PROF = quartic_bump(0.5)
 M = 1.0
@@ -141,9 +142,9 @@ def main():
     print("d/daL pair %.10e  FD %.10e  rel %.2e" % (dal, fd_al, abs(dal - fd_al) / abs(fd_al)))
     print("d/daR pair %.10e  FD %.10e  rel %.2e" % (dar, fd_ar, abs(dar - fd_ar) / abs(fd_ar)))
 
-    sf = en.stress_dirichlet(y, bd, PROF)  # window average of the stress at each wall
-    dal_g = -sf.integral(bd.a_L, float(y[0]), 32) / (float(y[0]) - bd.a_L)
-    dar_g = sf.integral(float(y[-1]), bd.a_R, 32) / (bd.a_R - float(y[-1]))
+    sf = stress_dirichlet(y, bd, PROF)  # window average of the stress at each wall
+    dal_g = -sf.integral(bd.a_L, float(y[0])) / (float(y[0]) - bd.a_L)
+    dar_g = sf.integral(float(y[-1]), bd.a_R) / (bd.a_R - float(y[-1]))
     print("d/daL green %.10e  rel vs pair %.2e" % (dal_g, abs(dal_g - dal) / abs(dal)))
     print("d/daR green %.10e  rel vs pair %.2e" % (dar_g, abs(dar_g - dar) / abs(dar)))
 

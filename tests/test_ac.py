@@ -27,17 +27,15 @@ from acfield.ac import (
     g_method2,
     method1,
     method2,
-    sigma_qc,
     stability_spectrum,
-    weak_form_qc,
 )
 from acfield.cauchy_born import (
     cb_cell_denergy,
     cb_cell_energy,
     cb_cell_field,
     cb_forces,
+    cb_hessian_lower_bound_check,
     cb_hessian_structured,
-    cb_stress_function,
     cb_total_energy,
     cell_state,
 )
@@ -51,13 +49,18 @@ from acfield.energy import (
     forces_periodic,
     g_star,
     hessian_periodic_structured,
-    stress_periodic,
-    weak_form_dirichlet,
-    weak_form_periodic,
 )
 from acfield.field import eval_green_periodic
 from acfield.lattice import ChainConfig, first_diff, homogeneous, positions
 from acfield.minimize import AcModel, AtomisticModel, CauchyBornModel
+from acfield.stress import (
+    cb_stress_function,
+    sigma_qc,
+    stress_periodic,
+    weak_form_dirichlet,
+    weak_form_periodic,
+    weak_form_qc,
+)
 
 PROFILE = quartic_bump()
 M = 1.0
@@ -308,8 +311,9 @@ def test_reflection_symmetry():
 
 
 def test_u_of_the_wrong_length_raises():
-    # a displacement must hold one value per node: the weak forms and the
-    # cell-problem derivative name the length they expect
+    # a displacement must hold one value per node: the weak forms, the
+    # cell-problem derivative and the Cauchy-Born convexity check name the
+    # length they expect
     cfg = wiggled_chain()
     n = cfg.n_atoms
     y_at, bd = AcPartition(8).window(cfg, M)
@@ -317,13 +321,35 @@ def test_u_of_the_wrong_length_raises():
         bad = np.zeros(n + k)
         for route in (lambda u: weak_form_qc(cfg, method1(8), u, PROFILE, M),
                       lambda u: weak_form_periodic(cfg, u, PROFILE, M),
-                      lambda u: d_g_method2(cfg, AcPartition(8), PROFILE, M, u)):
+                      lambda u: d_g_method2(cfg, AcPartition(8), PROFILE, M, u),
+                      lambda u: cb_hessian_lower_bound_check(cfg, u, PROFILE, M)):
             with pytest.raises(ValueError, match="u must hold %d nodal values" % n):
                 route(bad)
         with pytest.raises(ValueError, match="u must hold %d nodal values" % y_at.size):
             weak_form_dirichlet(y_at, bd, PROFILE, np.zeros(y_at.size + k))
     with pytest.raises(ValueError, match="u must hold %d nodal values" % n):
         weak_form_qc(cfg, method1(8), np.zeros((n, 1)), PROFILE, M)
+
+
+def test_non_finite_u_raises():
+    # every route that takes nodal displacements reads them through
+    # `energy._nodal_values`: a NaN or infinite entry raises where the weak
+    # forms and d_g_method2 returned NaN and the convexity check reported a
+    # NaN quadratic form that "holds"
+    cfg = wiggled_chain()
+    n = cfg.n_atoms
+    y_at, bd = AcPartition(8).window(cfg, M)
+    routes = [(n, lambda u: weak_form_qc(cfg, method1(8), u, PROFILE, M)),
+              (n, lambda u: weak_form_periodic(cfg, u, PROFILE, M)),
+              (y_at.size, lambda u: weak_form_dirichlet(y_at, bd, PROFILE, u)),
+              (n, lambda u: d_g_method2(cfg, AcPartition(8), PROFILE, M, u)),
+              (n, lambda u: cb_hessian_lower_bound_check(cfg, u, PROFILE, M))]
+    for size, route in routes:
+        for bad in (math.nan, math.inf, -math.inf):
+            u = np.zeros(size)
+            u[size // 2] = bad
+            with pytest.raises(ValueError, match="u must hold finite nodal values"):
+                route(u)
 
 
 def test_consistency_homogeneous():

@@ -6,7 +6,7 @@ import pytest
 from acfield.density import gauss_on_interval, quartic_bump, mu, sextic_bump
 from acfield.field import _ChainSums, _kernel_field, eval_green_periodic
 from acfield.lattice import ChainConfig, first_diff, homogeneous, positions, second_diff
-from acfield.energy import self_energy, stress_periodic
+from acfield.energy import self_energy
 from acfield.cauchy_born import (
     CellState,
     cb_cell_d2energy,
@@ -16,11 +16,11 @@ from acfield.cauchy_born import (
     cb_cell_fields,
     cb_forces,
     cb_hessian_lower_bound_check,
-    cb_stress_function,
     cb_total_energy,
     cell_state,
     comparison_field_bound,
 )
+from acfield.stress import cb_stress_function, stress_periodic
 
 PROF = quartic_bump(0.5)
 M = 1.0

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from acfield.cauchy_born import (
+    cb_cell_field,
+    cb_cell_fields,
     cb_forces,
     cb_hessian_structured,
-    cb_stress_function,
     cb_total_energy,
     cell_state,
 )
@@ -21,9 +22,9 @@ from acfield.energy import (
     energy_periodic,
     forces_periodic,
     hessian_periodic_structured,
-    stress_periodic,
 )
 from acfield.field import eval_green_periodic
+from acfield.stress import cb_stress_function, stress_periodic
 from acfield.lattice import ChainConfig, first_diff, homogeneous, positions
 
 # Frozen reference values from tests/oracle_density.py (brute-force trapezoid,
@@ -132,13 +133,16 @@ def test_rho_returns_an_array_for_any_array_input():
 def test_non_finite_points_raise():
     # the one neighbour search of rho, the kernel fields and the stresses
     # (density._neighbours) rejects NaN and infinite points: rho gave 0.0 at
-    # NaN, the periodic field NaN at inf and the stress NaN at NaN
+    # NaN, the periodic field NaN at inf and the stress NaN at NaN; so do
+    # the comparison fields (field._cell_fields), which gave NaN
     cfg = homogeneous(20, 1.1)
     prof = quartic_bump(0.5)
     routes = [lambda x: rho(cfg, prof, x),
               lambda x: eval_green_periodic(cfg, prof, 1.0, x),
               stress_periodic(cfg, prof, 1.0),
-              cb_stress_function(cell_state(cfg, prof, 1.0, 3))]
+              cb_stress_function(cell_state(cfg, prof, 1.0, 3)),
+              lambda x: cb_cell_field(cell_state(cfg, prof, 1.0, 3), x),
+              lambda x: cb_cell_fields(cfg, prof, 1.0, np.tile(x, (cfg.n_atoms, 1)))]
     for bad in (np.nan, np.inf, -np.inf):
         for route in routes:
             for x in (bad, np.array([0.0, bad])):

@@ -282,6 +282,39 @@ def test_no_module_loads_scipy():
     assert proc.stdout.strip() == ""
 
 
+def _imported_modules(path):
+    """The last dotted part of every module a source file imports from, and
+    of every name it imports plainly (`import acfield.x`, `from . import x`)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.split(".")[-1])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.name.split(".")[-1] for a in node.names}
+    return names
+
+
+def test_import_rules():
+    # the oracles stand apart from the production path: the Newton step in
+    # `hessian` imports nothing from `field`, whose FEM solves are the
+    # cross-check oracle (`field` takes its cyclic product from `hessian`),
+    # and no module imports the stress route, so neither `import acfield`
+    # nor `import acfield.harness` (the CLI and every benchmark) loads it
+    pkg = Path(harness.__file__).resolve().parent
+    imports = {path.stem: _imported_modules(path) for path in pkg.glob("*.py")}
+    banned = {name: {"stress"} for name in imports if name != "stress"}
+    banned["hessian"].add("field")
+    assert {name: sorted(imports[name] & ban) for name, ban in banned.items()
+            if imports[name] & ban} == {}
+
+    path = os.pathsep.join(p for p in (str(pkg.parent), os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, acfield, acfield.harness; print('acfield.stress' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_spec_errors_exit_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
     assert "i/o error" in capsys.readouterr().err

@@ -7,13 +7,9 @@ system (H + c 11^T) d = -g, c = max |diag B| / n, and its positive-definiteness
 decision with the dense spectrum.
 """
 
-import ast
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import acfield.hessian
 from acfield.ac import ac_hessian_structured, method1, method2
 from acfield.cauchy_born import cb_hessian_structured
 from acfield.density import quartic_bump, sextic_bump
@@ -139,16 +135,3 @@ def test_tridiagonal_solve_and_inertia(n):
     ref = np.linalg.solve(j, r.T).T
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert neg == np.sum(np.linalg.eigvalsh(j) < 0)
-
-
-def test_hessian_imports_nothing_from_field():
-    # the production Newton step stands apart from `field`, whose FEM solves
-    # are the cross-check oracle: `field` takes its cyclic product from here
-    tree = ast.parse(Path(acfield.hessian.__file__).read_text(encoding="utf-8"))
-    sources = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module:
-            sources.add(node.module)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):  # also `from . import field`
-            sources |= {a.name for a in node.names}
-    assert "field" not in {s.split(".")[-1] for s in sources}
