@@ -25,9 +25,10 @@ collapses exactly to mu(m)^2 * exp(-(m/eps)*distance); this is what makes the
 pair-sum energy route exact rather than asymptotic.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -121,16 +122,52 @@ def sextic_bump(sigma0=0.5):
     return BumpProfile(sigma0, power=3)
 
 
+#: GL-24 on the support gives mu within 4.1e-15 relative while m sigma0/2 <= 16
+#: (mpmath, 50 digits); at 32 it misses by 5.1e-11 (quartic), 5.2e-10 (sextic).
+_MU_GAUSS_KAPPA = 16.0
+
+
+def _derivatives_at_one(p):
+    """[P^(j)(1) for j = 0..2p], P(s) = (1 - s^2)^p = sum_i (-1)^i C(p, i) s^{2i},
+    as exact integers; those below order p vanish."""
+    return [sum((-1) ** i * comb(p, i) * factorial(2 * i) // factorial(2 * i - j)
+                for i in range(p + 1) if 2 * i >= j) for j in range(2 * p + 1)]
+
+
 @lru_cache(maxsize=256)
 def _mu_value(profile, m):
-    # Integrand is polynomial(2p) * exp; GL at order 24 on the support is
-    # converged to machine precision for every m of interest.
-    x, w = gauss_on_interval(-profile.half_width, profile.half_width, 24)
-    return float(np.sum(w * profile.delta1(x) * np.exp(m * x)))
+    """mu(m) for m >= 0: GL-24 on the support while it is converged, else
+    the closed form.  With k = m sigma0/2 and P(s) = (1 - s^2)^p,
+    mu = C_p (sigma0/2) integral_{-1}^{1} P(s) e^{k s} ds, and the integral
+    is [e^{k s} sum_j (-1)^j P^(j)(s) / k^{j+1}]_{-1}^{1}, where only the
+    derivatives of order p..2p are nonzero at s = +-1 and P^(j)(-1) =
+    (-1)^j P^(j)(1).  Above the Gauss range the e^{-k} end is below 1e-13 of
+    the e^{k} end, so the difference does not cancel."""
+    k = m * profile.half_width
+    if k <= _MU_GAUSS_KAPPA:
+        x, w = gauss_on_interval(-profile.half_width, profile.half_width, 24)
+        return float(np.sum(w * profile.delta1(x) * np.exp(m * x)))
+    dp = _derivatives_at_one(profile.power)
+    q_right = sum((-1) ** j * d / k ** (j + 1) for j, d in enumerate(dp))
+    q_left = sum(d / k ** (j + 1) for j, d in enumerate(dp))
+    scale = profile.norm_const * profile.half_width * (q_right - math.exp(-2.0 * k) * q_left)
+    try:
+        half = math.exp(0.5 * k)  # e^k as two factors, so no finite value overflows
+    except OverflowError:
+        half = math.inf
+    value = half * scale * half
+    if not math.isfinite(value):
+        raise ValueError("mu at m sigma0/2 = %.6g exceeds the largest double" % k)
+    return value
 
 
 def mu(profile, m):
-    """Moment integral delta1(t) exp(m t) dt (even in m; >= 1 by Jensen)."""
+    """Moment integral delta1(t) exp(m t) dt (even in m; >= 1 by Jensen)
+    for every finite m whose value is a finite double (a ValueError
+    otherwise): within 4.1e-15 relative of mpmath up to m sigma0/2 = 16
+    (GL-24) and 2.4e-16 above it (the closed form)."""
+    if not math.isfinite(m):
+        raise ValueError("mu needs a finite m, got %r" % (m,))
     value = _mu_value(profile, abs(m))
     if value < 1.0 - 1e-12:
         raise ValueError("mu moment must be >= 1 (Jensen)")

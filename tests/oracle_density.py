@@ -4,6 +4,8 @@ Run directly to regenerate the frozen constants used in test_density.py /
 test_energy.py.  Everything here is deliberately independent of the package:
 plain trapezoid rules at high resolution, so the numbers can be trusted to
 ~1e-12 relative without sharing any code with the implementation under test.
+The large-m values of mu, which need more than that, are integrated by mpmath
+at 50 digits (`mu_mpmath`); mpmath is needed only to regenerate them.
 """
 
 import numpy as np
@@ -43,6 +45,16 @@ def self_moment_trapz(delta1, m, sigma0=0.5, n=4001):
     return b + (b - a) / 3.0
 
 
+def mu_mpmath(power, m, sigma0=0.5):
+    """mu(m) = C_p (sigma0/2) integral_{-1}^{1} (1 - s^2)^p e^{m sigma0 s / 2} ds."""
+    import mpmath as mp
+
+    mp.mp.dps = 50
+    k = mp.mpf(m) * sigma0 / 2
+    norm = mp.quad(lambda s: (1 - s * s) ** power, [-1, 1])
+    return mp.quad(lambda s: (1 - s * s) ** power * mp.exp(k * s), [-1, 0, 1]) / norm
+
+
 if __name__ == "__main__":
     for name, d1 in [("quartic", delta1_quartic), ("sextic", delta1_sextic)]:
         print(f"profile={name} sigma0=0.5")
@@ -51,3 +63,5 @@ if __name__ == "__main__":
             print(f"  mu(m={m})        = {mu_trapz(d1, m):.15f}")
         for m in (1.0, 2.0):
             print(f"  self_moment(m={m}) = {self_moment_trapz(d1, m):.15f}")
+        for m in (64.0, 128.0, 256.0, 1024.0, 2860.0):
+            print(f"  mu(m={m}) [mpmath] = {float(mu_mpmath(2 if name == 'quartic' else 3, m))!r}")

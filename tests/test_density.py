@@ -36,6 +36,20 @@ MU_SEXTIC_M1 = 1.003477158310150
 SELF_QUARTIC_M1 = 0.900130121592294
 SELF_QUARTIC_M2 = 0.814921384310684
 SELF_SEXTIC_M1 = 0.911362874279205
+# Large-m mu from oracle_density.mu_mpmath (mpmath, 50 digits), sigma0 = 0.5:
+# m = 64 is the last GL-24 point (m sigma0/2 = 16), the rest the closed form.
+MU_LARGE_M = {
+    ("quartic", 64.0): 13410.825632766198,
+    ("quartic", 128.0): 16431774779.426096,
+    ("quartic", 256.0): 1.7015771562278494e+23,
+    ("quartic", 1024.0): 6.677738471579286e+104,
+    ("quartic", 2860.0): 6.7744526236356185e+302,
+    ("sextic", 64.0): 4840.12229174298,
+    ("sextic", 128.0): 3268329615.5418344,
+    ("sextic", 256.0): 1.7752453440462003e+22,
+    ("sextic", 1024.0): 1.804630242321787e+103,
+    ("sextic", 2860.0): 6.60454225134043e+300,
+}
 
 
 def test_profile_normalization():
@@ -69,6 +83,24 @@ def test_mu_against_frozen_oracle():
     assert mu(q, 2.0) == pytest.approx(MU_QUARTIC_M2, rel=1e-12)
     assert mu(q, 0.5) == pytest.approx(MU_QUARTIC_M05, rel=1e-12)
     assert mu(sextic_bump(0.5), 1.0) == pytest.approx(MU_SEXTIC_M1, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, m", sorted(MU_LARGE_M))
+def test_mu_at_large_m_against_frozen_oracle(name, m):
+    # GL-24 missed by 5.1e-11 (quartic) and 5.2e-10 (sextic) at m = 128 and
+    # by 2.7e-5 and 1.1e-4 at m = 256; at m = 2860, e^{m sigma0/2} alone
+    # overflows although mu does not
+    prof = {"quartic": quartic_bump(0.5), "sextic": sextic_bump(0.5)}[name]
+    assert mu(prof, m) == pytest.approx(MU_LARGE_M[name, m], rel=5e-15, abs=0.0)
+    assert mu(prof, -m) == mu(prof, m)
+
+
+@pytest.mark.parametrize("m, match", [(3000.0, "exceeds the largest double"),
+                                      (1e4, "exceeds the largest double"),
+                                      (np.inf, "finite m"), (np.nan, "finite m")])
+def test_mu_raises_where_it_has_no_finite_value(m, match):
+    with pytest.raises(ValueError, match=match):
+        mu(quartic_bump(0.5), m)
 
 
 def test_mu_even_and_at_least_one():

@@ -1,14 +1,25 @@
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from acfield.density import gauss_on_interval, grad_delta_eps, mu, quartic_bump, sextic_bump
+from acfield.density import (
+    delta_eps,
+    gauss_on_interval,
+    grad_delta_eps,
+    mu,
+    quartic_bump,
+    sextic_bump,
+)
 from acfield.field import (
     BoundaryData,
     _ChainSums,
-    _bump_kernel_quad,
+    _bump_kernel,
     _kernel_field,
+    _neighbour_field,
     _right_sums,
     eval_green_dirichlet,
     eval_green_periodic,
@@ -193,11 +204,28 @@ def test_green_periodic_against_brute_image_sum():
     assert np.allclose(val, val_ref, rtol=1e-13)
 
 
+def _split_gauss_kernel(profile, m, eps, centers, x):
+    """The field (value, gradient) at the points x of the bumps at `centers`
+    that hold them, by a 24-point Gauss rule on each side of the kernel kink
+    z = x: an oracle for `field._bump_kernel` that shares none of its
+    algebra.  Against mpmath it is within 9.8e-16 of the bump's largest
+    value and gradient up to m sigma0/2 = 3, but 5.9e-12 at 32."""
+    w = profile.half_width * eps
+    val, grad = np.zeros(x.size), np.zeros(x.size)
+    for lo, hi, sgn in ((centers - w, x, 1.0), (x, centers + w, -1.0)):
+        z, wq = gauss_on_interval(lo[:, None], hi[:, None], 24)
+        f = np.sum(wq * delta_eps(profile, eps, z - centers[:, None])
+                   * np.exp(-(m / eps) * np.abs(x[:, None] - z)), axis=1)
+        val += f / (2.0 * m)
+        grad -= sgn * f / (2.0 * eps)
+    return val, grad
+
+
 def _long_double_image_sum(cfg, m, x):
     """Periodic field (value, gradient) at x in np.longdouble: every atom's
     offset reduced to its nearest image (exact in long double), all images
     as two geometric series, and the image whose bump contains x swapped for
-    `_bump_kernel_quad` at that offset."""
+    `_split_gauss_kernel` at that offset."""
     ld = np.longdouble
     eps, L, y = ld(cfg.eps), ld(cfg.L), positions(cfg)
     k = ld(m) / eps
@@ -211,10 +239,66 @@ def _long_double_image_sum(cfg, m, x):
     val = c / ld(m) * np.sum(geo * (near + far) - own, axis=1)
     grad = -c / eps * np.sum(np.sign(d) * (geo * (near - far) - own), axis=1)
     ii, jj = np.nonzero(own)
-    qv, qg = _bump_kernel_quad(PROF, m, cfg.eps, np.zeros(ii.size), d[ii, jj].astype(float))
+    qv, qg = _split_gauss_kernel(PROF, m, cfg.eps, np.zeros(ii.size), d[ii, jj].astype(float))
     val[ii] += qv
     grad[ii] += qg
     return val, grad
+
+
+ORACLE_FIELD = json.loads(Path(__file__).with_name("oracle_field.json").read_text())
+
+
+@pytest.mark.parametrize("kappa", [float(k) for k in ORACLE_FIELD["quartic"]])
+@pytest.mark.parametrize("name, profile", [("quartic", quartic_bump(0.5)),
+                                           ("sextic", sextic_bump(0.5))])
+def test_bump_kernel_against_frozen_oracle(name, profile, kappa):
+    # J(t) and J'(t) from tests/oracle_field.py (mpmath, 40 digits), on both
+    # sides of the Taylor/closed-form switch at kappa = 8; the bound, fixed
+    # before measuring, is 2e-15 of the bump's largest value and gradient.
+    # At the edge the in-bump value and gradient meet the mu formula that
+    # `_neighbour_field` uses outside, from either neighbour.
+    m, eps = kappa / profile.half_width, 0.5
+    w = profile.half_width * eps
+    scale = profile.norm_const / (2.0 * m * eps)
+    ref = ORACLE_FIELD[name][repr(kappa)]
+    ref_v, ref_g = scale * w * np.array(ref["J"]), scale * np.array(ref["dJ"])
+    val, grad = _bump_kernel(profile, m, eps, w * np.array(ORACLE_FIELD["t"]))
+    v_max, g_max = np.max(np.abs(ref_v)), np.max(np.abs(ref_g))
+    assert np.max(np.abs(val - ref_v)) <= 2e-15 * v_max
+    assert np.max(np.abs(grad - ref_g)) <= 2e-15 * g_max
+    edge, far = np.array([np.nextafter(w, 0.0), w]), 1e6  # e^{-(m/eps) far} = 0
+    for d_l, d_r in ((edge, far), (far, edge)):
+        (v_in, v_out), (g_in, g_out) = _neighbour_field(profile, m, eps, d_l, d_r, 0.0, 0.0)
+        assert abs(v_in - v_out) <= 2e-15 * v_max
+        assert abs(g_in - g_out) <= 2e-15 * g_max
+
+
+def test_kernel_field_rejects_negative_m():
+    # the in-bump series is built for m > 0; mu is even in m, so the
+    # outside terms alone gave a field for m = -1
+    cfg = wiggled_chain()
+    with pytest.raises(ValueError, match="finite m > 0"):
+        eval_green_periodic(cfg, PROF, -1.0, positions(cfg))
+
+
+def test_field_route_memory_is_linear():
+    # the ~22,700 nodes of the density-64 FEM mesh at N = 80: a per-point
+    # Gauss rule of 24 nodes on each side of the kink peaked at 46.6
+    # doubles a point (8.5 MB), the closed form at 12.7
+    N = 80
+    eps = 2.0 / (2 * N + 1)
+    u = np.random.default_rng(N).normal(0.0, 0.05 * eps, 2 * N + 1)
+    cfg = ChainConfig(N, 1.1, u - u.mean())
+    n = cfg.n_atoms * math.ceil(64 * cfg.F / PROF.sigma0)
+    x = -cfg.F + cfg.L / n * np.arange(n)
+    eval_green_periodic(cfg, PROF, M, x[:8])
+    tracemalloc.start()
+    try:
+        eval_green_periodic(cfg, PROF, M, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 8 * n, peak
 
 
 @pytest.mark.parametrize("N, v_tol, g_tol", [(80, 2e-15, 1e-14), (320, 2e-13, 2e-12)])
@@ -387,7 +471,7 @@ def _free_line_field(y, m, eps, x):
     e = c * np.exp(-k * np.abs(d))
     val, grad = e.sum(axis=1), -k * np.sum(np.copysign(e, d), axis=1)
     ii, jj = np.nonzero(np.abs(d) < w)
-    qv, qg = _bump_kernel_quad(PROF, m, eps, y[jj], x[ii])
+    qv, qg = _split_gauss_kernel(PROF, m, eps, y[jj], x[ii])
     val[ii] += qv - e[ii, jj]
     grad[ii] += qg + k * np.copysign(e[ii, jj], d[ii, jj])
     return val, grad
