@@ -23,6 +23,10 @@ package (the screening kernel is exp(-m|.|)):
 For two bumps whose supports do not overlap, the interaction double integral
 collapses exactly to mu(m)^2 * exp(-(m/eps)*distance); this is what makes the
 pair-sum energy route exact rather than asymptotic.
+
+One cached routine, `_bump_moments`, forms both moments and the coefficients
+of the in-bump kernel field (`field._bump_kernel`) from the same exact
+integers and rounds each once.
 """
 
 import math
@@ -122,11 +126,6 @@ def sextic_bump(sigma0=0.5):
     return BumpProfile(sigma0, power=3)
 
 
-#: GL-24 on the support gives mu within 4.1e-15 relative while m sigma0/2 <= 16
-#: (mpmath, 50 digits); at 32 it misses by 5.1e-11 (quartic), 5.2e-10 (sextic).
-_MU_GAUSS_KAPPA = 16.0
-
-
 def _derivatives_at_one(p):
     """[P^(j)(1) for j = 0..2p], P(s) = (1 - s^2)^p = sum_i (-1)^i C(p, i) s^{2i},
     as exact integers; those below order p vanish."""
@@ -134,63 +133,119 @@ def _derivatives_at_one(p):
                 for i in range(p + 1) if 2 * i >= j) for j in range(2 * p + 1)]
 
 
+#: Below this kappa = m sigma0/2 the kernel and both moments come from the
+#: Taylor series, at and above it from the closed form (`_bump_moments`): near
+#: 5 the closed form's kernel gradient was off by 2.1e-15 of its maximum
+#: (sextic), while the series stays within 1.2e-15 up to 8.
+_SERIES_KAPPA = 8
+
+
 @lru_cache(maxsize=256)
-def _mu_value(profile, m):
-    """mu(m) for m >= 0: GL-24 on the support while it is converged, else
-    the closed form.  With k = m sigma0/2 and P(s) = (1 - s^2)^p,
-    mu = C_p (sigma0/2) integral_{-1}^{1} P(s) e^{k s} ds, and the integral
-    is [e^{k s} sum_j (-1)^j P^(j)(s) / k^{j+1}]_{-1}^{1}, where only the
-    derivatives of order p..2p are nonzero at s = +-1 and P^(j)(-1) =
-    (-1)^j P^(j)(1).  Above the Gauss range the e^{-k} end is below 1e-13 of
-    the e^{k} end, so the difference does not cancel."""
-    k = m * profile.half_width
-    if k <= _MU_GAUSS_KAPPA:
-        x, w = gauss_on_interval(-profile.half_width, profile.half_width, 24)
-        return float(np.sum(w * profile.delta1(x) * np.exp(m * x)))
-    dp = _derivatives_at_one(profile.power)
-    q_right = sum((-1) ** j * d / k ** (j + 1) for j, d in enumerate(dp))
-    q_left = sum(d / k ** (j + 1) for j, d in enumerate(dp))
-    scale = profile.norm_const * profile.half_width * (q_right - math.exp(-2.0 * k) * q_left)
-    try:
-        half = math.exp(0.5 * k)  # e^k as two factors, so no finite value overflows
-    except OverflowError:
-        half = math.inf
-    value = half * scale * half
-    if not math.isfinite(value):
-        raise ValueError("mu at m sigma0/2 = %.6g exceeds the largest double" % k)
-    return value
+def _bump_moments(profile, m):
+    """(c, A, mu, self_moment) at m >= 0.  With kappa = m sigma0/2 (= (m/eps) w,
+    free of eps) and P(t) = (1 - t^2)^p = sum_i b_i t^{2i}, (c, A) give
+
+        J(t) = integral_{-1}^{1} P(s) e^{-kappa|t-s|} ds
+             = sum_i c_i t^{2i} - A (e^{-kappa(1-t)} + e^{-kappa(1+t)})
+
+    on |t| <= 1, the in-bump kernel.  J is even and solves
+    J'' - kappa^2 J = -2 kappa P, so one function has two forms:
+
+    * kappa < _SERIES_KAPPA (A = 0): the Taylor series in t^2.  The ODE
+      gives c_{i+1} (2i+2)(2i+1) = kappa^2 c_i - 2 kappa b_i, from
+      c_0 = J(0) = 2 sum_n (-kappa)^n/n! integral_0^1 P(s) s^n ds; the
+      series stops at the first |c_i| <= 2^-56 c_0 past i = p + 1.
+    * kappa >= _SERIES_KAPPA: the polynomial particular solution
+      R = (2/kappa) sum_j P^(2j) / kappa^{2j} = sum_i r_i t^{2i}, less the
+      even homogeneous term that meets the e^{-kappa|t|} decay outside:
+      A = sum_l P^(l)(1) / kappa^{l+1}.  At small kappa R and A grow like
+      kappa^{-2p-1} and cancel (8e-12 lost at kappa = 0.25).
+
+    With C_p w = 1/I_0 and I_i = integral_{-1}^{1} P t^{2i} = 2 sum_k
+    b_k/(2i+2k+1), mu = I_0^-1 integral P(s) e^{kappa s} ds is the even-n
+    part of the c_0 sum below the switch and e^kappa q_R - e^-kappa A above
+    it, q_R = sum_j (-1)^j P^(j)(1)/kappa^{j+1}, with e^kappa as two factors
+    so that no finite mu overflows (an infinite one is inf).  self_moment =
+    I_0^-2 integral P J is sum_i c_i I_i below the switch and
+    sum_i r_i I_i - 2A (q_R - e^{-2 kappa} A) above it, with no e^kappa.
+
+    An error in c_0 grows like cosh(kappa t) (a Gauss rule's c_0 cost 8e-15
+    of the maximum at kappa = 3), so every sum is formed exactly in integer
+    fixed point (kappa is the exact ratio of two integers) and rounded to a
+    double once; only the e^{-2 kappa} terms are floating point.  The unit,
+    2^-200 / 2^((p+1) n) with n the bit length of floor(kappa), leaves the
+    smallest sum, A ~ kappa^-(p+1), 200 bits at any kappa.  Against mpmath
+    the kernel is within 2e-15 of the bump's largest value and gradient
+    (tests/oracle_field.py) and both moments within 2.4e-16 relative
+    (tests/oracle_density.py).
+    """
+    p = profile.power
+    b = [(-1) ** i * comb(p, i) for i in range(p + 1)]
+    kappa = m * profile.half_width
+    num, den = kappa.as_integer_ratio()
+    one = 1 << (200 + (p + 1) * (num // den).bit_length())
+    # 1/(C_p w) = I_0 = i0_num/i0_den exactly; `ratio` rounds x/(I_0^n one) once
+    i0_num, i0_den = 2 ** (2 * p + 1) * factorial(p) ** 2, factorial(2 * p + 1)
+
+    def ratio(x, n):
+        return x * i0_den ** n / (one * i0_num ** n)
+
+    def moments(c):  # sum_i c_i I_i
+        return sum(2 * ci * bk // (2 * i + 2 * k + 1)
+                   for i, ci in enumerate(c) for k, bk in enumerate(b))
+
+    if num >= _SERIES_KAPPA * den:
+        r = [sum(2 * b[i + j] * (factorial(2 * i + 2 * j) // factorial(2 * i)) * one
+                 * den ** (2 * j + 1) // num ** (2 * j + 1) for j in range(p + 1 - i))
+             for i in range(p + 1)]
+        q = [d * one * den ** (j + 1) // num ** (j + 1)
+             for j, d in enumerate(_derivatives_at_one(p))]
+        a, q_r = sum(q), sum((-1) ** j * qj for j, qj in enumerate(q))
+        a_n, tail = ratio(a, 1), math.exp(-2.0 * kappa)
+        try:
+            half = math.exp(0.5 * kappa)
+        except OverflowError:
+            half = math.inf
+        mu_value = half * (ratio(q_r, 1) - tail * a_n) * half
+        self_value = ratio(moments(r) - 2 * a * q_r // one, 2) + 2.0 * a_n * a_n * tail
+        return tuple(ri / one for ri in r), a / one, mu_value, self_value
+    c0, even, term, n = 0, 0, 2 * one, 0  # term = 2 kappa^n / n!
+    while term:
+        part = sum(term * bi // (2 * i + n + 1) for i, bi in enumerate(b))
+        c0 += (-1) ** n * part
+        even += part if n % 2 == 0 else 0
+        n += 1
+        term = term * num // (den * n)
+    c = [c0]
+    while len(c) <= p + 1 or abs(c[-1]) > c0 >> 56:
+        i = len(c) - 1
+        forcing = 2 * b[i] * one * num // den if i <= p else 0
+        c.append((c[i] * num * num // (den * den) - forcing) // ((2 * i + 2) * (2 * i + 1)))
+    return tuple(ci / one for ci in c), 0.0, ratio(even, 1), ratio(moments(c), 2)
 
 
 def mu(profile, m):
     """Moment integral delta1(t) exp(m t) dt (even in m; >= 1 by Jensen)
     for every finite m whose value is a finite double (a ValueError
-    otherwise): within 4.1e-15 relative of mpmath up to m sigma0/2 = 16
-    (GL-24) and 2.4e-16 above it (the closed form)."""
+    otherwise), within 2.4e-16 relative of mpmath (`_bump_moments`)."""
     if not math.isfinite(m):
         raise ValueError("mu needs a finite m, got %r" % (m,))
-    value = _mu_value(profile, abs(m))
+    value = _bump_moments(profile, abs(m))[2]
+    if not math.isfinite(value):
+        raise ValueError("mu at m sigma0/2 = %.6g exceeds the largest double"
+                         % (abs(m) * profile.half_width))
     if value < 1.0 - 1e-12:
         raise ValueError("mu moment must be >= 1 (Jensen)")
     return value
 
 
-@lru_cache(maxsize=256)
 def self_moment(profile, m):
-    """Self-interaction moment: double integral of delta1 x delta1 against exp(-m|s-t|).
-
-    Outer GL over t; the inner integral is split at the kernel kink s = t so
-    each piece is polynomial x exponential and GL is exact.
-    """
-    hw = profile.half_width
-    xt, wt = gauss_on_interval(-hw, hw, 48)
-    total = 0.0
-    for t, wgt in zip(xt, wt):
-        acc = 0.0
-        for a, b in ((-hw, t), (t, hw)):
-            xs, ws = gauss_on_interval(a, b, 32)
-            acc += np.sum(ws * profile.delta1(xs) * np.exp(-m * np.abs(t - xs)))
-        total += wgt * profile.delta1(t) * acc
-    return float(total)
+    """Self-interaction moment: double integral of delta1 x delta1 against
+    exp(-m|s-t|), for every finite m >= 0 (a ValueError otherwise), within
+    1.4e-16 relative of mpmath (`_bump_moments`)."""
+    if not (0.0 <= m < math.inf):
+        raise ValueError("self_moment needs a finite m >= 0, got %r" % (m,))
+    return _bump_moments(profile, m)[3]
 
 
 def delta_eps(profile, eps, x):

@@ -22,12 +22,14 @@ Two evaluation routes are provided and deliberately kept independent:
   two-neighbour formula (`_neighbour_field`).
   Outside a bump every integral collapses through the mu moment; inside a
   bump its own integral is a Taylor series in the offset or, at large
-  m sigma0, its closed form (`_bump_kernel`).  The kernel is
-  separable, so a point needs only its two neighbouring atoms (one search,
-  `density._neighbours`, which rho and the stress route share) and their
-  right and left sums over every image (`_right_sums`, which the pair
-  energies of `energy` share; `_kept` keeps a configuration's, so its
-  energy, forces, Hessian and field scan it once per side):
+  m sigma0, its closed form (`_bump_kernel`), on coefficients that
+  `density._bump_moments` forms from the same exact integers as mu and
+  self_moment.  The kernel is separable, so a point needs only its two
+  neighbouring atoms (one search, `density._neighbours`, which rho and the
+  stress route share) and their right and left sums over every image
+  (`_right_sums`, which the pair energies of `energy` share; `_kept` keeps
+  a configuration's, so its energy, forces, Hessian and field scan it once
+  per side):
   O((n + P) log n) for P points and O(P) memory, with no truncation and no
   quadrature, exact to roundoff (the in-bump part within 2e-15 of its
   maximum, against mpmath).  The energies of `energy` and the stresses of
@@ -64,13 +66,12 @@ cross-checks.
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property, lru_cache
-from math import comb, factorial
+from functools import cached_property
 
 import numpy as np
 
 from .density import (
-    _derivatives_at_one,
+    _bump_moments,
     _neighbours,
     check_separated,
     gauss_on_interval,
@@ -209,74 +210,16 @@ def xi_closed_form(bd):
 # ---------------------------------------------------------------------------
 
 
-#: Below this kappa = m sigma0/2 the in-bump kernel is summed as its Taylor
-#: series, at and above it in closed form (`_bump_kernel_coeffs`): near 5 the
-#: closed form's gradient was off by 2.1e-15 of its maximum (sextic), while
-#: the series stays within 1.2e-15 up to 8.
-_SERIES_KAPPA = 8
-
-
-@lru_cache(maxsize=256)
-def _bump_kernel_coeffs(profile, m):
-    """(c, A) with J(t) = sum_i c_i t^{2i} - A (e^{-kappa(1-t)} + e^{-kappa(1+t)})
-    on |t| <= 1, where J(t) = integral_{-1}^{1} (1 - s^2)^p e^{-kappa|t-s|} ds
-    and kappa = m sigma0/2 (= (m/eps) w, free of eps).
-
-    J is even and solves J'' - kappa^2 J = -2 kappa P, P(t) = (1 - t^2)^p =
-    sum_i b_i t^{2i}, so one function has two forms:
-
-    * kappa < _SERIES_KAPPA (A = 0): the Taylor series in t^2.  The ODE
-      gives c_{i+1} (2i+2)(2i+1) = kappa^2 c_i - 2 kappa b_i, from
-      c_0 = J(0) = 2 sum_n (-kappa)^n/n! integral_0^1 P(s) s^n ds; the
-      series stops at the first |c_i| <= 2^-56 c_0 past i = p + 1.
-    * kappa >= _SERIES_KAPPA: the polynomial particular solution
-      R = (2/kappa) sum_j P^(2j) / kappa^{2j}, less the even homogeneous
-      term that meets the e^{-kappa|t|} decay outside the bump:
-      A = (R(1) + R'(1)/kappa)/2 = sum_l P^(l)(1) / kappa^{l+1}.  At small
-      kappa R and A grow like kappa^{-2p-1} and cancel (8e-12 lost at
-      kappa = 0.25).
-
-    An error in c_0 grows like cosh(kappa t) (a Gauss rule's c_0 cost 8e-15
-    of the maximum at kappa = 3), so every coefficient is formed exactly,
-    in integers that count units of 2^-200 (kappa is the exact ratio of
-    two integers), and rounded to a double once.  Against mpmath
-    (tests/oracle_field.py, both profiles, kappa 0.05..32) both forms stay
-    within 2e-15 of the bump's largest value and gradient.
-    """
-    if not (0.0 < m < math.inf):
-        raise ValueError("the kernel field needs a finite m > 0, got %r" % (m,))
-    p = profile.power
-    b = [(-1) ** i * comb(p, i) for i in range(p + 1)]
-    num, den = (m * profile.half_width).as_integer_ratio()  # kappa = num/den
-    one = 1 << 200
-    if num >= _SERIES_KAPPA * den:
-        r = [sum(2 * b[i + j] * (factorial(2 * i + 2 * j) // factorial(2 * i)) * one
-                 * den ** (2 * j + 1) // num ** (2 * j + 1) for j in range(p + 1 - i))
-             for i in range(p + 1)]
-        a = sum(d * one * den ** (j + 1) // num ** (j + 1)
-                for j, d in enumerate(_derivatives_at_one(p)))
-        return tuple(ri / one for ri in r), a / one
-    c0, term, n = 0, 2 * one, 0  # term = 2 kappa^n / n!
-    while term:
-        c0 += (-1) ** n * sum(term * bi // (2 * i + n + 1) for i, bi in enumerate(b))
-        n += 1
-        term = term * num // (den * n)
-    c = [c0]
-    while len(c) <= p + 1 or abs(c[-1]) > c0 >> 56:
-        i = len(c) - 1
-        forcing = 2 * b[i] * one * num // den if i <= p else 0
-        c.append((c[i] * num * num // (den * den) - forcing) // ((2 * i + 2) * (2 * i + 1)))
-    return tuple(ci / one for ci in c), 0.0
-
-
 def _bump_kernel(profile, m, eps, d):
     """(1/2m) integral delta_eps(z) e^{-(m/eps)|d - z|} dz, the field of one
     bump at the offsets d (an array) from its centre, |d| < w = eps sigma0/2:
     with t = d/w it is (C_p/(2 m eps)) w J(t), and its gradient in d is
-    (C_p/(2 m eps)) J'(t), J as in `_bump_kernel_coeffs`.  Horner in t^2,
-    in place, so it holds a few arrays the size of d.  Returns (value,
-    gradient) arrays."""
-    c, a = _bump_kernel_coeffs(profile, m)
+    (C_p/(2 m eps)) J'(t), J as in `density._bump_moments`, which gives mu
+    and self_moment from the same coefficients.  Horner in t^2, in place, so
+    it holds a few arrays the size of d.  Returns (value, gradient) arrays."""
+    if not (0.0 < m < math.inf):
+        raise ValueError("the kernel field needs a finite m > 0, got %r" % (m,))
+    c, a = _bump_moments(profile, m)[:2]
     w = profile.half_width * eps
     t = d / w
     u = t * t

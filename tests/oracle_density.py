@@ -4,8 +4,10 @@ Run directly to regenerate the frozen constants used in test_density.py /
 test_energy.py.  Everything here is deliberately independent of the package:
 plain trapezoid rules at high resolution, so the numbers can be trusted to
 ~1e-12 relative without sharing any code with the implementation under test.
-The large-m values of mu, which need more than that, are integrated by mpmath
-at 50 digits (`mu_mpmath`); mpmath is needed only to regenerate them.
+The large-m values of mu, which need more than that, and both moments on
+MOMENT_GRID, which the tests hold to 1e-15 relative, are integrated by mpmath
+at 50 digits (`mu_mpmath`, `self_moment_mpmath`); mpmath is needed only to
+regenerate them.
 """
 
 import numpy as np
@@ -55,6 +57,28 @@ def mu_mpmath(power, m, sigma0=0.5):
     return mp.quad(lambda s: (1 - s * s) ** power * mp.exp(k * s), [-1, 0, 1]) / norm
 
 
+def self_moment_mpmath(power, m, sigma0=0.5):
+    """self_moment(m) = integral P(t) J(t) dt / (integral P)^2 with P(s) = (1 - s^2)^p
+    and J(t) = integral_{-1}^{1} P(s) e^{-k|t - s|} ds, k = m sigma0/2: the
+    inner integral split at the kernel kink s = t, the outer one over the
+    smooth J."""
+    import mpmath as mp
+
+    mp.mp.dps = 50
+    k = mp.mpf(m) * sigma0 / 2
+    norm = mp.quad(lambda s: (1 - s * s) ** power, [-1, 1])
+
+    def inner(t):
+        return mp.quad(lambda s: (1 - s * s) ** power * mp.exp(-k * abs(t - s)), [-1, t, 1])
+
+    return mp.quad(lambda t: (1 - t * t) ** power * inner(t), [-1, 0, 1]) / norm**2
+
+
+# m at sigma0 = 0.5: m sigma0/2 runs 0.025..64, across the in-bump kernel's
+# switch from series to closed form at 8 (m = 31, 32)
+MOMENT_GRID = (0.1, 1.0, 4.0, 16.0, 31.0, 32.0, 48.0, 64.0, 256.0)
+
+
 if __name__ == "__main__":
     for name, d1 in [("quartic", delta1_quartic), ("sextic", delta1_sextic)]:
         print(f"profile={name} sigma0=0.5")
@@ -65,3 +89,9 @@ if __name__ == "__main__":
             print(f"  self_moment(m={m}) = {self_moment_trapz(d1, m):.15f}")
         for m in (64.0, 128.0, 256.0, 1024.0, 2860.0):
             print(f"  mu(m={m}) [mpmath] = {float(mu_mpmath(2 if name == 'quartic' else 3, m))!r}")
+    print("MOMENTS = {  # (mu, self_moment)")
+    for name, power in (("quartic", 2), ("sextic", 3)):
+        for m in MOMENT_GRID:
+            pair = float(mu_mpmath(power, m)), float(self_moment_mpmath(power, m))
+            print(f"    ({name!r}, {m!r}): ({pair[0]!r}, {pair[1]!r}),", flush=True)
+    print("}")

@@ -43,10 +43,31 @@ def test_moved_value_reports_its_relative_change(tmp_path, capsys):
     moved = ROW_B.replace("2.0e-08", "2.5e-08")
     new = write_kinds(tmp_path, "new", {"optimal-bc": ("t", [ROW_A, moved])})
     assert report(capsys, old, new) == [
-        "optimal-bc: 1 row change(s)",
+        "optimal-bc: 1 row change(s), largest rel=2.500e-01",
         "  moved    optimal-bc 20 9 dg-at-gstar-fd  value: old=2.0e-08 new=2.5e-08 rel=2.500e-01",
         "0 of 1 kinds identical",
     ]
+
+
+def test_header_gives_the_largest_numeric_move_of_its_kind(tmp_path, capsys):
+    # the largest of the kind's moved numeric cells, wherever it sits; a
+    # moved cell that is not a number has no relative change, and a kind
+    # with no moved numeric cell no largest move
+    old = write_kinds(tmp_path, "old", {"a": ("t", [ROW_A, ROW_B]), "b": ("t", [ROW_A]),
+                                        "c": ("t", [ROW_A])})
+    moved_b = ROW_B.replace("2.0e-08", "2.0000001e-08").replace("4.8e-08", "6.0e-08")
+    new = write_kinds(tmp_path, "new", {"a": ("t", [ROW_A.replace("1.0e-12", "1.1e-12"), moved_b]),
+                                        "b": ("t", [ROW_B]),
+                                        "c": ("t", [ROW_A.replace(",\n", ",x\n")])})
+    out = report(capsys, old, new)
+    assert out[0] == "a: 3 row change(s), largest rel=2.500e-01"
+    assert [line.split("  ")[-1] for line in out[1:4]] == [
+        "value: old=1.0e-12 new=1.1e-12 rel=1.000e-01",
+        "value: old=2.0e-08 new=2.0000001e-08 rel=5.000e-08",
+        "bound: old=4.8e-08 new=6.0e-08 rel=2.500e-01"]
+    assert out[4] == "b: 2 row change(s)"
+    assert out[7:9] == ["c: 1 row change(s)",
+                        "  moved    optimal-bc 20 9 dg-at-gstar-closed  fitted_c: old= new=x rel=n/a"]
 
 
 def test_added_and_removed_rows(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -36,8 +38,8 @@ MU_SEXTIC_M1 = 1.003477158310150
 SELF_QUARTIC_M1 = 0.900130121592294
 SELF_QUARTIC_M2 = 0.814921384310684
 SELF_SEXTIC_M1 = 0.911362874279205
-# Large-m mu from oracle_density.mu_mpmath (mpmath, 50 digits), sigma0 = 0.5:
-# m = 64 is the last GL-24 point (m sigma0/2 = 16), the rest the closed form.
+# Large-m mu from oracle_density.mu_mpmath (mpmath, 50 digits), sigma0 = 0.5;
+# every m here is past the switch to the closed form (m sigma0/2 >= 8).
 MU_LARGE_M = {
     ("quartic", 64.0): 13410.825632766198,
     ("quartic", 128.0): 16431774779.426096,
@@ -50,6 +52,29 @@ MU_LARGE_M = {
     ("sextic", 1024.0): 1.804630242321787e+103,
     ("sextic", 2860.0): 6.60454225134043e+300,
 }
+# Both moments on oracle_density.MOMENT_GRID (mpmath, 50 digits), sigma0 = 0.5:
+# m sigma0/2 runs 0.025..64, across the series/closed-form switch at 8.
+MOMENTS = {  # (mu, self_moment)
+    ("quartic", 0.1): (1.0000446436321997, 0.9892661713848744),
+    ("quartic", 1.0): (1.004472043554215, 0.9001301215924918),
+    ("quartic", 4.0): (1.0734430519421174, 0.678605984684607),
+    ("quartic", 16.0): (2.7950629791976973, 0.31087689725651246),
+    ("quartic", 31.0): (24.79443752840807, 0.17623977545500516),
+    ("quartic", 32.0): (29.338339900748103, 0.17116420413152902),
+    ("quartic", 48.0): (544.5174408753209, 0.11671139776718606),
+    ("quartic", 64.0): (13410.825632766198, 0.08827568480260847),
+    ("quartic", 256.0): (1.7015771562278494e+23, 0.022305120142485164),
+    ("sextic", 0.1): (1.0000347227154396, 0.9905507671849426),
+    ("sextic", 1.0): (1.00347715831015, 0.91136287427941),
+    ("sextic", 4.0): (1.0568345050273353, 0.708229729863574),
+    ("sextic", 16.0): (2.288159582056317, 0.34383948553310817),
+    ("sextic", 31.0): (14.978012827778954, 0.19882307262503238),
+    ("sextic", 32.0): (17.38766991340701, 0.19322003366471724),
+    ("sextic", 48.0): (245.38032578016006, 0.1325421479727273),
+    ("sextic", 64.0): (4840.12229174298, 0.10048987395365756),
+    ("sextic", 256.0): (1.7752453440462003e+22, 0.025471127503124583),
+}
+PROFILES = {"quartic": quartic_bump(0.5), "sextic": sextic_bump(0.5)}
 
 
 def test_profile_normalization():
@@ -101,6 +126,46 @@ def test_mu_at_large_m_against_frozen_oracle(name, m):
 def test_mu_raises_where_it_has_no_finite_value(m, match):
     with pytest.raises(ValueError, match=match):
         mu(quartic_bump(0.5), m)
+
+
+@pytest.mark.parametrize("name, m", sorted(MOMENTS))
+def test_moments_against_frozen_mpmath_oracle(name, m):
+    # the bound, 1e-15 relative, was fixed before measuring; the GL-24 mu
+    # missed it by up to 4.1e-15 and the 48 x 2 x 32-node self_moment loop
+    # by up to 1.1e-14 on this grid
+    mu_ref, self_ref = MOMENTS[name, m]
+    assert mu(PROFILES[name], m) == pytest.approx(mu_ref, rel=1e-15, abs=0.0)
+    assert self_moment(PROFILES[name], m) == pytest.approx(self_ref, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_moments_are_exactly_the_unit_mass_at_m_zero(name):
+    # at m = 0 both moments are (integral delta1)^n = 1, formed in exact
+    # integers and rounded once (GL-24 gave 0.9999999999999992 for the
+    # quartic, 0.9999999999999993 for the sextic, and the self_moment loop
+    # 0.9999999999999954 for both)
+    assert mu(PROFILES[name], 0.0) == 1.0
+    assert self_moment(PROFILES[name], 0.0) == 1.0
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+@pytest.mark.parametrize("m", [1e50, 1e300])
+def test_self_moment_at_huge_m_meets_its_asymptote(name, m):
+    # 2 integral P^2 / (kappa I_0^2), P = (1 - t^2)^p, kappa = m sigma0/2,
+    # with a relative correction O(kappa^-2) below any double; a fixed
+    # 2^-200 unit keeps fewer than 53 bits of it past kappa ~ 1e44
+    p, kappa = PROFILES[name].power, m * PROFILES[name].half_width
+    i0 = 2 ** (2 * p + 1) * math.factorial(p) ** 2 / math.factorial(2 * p + 1)
+    i2 = 2 ** (4 * p + 1) * math.factorial(2 * p) ** 2 / math.factorial(4 * p + 1)
+    expected = 2 * i2 / (kappa * i0**2)
+    assert self_moment(PROFILES[name], m) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [np.inf, -np.inf, np.nan, -1.0, -1e-300])
+def test_self_moment_raises_off_its_domain(m):
+    # a NaN m gave NaN and an infinite one 0.0, silently
+    with pytest.raises(ValueError, match="finite m >= 0"):
+        self_moment(quartic_bump(0.5), m)
 
 
 def test_mu_even_and_at_least_one():

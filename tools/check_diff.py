@@ -5,13 +5,16 @@
 OLD and NEW each hold the `<kind>.csv` files of one `acfield check --out`
 run.  The CSV bodies are compared kind by kind; the `#` header lines (time
 stamps, wall times, the output path) are ignored.  A kind whose body is
-byte-identical prints "identical"; otherwise each moved, added or removed
-row is printed with its old value, new value and relative change.  Rows are
-matched by (experiment, N, K, quantity) and their order of appearance.  The
-report never fails: it exits 0 unless a directory is missing.
+byte-identical prints "identical"; otherwise its header line gives the
+largest relative change of its moved numeric cells, and each moved, added or
+removed row is printed with its old value, new value and relative change.
+Rows are matched by (experiment, N, K, quantity) and their order of
+appearance.  The report never fails: it exits 0 unless a directory is
+missing.
 """
 
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -37,19 +40,22 @@ def keyed_rows(text):
 
 
 def rel_change(old, new):
+    """|new - old| / |old| of two cells (inf from 0), None unless both are
+    numbers."""
     try:
         a, b = float(old), float(new)
-    except ValueError:
-        return "n/a"
+    except (TypeError, ValueError):
+        return None
     if a == b:
-        return "0"
-    return "%.3e" % (abs(b - a) / abs(a)) if a != 0.0 else "inf"
+        return 0.0
+    return abs(b - a) / abs(a) if a != 0.0 else math.inf
 
 
 def compare(old_text, new_text):
-    """Lines describing every moved, added and removed row."""
+    """Lines describing every moved, added and removed row, and the largest
+    relative change of a moved numeric cell (None if there is none)."""
     old, new = keyed_rows(old_text), keyed_rows(new_text)
-    out = []
+    out, largest = [], None
     for key in list(old) + [k for k in new if k not in old]:
         name = " ".join(key[:-1]) + ("" if key[-1] == 1 else " #%d" % key[-1])
         if key not in new:
@@ -60,9 +66,13 @@ def compare(old_text, new_text):
             for col in old[key]:
                 a, b = old[key][col], new[key].get(col)
                 if a != b:
+                    rel = rel_change(a, b)
+                    shown = "n/a" if rel is None else "0" if rel == 0.0 else "%.3e" % rel
                     out.append("  moved    %s  %s: old=%s new=%s rel=%s"
-                               % (name, col, a, b, rel_change(a, b)))
-    return out
+                               % (name, col, a, b, shown))
+                    if rel is not None and (largest is None or rel > largest):
+                        largest = rel
+    return out, largest
 
 
 def main(argv):
@@ -79,9 +89,12 @@ def main(argv):
         if old_text == new_text:
             print("%s: identical" % kind)
             continue
-        lines = compare(old_text, new_text)
+        lines, largest = compare(old_text, new_text)
         n_moved += 1
-        print("%s: %d row change(s)%s" % (kind, len(lines), "" if lines else " (order or format)"))
+        note = "" if lines else " (order or format)"
+        if largest is not None:
+            note += ", largest rel=%.3e" % largest
+        print("%s: %d row change(s)%s" % (kind, len(lines), note))
         for line in lines:
             print(line)
     print("%d of %d kinds identical" % (len(kinds) - n_moved, len(kinds)))
