@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .cauchy_born import _cb_band, _cell_pulls, _cell_terms
-from .density import check_separated, mu
+from .density import _mu_squared, check_separated, mu
 from .energy import (_g_star, _nodal_values, _pair_curvature, _slab_core, _slab_energy,
                      _slab_gradient, forces_periodic)
 from .field import BoundaryData, _ChainSums, _kept, _read_only, _walls
@@ -350,7 +350,7 @@ def ac_hessian_structured(cfg, method, profile, m):
         for dq, i_s, s in zip(grad_q[3:], (4, 5), s_int):
             w[i_s, i_s] += dq * _interface_strain_d2gamma(profile, m, s)
 
-    pref = eps * muv**2 / (4.0 * m)
+    pref = eps * _mu_squared(muv, m) / (4.0 * m)
     diag, off = _cb_band(cfg, profile, m, window.weights)
     diag[win] += pref * _pair_curvature(window.sums) \
         + kk * (grad_q[0] * cols[win, 0] + grad_q[1] * cols[win, 1])
@@ -430,6 +430,6 @@ def stability_spectrum(cfg, method, profile, m):
     s = np.sqrt(cfg.eps / lam_b)
     w = s[:, None] * (q.T @ hess @ q) * s
     lam = np.linalg.eigvalsh(0.5 * (w + w.T))
-    muv = mu(profile, m)
-    bound = m * muv**2 / 2.0 * math.exp(-m * float(np.max(first_diff(cfg))))
+    mu2 = _mu_squared(mu(profile, m), m)
+    bound = m * mu2 / 2.0 * math.exp(-m * float(np.max(first_diff(cfg))))
     return float(lam[0]), bound

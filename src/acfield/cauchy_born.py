@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .density import check_separated, mu
+from .density import _mu_squared, check_separated, mu
 from .energy import _nodal_values, self_energy
 from .field import _cell_fields, _kept, _read_only
 from .hessian import StructuredHessian
@@ -52,7 +52,7 @@ _BOUND_BLOCK = 1 << 16
 def cb_cell_energy(strain, profile, m, eps):
     """Cell energy e(strain): per-atom energy of the equidistant comparison chain."""
     x = np.exp(-m * np.asarray(strain, dtype=float))
-    out = mu(profile, m) ** 2 * eps / (2.0 * m) * x / (1.0 - x) \
+    out = _mu_squared(mu(profile, m), m) * eps / (2.0 * m) * x / (1.0 - x) \
         + self_energy(profile, m, eps)
     return out if out.ndim else float(out)
 
@@ -60,14 +60,14 @@ def cb_cell_energy(strain, profile, m, eps):
 def cb_cell_denergy(strain, profile, m, eps):
     """e'(strain) = -(mu^2 eps / 2) x / (1-x)^2."""
     x = np.exp(-m * np.asarray(strain, dtype=float))
-    out = -mu(profile, m) ** 2 * eps / 2.0 * x / (1.0 - x) ** 2
+    out = -_mu_squared(mu(profile, m), m) * eps / 2.0 * x / (1.0 - x) ** 2
     return out if out.ndim else float(out)
 
 
 def cb_cell_d2energy(strain, profile, m, eps):
     """e''(strain) = (m mu^2 eps / 2) x (1+x) / (1-x)^3 > 0."""
     x = np.exp(-m * np.asarray(strain, dtype=float))
-    out = mu(profile, m) ** 2 * m * eps / 2.0 * x * (1.0 + x) / (1.0 - x) ** 3
+    out = _mu_squared(mu(profile, m), m) * m * eps / 2.0 * x * (1.0 + x) / (1.0 - x) ** 3
     return out if out.ndim else float(out)
 
 
@@ -214,9 +214,8 @@ def cb_hessian_lower_bound_check(cfg, u, profile, m):
     du = (u - np.roll(u, 1)) / cfg.eps  # u'_j across cell j
     e2 = cb_cell_d2energy(strains, profile, m, cfg.eps)
     terms = e2 * du**2
-    muv = mu(profile, m)
     s_max = float(np.max(strains))
-    floor = m * muv**2 / 2.0 * math.exp(-m * s_max)
+    floor = m * _mu_squared(mu(profile, m), m) / 2.0 * math.exp(-m * s_max)
     floor_strict = m * floor  # the stronger variant with the extra factor m
     active = du != 0.0
     if np.any(active):

@@ -26,10 +26,14 @@ pair-sum energy route exact rather than asymptotic.
 
 One cached routine, `_bump_moments`, forms both moments and the coefficients
 of the in-bump kernel field (`field._bump_kernel`) from the same exact
-integers and rounds each once.
+integers and rounds each once.  The Gauss-Legendre rules that the FEM load,
+the stress route and the checks integrate with (`gauss_on_interval`) are
+built here too, in integer fixed point, so each node and weight is the double
+nearest its exact value (`_leggauss`); numpy.polynomial is never imported.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
@@ -52,14 +56,65 @@ __all__ = [
 ]
 
 
+#: The Gauss rules' fixed-point unit is 2^-_GAUSS_BITS, 75 bits below a
+#: double's last bit on [1/2, 1).
+_GAUSS_BITS = 128
+
+
 @lru_cache(maxsize=64)
 def _leggauss(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    """The n-point Gauss-Legendre rule on [-1, 1], nodes ascending, as two
+    read-only arrays: each node and each weight is the double nearest its
+    exact value (tests/oracle_density.py, mpmath at 50 digits).
+
+    Tricomi's asymptotic (1 - (n - 1)/(8 n^3)) cos(pi (4k - 1)/(4n + 2))
+    starts the nodes x >= 0, k = 1..n/2, and the middle node of an odd rule
+    is 0 exactly; the rule's symmetry gives the rest.  Newton steps on P_n,
+    run in integer fixed point (unit 2^-_GAUSS_BITS) through the three-term
+    recurrence (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}, stop once the
+    correction is below 2^-96 (3 to 5 steps a node up to n = 48).  With
+    D = x P_n - P_{n-1} = (x^2 - 1) P_n'/n the correction is
+    P_n (1 - x^2)/(n D), and the weight 2/((1 - x^2) P_n'^2) =
+    2 (1 - x^2)/(n^2 D^2) is read at the last x, within about n^2 2^-96
+    relative of its value at the node.  Each node and weight is a ratio of
+    integers that Python rounds once.  Golub-Welsch's eigenvalue start
+    (`np.linalg.eigvalsh`) would save a step but map 1.1 MB of LAPACK into
+    a process that may never need it.
+    """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError("a Gauss rule needs an integer number of points, got %r"
+                         % (n,)) from None
+    if n < 1:
+        raise ValueError("a Gauss rule needs at least one point, got %d" % n)
+    bits = _GAUSS_BITS
+    one = 1 << bits
+    theta = np.pi * (4.0 * np.arange(n // 2, 0, -1) - 1.0) / (4.0 * n + 2.0)
+    start = [0.0] * (n % 2) + ((1.0 - (n - 1.0) / (8.0 * n**3)) * np.cos(theta)).tolist()
+    nodes, weights = [], []
+    for s in start:
+        x = int(s * one)  # exact: s is a double in [0, 1]
+        while True:
+            p, q = x, one  # P_k, P_{k-1} at k = 1
+            for j in range(1, n):
+                p, q = (((2 * j + 1) * x * p >> bits) - j * q) // (j + 1), p
+            d = (x * p >> bits) - q
+            step = p * (one * one - x * x) // (n * d * one)
+            if abs(step) >> (bits - 96) == 0:
+                break
+            x += step
+        nodes.append((x + step) / one)
+        weights.append(2 * (one * one - x * x) / (n * n * d * d))
+    xs = np.array([-v for v in nodes[::-1][:n // 2]] + nodes)
+    ws = np.array(weights[::-1][:n // 2] + weights)
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws
 
 
 def gauss_on_interval(a, b, n):
-    """Gauss-Legendre nodes/weights mapped to [a, b]."""
+    """Gauss-Legendre nodes/weights mapped to [a, b] (`_leggauss`; a
+    ValueError unless n is an integer >= 1)."""
     x, w = _leggauss(n)
     half = 0.5 * (b - a)
     return 0.5 * (a + b) + half * x, half * w
@@ -237,6 +292,16 @@ def mu(profile, m):
     if value < 1.0 - 1e-12:
         raise ValueError("mu moment must be >= 1 (Jensen)")
     return value
+
+
+def _mu_squared(muv, m):
+    """muv^2 for muv = mu(profile, m), the pair prefactors' factor, or a
+    ValueError naming m where the square exceeds the largest double (mu
+    itself stays finite further: at sigma0 = 0.5, from m = 1483 to 2860)."""
+    try:
+        return muv**2
+    except OverflowError:
+        raise ValueError("mu(m)^2 at m = %r exceeds the largest double" % (m,)) from None
 
 
 def self_moment(profile, m):

@@ -49,7 +49,7 @@ behaves as if mirror charges sat behind both walls (`mirror_energy`).
 """
 
 import numpy as np
-from .density import check_separated, mu, self_moment
+from .density import _mu_squared, check_separated, mu, self_moment
 from .field import _ChainSums, _periodic_sums, _t_solve, _walls
 from .hessian import Green, StructuredHessian
 from .lattice import positions
@@ -124,17 +124,17 @@ def energy_periodic(cfg, profile, m):
     """Periodic chain energy E(y) = (1/2) integral rho_y phi: the exact
     resummed pair sum plus (2N+1) self energies."""
     check_separated(cfg, profile, "energy_periodic")
-    muv = mu(profile, m)
+    mu2 = _mu_squared(mu(profile, m), m)
     s, _ = _pair_sum(_periodic_sums(cfg, m), want_grad=False)
-    return cfg.eps * muv**2 / (4.0 * m) * s + cfg.n_atoms * self_energy(profile, m, cfg.eps)
+    return cfg.eps * mu2 / (4.0 * m) * s + cfg.n_atoms * self_energy(profile, m, cfg.eps)
 
 
 def forces_periodic(cfg, profile, m):
     """Gradient D_{y_j} E of the periodic energy, j = -N..N (closed form)."""
     check_separated(cfg, profile, "forces_periodic")
-    muv = mu(profile, m)
+    mu2 = _mu_squared(mu(profile, m), m)
     _, grad = _pair_sum(_periodic_sums(cfg, m))
-    return cfg.eps * muv**2 / (4.0 * m) * grad
+    return cfg.eps * mu2 / (4.0 * m) * grad
 
 
 def hessian_periodic_structured(cfg, profile, m):
@@ -147,7 +147,7 @@ def hessian_periodic_structured(cfg, profile, m):
     """
     check_separated(cfg, profile, "hessian_periodic_structured")
     k = m / cfg.eps
-    pref = cfg.eps * mu(profile, m) ** 2 / (4.0 * m)
+    pref = cfg.eps * _mu_squared(mu(profile, m), m) / (4.0 * m)
     y = positions(cfg)
     n = cfg.n_atoms
     return StructuredHessian(pref * _pair_curvature(_periodic_sums(cfg, m)), np.zeros(n),
@@ -226,9 +226,9 @@ def _slab_pair_part(sums, bd, profile, want_grad=True):
     """The slab's direct pair energy plus its self energies, and (with
     want_grad) the pair energy's gradient in the positions, else None; from
     the slab atoms' chain sums."""
-    muv = mu(profile, bd.m)
+    mu2 = _mu_squared(mu(profile, bd.m), bd.m)
     s_free, grad = _pair_sum(sums, want_grad=want_grad)
-    pref = bd.eps * muv**2 / (4.0 * bd.m)
+    pref = bd.eps * mu2 / (4.0 * bd.m)
     n_at = sums.y.size
     return (
         pref * s_free + n_at * self_energy(profile, bd.m, bd.eps),

@@ -283,9 +283,7 @@ def _tridiag_factor(a, b):
         alpha, beta = b_l / a_e[:-1], b_r / a_e[1:]
         b_next = np.zeros(alpha.size + 1)
         b_next[:-1] = -alpha * bb[0:-2:2]
-        # back substitution of even row 2j: (r_2j - J[2j-1, 2j] x_2j-1
-        # - J[2j, 2j+1] x_2j+1) / a_2j
-        levels.append((alpha, beta, 1.0 / a_e, bb[2:-1:2] / a_e[1:], bb[1:-2:2] / a_e[:-1]))
+        levels.append((alpha, beta, 1.0 / a_e))
         aa, bb = aa[1::2] - alpha * b_l - beta * b_r, b_next
     last = np.diag(aa)
     i = np.arange(1, aa.size)
@@ -302,17 +300,20 @@ def _tridiag_apply(levels, r):
     rr = np.zeros((m, (1 << n.bit_length()) - 1))
     rr[:, :n] = r
     evens = []
-    for alpha, beta, _, _, _ in levels[:-1]:
+    for alpha, beta, _ in levels[:-1]:
         r_e = rr[:, 0::2]
         evens.append(r_e)
         rr = rr[:, 1::2] - alpha * r_e[:, :-1] - beta * r_e[:, 1:]
     lam, vec = levels[-1]
     x = ((rr @ vec) / lam) @ vec.T
-    for (_, _, inv, left, right), r_e in zip(reversed(levels[:-1]), reversed(evens)):
+    # back substitution of even row 2j: x_2j = r_2j / a_2j
+    # - (J[2j-1, 2j] / a_2j) x_2j-1 - (J[2j, 2j+1] / a_2j) x_2j+1, the two
+    # ratios being beta_j-1 and alpha_j
+    for (alpha, beta, inv), r_e in zip(reversed(levels[:-1]), reversed(evens)):
         full = np.empty((m, 2 * x.shape[1] + 1))
         full[:, 1::2] = x
         full[:, 0::2] = r_e * inv
-        full[:, 2::2] -= left * x
-        full[:, 0:-1:2] -= right * x
+        full[:, 2::2] -= beta * x
+        full[:, 0:-1:2] -= alpha * x
         x = full
     return x[:, :n]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from acfield.ac import ac_energy, method1, method2, stability_spectrum
 from acfield.cauchy_born import (
     cb_cell_field,
     cb_cell_fields,
@@ -12,6 +13,7 @@ from acfield.cauchy_born import (
     cell_state,
 )
 from acfield.density import (
+    _leggauss,
     check_separated,
     gauss_on_interval,
     mu,
@@ -74,6 +76,67 @@ MOMENTS = {  # (mu, self_moment)
     ("sextic", 64.0): (4840.12229174298, 0.10048987395365756),
     ("sextic", 256.0): (1.7752453440462003e+22, 0.025471127503124583),
 }
+# oracle_density.gauss_legendre_mpmath (mpmath, 50 digits) on GAUSS_SIZES,
+# each value rounded once to the nearest double
+GAUSS_LEGENDRE = {  # n: (nodes x >= 0, ascending; their weights)
+    1: (
+        (0.0,),
+        (2.0,)),
+    2: (
+        (0.5773502691896257,),
+        (1.0,)),
+    3: (
+        (0.0, 0.7745966692414834),
+        (0.8888888888888888, 0.5555555555555556)),
+    8: (
+        (0.1834346424956498, 0.525532409916329, 0.7966664774136267, 0.9602898564975363),
+        (0.362683783378362, 0.31370664587788727, 0.22238103445337448,
+         0.10122853629037626)),
+    10: (
+        (0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+         0.8650633666889845, 0.9739065285171717),
+        (0.29552422471475287, 0.26926671930999635, 0.21908636251598204,
+         0.1494513491505806, 0.06667134430868814)),
+    24: (
+        (0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
+         0.4337935076260451, 0.5454214713888396, 0.6480936519369755, 0.7401241915785544,
+         0.820001985973903, 0.8864155270044011, 0.9382745520027328, 0.9747285559713095,
+         0.9951872199970213),
+        (0.12793819534675216, 0.1258374563468283, 0.12167047292780339,
+         0.1155056680537256, 0.10744427011596563, 0.09761865210411388,
+         0.08619016153195327, 0.0733464814110803, 0.05929858491543678,
+         0.04427743881741981, 0.028531388628933663, 0.0123412297999872)),
+    40: (
+        (0.03877241750605082, 0.11608407067525521, 0.1926975807013711,
+         0.2681521850072537, 0.3419940908257585, 0.413779204371605, 0.4830758016861787,
+         0.5494671250951282, 0.6125538896679802, 0.6719566846141796, 0.7273182551899271,
+         0.7783056514265194, 0.8246122308333117, 0.8659595032122595, 0.9020988069688743,
+         0.9328128082786765, 0.9579168192137917, 0.9772599499837743, 0.990726238699457,
+         0.9982377097105593),
+        (0.0775059479784248, 0.07703981816424797, 0.07611036190062624,
+         0.07472316905796826, 0.07288658239580406, 0.07061164739128678,
+         0.0679120458152339, 0.06480401345660104, 0.06130624249292894,
+         0.05743976909939155, 0.05322784698393682, 0.04869580763507223,
+         0.04387090818567327, 0.038782167974472016, 0.033460195282547844,
+         0.0279370069800234, 0.02224584919416696, 0.01642105838190789,
+         0.010498284531152813, 0.004521277098533191)),
+    48: (
+        (0.03238017096286936, 0.0970046992094627, 0.1612223560688917,
+         0.22476379039468905, 0.28736248735545555, 0.34875588629216075,
+         0.4086864819907167, 0.4669029047509584, 0.523160974722233, 0.5772247260839727,
+         0.6288673967765136, 0.6778723796326639, 0.7240341309238146, 0.7671590325157404,
+         0.8070662040294426, 0.8435882616243935, 0.8765720202742479, 0.9058791367155696,
+         0.9313866907065543, 0.9529877031604309, 0.9705915925462473, 0.9841245837228269,
+         0.9935301722663508, 0.9987710072524261),
+        (0.06473769681268392, 0.06446616443595009, 0.06392423858464819,
+         0.06311419228625402, 0.062039423159892665, 0.06070443916589388,
+         0.059114839698395635, 0.057277292100403214, 0.055199503699984165,
+         0.05289018948519367, 0.05035903555385447, 0.04761665849249048,
+         0.04467456085669428, 0.04154508294346475, 0.03824135106583071,
+         0.03477722256477044, 0.03116722783279809, 0.027426509708356948,
+         0.02357076083932438, 0.01961616045735553, 0.015579315722943849,
+         0.01147723457923454, 0.0073275539012762625, 0.0031533460523058385)),
+}
 PROFILES = {"quartic": quartic_bump(0.5), "sextic": sextic_bump(0.5)}
 
 
@@ -126,6 +189,53 @@ def test_mu_at_large_m_against_frozen_oracle(name, m):
 def test_mu_raises_where_it_has_no_finite_value(m, match):
     with pytest.raises(ValueError, match=match):
         mu(quartic_bump(0.5), m)
+
+
+@pytest.mark.parametrize("n", sorted(GAUSS_LEGENDRE))
+def test_gauss_rules_are_the_nearest_doubles(n):
+    # the bound, equal doubles, was fixed before measuring; numpy's leggauss
+    # weights missed mpmath by up to 7.9e-15 relative at n = 8, 1.2e-13 at
+    # n = 24 and 1.3e-12 at n = 48
+    nodes, weights = (np.array(v) for v in GAUSS_LEGENDRE[n])
+    x, w = _leggauss(n)
+    half = n // 2
+    assert x.size == w.size == n
+    assert np.array_equal(x[half:], nodes) and np.array_equal(w[half:], weights)
+    assert np.array_equal(x[:n - half], -nodes[::-1])
+    assert np.array_equal(w[:n - half], weights[::-1])
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5, 8.0, "8", None])
+def test_gauss_rule_needs_a_positive_integer_size(n):
+    with pytest.raises(ValueError, match="Gauss rule"):
+        gauss_on_interval(0.0, 1.0, n)
+
+
+# at sigma0 = 0.5, mu(1483) = 1.51e154 is finite but its square is not
+MU_SQUARED_ENTRY_POINTS = {
+    "energy_periodic": energy_periodic,
+    "forces_periodic": forces_periodic,
+    "hessian_periodic_structured": hessian_periodic_structured,
+    "cb_total_energy": cb_total_energy,
+    "ac_energy": lambda cfg, p, m: ac_energy(cfg, method1(4), p, m),
+    "stability_spectrum": lambda cfg, p, m: stability_spectrum(cfg, method2(4), p, m),
+}
+
+
+@pytest.mark.parametrize("entry, m", [(e, 1483.0) for e in sorted(MU_SQUARED_ENTRY_POINTS)]
+                         + [(e, 1480.0) for e in ("ac_energy", "cb_total_energy",
+                                                  "energy_periodic", "forces_periodic")])
+def test_mu_squared_overflow_raises_naming_m(entry, m):
+    # each raised a bare OverflowError from mu**2; at m = 1480 the two
+    # Hessian routes are not finite either (their Green's amplitude
+    # mu^2 m^2 / eps^2 overflows first), so only the energies are held there
+    call = MU_SQUARED_ENTRY_POINTS[entry]
+    cfg = homogeneous(10, 1.1)
+    if m == 1483.0:
+        with pytest.raises(ValueError, match=r"mu\(m\)\^2 at m = 1483\.0 exceeds"):
+            call(cfg, quartic_bump(0.5), m)
+    else:
+        assert np.all(np.isfinite(call(cfg, quartic_bump(0.5), m)))
 
 
 @pytest.mark.parametrize("name, m", sorted(MOMENTS))
