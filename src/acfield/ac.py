@@ -41,9 +41,9 @@ from functools import cached_property
 import numpy as np
 
 from .cauchy_born import _cb_band, _cell_pulls, _cell_terms
-from .density import _mu_squared, check_separated, mu
-from .energy import (_g_star, _nodal_values, _pair_curvature, _slab_core, _slab_energy,
-                     _slab_gradient, forces_periodic)
+from .density import _curvature_prefactor, _mu_squared, check_separated, mu
+from .energy import (_g_star, _pair_curvature, _slab_core, _slab_energy, _slab_gradient,
+                     forces_periodic)
 from .field import BoundaryData, _ChainSums, _kept, _read_only, _walls
 from .hessian import Green, StructuredHessian
 from .lattice import first_diff, norm_weighted, positions, second_diff
@@ -57,7 +57,6 @@ __all__ = [
     "ac_forces",
     "ac_hessian_structured",
     "g_method2",
-    "d_g_method2",
     "consistency_error",
     "stability_spectrum",
 ]
@@ -98,10 +97,6 @@ class AcPartition:
         read-only view) and the boundary data with g = 0."""
         bd0 = self.boundary_data(cfg, m)
         return positions(cfg)[slice(*self.interface_cells(cfg))], bd0
-
-    def atom_indices(self, cfg):
-        """Array indices of the atomistic atoms -K..K."""
-        return np.arange(*self.interface_cells(cfg))
 
 
 @dataclass(frozen=True)
@@ -213,20 +208,6 @@ def g_method2(cfg, partition, profile, m):
     strains = first_diff(cfg)
     return tuple(_interface_strain_gamma(profile, m, float(strains[c]))
                  for c in partition.interface_cells(cfg))
-
-
-def d_g_method2(cfg, partition, profile, m, u):
-    """Directional derivative of g_method2 along the displacement u.
-
-    g_L depends only on the strain of cell -K (g_R: of cell K+1), so the
-    derivative is dgamma/ds times the strain of u across that cell -- in
-    particular it is bounded by |dgamma/ds| |u'| with the constant evaluated
-    at the interface strain.
-    """
-    u = _nodal_values(u, cfg.n_atoms)
-    strains = first_diff(cfg)
-    return tuple(_interface_strain_dgamma(profile, m, float(strains[c]))
-                 * ((u[c] - u[c - 1]) / cfg.eps) for c in partition.interface_cells(cfg))
 
 
 def ac_forces(cfg, method, profile, m):
@@ -351,11 +332,11 @@ def ac_hessian_structured(cfg, method, profile, m):
             w[i_s, i_s] += dq * _interface_strain_d2gamma(profile, m, s)
 
     pref = eps * _mu_squared(muv, m) / (4.0 * m)
+    amp = _curvature_prefactor(pref * 4.0 * k**3, m)
     diag, off = _cb_band(cfg, profile, m, window.weights)
     diag[win] += pref * _pair_curvature(window.sums) \
         + kk * (grad_q[0] * cols[win, 0] + grad_q[1] * cols[win, 1])
-    return StructuredHessian(diag, off, Green(c_l, pref * 4.0 * k**3, y_at, k, None),
-                             cols, 0.5 * (w + w.T))
+    return StructuredHessian(diag, off, Green(c_l, amp, y_at, k, None), cols, 0.5 * (w + w.T))
 
 
 def consistency_error(cfg, method, profile, m, seed=0):

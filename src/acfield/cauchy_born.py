@@ -7,8 +7,11 @@ that chain is a geometric series with the exact closed form
 
     e(s) = (mu^2 eps / 2m) x / (1 - x) + E_self,      x = e^{-m s},
 
-which is what the cell energy, the continuum forces, and the convexity floor
-all differentiate.  The cell field psi^(j) is the lattice Green sum of the
+which is what the cell energy, the continuum forces and the Hessian all
+differentiate.  Since e''(s) >= (m mu^2 eps / 2) x, every cell's curvature
+is at least eps times the uniform convexity floor (m mu^2 / 2) e^{-m max y'},
+the bound that `ac.stability_spectrum` returns next to the smallest
+eigenvalue.  The cell field psi^(j) is the lattice Green sum of the
 comparison chain, one bump per period eps y'_j, with an exact quadrature
 correction on the bump that contains the evaluation point; every cell's
 field comes from one batch routine (`field._cell_fields`), and the bound
@@ -24,8 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .density import _mu_squared, check_separated, mu
-from .energy import _nodal_values, self_energy
+from .density import _curvature_prefactor, _mu_squared, check_separated, mu
+from .energy import self_energy
 from .field import _cell_fields, _kept, _read_only
 from .hessian import StructuredHessian
 from .lattice import first_diff, positions, second_diff
@@ -41,7 +44,6 @@ __all__ = [
     "cb_total_energy",
     "cb_forces",
     "cb_hessian_structured",
-    "cb_hessian_lower_bound_check",
     "comparison_field_bound",
 ]
 
@@ -67,7 +69,8 @@ def cb_cell_denergy(strain, profile, m, eps):
 def cb_cell_d2energy(strain, profile, m, eps):
     """e''(strain) = (m mu^2 eps / 2) x (1+x) / (1-x)^3 > 0."""
     x = np.exp(-m * np.asarray(strain, dtype=float))
-    out = _mu_squared(mu(profile, m), m) * m * eps / 2.0 * x * (1.0 + x) / (1.0 - x) ** 3
+    c = _curvature_prefactor(_mu_squared(mu(profile, m), m) * m * eps / 2.0, m)
+    out = c * x * (1.0 + x) / (1.0 - x) ** 3
     return out if out.ndim else float(out)
 
 
@@ -196,48 +199,6 @@ def cb_hessian_structured(cfg, profile, m):
     n = cfg.n_atoms
     return StructuredHessian(*_cb_band(cfg, profile, m, 1.0), None,
                              np.zeros((n, 0)), np.zeros((0, 0)))
-
-
-def cb_hessian_lower_bound_check(cfg, u, profile, m):
-    """Second variation of E^cb against its uniform convexity floor.
-
-    D^2 E^cb[u, u] = sum_j e''(y'_j) (u'_j)^2 with u'_j = (u_j - u_{j-1})/eps.
-    Each term is checked against floor * eps (u'_j)^2 for two candidate
-    floors: (m mu^2 / 2) e^{-m max y'} (which e'' >= m mu^2 eps/2 * x makes
-    unconditional -- a violation raises) and the same with an extra factor m,
-    which genuinely fails for m > 1 at moderate strains and is only reported.
-    Returns a dict with the quadratic form, both floors, and the per-cell
-    ratio minima taken over cells where u' != 0.
-    """
-    u = _nodal_values(u, cfg.n_atoms)
-    strains = first_diff(cfg)
-    du = (u - np.roll(u, 1)) / cfg.eps  # u'_j across cell j
-    e2 = cb_cell_d2energy(strains, profile, m, cfg.eps)
-    terms = e2 * du**2
-    s_max = float(np.max(strains))
-    floor = m * _mu_squared(mu(profile, m), m) / 2.0 * math.exp(-m * s_max)
-    floor_strict = m * floor  # the stronger variant with the extra factor m
-    active = du != 0.0
-    if np.any(active):
-        ratios = e2[active] / (floor * cfg.eps)
-        min_ratio = float(np.min(ratios))
-        min_ratio_strict = float(np.min(e2[active] / (floor_strict * cfg.eps)))
-    else:
-        min_ratio = min_ratio_strict = math.inf
-    if min_ratio < 1.0:
-        raise RuntimeError(
-            "convexity floor violated: min ratio %.6f < 1" % min_ratio
-        )
-    return {
-        "quad_form": float(np.sum(terms)),
-        "floor": floor,
-        "floor_strict": floor_strict,
-        "bound": floor * cfg.eps * float(np.sum(du**2)),
-        "min_ratio": min_ratio,
-        "min_ratio_strict": min_ratio_strict,
-        "holds": True,
-        "holds_strict": min_ratio_strict >= 1.0,
-    }
 
 
 def comparison_field_bound(cfg, profile, m, j):

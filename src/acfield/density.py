@@ -304,6 +304,15 @@ def _mu_squared(muv, m):
         raise ValueError("mu(m)^2 at m = %r exceeds the largest double" % (m,)) from None
 
 
+def _curvature_prefactor(value, m):
+    """value, a Hessian's prefactor built on mu(profile, m)^2, or a
+    ValueError naming m where it exceeds the largest double (at sigma0 =
+    0.5 and eps = 2/21, from m = 1445, before mu^2 itself overflows)."""
+    if math.isinf(value):
+        raise ValueError("Hessian prefactor at m = %r exceeds the largest double" % (m,))
+    return value
+
+
 def self_moment(profile, m):
     """Self-interaction moment: double integral of delta1 x delta1 against
     exp(-m|s-t|), for every finite m >= 0 (a ValueError otherwise), within

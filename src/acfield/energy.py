@@ -49,7 +49,7 @@ behaves as if mirror charges sat behind both walls (`mirror_energy`).
 """
 
 import numpy as np
-from .density import _mu_squared, check_separated, mu, self_moment
+from .density import _curvature_prefactor, _mu_squared, check_separated, mu, self_moment
 from .field import _ChainSums, _periodic_sums, _t_solve, _walls
 from .hessian import Green, StructuredHessian
 from .lattice import positions
@@ -72,17 +72,6 @@ __all__ = [
 def self_energy(profile, m, eps):
     """Per-atom self energy (eps/4m) * self_moment: the bump interacting with itself."""
     return eps / (4.0 * m) * self_moment(profile, m)
-
-
-def _nodal_values(u, n):
-    """u as a float array of n finite nodal values; any other length, or a
-    non-finite entry, raises."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (n,):
-        raise ValueError("u must hold %d nodal values, got shape %s" % (n, u.shape))
-    if not np.all(np.isfinite(u)):
-        raise ValueError("u must hold finite nodal values")
-    return u
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +137,11 @@ def hessian_periodic_structured(cfg, profile, m):
     check_separated(cfg, profile, "hessian_periodic_structured")
     k = m / cfg.eps
     pref = cfg.eps * _mu_squared(mu(profile, m), m) / (4.0 * m)
+    amp = _curvature_prefactor(pref * 4.0 * k**3, m)
     y = positions(cfg)
     n = cfg.n_atoms
     return StructuredHessian(pref * _pair_curvature(_periodic_sums(cfg, m)), np.zeros(n),
-                             Green(0, pref * 4.0 * k**3, y, k, cfg.L),
-                             np.zeros((n, 0)), np.zeros((0, 0)))
+                             Green(0, amp, y, k, cfg.L), np.zeros((n, 0)), np.zeros((0, 0)))
 
 
 # ---------------------------------------------------------------------------

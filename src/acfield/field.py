@@ -15,11 +15,10 @@ Two evaluation routes are provided and deliberately kept independent:
   sums it for two periods: the chain, L = 2F (`eval_green_periodic`), and
   the slab, L = 2(a_R - a_L), where odd reflection at both walls puts
   same-sign images of every charge on that lattice and leaves only the odd
-  mirror charges, added in closed form (`eval_green_dirichlet`;
-  `green_dirichlet` is the point-source kernel).  The Cauchy-Born
-  comparison chains of the cells, one bump per period L = eps * y'_j, are
-  summed all at once (`_cell_fields`); both routines end in the same
-  two-neighbour formula (`_neighbour_field`).
+  mirror charges, added in closed form (`eval_green_dirichlet`).  The
+  Cauchy-Born comparison chains of the cells, one bump per period
+  L = eps * y'_j, are summed all at once (`_cell_fields`); both routines
+  end in the same two-neighbour formula (`_neighbour_field`).
   Outside a bump every integral collapses through the mu moment; inside a
   bump its own integral is a Taylor series in the offset or, at large
   m sigma0, its closed form (`_bump_kernel`), on coefficients that
@@ -90,8 +89,6 @@ __all__ = [
     "xi_closed_form",
     "eval_green_periodic",
     "eval_green_dirichlet",
-    "green_dirichlet",
-    "field_lipschitz_check",
     "fem_relative_budget",
 ]
 
@@ -139,9 +136,6 @@ class BoundaryData:
 
     def with_g(self, g_L, g_R):
         return BoundaryData(self.a_L, self.a_R, float(g_L), float(g_R), self.m, self.eps)
-
-    def g(self):
-        return np.array([self.g_L, self.g_R])
 
 
 def _check_inside_slab(y_at, bd, profile):
@@ -476,31 +470,6 @@ def eval_green_periodic(cfg, profile, m, x):
     return val, grad
 
 
-def green_dirichlet(bd, x, z):
-    """Slab Green's function G_a(x, z): field at x of a point source at z.
-
-    Vanishes for x on the boundary, symmetric in (x, z).  Built from the free
-    kernel plus mirror charges at both walls, resummed in closed form:
-
-        G_a = [ e^{-k|x-z|} - (e^{-k(x+z-2a_L)} + e^{-k(2a_R-x-z)}) / (1-tau^2)
-                + tau (e^{-k(x-z+D)} + e^{-k(z-x+D)}) / (1-tau^2) ] / (2 m eps)
-
-    with k = m/eps, D = a_R - a_L, tau = e^{-kD}.
-    """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    k = bd.m / bd.eps
-    tau = bd.tau
-    det = 1.0 - tau * tau
-    d = bd.width
-    out = (
-        np.exp(-k * np.abs(x - z))
-        - (np.exp(-k * (x + z - 2.0 * bd.a_L)) + np.exp(-k * (2.0 * bd.a_R - x - z))) / det
-        + tau * (np.exp(-k * (x - z + d)) + np.exp(-k * (z - x + d))) / det
-    ) / (2.0 * bd.m * bd.eps)
-    return out if out.ndim else float(out)
-
-
 def eval_green_dirichlet(y_at, bd, profile, x):
     """Exact Dirichlet field (value, gradient) at x in the slab: integral
     G_a(x,.) rho + xi.  A point outside [a_L, a_R] raises ValueError, as the
@@ -727,14 +696,12 @@ def _solve_dirichlet_toeplitz(diag, off, b):
     return x + solve(_residual(dv, ov, 0.0, x, b).astype(float))
 
 
-def solve_periodic(cfg, profile, m, mesh_density=16, constant_rho=None):
+def solve_periodic(cfg, profile, m, mesh_density=16):
     """P1 FEM solve of the periodic field problem on the fixed window [-F, F).
 
     The mesh has (2N+1) * ceil(mesh_density * F / sigma0) uniform elements, so
     it is commensurate with the homogeneous lattice and never moves with y —
     which is what makes analytic force formulas exact discrete gradients.
-    `constant_rho=c` replaces the density by the constant c (test hook; the
-    exact solution c/m^2 is then reproduced to machine precision).
     """
     eps, L, F = cfg.eps, cfg.L, cfg.F
     n_per_cell = max(1, math.ceil(mesh_density * F / profile.sigma0))
@@ -748,11 +715,7 @@ def solve_periodic(cfg, profile, m, mesh_density=16, constant_rho=None):
     off = np.full(n - 1, el[0, 1])
     corner = el[0, 1]
 
-    if constant_rho is None:
-        y = positions(cfg)
-        b = _assemble_load(profile, eps, y, x0, h, n, L)
-    else:
-        b = np.full(n, float(constant_rho) * h)
+    b = _assemble_load(profile, eps, positions(cfg), x0, h, n, L)
 
     # the uniform periodic mesh makes the matrix circulant
     phi = _solve_circulant(diag[0], corner, b)
@@ -807,50 +770,3 @@ def solve_dirichlet(y_at, bd, profile, mesh_density=16):
         kind="dirichlet", x0=bd.a_L, h=h, values=phi, L=0.0, rhs=b,
         interaction=interaction, i_value=i_value, residual_rel=float(res_int),
     )
-
-
-def field_lipschitz_check(y_at, bd1, bd2, profile, n_samples=200, seed=0):
-    """Compare two slab solves differing only in boundary data against the
-    exponential-locality bound
-
-        |phi1 - phi2|(x)        <= sqrt(2) |T^{-1}(g1-g2)| e^{-(m/eps) d_a(x)}
-        eps |phi1' - phi2'|(x)  <= sqrt(2) m |T^{-1}(g1-g2)| e^{-(m/eps) d_a(x)}
-
-    with d_a(x) = dist(x, {a_L, a_R}).  Sample points are drawn uniformly over
-    the slab; points where the bound itself sinks below the FEM noise floor
-    (budget * |g| scale) are reported but excluded from the ratio, since there
-    the two numerical solutions agree only to solver precision.  Both solves
-    use `solve_dirichlet`'s default density of 16 nodes per bump.  Returns a
-    report dict; raises nothing.
-    """
-    if (bd1.a_L, bd1.a_R, bd1.m, bd1.eps) != (bd2.a_L, bd2.a_R, bd2.m, bd2.eps):
-        raise ValueError("boundary data must share the same slab and scales")
-    f1 = solve_dirichlet(y_at, bd1, profile)
-    f2 = solve_dirichlet(y_at, bd2, profile)
-    dg = bd1.g() - bd2.g()
-    amp = float(np.linalg.norm(_t_solve(dg[0], dg[1], bd1.tau)))
-    m, eps = bd1.m, bd1.eps
-    budget = fem_relative_budget(profile, m, 16)
-
-    rng = np.random.default_rng(seed)
-    xs = bd1.a_L + bd1.width * rng.random(n_samples)
-    d_a = np.minimum(xs - bd1.a_L, bd1.a_R - xs)
-    envelope = np.exp(-(m / eps) * d_a)
-    bound_v = math.sqrt(2.0) * amp * envelope
-    bound_g = math.sqrt(2.0) * m * amp * envelope
-
-    dv = np.abs(f1.value(xs) - f2.value(xs))
-    dgr = eps * np.abs(f1.grad(xs) - f2.grad(xs))
-    floor = budget * max(amp, 1e-300)
-    usable = bound_v > floor
-    ratio_v = float(np.max(dv[usable] / bound_v[usable])) if usable.any() else 0.0
-    ratio_g = float(np.max(dgr[usable] / bound_g[usable])) if usable.any() else 0.0
-    return {
-        "max_ratio_value": ratio_v,
-        "max_ratio_gradient": ratio_g,
-        "n_usable": int(usable.sum()),
-        "n_samples": int(n_samples),
-        "noise_floor": floor,
-        "amp": amp,
-        "ok": bool(ratio_v <= 1.0 + 10.0 * budget and ratio_g <= 1.0 + 10.0 * budget),
-    }

@@ -39,7 +39,7 @@ from .lattice import (
     second_diff,
 )
 from .density import delta_eps, gauss_on_interval, quartic_bump, sextic_bump
-from .field import eval_green_dirichlet, eval_green_periodic, solve_dirichlet, solve_periodic
+from .field import eval_green_dirichlet, eval_green_periodic
 from .energy import (
     d_energy_dirichlet_a,
     d_energy_dirichlet_g,
@@ -440,6 +440,9 @@ def _exp_gradient_audit(spec, jobs):
 
 
 def _exp_fem_cross(spec, jobs):
+    # the FEM solves are the cross-check oracle: this kind alone uses them
+    from .field import solve_dirichlet, solve_periodic
+
     profile = spec.bump()
     m = spec.m
     out = _Rows(spec.kind)

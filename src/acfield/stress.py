@@ -15,7 +15,6 @@ import numpy as np
 from .ac import _window
 from .cauchy_born import cb_cell_field
 from .density import _bump_offset, delta_eps, gauss_on_interval, grad_delta_eps
-from .energy import _nodal_values
 from .field import _cell_fields, eval_green_dirichlet, eval_green_periodic
 from .lattice import first_diff, positions
 
@@ -31,6 +30,17 @@ __all__ = [
 ]
 
 _GAUSS_ORDER = 24  # Gauss points per piece between bump edges
+
+
+def _nodal_values(u, n):
+    """u as a float array of n finite nodal values; any other length, or a
+    non-finite entry, raises."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (n,):
+        raise ValueError("u must hold %d nodal values, got shape %s" % (n, u.shape))
+    if not np.all(np.isfinite(u)):
+        raise ValueError("u must hold finite nodal values")
+    return u
 
 
 class StressFunction:

@@ -23,7 +23,6 @@ from acfield.ac import (
     ac_forces,
     ac_hessian_structured,
     consistency_error,
-    d_g_method2,
     g_method2,
     method1,
     method2,
@@ -34,7 +33,6 @@ from acfield.cauchy_born import (
     cb_cell_energy,
     cb_cell_field,
     cb_forces,
-    cb_hessian_lower_bound_check,
     cb_hessian_structured,
     cb_total_energy,
     cell_state,
@@ -84,8 +82,6 @@ def test_partition_validation():
     # the one K < N check, in interface_cells, guards method 2's cell data too
     with pytest.raises(ValueError, match="partition needs K < N"):
         g_method2(cfg, AcPartition(8), PROFILE, M)
-    with pytest.raises(ValueError, match="partition needs K < N"):
-        d_g_method2(cfg, AcPartition(8), PROFILE, M, np.zeros(cfg.n_atoms))
     with pytest.raises(ValueError, match="tau"):
         ac_energy(cfg, method1(2), PROFILE, M)  # tau = 4e-3 over threshold
     with pytest.raises(ValueError):
@@ -143,6 +139,15 @@ def test_forces_match_fd(make):
         assert abs(fd - float(g @ u)) <= 1e-6 * max(abs(fd), 1e-10)
 
 
+def _d_g_method2(cfg, part, u):
+    """D_y g . u of method 2's boundary data: g_L depends only on the strain
+    of cell -K (g_R: of cell K+1), so each is dgamma/ds at that strain
+    times the strain of u across the cell."""
+    strains = first_diff(cfg)
+    return tuple(_interface_strain_dgamma(PROFILE, M, float(strains[c])) * (u[c] - u[c - 1])
+                 / cfg.eps for c in part.interface_cells(cfg))
+
+
 def test_method2_chain_rule_completeness():
     # forces minus the boundary-data term == assembly at frozen g, and the
     # gap contracted with u is exactly D_g E . (D_y g . u)
@@ -152,14 +157,14 @@ def test_method2_chain_rule_completeness():
     i = cfg.N
     gs = g_method2(cfg, part, PROFILE, M)
     bd = part.boundary_data(cfg, M).with_g(*gs)
-    y_at = positions(cfg)[part.atom_indices(cfg)]
+    y_at = part.window(cfg, M)[0]
 
     w = np.ones(cfg.n_atoms)
     w[i - part.K + 1 : i + part.K + 1] = 0.0
     w[i - part.K] = w[i + part.K + 1] = 0.5
     vals = w * cb_cell_denergy(first_diff(cfg), PROFILE, M, cfg.eps) / cfg.eps
     frozen = vals - np.roll(vals, -1)
-    frozen[part.atom_indices(cfg)] += d_energy_dirichlet_y(y_at, bd, PROFILE)
+    frozen[np.arange(*part.interface_cells(cfg))] += d_energy_dirichlet_y(y_at, bd, PROFILE)
     d_al, d_ar = d_energy_dirichlet_a(y_at, bd, PROFILE)
     frozen[i - part.K - 1] += 0.5 * d_al
     frozen[i - part.K] += 0.5 * d_al
@@ -172,7 +177,7 @@ def test_method2_chain_rule_completeness():
     for _ in range(3):
         u = rng.standard_normal(cfg.n_atoms)
         u -= u.mean()
-        dgl, dgr = d_g_method2(cfg, part, PROFILE, M, u)
+        dgl, dgr = _d_g_method2(cfg, part, u)
         lhs = float(gap @ u)
         rhs = dg_e[0] * dgl + dg_e[1] * dgr
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), 1e-10)
@@ -195,7 +200,7 @@ def test_g_method2_matches_g_star_homogeneous():
     part = AcPartition(8)
     bd = part.boundary_data(cfg, M)
     gs2 = g_method2(cfg, part, PROFILE, M)
-    gst = g_star(positions(cfg)[part.atom_indices(cfg)], bd, PROFILE)
+    gst = g_star(part.window(cfg, M)[0], bd, PROFILE)
     assert abs(gs2[0] - gst[0]) <= 10 * bd.tau + 1e-12
     assert abs(gs2[1] - gst[1]) <= 10 * bd.tau + 1e-12
 
@@ -209,7 +214,7 @@ def test_d_g_method2_fd_and_bound():
     h = 1e-6
     gp = g_method2(cfg.replace_u(cfg.u + h * u), part, PROFILE, M)
     gm = g_method2(cfg.replace_u(cfg.u - h * u), part, PROFILE, M)
-    an = d_g_method2(cfg, part, PROFILE, M, u)
+    an = _d_g_method2(cfg, part, u)
     for fd, a in zip(((gp[0] - gm[0]) / (2 * h), (gp[1] - gm[1]) / (2 * h)), an):
         assert abs(fd - a) <= 1e-6 * max(abs(fd), 1e-10)
 
@@ -311,8 +316,7 @@ def test_reflection_symmetry():
 
 
 def test_u_of_the_wrong_length_raises():
-    # a displacement must hold one value per node: the weak forms, the
-    # cell-problem derivative and the Cauchy-Born convexity check name the
+    # a displacement must hold one value per node: the weak forms name the
     # length they expect
     cfg = wiggled_chain()
     n = cfg.n_atoms
@@ -320,9 +324,7 @@ def test_u_of_the_wrong_length_raises():
     for k in (1, -1):
         bad = np.zeros(n + k)
         for route in (lambda u: weak_form_qc(cfg, method1(8), u, PROFILE, M),
-                      lambda u: weak_form_periodic(cfg, u, PROFILE, M),
-                      lambda u: d_g_method2(cfg, AcPartition(8), PROFILE, M, u),
-                      lambda u: cb_hessian_lower_bound_check(cfg, u, PROFILE, M)):
+                      lambda u: weak_form_periodic(cfg, u, PROFILE, M)):
             with pytest.raises(ValueError, match="u must hold %d nodal values" % n):
                 route(bad)
         with pytest.raises(ValueError, match="u must hold %d nodal values" % y_at.size):
@@ -333,17 +335,14 @@ def test_u_of_the_wrong_length_raises():
 
 def test_non_finite_u_raises():
     # every route that takes nodal displacements reads them through
-    # `energy._nodal_values`: a NaN or infinite entry raises where the weak
-    # forms and d_g_method2 returned NaN and the convexity check reported a
-    # NaN quadratic form that "holds"
+    # `stress._nodal_values`: a NaN or infinite entry raises where the weak
+    # forms returned NaN
     cfg = wiggled_chain()
     n = cfg.n_atoms
     y_at, bd = AcPartition(8).window(cfg, M)
     routes = [(n, lambda u: weak_form_qc(cfg, method1(8), u, PROFILE, M)),
               (n, lambda u: weak_form_periodic(cfg, u, PROFILE, M)),
-              (y_at.size, lambda u: weak_form_dirichlet(y_at, bd, PROFILE, u)),
-              (n, lambda u: d_g_method2(cfg, AcPartition(8), PROFILE, M, u)),
-              (n, lambda u: cb_hessian_lower_bound_check(cfg, u, PROFILE, M))]
+              (y_at.size, lambda u: weak_form_dirichlet(y_at, bd, PROFILE, u))]
     for size, route in routes:
         for bad in (math.nan, math.inf, -math.inf):
             u = np.zeros(size)
@@ -539,7 +538,7 @@ def _coupled_by_public_pieces(cfg, method):
 
     vals = w * cb_cell_denergy(strains, PROFILE, M, eps) / eps
     forces = vals - np.roll(vals, -1)
-    forces[part.atom_indices(cfg)] += d_energy_dirichlet_y(y, bd, PROFILE)
+    forces[np.arange(*part.interface_cells(cfg))] += d_energy_dirichlet_y(y, bd, PROFILE)
     d_al, d_ar = d_energy_dirichlet_a(y, bd, PROFILE)
     forces[i - K - 1] += 0.5 * d_al
     forces[i - K] += 0.5 * d_al

@@ -15,7 +15,7 @@ from acfield.cauchy_born import (
     cb_cell_field,
     cb_cell_fields,
     cb_forces,
-    cb_hessian_lower_bound_check,
+    cb_hessian_structured,
     cb_total_energy,
     cell_state,
     comparison_field_bound,
@@ -231,46 +231,37 @@ def test_cb_energy_jensen():
     assert cb_total_energy(cfg, PROF, M) > floor
 
 
+def _convexity_floor(cfg, m):
+    """(m mu^2 / 2) e^{-m max y'}: the uniform convexity floor, the bound
+    that `ac.stability_spectrum` returns."""
+    return m * mu(PROF, m) ** 2 / 2.0 * np.exp(-m * float(np.max(first_diff(cfg))))
+
+
 def test_hessian_floor_report():
+    # e''(s) >= (m mu^2 eps / 2) e^{-m s} puts every cell's curvature at or
+    # above eps times the floor, so the second variation
+    # D^2 E^cb[u, u] = sum_j e''(y'_j) (u'_j)^2 is at least
+    # floor * eps * sum_j (u'_j)^2
     cfg = wiggled_chain()
-    rng = np.random.default_rng(5)
-    u = rng.normal(0, 1.0, cfg.n_atoms)
-    rep = cb_hessian_lower_bound_check(cfg, u, PROF, M)
-    assert rep["holds"] and rep["min_ratio"] >= 1.0
-    assert rep["quad_form"] >= rep["bound"] > 0.0
-    # recompute the quadratic form from scratch
+    u = np.random.default_rng(5).normal(0, 1.0, cfg.n_atoms)
     du = (u - np.roll(u, 1)) / cfg.eps
-    qf = float(np.sum(cb_cell_d2energy(first_diff(cfg), PROF, M, cfg.eps) * du**2))
-    assert rep["quad_form"] == pytest.approx(qf, rel=1e-14)
-    # zero direction: trivially 0 >= 0
-    rep0 = cb_hessian_lower_bound_check(cfg, np.zeros(cfg.n_atoms), PROF, M)
-    assert rep0["quad_form"] == 0.0 and rep0["bound"] == 0.0 and rep0["holds"]
-
-
-def test_hessian_floor_strict_variant_fails_at_m2():
-    # two candidate floors differ by a factor m; the weaker one is implied by
-    # e'' >= (m mu^2 eps/2) e^{-m s} and always holds, while the m-scaled
-    # variant genuinely fails once m > 1 at moderate strains
-    cfg = wiggled_chain()
-    rng = np.random.default_rng(5)
-    u = rng.normal(0, 1.0, cfg.n_atoms)
-    rep = cb_hessian_lower_bound_check(cfg, u, PROF, 2.0)
-    assert rep["holds"] and rep["min_ratio"] > 1.0
-    assert not rep["holds_strict"]
-    assert rep["min_ratio_strict"] < 0.7
-    # at m = 1 the two floors coincide
-    rep1 = cb_hessian_lower_bound_check(cfg, u, PROF, M)
-    assert rep1["floor"] == rep1["floor_strict"]
+    for m in (M, 2.0):
+        e2 = cb_cell_d2energy(first_diff(cfg), PROF, m, cfg.eps)
+        floor = _convexity_floor(cfg, m)
+        assert np.min(e2 / (floor * cfg.eps)) > 1.0
+        quad_form = float(np.sum(e2 * du**2))
+        assert quad_form >= floor * cfg.eps * float(np.sum(du**2)) > 0.0
+        hess = cb_hessian_structured(cfg, PROF, m).dense()
+        assert float(u @ hess @ u) == pytest.approx(quad_form, rel=1e-12)
 
 
 def test_hessian_floor_tightness_at_large_strain():
     # dropping all but the nearest-neighbour term leaves ratio - 1 ~ 4 e^{-ms}
     cfg = homogeneous(4, 3.5)
-    rng = np.random.default_rng(2)
-    u = rng.normal(0, 1.0, cfg.n_atoms)
-    rep = cb_hessian_lower_bound_check(cfg, u, PROF, M)
+    e2 = cb_cell_d2energy(first_diff(cfg), PROF, M, cfg.eps)
+    ratio = float(np.min(e2 / (_convexity_floor(cfg, M) * cfg.eps)))
     x = np.exp(-M * 3.5)
-    assert 0.9 * 4 * x < rep["min_ratio"] - 1.0 < 1.3 * 4 * x
+    assert 0.9 * 4 * x < ratio - 1.0 < 1.3 * 4 * x
 
 
 def test_field_convergence_bound():

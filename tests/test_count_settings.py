@@ -33,6 +33,8 @@ def test_package_count_is_pinned(capsys):
     # 59 -> 58 when `CellState` lost its stored `energy` field (a cell's
     # energy is `cb_cell_energy(strain)`); 58 -> 57 when
     # `StressFunction.integral` lost its `order` (every stress integral is
-    # on the one 24-point rule per piece)
+    # on the one 24-point rule per piece); 57 -> 54 when `solve_periodic`
+    # lost its `constant_rho` test hook and `field_lipschitz_check`, with its
+    # `n_samples` and `seed`, left the package
     assert count_settings.main(["count_settings.py"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "total 57"
+    assert capsys.readouterr().out.splitlines()[-1] == "total 54"

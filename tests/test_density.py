@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from acfield.ac import ac_energy, method1, method2, stability_spectrum
+from acfield.ac import ac_energy, ac_hessian_structured, method1, method2, stability_spectrum
 from acfield.cauchy_born import (
     cb_cell_field,
     cb_cell_fields,
@@ -211,28 +211,39 @@ def test_gauss_rule_needs_a_positive_integer_size(n):
         gauss_on_interval(0.0, 1.0, n)
 
 
-# at sigma0 = 0.5, mu(1483) = 1.51e154 is finite but its square is not
+# at sigma0 = 0.5, mu(1483) = 1.51e154 is finite but its square is not; the
+# Hessians' prefactors (mu^2 m^2 / eps^2 and m mu^2 eps / 2) exceed the
+# largest double earlier, from m = 1445 and 1470 on homogeneous(10, 1.1)
 MU_SQUARED_ENTRY_POINTS = {
     "energy_periodic": energy_periodic,
     "forces_periodic": forces_periodic,
-    "hessian_periodic_structured": hessian_periodic_structured,
+    "hessian_periodic_structured":
+        lambda cfg, p, m: hessian_periodic_structured(cfg, p, m).dense(),
+    "cb_hessian_structured": lambda cfg, p, m: cb_hessian_structured(cfg, p, m).dense(),
+    "ac_hessian_structured":
+        lambda cfg, p, m: ac_hessian_structured(cfg, method1(4), p, m).dense(),
     "cb_total_energy": cb_total_energy,
     "ac_energy": lambda cfg, p, m: ac_energy(cfg, method1(4), p, m),
     "stability_spectrum": lambda cfg, p, m: stability_spectrum(cfg, method2(4), p, m),
 }
+CURVATURE_ENTRY_POINTS = ("ac_hessian_structured", "cb_hessian_structured",
+                          "hessian_periodic_structured", "stability_spectrum")
 
 
-@pytest.mark.parametrize("entry, m", [(e, 1483.0) for e in sorted(MU_SQUARED_ENTRY_POINTS)]
-                         + [(e, 1480.0) for e in ("ac_energy", "cb_total_energy",
-                                                  "energy_periodic", "forces_periodic")])
+@pytest.mark.parametrize("entry, m", [(e, m) for m in (1483.0, 1480.0)
+                                      for e in sorted(MU_SQUARED_ENTRY_POINTS)]
+                         + [(e, 1420.0) for e in CURVATURE_ENTRY_POINTS])
 def test_mu_squared_overflow_raises_naming_m(entry, m):
-    # each raised a bare OverflowError from mu**2; at m = 1480 the two
-    # Hessian routes are not finite either (their Green's amplitude
-    # mu^2 m^2 / eps^2 overflows first), so only the energies are held there
+    # each raised a bare OverflowError from mu**2 at m = 1483; at m = 1480
+    # the Hessian routes returned inf or NaN entries and stability_spectrum
+    # raised LinAlgError
     call = MU_SQUARED_ENTRY_POINTS[entry]
     cfg = homogeneous(10, 1.1)
     if m == 1483.0:
         with pytest.raises(ValueError, match=r"mu\(m\)\^2 at m = 1483\.0 exceeds"):
+            call(cfg, quartic_bump(0.5), m)
+    elif m == 1480.0 and entry in CURVATURE_ENTRY_POINTS:
+        with pytest.raises(ValueError, match=r"Hessian prefactor at m = 1480\.0 exceeds"):
             call(cfg, quartic_bump(0.5), m)
     else:
         assert np.all(np.isfinite(call(cfg, quartic_bump(0.5), m)))

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -294,6 +295,26 @@ def _imported_modules(path):
     return names
 
 
+def _top_level_uses(path):
+    """(owner, names) for each top-level statement of a source file: the
+    name it defines (its line for other statements) and every identifier
+    it uses, as a name, an attribute or an imported name."""
+    uses = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        names = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+        owner = (top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                 else "line %d" % top.lineno)
+        uses.append((owner, names))
+    return uses
+
+
 def test_import_rules():
     # the oracles stand apart from the production path: the Newton step in
     # `hessian` imports nothing from `field`, whose FEM solves are the
@@ -306,6 +327,15 @@ def test_import_rules():
     banned["hessian"].add("field")
     assert {name: sorted(imports[name] & ban) for name, ban in banned.items()
             if imports[name] & ban} == {}
+
+    # no module but `field` refers to an FEM name, and `harness` only in the
+    # FEM cross-check kind
+    fem = {"Field", "solve_periodic", "solve_dirichlet", "fem_forces", "fem_relative_budget",
+           "_assemble_load", "_bump_pieces", "_solve_circulant"}
+    refs = {"%s.%s" % (path.stem, owner): sorted(names & fem)
+            for path in sorted(pkg.glob("*.py")) if path.stem != "field"
+            for owner, names in _top_level_uses(path) if names & fem}
+    assert refs == {"harness._exp_fem_cross": ["solve_dirichlet", "solve_periodic"]}
 
     path = os.pathsep.join(p for p in (str(pkg.parent), os.environ.get("PYTHONPATH")) if p)
     code = "import sys, acfield, acfield.harness; print('acfield.stress' in sys.modules)"
@@ -411,6 +441,34 @@ def test_each_all_lists_the_public_definitions():
                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                    and not node.name.startswith("_")}
         assert sorted(defined - set(listed)) == [], path.name
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # production modules hold only what production code calls: each name in
+    # a module's __all__ is used by another statement of its module, another
+    # module of the package, a demo, a tool or the benchmark (its code, or
+    # the functions its tracer wraps by name, `perfbench/spans.py` TRACED).
+    # The declared oracles are exempt: the stress route, and the FEM
+    # cross-check's forces and accuracy budget
+    root = Path(harness.__file__).resolve().parents[2]
+    spec = importlib.util.spec_from_file_location("spans", root / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    uses = {path: _top_level_uses(path)
+            for folder in ("src/acfield", "demos", "tools", "perfbench")
+            for path in sorted((root / folder).glob("*.py"))}
+    exempt = {"field.fem_forces", "field.fem_relative_budget"}
+    unused = []
+    for path in sorted((root / "src" / "acfield").glob("*.py")):
+        if path.stem in ("__init__", "stress"):
+            continue
+        for name in importlib.import_module("acfield." + path.stem).__all__:
+            used = name in spans.TRACED.get(path.stem, ()) or any(
+                name in names and (where != path or owner != name)
+                for where, statements in uses.items() for owner, names in statements)
+            if not used and "%s.%s" % (path.stem, name) not in exempt:
+                unused.append("%s.%s" % (path.stem, name))
+    assert not unused, "public, but only tests use them: %s" % unused
 
 
 def test_check_cli_and_python_share_one_output_directory(monkeypatch):
