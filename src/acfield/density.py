@@ -132,10 +132,17 @@ class BumpProfile:
     power: int = 2
 
     def __post_init__(self):
-        if not self.sigma0 > 0:
-            raise ValueError("sigma0 must be positive")
-        if self.power < 2:
-            raise ValueError("power must be >= 2 (profile must be at least C1)")
+        if not 0.0 < self.sigma0 < math.inf:
+            raise ValueError("sigma0 must be finite and positive, got %r" % (self.sigma0,))
+        # an int, never an equal float: the profile keys the moments' cache
+        try:
+            power = operator.index(self.power)
+        except TypeError:
+            power = 0
+        if power < 2:
+            raise ValueError("power must be an integer >= 2 (profile must be at least C1), "
+                             "got %r" % (self.power,))
+        object.__setattr__(self, "power", power)
 
     @property
     def half_width(self):
@@ -374,7 +381,7 @@ def check_separated(cfg, profile, where="chain"):
     of `field`.
     """
     smin = float(np.min(first_diff(cfg)))
-    if smin <= profile.sigma0:
+    if not smin > profile.sigma0:  # a NaN strain fails too
         raise ValueError(
             "%s: bump supports touch or overlap (min strain %.6g <= sigma0 %.6g)"
             % (where, smin, profile.sigma0)

@@ -24,7 +24,6 @@ import time
 import traceback
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -127,10 +126,9 @@ class ExperimentSpec:
             raise SpecError("m: must be a positive finite number, got %r" % (self.m,))
         if not (self.sigma0 > 0.0 and math.isfinite(self.sigma0)):
             raise SpecError("sigma0: must be positive, got %r" % (self.sigma0,))
-        if not (self.stretch > self.sigma0):
-            raise SpecError(
-                "stretch: must exceed sigma0 (%r), got %r" % (self.sigma0, self.stretch)
-            )
+        if not (self.sigma0 < self.stretch < math.inf):
+            raise SpecError("stretch: must be finite and exceed sigma0 (%r), got %r"
+                            % (self.sigma0, self.stretch))
         if self.profile not in ("quartic", "sextic"):
             raise SpecError("profile: must be 'quartic' or 'sextic', got %r" % (self.profile,))
         if not self.n_list:
@@ -145,9 +143,9 @@ class ExperimentSpec:
                 "k_rule: expected 'n/<int>' or a literal '<int>', got %r" % (self.k_rule,)
             )
         for f in self.stretch_list:
-            if not (f > self.sigma0):
+            if not (self.sigma0 < f < math.inf):
                 raise SpecError(
-                    "stretch_list: every entry must exceed sigma0, got %r" % (f,)
+                    "stretch_list: every entry must be finite and exceed sigma0, got %r" % (f,)
                 )
         if not (self.force_amplitude >= 0.0 and math.isfinite(self.force_amplitude)):
             raise SpecError("force_amplitude: must be >= 0, got %r" % (self.force_amplitude,))
@@ -359,7 +357,7 @@ def _smooth_random_config(n, stretch, sigma0, rng):
 # experiment: gradient-audit
 
 
-def _exp_gradient_audit(spec, jobs):
+def _exp_gradient_audit(spec):
     profile = spec.bump()
     m = spec.m
     bound = 1e-5
@@ -439,7 +437,7 @@ def _exp_gradient_audit(spec, jobs):
 # experiment: fem-cross-validation
 
 
-def _exp_fem_cross(spec, jobs):
+def _exp_fem_cross(spec):
     # the FEM solves are the cross-check oracle: this kind alone uses them
     from .field import solve_dirichlet, solve_periodic
 
@@ -479,7 +477,7 @@ def _exp_fem_cross(spec, jobs):
 # experiment: optimal-bc
 
 
-def _exp_optimal_bc(spec, jobs):
+def _exp_optimal_bc(spec):
     profile = spec.bump()
     m = spec.m
     out = _Rows(spec.kind)
@@ -516,7 +514,7 @@ def _exp_optimal_bc(spec, jobs):
 # experiment: ghost-force
 
 
-def _exp_ghost_force(spec, jobs):
+def _exp_ghost_force(spec):
     profile = spec.bump()
     m = spec.m
     out = _Rows(spec.kind)
@@ -538,7 +536,7 @@ def _exp_ghost_force(spec, jobs):
 # experiment: cb-closed-form
 
 
-def _exp_cb_closed_form(spec, jobs):
+def _exp_cb_closed_form(spec):
     profile = spec.bump()
     m = spec.m
     out = _Rows(spec.kind)
@@ -567,7 +565,7 @@ def _exp_cb_closed_form(spec, jobs):
 # experiment: field-bound
 
 
-def _exp_field_bound(spec, jobs):
+def _exp_field_bound(spec):
     profile = spec.bump()
     m = spec.m
     out = _Rows(spec.kind)
@@ -595,7 +593,7 @@ def _exp_field_bound(spec, jobs):
 # experiment: stability
 
 
-def _exp_stability(spec, jobs):
+def _exp_stability(spec):
     profile = spec.bump()
     m = spec.m
     out = _Rows(spec.kind)
@@ -637,7 +635,7 @@ def _exp_stability(spec, jobs):
 # experiment: consistency
 
 
-def _exp_consistency(spec, jobs):
+def _exp_consistency(spec):
     profile = spec.bump()
     m = spec.m
     out = _Rows(spec.kind)
@@ -660,42 +658,26 @@ def _exp_consistency(spec, jobs):
 # experiment: error-convergence
 
 
-def _convergence_point(spec, n):
-    """Both coupling variants at one chain size; pool-friendly.
-
-    The atomistic minimizer is computed once and handed to
-    `compare_minimizers` as the start, so its atomistic solve stops at
-    iteration 0 for either variant.
-    """
+def _exp_error_convergence(spec):
     profile = spec.bump()
-    k = spec.k_of(n)
-    f = sine_force(n, spec.force_amplitude)
-    y0 = homogeneous(n, spec.stretch)
-    model_a = AtomisticModel(profile, spec.m)
-    y_at = minimize(model_a, f, y0).y_final
-    tau = AcPartition(k).tau(y0, spec.m)
-    out = []
-    for variant, meth in (("method1", method1(k)), ("method2", method2(k))):
-        model_b = AcModel(meth, profile, spec.m)
-        err, rhs = compare_minimizers(model_a, model_b, f, y_at)
-        out.append((n, variant, k, tau, float(err), float(rhs)))
-    return out
-
-
-def _exp_error_convergence(spec, jobs):
     out = _Rows(spec.kind)
-    points = _pmap(partial(_convergence_point, spec), list(spec.n_list), jobs)
-    results = [r for point in points for r in point]
     by_variant = {"method1": [], "method2": []}
-    for n, variant, k, tau, err, rhs in results:
-        eps = 2.0 / (2 * n + 1)
-        by_variant[variant].append((eps, err, rhs))
-        out.add(n, k, tau, "error-" + variant, err, rhs)
+    for n in spec.n_list:
+        k = spec.k_of(n)
+        f = sine_force(n, spec.force_amplitude)
+        y0 = homogeneous(n, spec.stretch)
+        model_a = AtomisticModel(profile, spec.m)
+        # the atomistic minimizer once per N: `compare_minimizers` starts from
+        # it, so its atomistic solve stops at iteration 0 for either variant
+        y_at = minimize(model_a, f, y0).y_final
+        tau = AcPartition(k).tau(y0, spec.m)
+        for variant, meth in (("method1", method1(k)), ("method2", method2(k))):
+            err, rhs = compare_minimizers(model_a, AcModel(meth, profile, spec.m), f, y_at)
+            by_variant[variant].append((y0.eps, float(err), float(rhs)))
+            out.add(n, k, tau, "error-" + variant, float(err), float(rhs))
     n_last = spec.n_list[-1]
     k_last = spec.k_of(n_last)
     for variant, triples in by_variant.items():
-        if not triples:
-            continue
         eps, err, rhs = np.array(triples).T
         out.add(n_last, k_last, 0.0, "fitted-c-" + variant, float(np.max(err / rhs)))
         if len(triples) >= 2:
@@ -708,7 +690,7 @@ def _exp_error_convergence(spec, jobs):
 # experiment: bc-gap
 
 
-def _exp_bc_gap(spec, jobs):
+def _exp_bc_gap(spec):
     profile = spec.bump()
     m = spec.m
     out = _Rows(spec.kind)
@@ -745,7 +727,7 @@ def _exp_bc_gap(spec, jobs):
     return out.result()
 
 
-# Every experiment kind: its function (spec, jobs) -> (rows, failures), and
+# Every experiment kind: its function spec -> (rows, failures), and
 # the spec fields of its `acfield check` run, at a scale that finishes in
 # seconds.
 _KINDS = {
@@ -765,22 +747,6 @@ _KINDS = {
 
 # ---------------------------------------------------------------------------
 # running, CSV output, CLI
-
-
-def _pmap(fn, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    # imported here: loading the process pool costs every run's set-up ~15 ms
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
-def _resolve_jobs(jobs):
-    if jobs < 1:
-        raise SpecError("jobs: must be >= 1, got %r" % (jobs,))
-    return jobs
 
 
 def _cell(x):
@@ -817,16 +783,22 @@ def run(spec, jobs=1):
 
     Returns the result rows.  Hard check failures raise HarnessError, but
     only after the CSV (including the failing rows) has been written.
+    `jobs` accepts 1 only.
     """
+    # `jobs` is kept only for the benchmark's `run(spec, jobs=1)` calls, as
+    # `AtomisticModel.backend` is for its `backend="pair"`; both leave when
+    # perfbench stops passing them (ROADMAP item 8)
+    if jobs != 1:
+        raise SpecError("jobs: the harness runs in one process; only jobs=1 is "
+                        "accepted, got %r" % (jobs,))
     if spec.kind not in _KINDS:
         raise SpecError("kind: unknown experiment %r (choices: %s)"
                         % (spec.kind, ", ".join(sorted(_KINDS))))
     for n in spec.n_list:
         spec.k_of(n)  # surface K-vs-N mismatches before any work starts
-    jobs = _resolve_jobs(jobs)
 
     start = time.perf_counter()
-    rows, failures = _KINDS[spec.kind][0](spec, jobs)
+    rows, failures = _KINDS[spec.kind][0](spec)
     elapsed = time.perf_counter() - start
     rows = sorted(rows, key=_sort_key)
     _write_csv(Path(spec.out) / (spec.kind + ".csv"), spec, rows, elapsed)
@@ -839,7 +811,7 @@ def run(spec, jobs=1):
 _CHECK_OUT = "acfield-check"  # `check`'s output directory, from Python and the CLI
 
 
-def check(out_dir=_CHECK_OUT, jobs=1):
+def check(out_dir=_CHECK_OUT):
     """Run every kind's check spec (`_KINDS`); print one PASS/FAIL line per
     kind.  A kind that raises fails with the exception's first line
     (traceback to stderr)."""
@@ -848,7 +820,7 @@ def check(out_dir=_CHECK_OUT, jobs=1):
         spec = ExperimentSpec(kind=kind, out=str(out_dir), **fields)
         start = time.perf_counter()
         try:
-            rows = run(spec, jobs=jobs)
+            rows = run(spec)
             print("%-22s PASS   (%d rows, %.1fs)"
                   % (spec.kind, len(rows), time.perf_counter() - start))
         except HarnessError as exc:
@@ -878,11 +850,8 @@ def main(argv=None):
     p_run.add_argument("spec_file", help="key = value config file; see the README")
     p_run.add_argument("--out", default=None, help="output directory (default: from the spec)")
     p_run.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (default: 1)")
     p_check = sub.add_parser("check", help="run the built-in audit suite at reduced scale")
     p_check.add_argument("--out", default=_CHECK_OUT)
-    p_check.add_argument("--jobs", type=int, default=1)
     sub.add_parser("version", help="print the package version")
     args = parser.parse_args(argv)
 
@@ -891,11 +860,11 @@ def main(argv=None):
         return 0
     try:
         if args.command == "check":
-            return check(args.out, jobs=args.jobs)
+            return check(args.out)
         spec = parse_spec(args.spec_file)
         overrides = dict(out=args.out, seed=args.seed)
         spec = dataclasses.replace(spec, **{k: v for k, v in overrides.items() if v is not None})
-        rows = run(spec, jobs=args.jobs)
+        rows = run(spec)
     except HarnessError as exc:
         print(str(exc), file=sys.stderr)
         return 1

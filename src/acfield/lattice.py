@@ -19,6 +19,7 @@ interface-weighted l2 norm of the second difference used by the coupling
 error estimates.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,10 +53,15 @@ class ChainConfig:
     _s: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-        if not self.F > 0:
-            raise ValueError("F must be positive")
+        try:
+            n = operator.index(self.N)
+        except TypeError:
+            n = 0
+        if n < 1:
+            raise ValueError("N must be an integer >= 1, got %r" % (self.N,))
+        if not 0.0 < self.F < np.inf:
+            raise ValueError("F must be finite and positive, got %r" % (self.F,))
+        object.__setattr__(self, "N", n)
         u = np.array(self.u, dtype=float)
         if u.shape != (2 * self.N + 1,):
             raise ValueError(

@@ -140,9 +140,9 @@ class AcModel:
 
 class MinimizeError(RuntimeError):
     """`minimize` stopped without converging; `result` is the
-    `MinimizeResult` at the stop (unpickling restores it from the state)."""
+    `MinimizeResult` at the stop."""
 
-    def __init__(self, msg, result=None):
+    def __init__(self, msg, result):
         super().__init__(msg)
         self.result = result
 

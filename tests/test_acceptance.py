@@ -31,7 +31,7 @@ def run_exp(kind, **overrides):
     params.update(overrides)
     spec = ExperimentSpec(kind=kind, **params)
     t0 = time.monotonic()
-    rows, failures = harness._KINDS[kind][0](spec, jobs=1)
+    rows, failures = harness._KINDS[kind][0](spec)
     return rows, failures, time.monotonic() - t0
 
 

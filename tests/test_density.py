@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from acfield.cauchy_born import (
     cell_state,
 )
 from acfield.density import (
+    BumpProfile,
+    _bump_moments,
     _leggauss,
     check_separated,
     gauss_on_interval,
@@ -396,6 +399,9 @@ def test_separation_check():
     # strain 0.4 < sigma0 = 0.5: overlapping bumps must raise
     with pytest.raises(ValueError, match="overlap"):
         check_separated(homogeneous(4, 0.4), prof)
+    # a NaN strain is never shown separated, as a NaN row never passes a check
+    with pytest.raises(ValueError, match="overlap"):
+        check_separated(SimpleNamespace(_s=np.array([1.1, math.nan, 1.1])), prof)
 
 
 # every chain entry point whose closed forms assume separated bumps
@@ -427,6 +433,53 @@ def test_separation_is_strict_at_contact(entry):
     with pytest.raises(ValueError, match="overlapping"):
         cell_state(cfg, prof, 1.0, 0)
     call(homogeneous(10, 0.7), quartic_bump(0.69))
+
+
+# the models' energies and forces, each of which reads the stretch
+STRETCH_READERS = {
+    "energy_periodic": lambda cfg, prof: energy_periodic(cfg, prof, 1.0),
+    "forces_periodic": lambda cfg, prof: forces_periodic(cfg, prof, 1.0),
+    "cb_total_energy": lambda cfg, prof: cb_total_energy(cfg, prof, 1.0),
+    "ac_energy": lambda cfg, prof: ac_energy(cfg, method1(9), prof, 1.0),
+}
+
+
+@pytest.mark.parametrize("stretch", [math.inf, math.nan])
+@pytest.mark.parametrize("entry", STRETCH_READERS)
+def test_non_finite_stretch_raises(entry, stretch):
+    call = STRETCH_READERS[entry]
+    assert np.all(np.isfinite(call(homogeneous(20, 1.1), quartic_bump(0.5))))
+    with pytest.raises(ValueError, match="F must be finite and positive"):
+        call(homogeneous(20, stretch), quartic_bump(0.5))
+
+
+@pytest.mark.parametrize("sigma0, power, field", [
+    (0.5, 2.0, "power"),
+    (0.5, 2.5, "power"),
+    (0.5, 1, "power"),
+    (math.inf, 2, "sigma0"),
+    (math.nan, 2, "sigma0"),
+    (0.0, 2, "sigma0"),
+])
+def test_bump_profile_validates_at_construction(sigma0, power, field):
+    with pytest.raises(ValueError, match=field):
+        BumpProfile(sigma0, power)
+
+
+@pytest.mark.parametrize("int_first", [True, False])
+def test_bump_profile_result_does_not_depend_on_call_order(int_first):
+    # equal profiles are one key of the moments' cache, so a float power
+    # once answered from the integer profile's entry; it is refused at
+    # construction, whatever ran before
+    _bump_moments.cache_clear()
+    cfg = homogeneous(4, 1.1)
+    for power in ((2, 2.0) if int_first else (2.0, 2)):
+        if isinstance(power, float):
+            with pytest.raises(ValueError, match="power must be an integer"):
+                energy_periodic(cfg, BumpProfile(0.5, power), 1.0)
+        else:
+            assert energy_periodic(cfg, BumpProfile(0.5, power), 1.0) == \
+                energy_periodic(cfg, quartic_bump(0.5), 1.0)
 
 
 def test_sextic_is_c2_at_support_edge():

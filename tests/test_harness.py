@@ -112,6 +112,11 @@ def test_spec_field_validation_messages():
         ExperimentSpec(kind="stability", k_rule="n/")
     with pytest.raises(SpecError, match="n_list"):
         ExperimentSpec(kind="stability", n_list=(80, 40))
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(SpecError, match="stretch: must be finite"):
+            ExperimentSpec(kind="ghost-force", stretch=bad)
+        with pytest.raises(SpecError, match="stretch_list: every entry must be finite"):
+            ExperimentSpec(kind="ghost-force", stretch_list=(1.1, bad))
     assert issubclass(SpecError, ValueError)
 
 
@@ -268,8 +273,9 @@ def test_module_cli_runs_without_runtime_warning():
 
 def test_no_module_loads_scipy():
     # the package depends on numpy alone: importing every module of it must
-    # not load scipy (which costs more set-up time than numpy itself), nor
-    # the process pool, which only `--jobs` above 1 uses
+    # not load scipy (which costs more set-up time than numpy itself), nor a
+    # process pool; a function-level import would escape this check, which
+    # `test_import_rules` covers by AST
     src = str(Path(harness.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = ("import importlib, pkgutil, sys, acfield\n"
@@ -328,6 +334,21 @@ def test_import_rules():
     assert {name: sorted(imports[name] & ban) for name, ban in banned.items()
             if imports[name] & ban} == {}
 
+    # one execution path: no module imports a pool, processes or threads,
+    # at the top or inside a function
+    parallel = {"concurrent", "multiprocessing", "threading"}
+    spawners = []
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            spawners += ["%s: %s" % (path.stem, n) for n in names if n.split(".")[0] in parallel]
+    assert spawners == []
+
     # no module but `field` refers to an FEM name, and `harness` only in the
     # FEM cross-check kind
     fem = {"Field", "solve_periodic", "solve_dirichlet", "fem_forces", "fem_relative_budget",
@@ -363,7 +384,7 @@ def test_cli_window_too_leaky_exit_2(tmp_path, capsys):
 
 
 def test_cli_hard_failure_exits_1_but_writes_csv(tmp_path, capsys, monkeypatch):
-    def broken(spec, jobs):
+    def broken(spec):
         return [harness.ResultRow("cb-closed-form", 12, 0.08, 0, 0.0,
                                   "synthetic", 1.0, 0.5)], ["synthetic check failed"]
     monkeypatch.setitem(harness._KINDS, "cb-closed-form",
@@ -396,18 +417,23 @@ def test_cli_spec_that_cannot_draw_a_chain_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_jobs_resolution():
-    assert harness._resolve_jobs(4) == 4
-    with pytest.raises(SpecError):
-        harness._resolve_jobs(0)
-
-
-def test_parallel_and_serial_runs_agree(tmp_path):
-    spec = ExperimentSpec(kind="error-convergence", n_list=(24, 48), k_rule="11")
-    run(dataclasses.replace(spec, out=str(tmp_path / "serial")), jobs=1)
-    run(dataclasses.replace(spec, out=str(tmp_path / "pool")), jobs=2)
-    assert body_of(tmp_path / "serial" / "error-convergence.csv") == \
-        body_of(tmp_path / "pool" / "error-convergence.csv")
+def test_jobs_resolution(tmp_path, capsys):
+    # the harness runs in one process: `jobs` accepts 1 only, and changes
+    # nothing; the CLI has no `--jobs`
+    for argv in (["check", "--jobs", "2"], ["run", "exp.cfg", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    spec = ExperimentSpec(kind="cb-closed-form", n_list=(12,))
+    for jobs in (0, 2):
+        with pytest.raises(SpecError, match="jobs"):
+            run(dataclasses.replace(spec, out=str(tmp_path / "bad")), jobs=jobs)
+    assert not (tmp_path / "bad").exists()
+    run(dataclasses.replace(spec, out=str(tmp_path / "one")), jobs=1)
+    run(dataclasses.replace(spec, out=str(tmp_path / "default")))
+    assert body_of(tmp_path / "one" / "cb-closed-form.csv") == \
+        body_of(tmp_path / "default" / "cb-closed-form.csv")
 
 
 def test_harness_is_a_client_of_the_public_api():
@@ -474,7 +500,7 @@ def test_every_public_name_is_used_outside_the_tests():
 def test_check_cli_and_python_share_one_output_directory(monkeypatch):
     outs = []
 
-    def record(spec, jobs=1):
+    def record(spec):
         outs.append(spec.out)
         return []
 
@@ -492,7 +518,7 @@ def test_check_reports_any_exception_and_goes_on(tmp_path, monkeypatch, capsys):
     kinds = list(harness._KINDS)
     broken = kinds[4]
 
-    def fake_run(spec, jobs=1):
+    def fake_run(spec):
         if spec.kind == broken:
             raise RuntimeError("scan blew up\nsecond line")
         return []

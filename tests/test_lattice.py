@@ -140,3 +140,7 @@ def test_config_validation():
         ChainConfig(3, -1.0, np.zeros(7))  # bad stretch
     with pytest.raises(ValueError):
         ChainConfig(0, 1.0, np.zeros(1))
+    # 2N+1 atoms indexed j = -N..N: a fractional N describes no chain
+    with pytest.raises(ValueError, match="N must be an integer >= 1, got 2.5"):
+        ChainConfig(2.5, 1.1, np.zeros(6))
+    assert ChainConfig(np.int64(2), 1.1, np.zeros(5)).N == 2
