@@ -44,8 +44,13 @@ Two evaluation routes are provided and deliberately kept independent:
   -Field.i_value (slab).  The periodic mesh lives on the fixed window
   [-F, F) independent of y, so `fem_forces`, the analytic force formula
   evaluated at the FEM field, is the *exact* discrete gradient of the
-  discrete energy.  Load and forces share one vectorized loop over
-  (bump, element) pieces (`_bump_pieces`).
+  discrete energy.  Load and forces share one loop over (bump, element)
+  pieces (`_bump_pieces`), vectorized over blocks of whole bumps under a
+  fixed piece budget (`_piece_blocks`), and the solves keep the mesh's
+  constant stencil as scalars, so a solve's memory is O(nodes) at a small
+  constant: a tracemalloc peak of 10 doubles per mesh node for the periodic
+  solve and 14 for the slab, whose floor is the odd-extension FFT (density
+  64, N = 80-160).
 
 Atoms must be separated, and touching counts as contact.  A chain is checked
 by `density.check_separated`, the one contact rule for a chain, which
@@ -98,6 +103,11 @@ __all__ = [
 FEM_BUDGET_CONST = 1.2
 
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
+
+#: (bump, element) pieces per block of the FEM load and force loops
+#: (`_piece_blocks`).  A piece's temporaries peak at ~90 doubles, so a block
+#: holds under 1 MB, whatever the mesh (1024-2048 measured fastest).
+_PIECE_BUDGET = 1024
 
 
 def fem_relative_budget(profile, m, mesh_density):
@@ -576,9 +586,20 @@ def _element_matrices(eps, m, h):
     return stiff + mass
 
 
+def _piece_blocks(profile, eps, n_bumps, h):
+    """Slices of the bumps 0..n_bumps-1, whole bumps each, that hold at most
+    `_PIECE_BUDGET` (bump, element) pieces (or one bump, if one holds more):
+    a support of 2w spans at most ceil(2w/h) + 1 elements of width h."""
+    per_bump = math.ceil(2.0 * profile.half_width * eps / h) + 1
+    step = max(1, _PIECE_BUDGET // per_bump)
+    return [slice(lo, lo + step) for lo in range(0, n_bumps, step)]
+
+
 def _bump_pieces(profile, eps, centers, x0, h, n_nodes, L=None):
     """Every (bump, element) piece of bumps at `centers` on the uniform mesh
-    x0 + i h, with a Gauss rule exact for bump x hat on each piece.
+    x0 + i h, with a Gauss rule exact for bump x hat on each piece.  Its
+    arrays and the callers' temporaries are ~90 doubles a piece, so the
+    callers pass one block of bumps at a time (`_piece_blocks`).
 
     Returns (atom, nodes, dz, wq, hats): per piece the bump index, the
     element's two node indices (pieces x 2), the Gauss points as offsets from
@@ -618,11 +639,19 @@ def _bump_pieces(profile, eps, centers, x0, h, n_nodes, L=None):
 
 def _assemble_load(profile, eps, centers, x0, h, n_nodes, L=None):
     """Exact load vector b_i = integral rho hat_i for bumps at `centers`
-    (rho = sum_j delta1((x - y_j)/eps), so each bump carries charge eps)."""
-    _, nodes, dz, wq, hats = _bump_pieces(profile, eps, centers, x0, h, n_nodes, L)
-    piece = np.einsum("pq,pqk->pk", wq * profile.delta1(dz / eps), hats)
-    # astype: with no pieces (a sourceless slab) bincount returns integers
-    return np.bincount(nodes.ravel(), piece.ravel(), minlength=n_nodes).astype(float)
+    (rho = sum_j delta1((x - y_j)/eps), so each bump carries charge eps).
+
+    The bumps go in blocks (`_piece_blocks`), each adding its pieces into b
+    in order by `np.add.at`, from zero: the additions of one `bincount`
+    over every piece, so b does not depend on the blocking, bit for bit.
+    """
+    centers = np.asarray(centers, dtype=float)
+    b = np.zeros(n_nodes)
+    for block in _piece_blocks(profile, eps, centers.size, h):
+        _, nodes, dz, wq, hats = _bump_pieces(profile, eps, centers[block], x0, h, n_nodes, L)
+        piece = np.einsum("pq,pqk->pk", wq * profile.delta1(dz / eps), hats)
+        np.add.at(b, nodes.ravel(), piece.ravel())
+    return b
 
 
 def fem_forces(field, profile, eps, centers):
@@ -633,46 +662,62 @@ def fem_forces(field, profile, eps, centers):
     the gradient of the discrete energy itself: 0.5 * field.interaction for
     a periodic field, -field.i_value for a slab.  The integrand is a
     polynomial times the piecewise-linear phi_h, so the piece rule is exact.
+    The bumps go in blocks (`_piece_blocks`); an atom's pieces all lie in
+    its block, so its sum is that of one `bincount` over every piece.
     """
     L = field.L if field.kind == "periodic" else None
-    atom, nodes, dz, wq, hats = _bump_pieces(
-        profile, eps, centers, field.x0, field.h, field.n_nodes, L)
-    phi = np.sum(field.values[nodes][:, None, :] * hats, axis=-1)
-    piece = np.sum(wq * grad_delta_eps(profile, eps, dz) * phi, axis=1)
-    n = np.size(centers)
-    return -eps * np.bincount(atom, piece, minlength=n).astype(float)
+    centers = np.asarray(centers, dtype=float)
+    forces = np.zeros(centers.size)
+    for block in _piece_blocks(profile, eps, centers.size, field.h):
+        c = centers[block]
+        atom, nodes, dz, wq, hats = _bump_pieces(
+            profile, eps, c, field.x0, field.h, field.n_nodes, L)
+        phi = np.sum(field.values[nodes][:, None, :] * hats, axis=-1)
+        piece = np.sum(wq * grad_delta_eps(profile, eps, dz) * phi, axis=1)
+        forces[block] = np.bincount(atom, piece, minlength=c.size)
+    return -eps * forces
 
 
 def _residual(diag, off, corner, x, b):
-    """b - A x in extended precision, for the cyclic tridiagonal A.
+    """b - A x in extended precision, for the cyclic tridiagonal A of the
+    uniform mesh, whose stencil (scalars diag, off, corner) is constant.
 
     The stiffness part of Ax cancels from ~|A||x| down to ~|b|, so a
     double-precision product cannot see residuals below that cancellation
     noise.
     """
     ld = np.longdouble
-    return b.astype(ld) - _apply_cyclic_tridiag(
-        diag.astype(ld), off.astype(ld), ld(corner), x.astype(ld))
+    return b.astype(ld) - _apply_cyclic_tridiag(ld(diag), ld(off), ld(corner), x.astype(ld))
 
 
 def _backward_error(diag, off, corner, x, b):
     """Normwise backward error |b - Ax| / (|A| |x| + |b|), infinity norms,
-    with the residual of `_residual`.  The backward-error normalization
-    (rather than |r|/|b|) is the solver-quality measure that stays
-    meaningful as the mesh is refined.
+    with the residual of `_residual` (scalar stencil).  The backward-error
+    normalization (rather than |r|/|b|) is the solver-quality measure that
+    stays meaningful as the mesh is refined.  An exact solution has error 0,
+    the zero solution of zero data too.
     """
     r = np.max(np.abs(_residual(diag, off, corner, x, b)))
-    anorm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
+    if r == 0.0:
+        return 0.0
+    anorm = abs(diag) + 2.0 * abs(off)
     return float(r / (anorm * np.max(np.abs(x)) + np.max(np.abs(b))))
 
 
-def _solve_circulant(diag, off, b):
-    """Solve C x = b for the symmetric circulant C with diagonal `diag` and
-    both cyclic off-diagonals `off` (n >= 3): the FFT diagonalizes C, with
-    eigenvalues diag + 2 off cos(2 pi j / n)."""
-    col = np.zeros(b.size)
+def _circulant_eigenvalues(diag, off, n):
+    """Eigenvalues diag + 2 off cos(2 pi j / n), j = 0..n/2, of the n x n
+    symmetric circulant with diagonal `diag` and both cyclic off-diagonals
+    `off` (n >= 3), as the FFT of its first column (copied out of the
+    complex transform, so that is freed)."""
+    col = np.zeros(n)
     col[0], col[1], col[-1] = diag, off, off
-    return np.fft.irfft(np.fft.rfft(b) / np.fft.rfft(col).real, b.size)
+    return np.fft.rfft(col).real.copy()
+
+
+def _solve_circulant(eig, b):
+    """Solve C x = b for the symmetric circulant C of eigenvalues eig
+    (`_circulant_eigenvalues`): the FFT diagonalizes C."""
+    return np.fft.irfft(np.fft.rfft(b) / eig, b.size)
 
 
 def _solve_dirichlet_toeplitz(diag, off, b):
@@ -683,17 +728,19 @@ def _solve_dirichlet_toeplitz(diag, off, b):
     zeros at the two walls, has the odd extension of x as its circulant
     solution, so T shares the periodic mesh's FFT solve (a DST-I).  One
     refinement step, a second solve on the extended-precision residual,
-    brings the backward error to that of a banded Cholesky solve.
+    brings the backward error to that of a banded Cholesky solve; both
+    solves use one set of eigenvalues.
     """
+    eig = _circulant_eigenvalues(diag, off, 2 * (b.size + 1))
+
     def solve(rhs):
         ext = np.zeros(2 * (rhs.size + 1))
         ext[1:rhs.size + 1] = rhs
         ext[rhs.size + 2:] = -rhs[::-1]
-        return _solve_circulant(diag, off, ext)[1:rhs.size + 1]
+        return _solve_circulant(eig, ext)[1:rhs.size + 1]
 
-    dv, ov = np.full(b.size, diag), np.full(b.size - 1, off)
     x = solve(b)
-    return x + solve(_residual(dv, ov, 0.0, x, b).astype(float))
+    return x + solve(_residual(diag, off, 0.0, x, b).astype(float))
 
 
 def solve_periodic(cfg, profile, m, mesh_density=16):
@@ -709,22 +756,19 @@ def solve_periodic(cfg, profile, m, mesh_density=16):
     h = L / n
     x0 = -F
 
-    # stiffness+mass: same 2x2 block on every element, cyclic assembly
+    # stiffness+mass: same 2x2 block on every element, so one scalar
+    # stencil, and the cyclic matrix is circulant
     el = _element_matrices(eps, m, h)
-    diag = np.full(n, 2.0 * el[0, 0])
-    off = np.full(n - 1, el[0, 1])
-    corner = el[0, 1]
+    diag, off = 2.0 * el[0, 0], el[0, 1]
 
     b = _assemble_load(profile, eps, positions(cfg), x0, h, n, L)
+    phi = _solve_circulant(_circulant_eigenvalues(diag, off, n), b)
 
-    # the uniform periodic mesh makes the matrix circulant
-    phi = _solve_circulant(diag[0], corner, b)
-
-    # backward-error residual and the discrete functional
-    res = _backward_error(diag, off, corner, phi, b)
-    if res > 1e-12:
+    # backward-error residual (NaN fails) and the discrete functional
+    res = _backward_error(diag, off, off, phi, b)
+    if not res <= 1e-12:
         raise RuntimeError("periodic FEM solve residual %.3e exceeds 1e-12" % res)
-    aphi = _apply_cyclic_tridiag(diag, off, corner, phi)
+    aphi = _apply_cyclic_tridiag(diag, off, off, phi)
     interaction = float(b @ phi)
     i_value = 0.5 * float(phi @ aphi) - interaction
     return Field(
@@ -746,24 +790,26 @@ def solve_dirichlet(y_at, bd, profile, mesh_density=16):
     n = max(4, math.ceil(bd.width * mesh_density / (eps * profile.sigma0)))
     h = bd.width / n
 
+    # the interior rows share one scalar stencil; the two wall rows have
+    # half its diagonal
     el = _element_matrices(eps, m, h)
-    diag = np.full(n + 1, 2.0 * el[0, 0])
-    diag[0] = diag[-1] = el[0, 0]
-    off = np.full(n, el[0, 1])
+    diag, off = 2.0 * el[0, 0], el[0, 1]
     b = _assemble_load(profile, eps, y, bd.a_L, h, n + 1)
 
     phi = np.empty(n + 1)
     phi[0], phi[-1] = bd.g_L, bd.g_R
     rhs = b[1:-1].copy()
-    rhs[0] -= off[0] * bd.g_L
-    rhs[-1] -= off[-1] * bd.g_R
-    phi[1:-1] = _solve_dirichlet_toeplitz(diag[1], off[0], rhs)
+    rhs[0] -= off * bd.g_L
+    rhs[-1] -= off * bd.g_R
+    phi[1:-1] = _solve_dirichlet_toeplitz(diag, off, rhs)
 
-    # backward error of the interior system (boundary rows carry the strong BC)
-    res_int = _backward_error(diag[1:-1], off[1:-1], 0.0, phi[1:-1], rhs)
-    if res_int > 1e-12:
+    # backward error of the interior system (boundary rows carry the strong
+    # BC; NaN fails)
+    res_int = _backward_error(diag, off, 0.0, phi[1:-1], rhs)
+    if not res_int <= 1e-12:
         raise RuntimeError("dirichlet FEM solve residual %.3e exceeds 1e-12" % res_int)
     aphi = _apply_cyclic_tridiag(diag, off, 0.0, phi)
+    aphi[[0, -1]] = el[0, 0] * phi[[0, -1]] + off * phi[[1, -2]]
     interaction = float(b @ phi)
     i_value = 0.5 * float(phi @ aphi) - interaction
     return Field(

@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import io
 import math
+import operator
 import re
 import sys
 import time
@@ -149,10 +150,14 @@ class ExperimentSpec:
                 )
         if not (self.force_amplitude >= 0.0 and math.isfinite(self.force_amplitude)):
             raise SpecError("force_amplitude: must be >= 0, got %r" % (self.force_amplitude,))
-        if self.n_samples < 1:
-            raise SpecError("n_samples: must be >= 1, got %r" % (self.n_samples,))
-        if self.seed < 0:
-            raise SpecError("seed: must be >= 0, got %r" % (self.seed,))
+        for name, least in (("n_samples", 1), ("seed", 0)):
+            value = getattr(self, name)
+            try:
+                ok = operator.index(value) >= least
+            except TypeError:
+                ok = False
+            if not ok:
+                raise SpecError("%s: must be an integer >= %d, got %r" % (name, least, value))
 
     def k_of(self, n):
         """Atomistic half-width K for a chain of size n, per `k_rule`."""

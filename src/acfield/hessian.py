@@ -54,7 +54,8 @@ _DENSE_ROWS = 15
 
 def _apply_cyclic_tridiag(diag, off, corner, x):
     """A x for the symmetric cyclic tridiagonal A with diagonal `diag`,
-    off-diagonal `off` and corner entry `corner` (FEM solves use it too)."""
+    off-diagonal `off` and corner entry `corner` (FEM solves use it too,
+    with the scalar stencil of their uniform mesh)."""
     ax = diag * x
     ax[:-1] += off * x[1:]
     ax[1:] += off * x[:-1]

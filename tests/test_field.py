@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +15,18 @@ from acfield.density import (
     quartic_bump,
     sextic_bump,
 )
+import acfield.field as field_module
 from acfield.field import (
     BoundaryData,
     _ChainSums,
+    _assemble_load,
     _bump_kernel,
+    _bump_pieces,
+    _circulant_eigenvalues,
     _element_matrices,
     _kernel_field,
     _neighbour_field,
+    _piece_blocks,
     _right_sums,
     _solve_circulant,
     eval_green_dirichlet,
@@ -58,7 +64,8 @@ def test_constant_rho_hook():
     m = 2.0
     f = solve_periodic(cfg, PROF, m)
     el = _element_matrices(cfg.eps, m, f.h)
-    phi = _solve_circulant(2.0 * el[0, 0], el[0, 1], np.full(f.n_nodes, 3.0 * f.h))
+    eig = _circulant_eigenvalues(2.0 * el[0, 0], el[0, 1], f.n_nodes)
+    phi = _solve_circulant(eig, np.full(f.n_nodes, 3.0 * f.h))
     assert np.max(np.abs(phi - 3.0 / m**2)) < 1e-12
 
 
@@ -122,6 +129,119 @@ def test_piece_routine_matches_per_atom_loops(prof, N):
         assert np.max(np.abs(f.rhs - b_ref)) <= 1e-15 * np.max(np.abs(b_ref))
         forces = fem_forces(f, prof, eps, centers)
         assert np.max(np.abs(forces - f_ref)) <= 1e-11 * np.max(np.abs(f_ref))
+
+
+def _one_bincount_load_and_forces(profile, eps, centers, f):
+    """The load and `fem_forces` as one `bincount` over every piece at once."""
+    L = f.L if f.kind == "periodic" else None
+    atom, nodes, dz, wq, hats = _bump_pieces(profile, eps, centers, f.x0, f.h, f.n_nodes, L)
+    piece = np.einsum("pq,pqk->pk", wq * profile.delta1(dz / eps), hats)
+    b = np.bincount(nodes.ravel(), piece.ravel(), minlength=f.n_nodes)
+    phi = np.sum(f.values[nodes][:, None, :] * hats, axis=-1)
+    piece = np.sum(wq * grad_delta_eps(profile, eps, dz) * phi, axis=1)
+    return b, -eps * np.bincount(atom, piece, minlength=centers.size)
+
+
+@pytest.mark.parametrize("make", [quartic_bump, sextic_bump], ids=["quartic", "sextic"])
+@pytest.mark.parametrize("near_contact", [False, True], ids=["audit-size", "near-contact"])
+def test_piece_blocks_keep_every_bit(monkeypatch, make, near_contact):
+    # the load and fem_forces are bit for bit one bincount over every piece,
+    # whether the bumps go one per block, in the default blocks or all in
+    # one: the load adds its pieces in one order, from zero, and an atom's
+    # force sums its own pieces only.  The audit's size is N = 80 at
+    # density 64.  Near contact (sigma0 = 0.9, spacing 0.905 eps, every
+    # third atom moved 0.875 of the gap right) the gap after a moved atom,
+    # 0.000625 eps, lies inside one element, so ~100 nodes collect 3 pieces
+    # of two bumps; on the homogeneous chain every gap straddles a node.
+    N = 80
+    eps = 2.0 / (2 * N + 1)
+    if near_contact:
+        prof, F = make(0.9), 0.905
+        u = np.where(np.arange(2 * N + 1) % 3 == 0, 0.875 * (F - 0.9) * eps, 0.0)
+    else:
+        prof, F = make(0.5), 1.1
+        u = np.random.default_rng(N).normal(0.0, 0.05 * eps, 2 * N + 1)
+    cfg = ChainConfig(N, F, u - u.mean())
+    y = positions(cfg)
+    slab = y[N // 2:-N // 2]
+    bd = BoundaryData(float(slab[0]) - 0.55 * eps, float(slab[-1]) + 0.55 * eps,
+                      0.3, 0.5, M, eps)
+    for f, centers in ((solve_periodic(cfg, prof, M, 64), y),
+                       (solve_dirichlet(slab, bd, prof, 64), slab)):
+        L = f.L if f.kind == "periodic" else None
+        nodes = _bump_pieces(prof, eps, centers, f.x0, f.h, f.n_nodes, L)[1]
+        assert np.bincount(nodes.ravel()).max() == (3 if near_contact else 2)
+        b_ref, f_ref = _one_bincount_load_and_forces(prof, eps, centers, f)
+        for budget, blocks in ((1, centers.size), (None, None), (10**9, 1)):
+            if budget is not None:
+                monkeypatch.setattr(field_module, "_PIECE_BUDGET", budget)
+            n_blocks = len(_piece_blocks(prof, eps, centers.size, f.h))
+            assert n_blocks == blocks if blocks else n_blocks > 4
+            load = _assemble_load(prof, eps, centers, f.x0, f.h, f.n_nodes, L)
+            assert np.array_equal(load, b_ref) and np.array_equal(f.rhs, b_ref)
+            assert np.array_equal(fem_forces(f, prof, eps, centers), f_ref)
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("kind", ["periodic", "slab"])
+def test_fem_solve_memory_is_a_small_constant_per_node(kind):
+    # ~45k nodes at N = 160, density 64: with every piece in memory at once
+    # and the stencil as full arrays (and their long-double copies) a solve
+    # peaked at 37.1 doubles a node; blocked pieces and a scalar stencil
+    # leave 10 (periodic) and 14 (slab, the odd-extension FFT)
+    N = 160
+    eps = 2.0 / (2 * N + 1)
+    u = np.random.default_rng(N).normal(0.0, 0.05 * eps, 2 * N + 1)
+    cfg = ChainConfig(N, 1.1, u - u.mean())
+    y = positions(cfg)[2:-2]
+    bd = BoundaryData(float(y[0]) - 0.55 * eps, float(y[-1]) + 0.55 * eps, 0.3, 0.5, M, eps)
+    if kind == "periodic":
+        solve = lambda density: solve_periodic(cfg, PROF, M, density)  # noqa: E731
+    else:
+        solve = lambda density: solve_dirichlet(y, bd, PROF, density)  # noqa: E731
+    solve(8)  # the Gauss rule and moments are cached on first use
+    tracemalloc.start()
+    try:
+        f = solve(64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.n_nodes > 44_000
+    assert peak <= 24 * 8 * f.n_nodes, peak / (8 * f.n_nodes)
+
+
+def test_zero_data_sourceless_slab_has_zero_backward_error():
+    # phi = 0 solves it exactly; the backward error was 0/0, NaN with a
+    # RuntimeWarning, and the residual gate let the NaN through
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = solve_dirichlet(np.empty(0), BoundaryData(0, 1, 0, 0, 1, 0.1), quartic_bump(0.5))
+    assert f.residual_rel == 0.0
+    assert not f.values.any() and f.i_value == 0.0
+
+
+def test_fem_residual_gates_fail_on_nan(monkeypatch):
+    monkeypatch.setattr(field_module, "_backward_error", lambda *args: math.nan)
+    cfg = wiggled_chain()
+    with pytest.raises(RuntimeError, match="periodic FEM solve residual"):
+        solve_periodic(cfg, PROF, M)
+    y, bd = slab_setup(cfg)
+    with pytest.raises(RuntimeError, match="dirichlet FEM solve residual"):
+        solve_dirichlet(y, bd, PROF)
+
+
+def test_slab_solve_forms_its_eigenvalues_once(monkeypatch):
+    # the solve and its refinement step share one FFT of the stencil
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _circulant_eigenvalues(*args)
+
+    monkeypatch.setattr(field_module, "_circulant_eigenvalues", counted)
+    y, bd = slab_setup(wiggled_chain())
+    f = solve_dirichlet(y, bd, PROF)
+    assert len(calls) == 1 and calls[0][2] == 2 * (f.n_nodes - 1)
 
 
 def test_periodic_fem_within_budget_of_kernel_oracle():

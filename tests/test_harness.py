@@ -117,6 +117,13 @@ def test_spec_field_validation_messages():
             ExperimentSpec(kind="ghost-force", stretch=bad)
         with pytest.raises(SpecError, match="stretch_list: every entry must be finite"):
             ExperimentSpec(kind="ghost-force", stretch_list=(1.1, bad))
+    # a float count or seed passed validation and failed later in `run`
+    # with a bare TypeError
+    for name, bad in (("n_samples", 2.5), ("n_samples", 0), ("n_samples", "3"),
+                      ("seed", 0.5), ("seed", -1), ("seed", None)):
+        with pytest.raises(SpecError, match=name + ": must be an integer"):
+            ExperimentSpec(kind="gradient-audit", **{name: bad})
+    assert ExperimentSpec(kind="gradient-audit", n_samples=np.int64(2), seed=np.int64(3)).seed == 3
     assert issubclass(SpecError, ValueError)
 
 
@@ -352,7 +359,8 @@ def test_import_rules():
     # no module but `field` refers to an FEM name, and `harness` only in the
     # FEM cross-check kind
     fem = {"Field", "solve_periodic", "solve_dirichlet", "fem_forces", "fem_relative_budget",
-           "_assemble_load", "_bump_pieces", "_solve_circulant"}
+           "_assemble_load", "_bump_pieces", "_piece_blocks", "_solve_circulant",
+           "_circulant_eigenvalues"}
     refs = {"%s.%s" % (path.stem, owner): sorted(names & fem)
             for path in sorted(pkg.glob("*.py")) if path.stem != "field"
             for owner, names in _top_level_uses(path) if names & fem}
