@@ -10,10 +10,9 @@ The package is organised bottom-up:
     cauchy_born  per-cell continuum energy and fields
     ac           the two coupling methods, consistency & stability checks
     minimize     damped-Newton equilibration, minimizer comparison
-    stress       stresses and weak forms, the oracle of the forces
     harness      experiment specs, CSV results, `acfield` CLI
-                 (`import acfield` loads neither stress nor harness: import
-                 them by name, so `python -m acfield.harness` runs cleanly)
+                 (`import acfield` does not load it: import it by name, so
+                 `python -m acfield.harness` runs cleanly)
 """
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ slab:
   there, g*'s own y-dependence drops out of the forces (envelope argument),
   and the derivative is a pure stress form: the coupled stress sigma^qc,
   each cell's sigma^cb outside and the slab stress inside, whose weak form
-  (`stress.weak_form_qc`) is the oracle of `ac_forces`.
+  (`weak_form_qc`, tests/oracle_stress.py) is the oracle of `ac_forces`.
 
 * method 2 solves the two interface cell problems instead: g is the
   comparison-chain field of the interface cell evaluated at the wall, which
@@ -35,6 +35,7 @@ couplings and the Cauchy-Born model form them once.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,8 +70,14 @@ class AcPartition:
     K: int
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("atomistic half-width K must be at least 1")
+        try:
+            k = operator.index(self.K)
+        except TypeError:
+            k = 0
+        if k < 1:
+            raise ValueError("atomistic half-width K must be an integer >= 1, got %r"
+                             % (self.K,))
+        object.__setattr__(self, "K", k)
 
     def interface_cells(self, cfg):
         """Array indices (c_L, c_R) of the interface cells -K and K+1.  Cell c
@@ -170,8 +177,9 @@ class _Window:
 
 def _window(cfg, partition, profile, m):
     """The `_Window` of cfg, kept for it (`field._kept`): the energy, forces
-    and Hessian of both methods and method 1's stress (`stress._qc_stress`)
-    make one validation, one wall pass and at most one scan per side."""
+    and Hessian of both methods and the tests' method-1 stress
+    (`oracle_stress._qc_stress`) make one validation, one wall pass and at
+    most one scan per side."""
     return _kept(cfg, ("window", partition.K, profile, m),
                  lambda: _Window(cfg, partition, profile, m))
 

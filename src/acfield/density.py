@@ -26,10 +26,12 @@ pair-sum energy route exact rather than asymptotic.
 
 One cached routine, `_bump_moments`, forms both moments and the coefficients
 of the in-bump kernel field (`field._bump_kernel`) from the same exact
-integers and rounds each once.  The Gauss-Legendre rules that the FEM load,
-the stress route and the checks integrate with (`gauss_on_interval`) are
-built here too, in integer fixed point, so each node and weight is the double
-nearest its exact value (`_leggauss`); numpy.polynomial is never imported.
+integers and rounds each once.  The Gauss-Legendre rules that the FEM load
+and the checks integrate with (`gauss_on_interval`) are built here too, in
+integer fixed point, so each node and weight is the double nearest its exact
+value (`_leggauss`); numpy.polynomial is never imported.  The density rho_y
+itself and the bump's derivative are evaluated only by the tests' stress
+oracle (tests/oracle_stress.py).
 """
 
 import math
@@ -40,7 +42,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .lattice import first_diff, positions
+from .lattice import first_diff
 
 __all__ = [
     "BumpProfile",
@@ -50,8 +52,6 @@ __all__ = [
     "self_moment",
     "gauss_on_interval",
     "delta_eps",
-    "grad_delta_eps",
-    "rho",
     "check_separated",
 ]
 
@@ -334,10 +334,6 @@ def delta_eps(profile, eps, x):
     return profile.delta1(np.asarray(x, dtype=float) / eps) / eps
 
 
-def grad_delta_eps(profile, eps, x):
-    return profile.grad_delta1(np.asarray(x, dtype=float) / eps) / eps**2
-
-
 def _neighbours(y, L, x):
     """The kernel sums' neighbour search over the ascending atoms y of period
     L: returns ye = (y_{n-1} - L, y, y_0 + L), x with each point outside
@@ -352,30 +348,12 @@ def _neighbours(y, L, x):
     return ye, x, r
 
 
-def _bump_offset(y, L, w, x):
-    """x - c to the centre c of the one bump (half-width w, atoms y, period L;
-    separated) that holds x, a neighbour's; w outside every bump."""
-    ye, x, r = _neighbours(y, L, x)
-    d_l, d_r = x - ye[r - 1], ye[r] - x
-    return np.where(d_l < w, d_l, np.where(d_r < w, -d_r, w))
-
-
-def rho(cfg, profile, x):
-    """Chain density rho_y(x) = eps * sum_j delta_eps(x - y_j), periodic in x,
-    from the one bump that can hold each point.  Raises on contact."""
-    check_separated(cfg, profile, "rho")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    d = _bump_offset(positions(cfg), cfg.L, profile.half_width * cfg.eps, xs)
-    out = cfg.eps * delta_eps(profile, cfg.eps, d)
-    return out if np.ndim(x) else float(out[0])
-
-
 def check_separated(cfg, profile, where="chain"):
     """Raise unless neighbouring bumps are separated: min strain > sigma0.
 
     The one contact rule for a chain: every chain entry point whose closed
-    forms assume separated bumps calls it (the density, the periodic energy,
-    forces, Hessian and field, the Cauchy-Born energy, forces, Hessian and cell
+    forms assume separated bumps calls it (the periodic energy, forces,
+    Hessian and field, the Cauchy-Born energy, forces, Hessian and cell
     fields, and the couplings).  At min strain == sigma0 two supports touch;
     that counts as contact, as in `cauchy_born.CellState` and the slab check
     of `field`.

@@ -13,7 +13,8 @@ reduce to pair sums, the wall moments gamma, and the decay factor tau.  These
 formulas are exact for separated bumps (the only regime in which the slab
 model is posed).  They also give the exact Hessian of the periodic energy
 (`hessian_periodic_structured`; `.dense()` expands it to an array).
-The forces' oracle, the weak form DE . u = integral sigma_y (Iu)', is in `stress`.
+The forces' oracle, the weak form DE . u = integral sigma_y (Iu)', is in the
+tests (tests/oracle_stress.py).
 
 The pair sums have no cutoff.  The kernel factorizes along the chain (a
 pair's weight is the product of the per-gap factors x_l = e^{-(m/eps) g_l}
@@ -34,8 +35,8 @@ take bare positions, scan afresh.
 
 The P1 finite-element solves in `field` are an independent oracle for these
 closed forms, called directly there: 0.5 * solve_periodic(...).interaction
-and -solve_dirichlet(...).i_value are the discrete energies, and
-`field.fem_forces` is their exact discrete gradient.
+and -solve_dirichlet(...).i_value are the discrete energies, and the tests'
+`fem_forces` (tests/oracle_fem.py) is their exact discrete gradient.
 
 Wall moments and optimal boundary data: gamma_L = (mu/m) sum_j
 exp(-(m/eps)(y_j - a_L)) (and mirrored for gamma_R) measure the charge seen

@@ -24,15 +24,15 @@ Two evaluation routes are provided and deliberately kept independent:
   m sigma0, its closed form (`_bump_kernel`), on coefficients that
   `density._bump_moments` forms from the same exact integers as mu and
   self_moment.  The kernel is separable, so a point needs only its two
-  neighbouring atoms (one search, `density._neighbours`, which rho and the
-  stress route share) and their right and left sums over every image
+  neighbouring atoms (one search, `density._neighbours`, which the tests'
+  stress oracle shares) and their right and left sums over every image
   (`_right_sums`, which the pair energies of `energy` share; `_kept` keeps
   a configuration's, so its energy, forces, Hessian and field scan it once
   per side):
   O((n + P) log n) for P points and O(P) memory, with no truncation and no
   quadrature, exact to roundoff (the in-bump part within 2e-15 of its
-  maximum, against mpmath).  The energies of `energy` and the stresses of
-  `stress` use them.
+  maximum, against mpmath).  The energies of `energy` use them, and so do
+  the stresses of the tests' oracle (tests/oracle_stress.py).
 
 * P1 finite elements (`solve_periodic`, `solve_dirichlet`), the independent
   cross-check oracle: uniform mesh with at least `mesh_density` nodes per
@@ -42,15 +42,15 @@ Two evaluation routes are provided and deliberately kept independent:
   the odd extension makes circulant (the method of images on the mesh).  The
   discrete energies are 0.5 * Field.interaction (periodic) and
   -Field.i_value (slab).  The periodic mesh lives on the fixed window
-  [-F, F) independent of y, so `fem_forces`, the analytic force formula
-  evaluated at the FEM field, is the *exact* discrete gradient of the
-  discrete energy.  Load and forces share one loop over (bump, element)
-  pieces (`_bump_pieces`), vectorized over blocks of whole bumps under a
-  fixed piece budget (`_piece_blocks`), and the solves keep the mesh's
-  constant stencil as scalars, so a solve's memory is O(nodes) at a small
-  constant: a tracemalloc peak of 10 doubles per mesh node for the periodic
-  solve and 14 for the slab, whose floor is the odd-extension FFT (density
-  64, N = 80-160).
+  [-F, F) independent of y, so the analytic force formula evaluated at the
+  FEM field (`fem_forces`, tests/oracle_fem.py) is the *exact* discrete
+  gradient of the discrete energy.  The load and those forces share one
+  loop over (bump, element) pieces (`_bump_pieces`), vectorized over blocks
+  of whole bumps under a fixed piece budget (`_piece_blocks`), and the
+  solves keep the mesh's constant stencil as scalars, so a solve's memory
+  is O(nodes) at a small constant: a tracemalloc peak of 10 doubles per
+  mesh node for the periodic solve and 14 for the slab, whose floor is the
+  odd-extension FFT (density 64, N = 80-160).
 
 Atoms must be separated, and touching counts as contact.  A chain is checked
 by `density.check_separated`, the one contact rule for a chain, which
@@ -62,10 +62,10 @@ moments from `_walls` and solves T c = g by `_t_solve`.
 
 FEM accuracy: the relative error of the P1 solution scales like
 (m h / eps)^2 = (m sigma0 / mesh_density)^2 with a constant below ~1/8
-(measured; see `fem_relative_budget`).  At the default density of 16 nodes
-per bump that is ~1.2e-4, which is why identity checks in the test-suite use
-the closed-form route and FEM enters only through explicit budget-aware
-cross-checks.
+(measured; see `fem_relative_budget` in tests/oracle_fem.py).  At the
+default density of 16 nodes per bump that is ~1.2e-4, which is why identity
+checks in the test-suite use the closed-form route and FEM enters only
+through explicit budget-aware cross-checks.
 """
 
 import math
@@ -79,7 +79,6 @@ from .density import (
     _neighbours,
     check_separated,
     gauss_on_interval,
-    grad_delta_eps,
     mu,
 )
 from .hessian import _apply_cyclic_tridiag
@@ -90,17 +89,10 @@ __all__ = [
     "Field",
     "solve_periodic",
     "solve_dirichlet",
-    "fem_forces",
     "xi_closed_form",
     "eval_green_periodic",
     "eval_green_dirichlet",
-    "fem_relative_budget",
 ]
-
-#: Measured constant in the FEM error model err_rel <= C * (m h / eps)^2.
-#: Observed C is ~0.27 for the periodic problem and ~0.31 for the slab
-#: (default geometry, max-norm, relative to max|phi|); 1.2 gives ~4x headroom.
-FEM_BUDGET_CONST = 1.2
 
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
@@ -108,11 +100,6 @@ _TINY = float(np.finfo(float).tiny)  # the smallest normal double
 #: (`_piece_blocks`).  A piece's temporaries peak at ~90 doubles, so a block
 #: holds under 1 MB, whatever the mesh (1024-2048 measured fastest).
 _PIECE_BUDGET = 1024
-
-
-def fem_relative_budget(profile, m, mesh_density):
-    """Conservative relative-accuracy budget of a FEM solve at this density."""
-    return FEM_BUDGET_CONST * (m * profile.sigma0 / mesh_density) ** 2
 
 
 @dataclass(frozen=True)
@@ -443,7 +430,8 @@ def _cell_fields(anchor, L, profile, m, eps, x):
     """Comparison-chain fields (value, gradient) of several chains at once:
     row i of x (shape (rows, P)) is evaluated for the chain of one bump per
     period L[i] through anchor[i]: one row per cell (`cb_cell_fields`), or
-    one per point for the cell holding it (the coupled stress, `stress._qc_stress`).
+    one per point for the cell holding it (the tests' coupled stress,
+    `oracle_stress._qc_stress`).
 
     One atom per period makes both the right and the left sum of every
     image the geometric series q/(1 - q), q = e^{-(m/eps) L}, so a point
@@ -599,7 +587,8 @@ def _bump_pieces(profile, eps, centers, x0, h, n_nodes, L=None):
     """Every (bump, element) piece of bumps at `centers` on the uniform mesh
     x0 + i h, with a Gauss rule exact for bump x hat on each piece.  Its
     arrays and the callers' temporaries are ~90 doubles a piece, so the
-    callers pass one block of bumps at a time (`_piece_blocks`).
+    callers (the load, and the tests' `fem_forces`) pass one block of bumps
+    at a time (`_piece_blocks`).
 
     Returns (atom, nodes, dz, wq, hats): per piece the bump index, the
     element's two node indices (pieces x 2), the Gauss points as offsets from
@@ -652,30 +641,6 @@ def _assemble_load(profile, eps, centers, x0, h, n_nodes, L=None):
         piece = np.einsum("pq,pqk->pk", wq * profile.delta1(dz / eps), hats)
         np.add.at(b, nodes.ravel(), piece.ravel())
     return b
-
-
-def fem_forces(field, profile, eps, centers):
-    """Exact gradient of a solved FEM energy in the bump positions.
-
-    D_{y_j} E = -eps integral grad_delta_eps(x - y_j) phi_h(x) dx over the
-    atom's whole (wrapped) bump.  The mesh does not move with y, so this is
-    the gradient of the discrete energy itself: 0.5 * field.interaction for
-    a periodic field, -field.i_value for a slab.  The integrand is a
-    polynomial times the piecewise-linear phi_h, so the piece rule is exact.
-    The bumps go in blocks (`_piece_blocks`); an atom's pieces all lie in
-    its block, so its sum is that of one `bincount` over every piece.
-    """
-    L = field.L if field.kind == "periodic" else None
-    centers = np.asarray(centers, dtype=float)
-    forces = np.zeros(centers.size)
-    for block in _piece_blocks(profile, eps, centers.size, field.h):
-        c = centers[block]
-        atom, nodes, dz, wq, hats = _bump_pieces(
-            profile, eps, c, field.x0, field.h, field.n_nodes, L)
-        phi = np.sum(field.values[nodes][:, None, :] * hats, axis=-1)
-        piece = np.sum(wq * grad_delta_eps(profile, eps, dz) * phi, axis=1)
-        forces[block] = np.bincount(atom, piece, minlength=c.size)
-    return -eps * forces
 
 
 def _residual(diag, off, corner, x, b):

@@ -140,7 +140,9 @@ class AcModel:
 
 class MinimizeError(RuntimeError):
     """`minimize` stopped without converging; `result` is the
-    `MinimizeResult` at the stop."""
+    `MinimizeResult` at the stop.  The message says why: how many steps fell
+    back to steepest descent, and how many of the last step's line-search
+    trials the strain guard refused."""
 
     def __init__(self, msg, result):
         super().__init__(msg)
@@ -187,7 +189,9 @@ def minimize(model, f, y0, max_iter=60):
     machine-precision slack so the final Newton polish steps, whose
     predicted decrease is below roundoff in the total energy, are not
     rejected.  Running out of iterations or a failed line search raises
-    `MinimizeError`, which carries the result at the stop.
+    `MinimizeError`, which carries the result at the stop and says how many
+    steps fell back and how many of the last step's trials the guard
+    refused.
     """
     eps = y0.eps
     tol = 1e-10 * model.m * eps
@@ -223,11 +227,18 @@ def minimize(model, f, y0, max_iter=60):
                               count["grad"], count["hess"],
                               count["backtracks"], count["fallbacks"])
 
-    steps = 0
+    def failure(why):
+        res = result(False)
+        return MinimizeError(
+            "%s (|g| = %.3e): %d of %d steps fell back to steepest descent; the strain "
+            "guard %.4g refused %d of the last step's %d trials (min strain %.12g)"
+            % (why, gnorm, count["fallbacks"], count["hess"], guard, refused, trials,
+               res.min_strain), res)
+
+    steps = refused = trials = 0
     while gnorm > tol:
         if steps >= max_iter:
-            raise MinimizeError("no convergence in %d iterations (|g| = %.3e)"
-                                % (max_iter, gnorm), result(False))
+            raise failure("no convergence in %d iterations" % max_iter)
 
         d, positive = model.hessian_structured(cfg).newton_step(g)
         count["hess"] += 1
@@ -240,7 +251,8 @@ def minimize(model, f, y0, max_iter=60):
         slack = 64 * np.finfo(float).eps * (1.0 + abs(e_cur))
         t = 1.0
         accepted = None
-        for _ in range(40):
+        refused = 0
+        for trials in range(1, 41):
             u_t = cfg.u + t * d
             u_t -= u_t.mean()
             cand = cfg.replace_u(u_t)
@@ -249,11 +261,12 @@ def minimize(model, f, y0, max_iter=60):
                 if e_t <= e_cur + 1e-4 * t * slope + slack:
                     accepted = (cand, e_t)
                     break
+            else:
+                refused += 1
             count["backtracks"] += 1
             t *= 0.5
         if accepted is None:
-            raise MinimizeError("line search failed at step %d (|g| = %.3e)"
-                                % (steps + 1, gnorm), result(False))
+            raise failure("line search failed at step %d" % (steps + 1))
 
         cfg, e_cur = accepted
         energies.append(e_cur)

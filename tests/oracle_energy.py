@@ -15,11 +15,11 @@ uses (d/dy, d/da, d/dg) so sign errors die here, not in the test suite.
 
 import numpy as np
 
-from acfield.density import gauss_on_interval, quartic_bump, rho as rho_periodic
+from acfield.density import gauss_on_interval, quartic_bump
 from acfield.field import BoundaryData, eval_green_dirichlet, eval_green_periodic
 from acfield.lattice import ChainConfig, positions
 from acfield import energy as en
-from acfield.stress import stress_dirichlet
+from oracle_stress import rho as rho_periodic, stress_dirichlet
 
 PROF = quartic_bump(0.5)
 M = 1.0

@@ -1,10 +1,12 @@
 """The stress route DE(y) . u = integral sigma_y (Iu)', Iu the piecewise-affine
-interpolant of u, and the one module that knows `StressFunction`: the
-periodic and slab stresses, whose weak forms equal `energy.forces_periodic . u`
-and `energy.d_energy_dirichlet_y . u`; a Cauchy-Born cell's stress; and
-method 1's coupled stress sigma^qc, whose weak form equals `ac.ac_forces . u`.
-An oracle of those closed forms: no other module, check kind or benchmark
-imports it, and `import acfield` does not load it.
+interpolant of u: the oracle of the closed-form forces, which the tests import
+(`from oracle_stress import ...`) and no module of the package does.
+
+It holds the chain density `rho` and the bump derivative `grad_delta_eps`;
+the periodic and slab stresses, whose weak forms equal
+`energy.forces_periodic . u` and `energy.d_energy_dirichlet_y . u`; a
+Cauchy-Born cell's stress; and method 1's coupled stress sigma^qc, whose weak
+form equals `ac.ac_forces . u`.
 """
 
 import math
@@ -12,24 +14,36 @@ from functools import partial
 
 import numpy as np
 
-from .ac import _window
-from .cauchy_born import cb_cell_field
-from .density import _bump_offset, delta_eps, gauss_on_interval, grad_delta_eps
-from .field import _cell_fields, eval_green_dirichlet, eval_green_periodic
-from .lattice import first_diff, positions
-
-__all__ = [
-    "StressFunction",
-    "stress_periodic",
-    "stress_dirichlet",
-    "cb_stress_function",
-    "weak_form_periodic",
-    "weak_form_dirichlet",
-    "sigma_qc",
-    "weak_form_qc",
-]
+from acfield.ac import _window
+from acfield.cauchy_born import cb_cell_field
+from acfield.density import _neighbours, check_separated, delta_eps, gauss_on_interval
+from acfield.field import _cell_fields, eval_green_dirichlet, eval_green_periodic
+from acfield.lattice import first_diff, positions
 
 _GAUSS_ORDER = 24  # Gauss points per piece between bump edges
+
+
+def grad_delta_eps(profile, eps, x):
+    """Derivative of the atomic-scale bump delta_eps."""
+    return profile.grad_delta1(np.asarray(x, dtype=float) / eps) / eps**2
+
+
+def _bump_offset(y, L, w, x):
+    """x - c to the centre c of the one bump (half-width w, atoms y, period L;
+    separated) that holds x, a neighbour's; w outside every bump."""
+    ye, x, r = _neighbours(y, L, x)
+    d_l, d_r = x - ye[r - 1], ye[r] - x
+    return np.where(d_l < w, d_l, np.where(d_r < w, -d_r, w))
+
+
+def rho(cfg, profile, x):
+    """Chain density rho_y(x) = eps * sum_j delta_eps(x - y_j), periodic in x,
+    from the one bump that can hold each point.  Raises on contact."""
+    check_separated(cfg, profile, "rho")
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    d = _bump_offset(positions(cfg), cfg.L, profile.half_width * cfg.eps, xs)
+    out = cfg.eps * delta_eps(profile, cfg.eps, d)
+    return out if np.ndim(x) else float(out[0])
 
 
 def _nodal_values(u, n):
@@ -53,7 +67,7 @@ class StressFunction:
     the chain (2F), a slab (2(a_R - a_L), as in `eval_green_dirichlet`: no
     image reaches into the slab) or a comparison chain (its spacing).  rho
     and sigma_2 come from the one bump that holds a point
-    (`density._bump_offset`), phi and phi' from one call of `field_eval(x)`.
+    (`_bump_offset`), phi and phi' from one call of `field_eval(x)`.
     Integration splits at every bump edge so the Gauss rule never crosses a
     kink.
     """

@@ -51,7 +51,7 @@ from acfield.energy import (
 from acfield.field import eval_green_periodic
 from acfield.lattice import ChainConfig, first_diff, homogeneous, positions
 from acfield.minimize import AcModel, AtomisticModel, CauchyBornModel
-from acfield.stress import (
+from oracle_stress import (
     cb_stress_function,
     sigma_qc,
     stress_periodic,
@@ -76,6 +76,14 @@ def wiggled_chain(N=20, F=1.1, amp=0.005, seed=3):
 def test_partition_validation():
     with pytest.raises(ValueError):
         AcPartition(0)
+    # K is read as N is: an integer (a float 9.0 raised IndexError inside
+    # `positions`, a string TypeError), and a ValueError names K
+    cfg = wiggled_chain()
+    for bad in (9.0, "9", None, 0.5, -1):
+        with pytest.raises(ValueError, match="half-width K must be an integer >= 1, got %r"
+                           % (bad,)):
+            ac_energy(cfg, method1(bad), PROFILE, M)
+    assert AcPartition(np.int64(9)).K == 9 and type(AcPartition(np.int64(9)).K) is int
     cfg = homogeneous(8, 1.1)
     with pytest.raises(ValueError):
         AcPartition(8).boundaries(cfg)  # needs K < N
@@ -335,8 +343,8 @@ def test_u_of_the_wrong_length_raises():
 
 def test_non_finite_u_raises():
     # every route that takes nodal displacements reads them through
-    # `stress._nodal_values`: a NaN or infinite entry raises where the weak
-    # forms returned NaN
+    # `oracle_stress._nodal_values`: a NaN or infinite entry raises where the
+    # weak forms returned NaN
     cfg = wiggled_chain()
     n = cfg.n_atoms
     y_at, bd = AcPartition(8).window(cfg, M)
@@ -568,7 +576,8 @@ def test_coupling_equals_public_composition_bitwise(make, N):
 
 def _count_calls(monkeypatch, module, name):
     """Count the calls of module.name: it is patched wherever an acfield
-    module binds it, so a route that imported it by name is counted too."""
+    module or a test oracle (`oracle_stress`) binds it, so a route that
+    imported it by name is counted too."""
     calls = []
     original = getattr(module, name)
 
@@ -577,7 +586,8 @@ def _count_calls(monkeypatch, module, name):
         return original(*args)
 
     for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("acfield") and getattr(mod, name, None) is original:
+        if (mod_name.startswith(("acfield", "oracle_"))
+                and getattr(mod, name, None) is original):
             monkeypatch.setattr(mod, name, counted)
     return calls
 

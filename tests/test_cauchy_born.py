@@ -20,7 +20,7 @@ from acfield.cauchy_born import (
     cell_state,
     comparison_field_bound,
 )
-from acfield.stress import cb_stress_function, stress_periodic
+from oracle_stress import cb_stress_function, stress_periodic
 
 PROF = quartic_bump(0.5)
 M = 1.0

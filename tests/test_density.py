@@ -21,7 +21,6 @@ from acfield.density import (
     gauss_on_interval,
     mu,
     quartic_bump,
-    rho,
     self_moment,
     sextic_bump,
 )
@@ -31,8 +30,8 @@ from acfield.energy import (
     hessian_periodic_structured,
 )
 from acfield.field import eval_green_periodic
-from acfield.stress import cb_stress_function, stress_periodic
 from acfield.lattice import ChainConfig, first_diff, homogeneous, positions
+from oracle_stress import cb_stress_function, rho, stress_periodic
 
 # Frozen reference values from tests/oracle_density.py (brute-force trapezoid,
 # 1e6 points for mu, Richardson-extrapolated 2D trapezoid for self_moment).

@@ -10,7 +10,6 @@ import pytest
 from acfield.density import (
     delta_eps,
     gauss_on_interval,
-    grad_delta_eps,
     mu,
     quartic_bump,
     sextic_bump,
@@ -31,13 +30,13 @@ from acfield.field import (
     _solve_circulant,
     eval_green_dirichlet,
     eval_green_periodic,
-    fem_forces,
-    fem_relative_budget,
     solve_dirichlet,
     solve_periodic,
     xi_closed_form,
 )
 from acfield.lattice import ChainConfig, homogeneous, positions
+from oracle_fem import fem_forces, fem_relative_budget
+from oracle_stress import grad_delta_eps
 
 PROF = quartic_bump(0.5)
 M = 1.0

@@ -7,6 +7,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -332,14 +333,12 @@ def test_import_rules():
     # the oracles stand apart from the production path: the Newton step in
     # `hessian` imports nothing from `field`, whose FEM solves are the
     # cross-check oracle (`field` takes its cyclic product from `hessian`),
-    # and no module imports the stress route, so neither `import acfield`
-    # nor `import acfield.harness` (the CLI and every benchmark) loads it
+    # and no module imports a test oracle (tests/oracle_*.py)
     pkg = Path(harness.__file__).resolve().parent
     imports = {path.stem: _imported_modules(path) for path in pkg.glob("*.py")}
-    banned = {name: {"stress"} for name in imports if name != "stress"}
-    banned["hessian"].add("field")
-    assert {name: sorted(imports[name] & ban) for name, ban in banned.items()
-            if imports[name] & ban} == {}
+    assert "field" not in imports["hessian"]
+    assert [name for name, mods in sorted(imports.items())
+            if any(m.startswith("oracle") for m in mods)] == []
 
     # one execution path: no module imports a pool, processes or threads,
     # at the top or inside a function
@@ -358,20 +357,12 @@ def test_import_rules():
 
     # no module but `field` refers to an FEM name, and `harness` only in the
     # FEM cross-check kind
-    fem = {"Field", "solve_periodic", "solve_dirichlet", "fem_forces", "fem_relative_budget",
-           "_assemble_load", "_bump_pieces", "_piece_blocks", "_solve_circulant",
-           "_circulant_eigenvalues"}
+    fem = {"Field", "solve_periodic", "solve_dirichlet", "_assemble_load", "_bump_pieces",
+           "_piece_blocks", "_solve_circulant", "_circulant_eigenvalues"}
     refs = {"%s.%s" % (path.stem, owner): sorted(names & fem)
             for path in sorted(pkg.glob("*.py")) if path.stem != "field"
             for owner, names in _top_level_uses(path) if names & fem}
     assert refs == {"harness._exp_fem_cross": ["solve_dirichlet", "solve_periodic"]}
-
-    path = os.pathsep.join(p for p in (str(pkg.parent), os.environ.get("PYTHONPATH")) if p)
-    code = "import sys, acfield, acfield.harness; print('acfield.stress' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
 
 
 def test_cli_spec_errors_exit_2(tmp_path, capsys):
@@ -477,31 +468,124 @@ def test_each_all_lists_the_public_definitions():
         assert sorted(defined - set(listed)) == [], path.name
 
 
+def _name_uses(tree, own=None):
+    """(module, name) for each use of an `acfield` module's name in a parsed
+    source: an import of the name from its module (`from acfield.m import
+    name`, `from .m import name`); a read of it as an attribute of its
+    module (`acfield.m.name`, or `alias.name` after `from acfield import m`,
+    `import acfield.m as alias` or `alias = acfield.m`); and, in the package
+    module `own`, a load of it by a top-level statement that does not bind
+    the same name itself (as a definition, argument, assignment or import)."""
+    modules, uses = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = ["acfield"] * bool(node.level) + (node.module or "").split(".")
+            parts = [part for part in parts if part]
+            if parts[0] != "acfield":
+                continue
+            for alias in node.names:
+                if len(parts) == 1:
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    uses.add((parts[1], alias.name))
+        elif isinstance(node, ast.Import):
+            modules.update((a.asname, a.name.split(".")[1]) for a in node.names
+                           if a.asname and a.name.startswith("acfield."))
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute)
+              and getattr(node.value.value, "id", None) == "acfield"):
+            modules.update((t.id, node.value.attr) for t in node.targets
+                           if isinstance(t, ast.Name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            chain, value = [node.attr], node.value
+            while isinstance(value, ast.Attribute):
+                chain.append(value.attr)
+                value = value.value
+            if not isinstance(value, ast.Name):
+                continue
+            chain = [value.id] + chain[::-1]
+            if chain[0] in modules:
+                uses.add((modules[chain[0]], chain[1]))
+            uses |= {(chain[i + 1], chain[i + 2]) for i in range(len(chain) - 2)
+                     if chain[i] == "acfield"}
+    for top in tree.body if own else ():
+        loaded, bound = set(), set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                (loaded if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, ast.arg):
+                bound.add(node.arg)
+            elif isinstance(node, ast.alias):
+                bound.add(node.asname or node.name.split(".")[0])
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                bound.add(node.name)
+        uses |= {(own, name) for name in loaded - bound}
+    return uses
+
+
+def test_name_uses_count_real_uses_only():
+    # imports and module attributes count; a local, an argument or an
+    # unrelated attribute that shares a public name does not, nor does a
+    # definition that loads its own name
+    tree = ast.parse(textwrap.dedent("""
+        import numpy as np
+        import acfield.ac
+        import acfield.minimize as mm
+        import acfield.harness
+        from acfield import energy as en
+        from acfield.field import solve_periodic
+        from .lattice import positions
+        from . import cauchy_born
+
+        def rho(cfg, x):
+            return rho(cfg, x - 1.0)
+
+        class StressFunction:
+            def _parts(self, x, delta_eps):
+                rho = self.grad_delta_eps(x)
+                return rho * delta_eps * np.check_separated(x) * mu(x)
+
+        def caller(cfg):
+            hn = acfield.harness
+            return (acfield.ac.method1(9), mm.CauchyBornModel, en.g_star,
+                    cauchy_born.cell_state(cfg), gauss_on_interval, hn.run)
+    """))
+    assert _name_uses(tree, "density") == {
+        ("field", "solve_periodic"), ("lattice", "positions"), ("ac", "method1"),
+        ("minimize", "CauchyBornModel"), ("energy", "g_star"), ("cauchy_born", "cell_state"),
+        ("harness", "run"), ("density", "np"), ("density", "mu"), ("density", "gauss_on_interval"),
+        ("density", "acfield"), ("density", "mm"), ("density", "en"),
+        ("density", "cauchy_born")}
+    # another module's source: only the imports and module attributes
+    assert _name_uses(tree) == {
+        ("field", "solve_periodic"), ("lattice", "positions"), ("ac", "method1"),
+        ("minimize", "CauchyBornModel"), ("energy", "g_star"), ("cauchy_born", "cell_state"),
+        ("harness", "run")}
+
+
 def test_every_public_name_is_used_outside_the_tests():
     # production modules hold only what production code calls: each name in
-    # a module's __all__ is used by another statement of its module, another
-    # module of the package, a demo, a tool or the benchmark (its code, or
-    # the functions its tracer wraps by name, `perfbench/spans.py` TRACED).
-    # The declared oracles are exempt: the stress route, and the FEM
-    # cross-check's forces and accuracy budget
+    # a module's __all__ is imported from its module or read as its attribute
+    # by another module of the package, a demo, a tool or the benchmark,
+    # loaded by a statement of its own module that does not bind the same
+    # name (`_name_uses`), or wrapped by the benchmark's tracer
+    # (`perfbench/spans.py` TRACED)
     root = Path(harness.__file__).resolve().parents[2]
     spec = importlib.util.spec_from_file_location("spans", root / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    uses = {path: _top_level_uses(path)
-            for folder in ("src/acfield", "demos", "tools", "perfbench")
-            for path in sorted((root / folder).glob("*.py"))}
-    exempt = {"field.fem_forces", "field.fem_relative_budget"}
-    unused = []
-    for path in sorted((root / "src" / "acfield").glob("*.py")):
-        if path.stem in ("__init__", "stress"):
-            continue
-        for name in importlib.import_module("acfield." + path.stem).__all__:
-            used = name in spans.TRACED.get(path.stem, ()) or any(
-                name in names and (where != path or owner != name)
-                for where, statements in uses.items() for owner, names in statements)
-            if not used and "%s.%s" % (path.stem, name) not in exempt:
-                unused.append("%s.%s" % (path.stem, name))
+    used = {(module, name) for module, names in spans.TRACED.items() for name in names}
+    for folder in ("src/acfield", "demos", "tools", "perfbench"):
+        for path in sorted((root / folder).glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used |= _name_uses(tree, path.stem if folder == "src/acfield" else None)
+    unused = ["%s.%s" % (path.stem, name)
+              for path in sorted((root / "src" / "acfield").glob("*.py"))
+              if path.stem != "__init__"
+              for name in importlib.import_module("acfield." + path.stem).__all__
+              if (path.stem, name) not in used]
     assert not unused, "public, but only tests use them: %s" % unused
 
 

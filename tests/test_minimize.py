@@ -114,6 +114,31 @@ def test_exhaustion_raises_and_flag_mode():
     assert r.iterations == 4
 
 
+def test_minimize_error_says_why_it_stopped():
+    # method 2 at m = 0.5, restarted from the atomistic minimizer: every step
+    # falls back to steepest descent on an indefinite Hessian, and the
+    # iterates run into the strain guard sigma0 + 0.05, which refuses every
+    # trial of the last step (the message said only "line search failed")
+    f = sine_force(80, 0.3)
+    y0 = minimize(AtomisticModel(PROFILE, 0.5), f, homogeneous(80, 1.1)).y_final
+    with pytest.raises(MinimizeError) as excinfo:
+        minimize(AcModel(method2(20), PROFILE, 0.5), f, y0)
+    r = excinfo.value.result
+    assert (r.iterations, r.n_fallbacks) == (17, 18)
+    assert 0.55 < r.min_strain < 0.55 + 1e-9
+    assert str(excinfo.value) == (
+        "line search failed at step 18 (|g| = 7.973e-02): 18 of 18 steps fell back to "
+        "steepest descent; the strain guard 0.55 refused 40 of the last step's 40 trials "
+        "(min strain 0.550000000077)")
+
+    # out of iterations: the last step's trials that the guard refused
+    with pytest.raises(MinimizeError, match=r"^no convergence in 4 iterations \(\|g\| = "
+                       r"[0-9.e+-]+\): 0 of 4 steps fell back to steepest descent; "
+                       r"the strain guard 0.55 refused \d+ of the last step's \d+ "
+                       r"trials \(min strain "):
+        minimize(atomistic(), sine_force(20, 30.0), homogeneous(20, 1.1), max_iter=4)
+
+
 def test_compare_zero_force_is_tau_small():
     cfg = homogeneous(20, 1.1)
     err, rhs = compare_minimizers(atomistic(), AcModel(method1(9), PROFILE, M),
