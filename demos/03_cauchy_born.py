@@ -33,7 +33,7 @@ print()
 print("  strain   psi(s) closed      quadrature rel err")
 eps = 0.1
 for s in (0.75, 1.0, 1.5, 2.0, 3.0):
-    cell = CellState(0, s, 0.0, profile, M, eps)
+    cell = CellState(s, 0.0, profile, M, eps)
     quad = 0.0
     for lo, hi in ((-profile.half_width * eps, 0.0), (0.0, profile.half_width * eps)):
         xs, ws = gauss_on_interval(lo, hi, 48)

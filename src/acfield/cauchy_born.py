@@ -83,7 +83,6 @@ class CellState:
     `cb_cell_energy(strain)` and its field `cb_cell_field`.
     """
 
-    j: int
     strain: float
     anchor: float
     profile: object
@@ -102,16 +101,22 @@ class CellState:
         return self.eps * self.strain
 
 
+def _cell_rows(cfg, j):
+    """j + N for a cell index j of cfg, or for an array of them; a
+    ValueError unless every index is an integer in -N..N."""
+    j = np.asarray(j)
+    if j.dtype.kind not in "iu" or not np.all((-cfg.N <= j) & (j <= cfg.N)):
+        raise ValueError("cell index out of range: need integers in -%d..%d"
+                         % (cfg.N, cfg.N))
+    return j + cfg.N
+
+
 def cell_state(cfg, profile, m, j):
     """CellState of cell Q_j = (y_{j-1}, y_j) of a periodic chain."""
-    if not -cfg.N <= j <= cfg.N:
-        raise ValueError("cell index out of range")
-    strains = first_diff(cfg)
-    y = positions(cfg)
+    row = _cell_rows(cfg, j)
     return CellState(
-        j=j,
-        strain=float(strains[j + cfg.N]),
-        anchor=float(y[j + cfg.N]),
+        strain=float(first_diff(cfg)[row]),
+        anchor=float(positions(cfg)[row]),
         profile=profile,
         m=m,
         eps=cfg.eps,
@@ -215,10 +220,12 @@ def comparison_field_bound(cfg, profile, m, j):
     mu eps sum_r |y''|_{j+r} w_r.  The weights w do not depend on j, so the
     bounds of several cells are one circular correlation of |y''| with w.
     j is a cell index or an integer array of them (then the result is an
-    array).  Overlapping bumps raise ValueError: the bound assumes separated
+    array); a ValueError unless every index is an integer in -N..N.
+    Overlapping bumps raise ValueError: the bound assumes separated
     bumps, and at min y' <= 0 it diverges.
     """
     check_separated(cfg, profile, "comparison_field_bound")
+    cells = np.atleast_1d(_cell_rows(cfg, j))
     p = cfg.n_atoms
     ms = m * float(np.min(first_diff(cfg)))
     q, omq, om_qp = math.exp(-ms), -math.expm1(-ms), -math.expm1(-ms * p)
@@ -230,7 +237,6 @@ def comparison_field_bound(cfg, profile, m, j):
     r = np.arange(p)
     w = residue_sum(r + 1) + residue_sum(p - r)
     ypp = np.abs(second_diff(cfg))
-    cells = np.atleast_1d(j) + cfg.N
     sums = np.empty(cells.size)
     # a row sum, not a BLAS matvec: one cell's bound does not depend on
     # which other cells are asked for, so blocks of rows keep the bits and

@@ -31,7 +31,9 @@ and the checks integrate with (`gauss_on_interval`) are built here too, in
 integer fixed point, so each node and weight is the double nearest its exact
 value (`_leggauss`); numpy.polynomial is never imported.  The density rho_y
 itself and the bump's derivative are evaluated only by the tests' stress
-oracle (tests/oracle_stress.py).
+oracle (`rho` and `grad_delta1` in tests/oracle_stress.py), which finds the
+bump that holds a point by the kernel fields' neighbour search,
+`field._neighbours`.
 """
 
 import math
@@ -124,12 +126,13 @@ def gauss_on_interval(a, b, n):
 class BumpProfile:
     """Polynomial bump (1 - (2x/sigma0)^2)^power, normalized to unit mass.
 
-    power=2 is the default C1 quartic profile; power=3 gives a C2 sextic
-    profile used to check that nothing depends on the specific shape.
+    power=2 is the C1 quartic profile (`quartic_bump`); power=3 gives a C2
+    sextic profile (`sextic_bump`) used to check that nothing depends on the
+    specific shape.
     """
 
     sigma0: float
-    power: int = 2
+    power: int
 
     def __post_init__(self):
         if not 0.0 < self.sigma0 < math.inf:
@@ -162,21 +165,6 @@ class BumpProfile:
         inside = np.abs(t) < 1.0
         out = np.zeros_like(t)
         out[inside] = self.norm_const * (1.0 - t[inside] ** 2) ** self.power
-        return out if out.ndim else float(out)
-
-    def grad_delta1(self, x):
-        x = np.asarray(x, dtype=float)
-        t = 2.0 * x / self.sigma0
-        inside = np.abs(t) < 1.0
-        out = np.zeros_like(t)
-        ti = t[inside]
-        out[inside] = (
-            self.norm_const
-            * self.power
-            * (1.0 - ti**2) ** (self.power - 1)
-            * (-2.0 * ti)
-            * (2.0 / self.sigma0)
-        )
         return out if out.ndim else float(out)
 
 
@@ -332,20 +320,6 @@ def self_moment(profile, m):
 def delta_eps(profile, eps, x):
     """Atomic-scale bump delta1(x/eps)/eps."""
     return profile.delta1(np.asarray(x, dtype=float) / eps) / eps
-
-
-def _neighbours(y, L, x):
-    """The kernel sums' neighbour search over the ascending atoms y of period
-    L: returns ye = (y_{n-1} - L, y, y_0 + L), x with each point outside
-    [ye_0, ye_{n+1}] reduced by the period, and r with ye_{r-1} <= x <= ye_r;
-    a non-finite x, which no neighbours hold, raises."""
-    if not np.all(np.isfinite(x)):
-        raise ValueError("evaluation point is not finite")
-    ye = np.concatenate([[y[-1] - L], y, [y[0] + L]])
-    far = (x < ye[0]) | (x > ye[-1])
-    x = np.where(far, x - L * np.floor((x - ye[0]) / L), x)
-    r = np.clip(np.searchsorted(ye, x, side="right"), 1, y.size + 1)
-    return ye, x, r
 
 
 def check_separated(cfg, profile, where="chain"):

@@ -24,8 +24,8 @@ Two evaluation routes are provided and deliberately kept independent:
   m sigma0, its closed form (`_bump_kernel`), on coefficients that
   `density._bump_moments` forms from the same exact integers as mu and
   self_moment.  The kernel is separable, so a point needs only its two
-  neighbouring atoms (one search, `density._neighbours`, which the tests'
-  stress oracle shares) and their right and left sums over every image
+  neighbouring atoms (one search, `_neighbours`, which the tests' stress
+  oracle shares) and their right and left sums over every image
   (`_right_sums`, which the pair energies of `energy` share; `_kept` keeps
   a configuration's, so its energy, forces, Hessian and field scan it once
   per side):
@@ -39,12 +39,14 @@ Two evaluation routes are provided and deliberately kept independent:
   bump support, exact Gauss-Legendre load assembly (bump x hat is a
   polynomial on each sub-element), direct solves by FFT: the periodic matrix
   is circulant, and the slab's interior matrix is tridiagonal Toeplitz, which
-  the odd extension makes circulant (the method of images on the mesh).  The
-  discrete energies are 0.5 * Field.interaction (periodic) and
-  -Field.i_value (slab).  The periodic mesh lives on the fixed window
-  [-F, F) independent of y, so the analytic force formula evaluated at the
-  FEM field (`fem_forces`, tests/oracle_fem.py) is the *exact* discrete
-  gradient of the discrete energy.  The load and those forces share one
+  the odd extension makes circulant (the method of images on the mesh).  A
+  solve returns a `Field`: the nodal values, the period L (None for a
+  slab) and the discrete energies, 0.5 * Field.interaction (periodic) and
+  -Field.i_value (slab); it does no interpolation.  The periodic mesh
+  lives on the fixed window [-F, F) independent of y, so the analytic
+  force formula evaluated at the FEM field (`fem_forces`,
+  tests/oracle_fem.py) is the *exact* discrete gradient of the discrete
+  energy.  The load and those forces share one
   loop over (bump, element) pieces (`_bump_pieces`), vectorized over blocks
   of whole bumps under a fixed piece budget (`_piece_blocks`), and the
   solves keep the mesh's constant stencil as scalars, so a solve's memory
@@ -74,13 +76,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .density import (
-    _bump_moments,
-    _neighbours,
-    check_separated,
-    gauss_on_interval,
-    mu,
-)
+from .density import _bump_moments, check_separated, gauss_on_interval, mu
 from .hessian import _apply_cyclic_tridiag
 from .lattice import positions
 
@@ -396,6 +392,20 @@ def _neighbour_field(profile, m, eps, d_l, d_r, f_r, lt_l):
     return val, grad
 
 
+def _neighbours(y, L, x):
+    """The kernel sums' neighbour search over the ascending atoms y of period
+    L: returns ye = (y_{n-1} - L, y, y_0 + L), x with each point outside
+    [ye_0, ye_{n+1}] reduced by the period, and r with ye_{r-1} <= x <= ye_r;
+    a non-finite x, which no neighbours hold, raises."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError("evaluation point is not finite")
+    ye = np.concatenate([[y[-1] - L], y, [y[0] + L]])
+    far = (x < ye[0]) | (x > ye[-1])
+    x = np.where(far, x - L * np.floor((x - ye[0]) / L), x)
+    r = np.clip(np.searchsorted(ye, x, side="right"), 1, y.size + 1)
+    return ye, x, r
+
+
 def _kernel_field(sums, profile, m, eps, x):
     """Field (value, gradient) at x of unit bumps at y = sums.y (ascending,
     within one period) and all their images y + nL, L = sums.L: every
@@ -408,7 +418,7 @@ def _kernel_field(sums, profile, m, eps, x):
     separable: with the right and left sums F, Lt of `sums` (a `_ChainSums`
     at k = m/eps), x between its neighbouring images l <= x < r needs only
     d_r = y_r - x, d_l = x - y_l, F_r and Lt_l (`_neighbour_field`), found
-    by `density._neighbours`, the one bump lookup of the package: only x
+    by `_neighbours`, the one bump lookup of the package: only x
     outside [y_{n-1} - L, y_0 + L] is reduced by the period, so every other
     offset is one subtraction.  O((n + P) log n); accuracy ~1e-15 relative.
     The callers have checked that the supports are separated (images
@@ -437,7 +447,7 @@ def _cell_fields(anchor, L, profile, m, eps, x):
     image the geometric series q/(1 - q), q = e^{-(m/eps) L}, so a point
     needs only its offsets to the images around it (`_neighbour_field`).
     A point outside [c - L, c + L] is reduced by the period; a non-finite
-    one raises, as in `density._neighbours`.  The callers have checked that
+    one raises, as in `_neighbours`.  The callers have checked that
     every spacing exceeds the bump support.
     """
     x = np.asarray(x, dtype=float)
@@ -514,24 +524,25 @@ def eval_green_dirichlet(y_at, bd, profile, x):
 
 @dataclass
 class Field:
-    """Piecewise-linear field on a uniform mesh.
+    """Nodal values of a P1 field on the uniform mesh x0 + i*h.
 
-    kind "periodic": nodes x0 + i*h for i = 0..n-1 on a window of length L,
-    values wrap around.  kind "dirichlet": n+1 nodes from a_L to a_R.
-    Scalars recorded at solve time: `interaction` = integral rho*phi_h,
-    `i_value` = the discrete functional I(phi_h), `residual_rel` = relative
-    algebraic residual of the linear solve.
+    `L` is the period of a periodic field (n nodes on a window of length L,
+    values wrapping round) or None for a slab (n+1 nodes from a_L to a_R).
+    The class does no interpolation: `np.interp(x, f.nodes(), f.values,
+    period=f.L)` is the P1 field.  Scalars recorded at solve time:
+    `interaction` = integral rho*phi_h, `i_value` = the discrete functional
+    I(phi_h), `residual_rel` = relative algebraic residual of the linear
+    solve; `rhs` is the load vector.
     """
 
-    kind: str
     x0: float
     h: float
     values: np.ndarray = dataclass_field(repr=False)
-    L: float = 0.0
-    rhs: np.ndarray = dataclass_field(default=None, repr=False)
-    interaction: float = 0.0
-    i_value: float = 0.0
-    residual_rel: float = 0.0
+    L: float | None
+    rhs: np.ndarray = dataclass_field(repr=False)
+    interaction: float
+    i_value: float
+    residual_rel: float
 
     @property
     def n_nodes(self):
@@ -539,33 +550,6 @@ class Field:
 
     def nodes(self):
         return self.x0 + self.h * np.arange(self.n_nodes)
-
-    def _locate(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "periodic":
-            xr = (x - self.x0) % self.L
-        else:
-            hi = self.x0 + self.h * (self.n_nodes - 1)
-            _check_points_in_slab(x, self.x0, hi)
-            xr = np.clip(x - self.x0, 0.0, hi - self.x0)
-        i = np.minimum((xr / self.h).astype(int), self.n_nodes - 1)
-        if self.kind == "periodic":
-            ip1 = (i + 1) % self.n_nodes
-        else:
-            i = np.minimum(i, self.n_nodes - 2)
-            ip1 = i + 1
-        t = xr / self.h - i
-        return i, ip1, t
-
-    def value(self, x):
-        i, ip1, t = self._locate(x)
-        out = self.values[i] * (1.0 - t) + self.values[ip1] * t
-        return out if out.ndim else float(out)
-
-    def grad(self, x):
-        i, ip1, _ = self._locate(x)
-        out = (self.values[ip1] - self.values[i]) / self.h
-        return out if out.ndim else float(out)
 
 
 def _element_matrices(eps, m, h):
@@ -737,7 +721,7 @@ def solve_periodic(cfg, profile, m, mesh_density=16):
     interaction = float(b @ phi)
     i_value = 0.5 * float(phi @ aphi) - interaction
     return Field(
-        kind="periodic", x0=x0, h=h, values=phi, L=L, rhs=b,
+        x0=x0, h=h, values=phi, L=L, rhs=b,
         interaction=interaction, i_value=i_value, residual_rel=float(res),
     )
 
@@ -778,6 +762,6 @@ def solve_dirichlet(y_at, bd, profile, mesh_density=16):
     interaction = float(b @ phi)
     i_value = 0.5 * float(phi @ aphi) - interaction
     return Field(
-        kind="dirichlet", x0=bd.a_L, h=h, values=phi, L=0.0, rhs=b,
+        x0=bd.a_L, h=h, values=phi, L=None, rhs=b,
         interaction=interaction, i_value=i_value, residual_rel=float(res_int),
     )

@@ -552,7 +552,7 @@ def _exp_cb_closed_form(spec):
         for s in np.linspace(spec.sigma0 + 0.2, 3.0, 5):
             s = float(s)
             closed = cb_cell_energy(s, profile, m, eps)
-            cell = CellState(0, s, 0.0, profile, m, eps)
+            cell = CellState(s, 0.0, profile, m, eps)
             # (1/2) integral of (bump charge) x (per-cell comparison field):
             # by periodicity of the field this collapses to one bump's support
             total = 0.0

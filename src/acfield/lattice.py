@@ -111,10 +111,13 @@ def positions(cfg, j_lo=None, j_hi=None):
     """Atom positions y_j for j = j_lo..j_hi inclusive (default -N..N).
 
     Indices outside -N..N follow the periodic extension y_{j+(2N+1)} = y_j + L.
-    The default range returns the config's own read-only array.
+    The default range returns the config's own read-only array; j_lo and
+    j_hi are given together or not at all.
     """
-    if j_lo is None:
+    if j_lo is None and j_hi is None:
         return cfg._y
+    if j_lo is None or j_hi is None:
+        raise ValueError("j_lo and j_hi must be given together")
     if j_hi < j_lo:
         raise ValueError("j_hi must be >= j_lo")
     j = np.arange(j_lo, j_hi + 1)

@@ -8,7 +8,8 @@ The solver is a damped Newton iteration on the mean-zero subspace: each step
 solves the Newton system from the Hessian's structure in O(n)
 (`hessian.StructuredHessian.newton_step`; steepest-descent fallback when the
 Hessian is not positive definite there), and Armijo backtracking refuses
-any iterate whose minimal strain drops to the bump-overlap guard.
+any iterate whose minimal strain drops to the bump-overlap guard; after
+`_MAX_ITER` steps it gives up.
 """
 
 from dataclasses import dataclass, field
@@ -84,8 +85,6 @@ class AtomisticModel:
     m: float
     backend: str = "pair"
 
-    name = "atomistic"
-
     def __post_init__(self):
         if self.backend != "pair":
             raise ValueError("the atomistic energy has only the exact pair route, not %r;"
@@ -106,8 +105,6 @@ class CauchyBornModel:
     profile: object
     m: float
 
-    name = "cauchy_born"
-
     def energy(self, cfg):
         return cb_total_energy(cfg, self.profile, self.m)
 
@@ -123,10 +120,6 @@ class AcModel:
     method: object
     profile: object
     m: float
-
-    @property
-    def name(self):
-        return "ac_%s_K%d" % (self.method.variant, self.method.partition.K)
 
     def energy(self, cfg):
         return ac_energy(cfg, self.method, self.profile, self.m)
@@ -162,11 +155,11 @@ class MinimizeResult:
     converged: bool
     min_strain: float
     max_strain: float
-    energies: tuple = ()
-    n_grad_evals: int = 0
-    n_hess_evals: int = 0
-    n_backtracks: int = 0
-    n_fallbacks: int = 0
+    energies: tuple
+    n_grad_evals: int
+    n_hess_evals: int
+    n_backtracks: int
+    n_fallbacks: int
 
 
 def _strain_guard(cfg):
@@ -176,7 +169,12 @@ def _strain_guard(cfg):
     return float(s[p]), p - cfg.N
 
 
-def minimize(model, f, y0, max_iter=60):
+#: Newton steps `minimize` takes before it raises `MinimizeError` (the
+#: criterion-8 sweep converges in at most 5).
+_MAX_ITER = 60
+
+
+def minimize(model, f, y0):
     """Damped Newton for E(y) + (f, y)_eps over mean-zero displacements.
 
     Each step solves (H + c 11^T) d = -g with the model's exact Hessian H,
@@ -188,11 +186,15 @@ def minimize(model, f, y0, max_iter=60):
     separated with room to spare); the Armijo test carries a
     machine-precision slack so the final Newton polish steps, whose
     predicted decrease is below roundoff in the total energy, are not
-    rejected.  Running out of iterations or a failed line search raises
-    `MinimizeError`, which carries the result at the stop and says how many
-    steps fell back and how many of the last step's trials the guard
-    refused.
+    rejected.  A load f whose length is not y0's number of atoms raises
+    ValueError.  Running out of iterations (`_MAX_ITER`) or a failed line
+    search raises `MinimizeError`, which carries the result at the stop and
+    says how many steps fell back and how many of the last step's trials
+    the guard refused.
     """
+    if f.f.size != y0.n_atoms:
+        raise ValueError("the load has %d entries but the chain has %d atoms"
+                         % (f.f.size, y0.n_atoms))
     eps = y0.eps
     tol = 1e-10 * model.m * eps
     guard = model.profile.sigma0 + 0.05
@@ -237,8 +239,8 @@ def minimize(model, f, y0, max_iter=60):
 
     steps = refused = trials = 0
     while gnorm > tol:
-        if steps >= max_iter:
-            raise failure("no convergence in %d iterations" % max_iter)
+        if steps >= _MAX_ITER:
+            raise failure("no convergence in %d iterations" % _MAX_ITER)
 
         d, positive = model.hessian_structured(cfg).newton_step(g)
         count["hess"] += 1
@@ -284,7 +286,8 @@ def compare_minimizers(model_a, model_b, f, y0):
     The second minimization starts from the first minimizer.  tau and the
     weight band come from whichever model couples (zero and trivial weights
     otherwise); the weight decay rate uses the minimal strain of the first
-    minimizer.  Both minimizations run with `minimize`'s defaults.
+    minimizer.  Both minimizations take at most `_MAX_ITER` Newton steps,
+    as every `minimize` does.
     """
     res_a = minimize(model_a, f, y0)
     res_b = minimize(model_b, f, res_a.y_final)

@@ -35,13 +35,12 @@ def fem_forces(field, profile, eps, centers):
     The bumps go in blocks (`_piece_blocks`); an atom's pieces all lie in
     its block, so its sum is that of one `bincount` over every piece.
     """
-    L = field.L if field.kind == "periodic" else None
     centers = np.asarray(centers, dtype=float)
     forces = np.zeros(centers.size)
     for block in _piece_blocks(profile, eps, centers.size, field.h):
         c = centers[block]
         atom, nodes, dz, wq, hats = _bump_pieces(
-            profile, eps, c, field.x0, field.h, field.n_nodes, L)
+            profile, eps, c, field.x0, field.h, field.n_nodes, field.L)
         phi = np.sum(field.values[nodes][:, None, :] * hats, axis=-1)
         piece = np.sum(wq * grad_delta_eps(profile, eps, dz) * phi, axis=1)
         forces[block] = np.bincount(atom, piece, minlength=c.size)

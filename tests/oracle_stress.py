@@ -2,11 +2,11 @@
 interpolant of u: the oracle of the closed-form forces, which the tests import
 (`from oracle_stress import ...`) and no module of the package does.
 
-It holds the chain density `rho` and the bump derivative `grad_delta_eps`;
-the periodic and slab stresses, whose weak forms equal
+It holds the chain density `rho` and the bump derivatives `grad_delta1` and
+`grad_delta_eps`; the periodic and slab stresses, whose weak forms equal
 `energy.forces_periodic . u` and `energy.d_energy_dirichlet_y . u`; a
-Cauchy-Born cell's stress; and method 1's coupled stress sigma^qc, whose weak
-form equals `ac.ac_forces . u`.
+Cauchy-Born cell's stress; and method 1's coupled stress sigma^qc, whose
+weak form equals `ac.ac_forces . u`.
 """
 
 import math
@@ -16,16 +16,33 @@ import numpy as np
 
 from acfield.ac import _window
 from acfield.cauchy_born import cb_cell_field
-from acfield.density import _neighbours, check_separated, delta_eps, gauss_on_interval
-from acfield.field import _cell_fields, eval_green_dirichlet, eval_green_periodic
+from acfield.density import check_separated, delta_eps, gauss_on_interval
+from acfield.field import _cell_fields, _neighbours, eval_green_dirichlet, eval_green_periodic
 from acfield.lattice import first_diff, positions
 
 _GAUSS_ORDER = 24  # Gauss points per piece between bump edges
 
 
+def grad_delta1(profile, x):
+    """Derivative of the reference-scale bump `profile.delta1` at x."""
+    x = np.asarray(x, dtype=float)
+    t = 2.0 * x / profile.sigma0
+    inside = np.abs(t) < 1.0
+    out = np.zeros_like(t)
+    ti = t[inside]
+    out[inside] = (
+        profile.norm_const
+        * profile.power
+        * (1.0 - ti**2) ** (profile.power - 1)
+        * (-2.0 * ti)
+        * (2.0 / profile.sigma0)
+    )
+    return out if out.ndim else float(out)
+
+
 def grad_delta_eps(profile, eps, x):
     """Derivative of the atomic-scale bump delta_eps."""
-    return profile.grad_delta1(np.asarray(x, dtype=float) / eps) / eps**2
+    return grad_delta1(profile, np.asarray(x, dtype=float) / eps) / eps**2
 
 
 def _bump_offset(y, L, w, x):

@@ -65,11 +65,11 @@ def half_cell_quadrature(cell):
 def test_cell_energy_matches_field_quadrature():
     assert cb_cell_energy(1.2, PROF, M, 0.2) == pytest.approx(E_CELL_12, rel=1e-12)
     for s in (1.2, 2.0):
-        c = CellState(0, s, 0.3, PROF, M, 0.2)
+        c = CellState(s, 0.3, PROF, M, 0.2)
         assert half_cell_quadrature(c) == pytest.approx(
             cb_cell_energy(s, PROF, M, 0.2), rel=1e-12)
     with pytest.raises(TypeError):  # a cell holds no energy: it is cb_cell_energy(strain)
-        CellState(0, 1.2, 0.3, PROF, M, 0.2, energy=5.0)
+        CellState(1.2, 0.3, PROF, M, 0.2, energy=5.0)
 
 
 def test_cell_energy_isolated_atom_limit():
@@ -101,14 +101,13 @@ def test_cell_state_construction():
     cell = cell_state(cfg, PROF, M, -2)
     y = positions(cfg)
     s = first_diff(cfg)
-    assert cell.j == -2
     assert cell.anchor == y[cfg.N - 2]
     assert cell.strain == s[cfg.N - 2]
     assert cell.spacing == cfg.eps * cell.strain
     with pytest.raises(ValueError):
         cell_state(cfg, PROF, M, cfg.N + 1)
     with pytest.raises(ValueError):
-        CellState(0, 0.3, 0.0, PROF, M, 0.2)  # overlapping comparison bumps
+        CellState(0.3, 0.0, PROF, M, 0.2)  # overlapping comparison bumps
 
 
 def test_cell_field_matches_periodic_on_homogeneous():
@@ -123,7 +122,7 @@ def test_cell_field_matches_periodic_on_homogeneous():
 
 
 def test_cell_field_periodicity():
-    cell = CellState(0, 1.7, 0.4, PROF, M, 0.15)
+    cell = CellState(1.7, 0.4, PROF, M, 0.15)
     xs = np.linspace(-0.4, 0.9, 37)
     v1, g1 = cb_cell_field(cell, xs)
     v2, g2 = cb_cell_field(cell, xs + cell.spacing)
@@ -161,7 +160,7 @@ def test_cell_field_wide_cell_midpoint():
     # at the midpoint of a wide cell only the two neighbouring bumps matter;
     # the remaining images contribute exactly the geometric factor q/(1-q)
     s = 3.0
-    cell = CellState(0, s, 0.0, PROF, M, 0.2)
+    cell = CellState(s, 0.0, PROF, M, 0.2)
     mid = cell.anchor - cell.spacing / 2
     v, _ = cb_cell_field(cell, np.array([mid]))
     muv = mu(PROF, M)
@@ -184,7 +183,7 @@ def test_cb_stress_cell_integral_is_strain_derivative():
     # weak form of one cell: integral_Q sigma^cb = s e'(s); checked against
     # both the closed-form derivative and an FD oracle on the cell energy
     for s, anchor, eps in ((1.3, 0.0, 0.15), (2.2, 5.7, 0.15)):
-        cell = CellState(0, s, anchor, PROF, M, eps)
+        cell = CellState(s, anchor, PROF, M, eps)
         val = cb_stress_function(cell).integral(anchor - cell.spacing, anchor)
         assert val == pytest.approx(s * cb_cell_denergy(s, PROF, M, eps), rel=1e-12)
         h = 1e-6
@@ -193,8 +192,8 @@ def test_cb_stress_cell_integral_is_strain_derivative():
 
 
 def test_cb_stress_integral_depends_only_on_strain():
-    a = CellState(0, 1.3, 0.0, PROF, M, 0.15)
-    b = CellState(4, 1.3, 5.7, PROF, M, 0.15)
+    a = CellState(1.3, 0.0, PROF, M, 0.15)
+    b = CellState(1.3, 5.7, PROF, M, 0.15)
     ia = cb_stress_function(a).integral(a.anchor - a.spacing, a.anchor)
     ib = cb_stress_function(b).integral(b.anchor - b.spacing, b.anchor)
     assert ia == pytest.approx(ib, rel=1e-12)
@@ -391,6 +390,22 @@ def test_comparison_field_bound_rejects_overlapping_bumps():
     assert abs(float(np.min(first_diff(cfg))) + 0.33) < 1e-12
     with pytest.raises(ValueError, match="overlap"):
         comparison_field_bound(cfg, PROF, M, 0)
+
+
+def test_cell_index_is_checked():
+    # a cell index outside -N..N, or one that is not an integer, is not
+    # wrapped round the period or passed to numpy's indexing: it raises,
+    # alone or as one entry of an array
+    cfg = wiggled_chain()
+    N = cfg.N
+    for bad in (N + 1, -N - 1, 100, 2.5, np.float64(2.0)):
+        for j in (bad, np.array([0, bad, 1])):
+            with pytest.raises(ValueError, match="cell index out of range"):
+                comparison_field_bound(cfg, PROF, M, j)
+        with pytest.raises(ValueError, match="cell index out of range"):
+            cell_state(cfg, PROF, M, bad)
+    ends = comparison_field_bound(cfg, PROF, M, np.array([-N, N], dtype=np.int64))
+    assert list(ends) == [comparison_field_bound(cfg, PROF, M, j) for j in (-N, N)]
 
 
 def test_comparison_field_bound_all_cells_in_blocks():

@@ -31,7 +31,7 @@ from acfield.energy import (
 )
 from acfield.field import eval_green_periodic
 from acfield.lattice import ChainConfig, first_diff, homogeneous, positions
-from oracle_stress import cb_stress_function, rho, stress_periodic
+from oracle_stress import cb_stress_function, grad_delta1, rho, stress_periodic
 
 # Frozen reference values from tests/oracle_density.py (brute-force trapezoid,
 # 1e6 points for mu, Richardson-extrapolated 2D trapezoid for self_moment).
@@ -156,7 +156,7 @@ def test_profile_values():
     # even function, gradient odd
     xs = np.linspace(-0.3, 0.3, 41)
     assert np.allclose(prof.delta1(xs), prof.delta1(-xs))
-    assert np.allclose(prof.grad_delta1(xs), -prof.grad_delta1(-xs))
+    assert np.allclose(grad_delta1(prof, xs), -grad_delta1(prof, -xs))
 
 
 def test_profile_gradient_fd():
@@ -164,7 +164,7 @@ def test_profile_gradient_fd():
         xs = np.linspace(-0.24, 0.24, 17)
         h = 1e-6
         fd = (prof.delta1(xs + h) - prof.delta1(xs - h)) / (2 * h)
-        assert np.allclose(prof.grad_delta1(xs), fd, atol=2e-6)
+        assert np.allclose(grad_delta1(prof, xs), fd, atol=2e-6)
 
 
 def test_mu_against_frozen_oracle():
@@ -352,7 +352,7 @@ def test_rho_returns_an_array_for_any_array_input():
 
 def test_non_finite_points_raise():
     # the one neighbour search of rho, the kernel fields and the stresses
-    # (density._neighbours) rejects NaN and infinite points: rho gave 0.0 at
+    # (field._neighbours) rejects NaN and infinite points: rho gave 0.0 at
     # NaN, the periodic field NaN at inf and the stress NaN at NaN; so do
     # the comparison fields (field._cell_fields), which gave NaN
     cfg = homogeneous(20, 1.1)
@@ -486,7 +486,7 @@ def test_sextic_is_c2_at_support_edge():
     # quartic only ~h (C1): check the one-sided scaling exponents
     e = 0.25
     h = 1e-4
-    gs = [abs(sextic_bump(0.5).grad_delta1(e - s)) for s in (h, 2 * h)]
+    gs = [abs(grad_delta1(sextic_bump(0.5), e - s)) for s in (h, 2 * h)]
     assert gs[1] / gs[0] == pytest.approx(4.0, rel=1e-3)
-    gq = [abs(quartic_bump(0.5).grad_delta1(e - s)) for s in (h, 2 * h)]
+    gq = [abs(grad_delta1(quartic_bump(0.5), e - s)) for s in (h, 2 * h)]
     assert gq[1] / gq[0] == pytest.approx(2.0, rel=1e-3)

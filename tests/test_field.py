@@ -49,6 +49,12 @@ def wiggled_chain(N=8, F=1.1, amp=0.02, seed=1):
     return ChainConfig(N, F, u)
 
 
+def p1(f, x):
+    """The P1 interpolant of the FEM field f at x (periodic when f.L is a
+    period)."""
+    return np.interp(x, f.nodes(), f.values, period=f.L)
+
+
 def slab_setup(cfg, lo=3, hi=14, g=(0.4, 0.7)):
     y = positions(cfg)[lo:hi]
     a_L = float(y[0]) - 0.55 * cfg.eps
@@ -89,7 +95,7 @@ def _loop_load_and_forces(profile, eps, centers, f):
     n = f.n_nodes
     b, forces = np.zeros(n), np.zeros(len(centers))
     for j, c in enumerate(centers):
-        if f.kind == "periodic":
+        if f.L is not None:
             c = f.x0 + (c - f.x0) % f.L
         for i in range(math.floor((c - w - f.x0) / f.h),
                        math.floor((c + w - f.x0) / f.h - 1e-15) + 1):
@@ -98,7 +104,7 @@ def _loop_load_and_forces(profile, eps, centers, f):
             if hi <= lo:
                 continue
             z, wq = lo + (hi - lo) * t, (hi - lo) * gw
-            na, nb = (i % n, (i + 1) % n) if f.kind == "periodic" else (i, i + 1)
+            na, nb = (i % n, (i + 1) % n) if f.L is not None else (i, i + 1)
             left, right = (e0 + f.h - z) / f.h, (z - e0) / f.h
             dens = profile.delta1((z - c) / eps)
             b[na] += np.sum(wq * dens * left)
@@ -132,8 +138,7 @@ def test_piece_routine_matches_per_atom_loops(prof, N):
 
 def _one_bincount_load_and_forces(profile, eps, centers, f):
     """The load and `fem_forces` as one `bincount` over every piece at once."""
-    L = f.L if f.kind == "periodic" else None
-    atom, nodes, dz, wq, hats = _bump_pieces(profile, eps, centers, f.x0, f.h, f.n_nodes, L)
+    atom, nodes, dz, wq, hats = _bump_pieces(profile, eps, centers, f.x0, f.h, f.n_nodes, f.L)
     piece = np.einsum("pq,pqk->pk", wq * profile.delta1(dz / eps), hats)
     b = np.bincount(nodes.ravel(), piece.ravel(), minlength=f.n_nodes)
     phi = np.sum(f.values[nodes][:, None, :] * hats, axis=-1)
@@ -167,8 +172,7 @@ def test_piece_blocks_keep_every_bit(monkeypatch, make, near_contact):
                       0.3, 0.5, M, eps)
     for f, centers in ((solve_periodic(cfg, prof, M, 64), y),
                        (solve_dirichlet(slab, bd, prof, 64), slab)):
-        L = f.L if f.kind == "periodic" else None
-        nodes = _bump_pieces(prof, eps, centers, f.x0, f.h, f.n_nodes, L)[1]
+        nodes = _bump_pieces(prof, eps, centers, f.x0, f.h, f.n_nodes, f.L)[1]
         assert np.bincount(nodes.ravel()).max() == (3 if near_contact else 2)
         b_ref, f_ref = _one_bincount_load_and_forces(prof, eps, centers, f)
         for budget, blocks in ((1, centers.size), (None, None), (10**9, 1)):
@@ -176,7 +180,7 @@ def test_piece_blocks_keep_every_bit(monkeypatch, make, near_contact):
                 monkeypatch.setattr(field_module, "_PIECE_BUDGET", budget)
             n_blocks = len(_piece_blocks(prof, eps, centers.size, f.h))
             assert n_blocks == blocks if blocks else n_blocks > 4
-            load = _assemble_load(prof, eps, centers, f.x0, f.h, f.n_nodes, L)
+            load = _assemble_load(prof, eps, centers, f.x0, f.h, f.n_nodes, f.L)
             assert np.array_equal(load, b_ref) and np.array_equal(f.rhs, b_ref)
             assert np.array_equal(fem_forces(f, prof, eps, centers), f_ref)
             monkeypatch.undo()
@@ -249,7 +253,7 @@ def test_periodic_fem_within_budget_of_kernel_oracle():
     assert f.residual_rel <= 1e-12
     xs = np.linspace(-1.0, 1.0, 101)
     ref, _ = eval_green_periodic(cfg, PROF, M, xs)
-    err = np.max(np.abs(f.value(xs) - ref)) / np.max(np.abs(ref))
+    err = np.max(np.abs(p1(f, xs) - ref)) / np.max(np.abs(ref))
     assert err <= fem_relative_budget(PROF, M, 16)
 
 
@@ -258,7 +262,7 @@ def test_periodic_mesh_halving_rate():
     xs = np.linspace(-1.0, 1.0, 201)
     ref, _ = eval_green_periodic(cfg, PROF, M, xs)
     errs = [
-        np.max(np.abs(solve_periodic(cfg, PROF, M, mesh_density=md).value(xs) - ref))
+        np.max(np.abs(p1(solve_periodic(cfg, PROF, M, mesh_density=md), xs) - ref))
         for md in (16, 32, 64)
     ]
     rate = 0.5 * np.log2(errs[0] / errs[2])
@@ -279,18 +283,6 @@ def test_periodic_field_positive_and_lattice_periodic():
     v1, _ = eval_green_periodic(cfg, PROF, M, xs)
     v2, _ = eval_green_periodic(cfg, PROF, M, xs + cfg.eps * cfg.F)
     assert np.allclose(v1, v2, rtol=1e-12)
-
-
-def test_field_value_periodic_wrap_and_grad():
-    cfg = wiggled_chain()
-    f = solve_periodic(cfg, PROF, M)
-    xs = np.linspace(-1.0, 1.0, 23)
-    assert np.allclose(f.value(xs), f.value(xs + cfg.L), rtol=0, atol=1e-13)
-    assert np.allclose(f.value(xs), f.value(xs - 2 * cfg.L), rtol=0, atol=1e-13)
-    # gradient is the slope of the linear interpolant inside one element
-    x0 = 0.3 + 0.25 * f.h
-    fd = (f.value(x0 + 0.2 * f.h) - f.value(x0)) / (0.2 * f.h)
-    assert f.grad(x0 + 0.1 * f.h) == pytest.approx(fd, rel=1e-9)
 
 
 def test_discrete_energy_identity_periodic():
@@ -699,7 +691,7 @@ def test_dirichlet_fem_within_budget_and_bc():
     assert f.values[0] == bd.g_L and f.values[-1] == bd.g_R
     xs = np.linspace(bd.a_L, bd.a_R, 97)
     ref, _ = eval_green_dirichlet(y, bd, PROF, xs)
-    err = np.max(np.abs(f.value(xs) - ref)) / np.max(np.abs(ref))
+    err = np.max(np.abs(p1(f, xs) - ref)) / np.max(np.abs(ref))
     assert err <= fem_relative_budget(PROF, M, 16)
 
 
@@ -709,7 +701,7 @@ def test_dirichlet_mesh_halving_rate():
     xs = np.linspace(bd.a_L, bd.a_R, 151)
     ref, _ = eval_green_dirichlet(y, bd, PROF, xs)
     errs = [
-        np.max(np.abs(solve_dirichlet(y, bd, PROF, mesh_density=md).value(xs) - ref))
+        np.max(np.abs(p1(solve_dirichlet(y, bd, PROF, mesh_density=md), xs) - ref))
         for md in (16, 32, 64)
     ]
     rate = 0.5 * np.log2(errs[0] / errs[2])
@@ -780,7 +772,7 @@ def test_green_dirichlet_solves_g0_problem():
     xs = np.linspace(bd0.a_L, bd0.a_R, 61)
     ref, _ = eval_green_dirichlet(y, bd0, PROF, xs)
     budget = fem_relative_budget(PROF, M, 128)
-    assert np.max(np.abs(f.value(xs) - ref)) <= budget * np.max(np.abs(ref))
+    assert np.max(np.abs(p1(f, xs) - ref)) <= budget * np.max(np.abs(ref))
 
 
 def _wall_slab():
@@ -821,7 +813,7 @@ def test_sextic_profile_supported_everywhere():
     f = solve_periodic(cfg, prof, M)
     xs = np.linspace(-1.0, 1.0, 51)
     ref, _ = eval_green_periodic(cfg, prof, M, xs)
-    err = np.max(np.abs(f.value(xs) - ref)) / np.max(np.abs(ref))
+    err = np.max(np.abs(p1(f, xs) - ref)) / np.max(np.abs(ref))
     assert err <= fem_relative_budget(prof, M, 16)
 
 
@@ -868,22 +860,19 @@ def test_slab_routes_agree_that_a_bump_touching_a_wall_is_contact():
         with pytest.raises(ValueError, match="inside the slab"):
             eval_green_dirichlet(y, bd, PROF, x)
     bd = BoundaryData(a_L, a_R, 0, 0, M, cfg.eps)
-    assert solve_dirichlet(y, bd, PROF).value(x) > 0
+    assert p1(solve_dirichlet(y, bd, PROF), x) > 0
     assert eval_green_dirichlet(y, bd, PROF, x)[0] > 0
 
 
 def test_slab_fields_reject_points_outside_the_slab():
     # the closed form would alias a point outside back into the slab through
-    # its period 2(a_R - a_L); it raises, as the FEM field does
+    # its period 2(a_R - a_L); it raises
     cfg = wiggled_chain()
     y, bd = slab_setup(cfg)
-    f = solve_dirichlet(y, bd, PROF)
     inside = 0.5 * (bd.a_L + bd.a_R)
     for x in (bd.a_R + 0.6 * bd.width, bd.a_L - 1e-9, math.nan):
         with pytest.raises(ValueError, match="outside the slab"):
             eval_green_dirichlet(y, bd, PROF, np.array([inside, x]))
-        with pytest.raises(ValueError, match="outside the slab"):
-            f.value(np.array([inside, x]))
     walls = np.array([bd.a_L, bd.a_R])
     assert np.allclose(eval_green_dirichlet(y, bd, PROF, walls)[0], (bd.g_L, bd.g_R),
                        rtol=0, atol=1e-15)

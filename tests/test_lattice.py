@@ -73,6 +73,15 @@ def test_periodic_extension():
     assert np.allclose(y[19:28], base + cfg.L, atol=1e-14)
 
 
+def test_positions_bounds_come_together():
+    # one bound alone is not a range: both or neither
+    cfg = homogeneous(4, 1.1)
+    for bounds in ((-2,), (None, 2), (-2, None)):
+        with pytest.raises(ValueError, match="j_lo and j_hi must be given together"):
+            positions(cfg, *bounds)
+    assert positions(cfg, None, None) is positions(cfg)
+
+
 def test_first_second_diff_homogeneous():
     cfg = homogeneous(6, 1.3)
     assert np.allclose(first_diff(cfg), 1.3)

@@ -8,6 +8,7 @@ deterministic), recorded during development.
 import numpy as np
 import pytest
 
+import acfield.minimize
 from acfield.ac import method1, method2
 from acfield.density import quartic_bump, sextic_bump
 from acfield.lattice import ChainConfig, first_diff, homogeneous, norm_l2eps
@@ -99,22 +100,30 @@ def test_other_models_converge(model_cls):
     assert r.min_strain > PROFILE.sigma0 + 0.05
 
 
+def test_load_length_must_match_the_chain():
+    # the load pairs with the positions entry by entry, so its length is
+    # checked before any work, and the message names both lengths
+    with pytest.raises(ValueError, match="the load has 21 entries but the chain has 25 atoms"):
+        minimize(atomistic(), sine_force(10, 0.3), homogeneous(12, 1.1))
+
+
 def test_initial_guard_violation_names_bond():
     with pytest.raises(ValueError, match="bond"):
         minimize(atomistic(), sine_force(20, 0.3), homogeneous(20, 0.52))
 
 
-def test_exhaustion_raises_and_flag_mode():
+def test_exhaustion_raises_and_flag_mode(monkeypatch):
+    monkeypatch.setattr(acfield.minimize, "_MAX_ITER", 4)
     cfg = homogeneous(20, 1.1)
     hard = sine_force(20, 30.0)
     with pytest.raises(MinimizeError) as excinfo:
-        minimize(atomistic(), hard, cfg, max_iter=4)
+        minimize(atomistic(), hard, cfg)
     r = excinfo.value.result
     assert not r.converged
     assert r.iterations == 4
 
 
-def test_minimize_error_says_why_it_stopped():
+def test_minimize_error_says_why_it_stopped(monkeypatch):
     # method 2 at m = 0.5, restarted from the atomistic minimizer: every step
     # falls back to steepest descent on an indefinite Hessian, and the
     # iterates run into the strain guard sigma0 + 0.05, which refuses every
@@ -132,11 +141,12 @@ def test_minimize_error_says_why_it_stopped():
         "(min strain 0.550000000077)")
 
     # out of iterations: the last step's trials that the guard refused
+    monkeypatch.setattr(acfield.minimize, "_MAX_ITER", 4)
     with pytest.raises(MinimizeError, match=r"^no convergence in 4 iterations \(\|g\| = "
                        r"[0-9.e+-]+\): 0 of 4 steps fell back to steepest descent; "
                        r"the strain guard 0.55 refused \d+ of the last step's \d+ "
                        r"trials \(min strain "):
-        minimize(atomistic(), sine_force(20, 30.0), homogeneous(20, 1.1), max_iter=4)
+        minimize(atomistic(), sine_force(20, 30.0), homogeneous(20, 1.1))
 
 
 def test_compare_zero_force_is_tau_small():
@@ -275,10 +285,10 @@ class NegatedHessian:
         return negated(self.model.hessian_structured(cfg))
 
 
-def test_negated_hessian_makes_every_step_a_fallback():
+def test_negated_hessian_makes_every_step_a_fallback(monkeypatch):
+    monkeypatch.setattr(acfield.minimize, "_MAX_ITER", 5)
     with pytest.raises(MinimizeError) as excinfo:
-        minimize(NegatedHessian(atomistic()), sine_force(20, 0.3), homogeneous(20, 1.1),
-                 max_iter=5)
+        minimize(NegatedHessian(atomistic()), sine_force(20, 0.3), homogeneous(20, 1.1))
     r = excinfo.value.result
     assert r.iterations == 5
     assert r.n_fallbacks == r.iterations
@@ -298,16 +308,22 @@ SWEEP_NEWTON_ITERATIONS = [
 ]
 
 
+def _label(model):
+    """The sweep's name for a model: "atomistic" or "ac_<variant>_K<K>"."""
+    if isinstance(model, AtomisticModel):
+        return "atomistic"
+    return "ac_%s_K%d" % (model.method.variant, model.method.partition.K)
+
+
 def test_sweep_newton_iterations_pinned(monkeypatch, tmp_path):
     import acfield.harness
-    import acfield.minimize
 
     calls = []
     real = acfield.minimize.minimize
 
-    def recording(model, f, y0, **kw):
-        r = real(model, f, y0, **kw)
-        calls.append((model.name, y0.N, r.iterations, r.n_fallbacks))
+    def recording(model, f, y0):
+        r = real(model, f, y0)
+        calls.append((_label(model), y0.N, r.iterations, r.n_fallbacks))
         return r
 
     monkeypatch.setattr(acfield.minimize, "minimize", recording)
